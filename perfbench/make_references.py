@@ -8,15 +8,17 @@ references:
 For every pool unit it records the infinite-backlog offline optimum
 (``solve-offline`` on the scenario with data arrivals removed; for fig8
 blocks, the per-seed ``bits_iterative`` of ``preset fig8 --jobs 1``), runs
-the unit's ops once to record their cost and whether they pass the output
-check, and cuts the pool into strata (``workloads.make_strata``).  The timed
-benchmark never recomputes any of this.
+the unit's ops three times to record their median cost and whether they
+pass the output check, and cuts the pool into strata
+(``workloads.make_strata``).  The timed benchmark never recomputes any of
+this.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -26,6 +28,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import run  # noqa: E402
 import workloads  # noqa: E402
+
+COST_REPEATS = 3        # a unit's cost is the median of this many runs
 
 
 def _solve(cli, args, out: Path):
@@ -54,14 +58,17 @@ def record_unit(cli, unit: dict, tmp: Path) -> dict:
                tmp / "ref")
         with open(tmp / "ref" / "summary.json") as fh:
             entry["reference_nats"] = json.load(fh)["objective_nats"]
-    cost, ok = 0.0, True
-    for k, (name, argv) in enumerate(workloads.unit_ops(unit, str(path))):
-        out = tmp / f"op{k}"
-        t0 = time.perf_counter()
-        rc, _err = run.call_cli(cli, argv + ["--out", str(out)])
-        cost += time.perf_counter() - t0
-        ok = ok and run.check_op(unit, doc, name, rc, out, entry).ok
-    entry["cost_s"] = round(cost, 3)
+    costs, ok = [], True
+    for _ in range(COST_REPEATS):
+        cost = 0.0
+        for k, (name, argv) in enumerate(workloads.unit_ops(unit, str(path))):
+            out = tmp / f"op{k}"
+            t0 = time.perf_counter()
+            rc, _err = run.call_cli(cli, argv + ["--out", str(out)])
+            cost += time.perf_counter() - t0
+            ok = ok and run.check_op(unit, doc, name, rc, out, entry).ok
+        costs.append(cost)
+    entry["cost_s"] = round(statistics.median(costs), 3)
     entry["ok"] = ok
     return entry
 
@@ -84,7 +91,8 @@ def main(argv) -> int:
                       flush=True)
                 units.append(entry)
             doc["workloads"][workload] = {
-                "units": units, "strata": workloads.make_strata(units)}
+                "units": units, "strata": workloads.make_strata(
+                    units, workloads.PAIR_RATIO[workload])}
     with open(workloads.REFERENCES, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -2,15 +2,16 @@
 
 Usage, from the root of a checkout:
 
-    python3 perfbench/run.py --workload fig8_batch --seed 0 --seconds 12 --trace 0
+    python3 perfbench/run.py --workload fig8_batch --seed 0 --seconds 24 --trace 0
 
 An op is one ``ehic.cli.main([...])`` call; a scenario is one input carried
 through the workload's solver set.  The timed phase runs whole passes over
-the seed's units (see ``workloads.py``) until ``--seconds`` have elapsed, and
-checks every op's output afterwards.  ``--trace 0`` prints the end-to-end
-metrics.  ``--trace 1`` runs untraced passes for half of ``--seconds``, then
-the warm-up ops and passes traced for the other half, and prints the
-per-layer metrics (see ``tracing.py``) with the tracing overhead.
+the seed's units (see ``workloads.py``), as many as bring its end nearest to
+``--seconds`` (at least one), and checks every op's output afterwards.
+``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` runs untraced
+passes for half of ``--seconds``, then the warm-up ops and passes traced for
+the other half, and prints the per-layer metrics (see ``tracing.py``) with
+the tracing overhead.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  ``correct`` is false
@@ -127,7 +128,10 @@ def call_cli(cli, argv):
 
 
 def run_passes(cli, plan, work: Path, seconds: float, tracer=None):
-    """Whole passes over the plan until ``seconds`` have elapsed.
+    """Whole passes over the plan, ending as near to ``seconds`` as they can.
+
+    Another pass starts while the mean pass time so far, added to the time
+    spent, would end it closer to ``seconds`` than stopping now.
 
     Returns (records, wall seconds); a record is
     [unit, doc, op name, out dir, rc, stderr, op seconds, pass index].
@@ -135,7 +139,7 @@ def run_passes(cli, plan, work: Path, seconds: float, tracer=None):
     records = []
     wall = 0.0
     n_pass = 0
-    while n_pass == 0 or wall < seconds:
+    while n_pass == 0 or wall + 0.5 * wall / n_pass < seconds:
         t_pass = time.perf_counter()
         for unit, doc, ops in plan:
             for name, argv in ops:
@@ -211,20 +215,30 @@ def tail(times):
 def environment() -> dict:
     import numpy
     import scipy
-    try:
-        sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
-                             capture_output=True, text=True, timeout=10)
-        sha = sha.stdout.strip() if sha.returncode == 0 else None
-    except OSError:
-        sha = None
-    return {"git_sha": sha or "unknown (not a git checkout)",
+
+    def git(*args):
+        try:
+            proc = subprocess.run(["git", *args], cwd=ROOT, timeout=10,
+                                  capture_output=True, text=True)
+        except OSError:
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    return {"git_sha": git("rev-parse", "HEAD") or
+            "unknown (not a git checkout)",
+            "src_tree": git("rev-parse", "HEAD:src") or "unknown",
             "nproc": os.cpu_count(), "python": platform.python_version(),
             "numpy": numpy.__version__, "scipy": scipy.__version__,
             "machine": platform.machine()}
 
 
 def setup_samples(workload, seed, work, first):
-    """Median set-up time over the main process and fresh interpreters."""
+    """Median set-up time over the main process and fresh interpreters.
+
+    The import of ``ehic`` and its dependencies only repeats in a new
+    interpreter, so each further sample runs this script with
+    ``--setup-only``.
+    """
     samples = [first]
     for k in range(SETUP_SAMPLES - 1):
         proc = subprocess.run(
@@ -278,11 +292,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=12.0)
+    parser.add_argument("--seconds", type=float, default=24.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true",
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--work", help=argparse.SUPPRESS)
+                        help="time one set-up in this interpreter, print "
+                        "its seconds and exit (a setup_s sample)")
+    parser.add_argument("--work", help="work directory for --setup-only")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(HERE))
     import workloads

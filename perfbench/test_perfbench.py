@@ -188,6 +188,18 @@ def test_seeded_selection_takes_one_unit_per_stratum():
         assert all(len(ids & set(s)) == 1 for s in strata)
 
 
+def test_strata_pair_similar_costs_within_a_group():
+    rows = [("a", "x", True, 3.0), ("b", "x", True, 2.6),
+            ("c", "x", True, 1.0), ("d", "x", True, 0.9),
+            ("e", "x", False, 2.5), ("f", "y", True, 2.0)]
+    units = [{"id": i, "family": f, "ok": ok, "cost_s": c}
+             for i, f, ok, c in rows]
+    assert workloads.make_strata(units, 1.25) == [["e"], ["a", "b"],
+                                                  ["c", "d"], ["f"]]
+    assert workloads.make_strata(units, None) == [["e"], ["a", "b", "c", "d"],
+                                                  ["f"]]
+
+
 def test_generator_matches_the_cli_generator(cli):
     doc = workloads.scenario_doc({"kind": "generated", "n": 50, "seed": 4,
                                   "family": "ab_gt1", "data": False})

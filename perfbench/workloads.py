@@ -2,12 +2,12 @@
 
 Every workload draws from a fixed pool of units whose infinite-backlog
 offline optimum is recorded in ``references.json``.  A unit is one input the
-program is run on: a block of ten fig8 seeds, or one scenario file.  The pool
-is cut into strata of one or two units with similar recorded cost and the
-same outcome at the commit the references were taken at; the run seed picks
-one unit of each stratum, and a unit with no similar partner runs on every
-seed.  Two seeds therefore run different scenarios with
-the same cost profile, which keeps the run-to-run spread small.
+program is run on: a block of five fig8 seeds, or one scenario file.  The
+pool is cut into strata of units with the same family and the same outcome
+at the commit the references were taken at (see ``make_strata``); the run
+seed picks one unit of each stratum.  Two seeds therefore run different
+scenarios with nearly the same cost profile and the same number of known
+failures, which keeps the seed-to-seed spread small.
 
 Scenario files are generated here, not by the program, so that a change to
 the program's own generator cannot change the inputs.  The generator is the
@@ -24,9 +24,19 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 REFERENCES = HERE / "references.json"
 
-WORKLOADS = ("fig8_batch", "data_arrivals", "lattice_dp")
+WORKLOADS = ("fig8_batch", "data_arrivals", "lattice_dp", "long_horizon")
 
-FIG8_BLOCK = 10
+FIG8_BLOCK = 5
+FIG8_POOL = 80          # fig8 seeds 0..79, in blocks of FIG8_BLOCK
+DATA_POOL = 3           # data_arrivals scenario seeds 0..2 (N=50)
+LONG_POOL = 4           # long_horizon scenario seeds 0..3 per family
+LONG_N = 100
+# largest cost ratio of two units that share a stratum; None puts each
+# (family, outcome) group in one stratum (lattice_dp costs are all alike).
+# data_arrivals pairs nothing: its three units cost 1.2-4.6 s and run on
+# every seed
+PAIR_RATIO = {"fig8_batch": 1.25, "data_arrivals": 1.0, "lattice_dp": None,
+              "long_horizon": 1.25}
 DP_GRID = "0.5"
 FIG7_E = ([5, 0, 0, 0, 3, 0, 0, 0, 0, 0, 7, 0, 0, 0, 4, 0, 0, 0, 6, 0],
           [10, 0, 7, 0, 0, 0, 0, 0, 9, 0, 0, 5, 0, 8, 0, 5, 0, 0, 0, 0])
@@ -42,11 +52,16 @@ def pool_units(workload: str) -> list:
     if workload == "fig8_batch":
         return [{"id": f"fig8-{s:03d}", "kind": "fig8", "start": s,
                  "count": FIG8_BLOCK, "family": "fig8"}
-                for s in range(0, 14 * FIG8_BLOCK, FIG8_BLOCK)]
+                for s in range(0, FIG8_POOL, FIG8_BLOCK)]
     if workload == "data_arrivals":
         return [{"id": f"data-n50-s{s}", "kind": "generated", "n": 50,
                  "seed": s, "family": "ab_gt1", "data": True}
-                for s in range(16)]
+                for s in range(DATA_POOL)]
+    if workload == "long_horizon":
+        return [{"id": f"{fam}-n{LONG_N}-s{s}", "kind": "generated",
+                 "n": LONG_N, "seed": s, "family": fam, "data": False,
+                 "offline": True}
+                for fam in FAMILIES for s in range(LONG_POOL)]
     if workload == "lattice_dp":
         units = [{"id": "fig7", "kind": "fig7", "family": "fig7"}]
         units += [{"id": f"{fam}-n20-s{s}", "kind": "generated", "n": 20,
@@ -135,20 +150,23 @@ def unit_ops(unit: dict, scenario_path: str = None) -> list:
                           "--count", str(unit["count"]), "--jobs", "2"])]
     if unit.get("data"):
         return [("solve-data", ["solve-data", "--scenario", scenario_path])]
+    if unit.get("offline"):
+        return [("solve-offline", ["solve-offline", "--scenario",
+                                   scenario_path])]
     return [("online-dp", ["online-dp", "--scenario", scenario_path,
                            "--grid", DP_GRID]),
             ("oracle", ["oracle", "--scenario", scenario_path,
                         "--grid", DP_GRID])]
 
 
-def make_strata(units: list, ratio: float = 1.15) -> list:
+def make_strata(units: list, ratio) -> list:
     """Strata of unit ids: same family and outcome, similar recorded cost.
 
     ``units`` carry ``cost_s`` and ``ok`` from the reference run.  Within a
-    (family, ok) group the costliest unit, which sets the tail, runs on
-    every seed.  Below it, from the costliest down, a unit is paired with the
-    next one when their costs differ by at most ``ratio``; a unit without
-    such a partner is a stratum of its own and also runs on every seed.
+    (family, ok) group, from the costliest unit down, a unit is paired with
+    the next one when their costs differ by at most ``ratio``; a unit
+    without such a partner is a stratum of its own and runs on every seed.
+    ``ratio=None`` keeps the whole group as one stratum.
     """
     groups = {}
     for u in units:
@@ -156,7 +174,9 @@ def make_strata(units: list, ratio: float = 1.15) -> list:
     strata = []
     for key in sorted(groups, key=str):
         ranked = sorted(groups[key], key=lambda u: (-u["cost_s"], u["id"]))
-        strata.append([ranked.pop(0)["id"]])
+        if ratio is None:
+            strata.append([u["id"] for u in ranked])
+            continue
         while ranked:
             top = ranked.pop(0)
             if ranked and top["cost_s"] <= ratio * ranked[0]["cost_s"]:
