@@ -58,7 +58,7 @@ def record_unit(cli, unit: dict, tmp: Path) -> dict:
                tmp / "ref")
         with open(tmp / "ref" / "summary.json") as fh:
             entry["reference_nats"] = json.load(fh)["objective_nats"]
-    costs, ok = [], True
+    costs, failed = [], set()
     for _ in range(COST_REPEATS):
         cost = 0.0
         for k, (name, argv) in enumerate(workloads.unit_ops(unit, str(path))):
@@ -66,10 +66,11 @@ def record_unit(cli, unit: dict, tmp: Path) -> dict:
             t0 = time.perf_counter()
             rc, _err = run.call_cli(cli, argv + ["--out", str(out)])
             cost += time.perf_counter() - t0
-            ok = ok and run.check_op(unit, doc, name, rc, out, entry).ok
+            if not run.check_op(unit, doc, name, rc, out, entry).ok:
+                failed.add(name)
         costs.append(cost)
     entry["cost_s"] = round(statistics.median(costs), 3)
-    entry["ok"] = ok
+    entry["failed_ops"] = len(failed)
     return entry
 
 
@@ -80,6 +81,8 @@ def main(argv) -> int:
     doc = {"workloads": {}}
     if argv:
         doc = workloads.load_references()
+        doc["workloads"] = {k: v for k, v in doc["workloads"].items()
+                            if k in workloads.WORKLOADS}
     doc.update(command="python3 perfbench/make_references.py",
                env=run.environment())
     with tempfile.TemporaryDirectory(dir=run.ROOT) as tmp:
@@ -87,7 +90,7 @@ def main(argv) -> int:
             units = []
             for unit in workloads.pool_units(workload):
                 entry = record_unit(cli, unit, Path(tmp))
-                print(workload, entry["id"], entry["cost_s"], entry["ok"],
+                print(workload, entry["id"], entry["cost_s"], entry["failed_ops"],
                       flush=True)
                 units.append(entry)
             doc["workloads"][workload] = {

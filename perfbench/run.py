@@ -2,16 +2,16 @@
 
 Usage, from the root of a checkout:
 
-    python3 perfbench/run.py --workload fig8_batch --seed 0 --seconds 24 --trace 0
+    python3 perfbench/run.py --workload fig8_batch --seed 0 --seconds 30 --trace 0
 
 An op is one ``ehic.cli.main([...])`` call; a scenario is one input carried
 through the workload's solver set.  The timed phase runs whole passes over
-the seed's units (see ``workloads.py``), as many as bring its end nearest to
-``--seconds`` (at least one), and checks every op's output afterwards.
-``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` runs untraced
-passes for half of ``--seconds``, then the warm-up ops and passes traced for
-the other half, and prints the per-layer metrics (see ``tracing.py``) with
-the tracing overhead.
+the seed's units (see ``workloads.py``), as many as fill ``--seconds`` at
+the units' recorded costs (``pass_count``), and checks every op's output
+afterwards.  ``--trace 0`` prints the end-to-end metrics.  ``--trace 1``
+runs the passes of half of ``--seconds`` untraced, then the warm-up ops and
+as many passes traced, and prints the per-layer metrics (see
+``tracing.py``) with the tracing overhead.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  ``correct`` is false
@@ -39,6 +39,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+# One BLAS thread: on a machine with few cores (two here), a multi-threaded
+# BLAS beside the program's own --jobs threads measures the scheduler; it
+# made solve-data ops slower and their times less steady.  Set before numpy
+# is imported; the fresh interpreters started below inherit it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -127,19 +134,29 @@ def call_cli(cli, argv):
     return rc, err.getvalue()
 
 
-def run_passes(cli, plan, work: Path, seconds: float, tracer=None):
-    """Whole passes over the plan, ending as near to ``seconds`` as they can.
+def pass_count(workload: str, seconds: float) -> int:
+    """Passes that fill ``seconds`` at the pool's recorded costs.
 
-    Another pass starts while the mean pass time so far, added to the time
-    spent, would end it closer to ``seconds`` than stopping now.
+    A pass is costed as the sum over strata of the stratum's mean unit cost,
+    so the count depends only on the workload and ``--seconds``: every seed
+    and every run of a workload attempts the same number of passes, however
+    fast the machine or the commit runs.
+    """
+    import workloads
+    entry = workloads.load_references()["workloads"][workload]
+    cost = workloads.expected_pass_cost(entry)
+    return max(1, round(seconds / cost))
+
+
+def run_passes(cli, plan, work: Path, passes: int, tracer=None):
+    """``passes`` whole passes over the plan.
 
     Returns (records, wall seconds); a record is
     [unit, doc, op name, out dir, rc, stderr, op seconds, pass index].
     """
     records = []
     wall = 0.0
-    n_pass = 0
-    while n_pass == 0 or wall + 0.5 * wall / n_pass < seconds:
+    for n_pass in range(passes):
         t_pass = time.perf_counter()
         for unit, doc, ops in plan:
             for name, argv in ops:
@@ -153,7 +170,6 @@ def run_passes(cli, plan, work: Path, seconds: float, tracer=None):
                     tracer.end_op()
                 records.append([unit, doc, name, out, rc, err, dt, n_pass])
         wall += time.perf_counter() - t_pass
-        n_pass += 1
     return records, wall
 
 
@@ -184,12 +200,7 @@ def check_records(records, refs):
 
 
 def op_times(records) -> list:
-    """One time per op of the pass: its median over the run's passes.
-
-    The count of ops is then fixed by the seed's plan, not by how many
-    passes fit in ``--seconds``, so the statistics below mean the same on a
-    faster commit.
-    """
+    """One time per op of the pass: its median over the run's passes."""
     times = {}
     for unit, _doc, name, _out, _rc, _err, dt, _pass in records:
         times.setdefault((unit["id"], name), []).append(dt)
@@ -292,7 +303,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=24.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true",
                         help="time one set-up in this interpreter, print "
@@ -358,7 +369,8 @@ def _run(args, work: Path) -> int:
 
 
 def _untraced(args, cli, plan, work, refs, record, first_setup):
-    records, wall = run_passes(cli, plan, work, args.seconds)
+    records, wall = run_passes(cli, plan, work,
+                               pass_count(args.workload, args.seconds))
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     setup_s, samples = setup_samples(args.workload, args.seed, work,
                                      first_setup)
@@ -393,15 +405,15 @@ def _untraced(args, cli, plan, work, refs, record, first_setup):
 
 def _traced(args, cli, plan, work, refs, record):
     import tracing
-    base, base_wall = run_passes(cli, plan, work / "untraced",
-                                 args.seconds / 2)
+    half = pass_count(args.workload, args.seconds / 2)
+    base, base_wall = run_passes(cli, plan, work / "untraced", half)
     base_checks, base_passed = check_records(base, refs)
     tracer = tracing.Tracer()
     tracer.install()
     try:
         warm_up(cli, work, tracer)
-        records, wall = run_passes(cli, plan, work / "traced",
-                                   args.seconds / 2, tracer)
+        records, wall = run_passes(cli, plan, work / "traced", half,
+                                   tracer)
     finally:
         tracer.uninstall()
     checks_, passed = check_records(records, refs)

@@ -178,6 +178,18 @@ def test_op_times_take_the_median_over_passes():
     assert sorted(run.op_times(records)) == [2.0, 6.0]
 
 
+def test_pass_count_depends_on_workload_and_seconds_only():
+    refs = workloads.load_references()
+    for name in workloads.WORKLOADS:
+        cost = workloads.expected_pass_cost(refs["workloads"][name])
+        assert run.pass_count(name, 3 * cost) == 3
+        assert run.pass_count(name, 0.1 * cost) == 1
+    entry = {"units": [{"id": "a", "cost_s": 1.0}, {"id": "b", "cost_s": 3.0},
+                       {"id": "c", "cost_s": 0.5}],
+             "strata": [["a", "b"], ["c"]]}
+    assert workloads.expected_pass_cost(entry) == 2.5
+
+
 def test_seeded_selection_takes_one_unit_per_stratum():
     refs = workloads.load_references()
     for name in workloads.WORKLOADS:
@@ -189,14 +201,14 @@ def test_seeded_selection_takes_one_unit_per_stratum():
 
 
 def test_strata_pair_similar_costs_within_a_group():
-    rows = [("a", "x", True, 3.0), ("b", "x", True, 2.6),
-            ("c", "x", True, 1.0), ("d", "x", True, 0.9),
-            ("e", "x", False, 2.5), ("f", "y", True, 2.0)]
-    units = [{"id": i, "family": f, "ok": ok, "cost_s": c}
-             for i, f, ok, c in rows]
-    assert workloads.make_strata(units, 1.25) == [["e"], ["a", "b"],
-                                                  ["c", "d"], ["f"]]
-    assert workloads.make_strata(units, None) == [["e"], ["a", "b", "c", "d"],
+    rows = [("a", "x", 0, 3.0), ("b", "x", 0, 2.6),
+            ("c", "x", 0, 1.0), ("d", "x", 0, 0.9),
+            ("e", "x", 1, 2.5), ("f", "y", 0, 2.0)]
+    units = [{"id": i, "family": f, "failed_ops": n, "cost_s": c}
+             for i, f, n, c in rows]
+    assert workloads.make_strata(units, 1.25) == [["a", "b"], ["c", "d"],
+                                                  ["e"], ["f"]]
+    assert workloads.make_strata(units, None) == [["a", "b", "c", "d"], ["e"],
                                                   ["f"]]
 
 

@@ -42,15 +42,15 @@ LAYER_METRICS = [
 ]
 LAYER_METRICS += [
     (f"single_user.{m}", unit, "lower",
-     "scenarios_per_s on fig8_batch and long_horizon; none on lattice_dp")
+     "scenarios_per_s on fig8_batch and data_arrivals; none on lattice_dp")
     for m, unit in SU_METRICS]
 LAYER_METRICS += [
     (f"single_user.{cls}.{m}", unit, "lower",
-     "scenarios_per_s on fig8_batch and long_horizon; none on lattice_dp")
+     "scenarios_per_s on fig8_batch and data_arrivals; none on lattice_dp")
     for cls in UTILITY_CLASSES for m, unit in SU_METRICS]
 LAYER_METRICS += [
     (f"iterative.{m}", unit, "lower",
-     "scenarios_per_s and op_tail_s on long_horizon")
+     "scenarios_per_s on fig8_batch, op_tail_s on data_arrivals")
     for m, unit in (("calls", "count"), ("s", "s"), ("self_s", "s"),
                     ("sweeps", "count"), ("sweeps_max", "count"),
                     ("build_subproblem_s", "s"))]

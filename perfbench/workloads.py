@@ -24,19 +24,15 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 REFERENCES = HERE / "references.json"
 
-WORKLOADS = ("fig8_batch", "data_arrivals", "lattice_dp", "long_horizon")
+WORKLOADS = ("fig8_batch", "data_arrivals", "lattice_dp")
 
 FIG8_BLOCK = 5
 FIG8_POOL = 80          # fig8 seeds 0..79, in blocks of FIG8_BLOCK
-DATA_POOL = 3           # data_arrivals scenario seeds 0..2 (N=50)
-LONG_POOL = 4           # long_horizon scenario seeds 0..3 per family
-LONG_N = 100
+DATA_POOL = 2           # data_arrivals scenario seeds 0..1 per family (N=50)
 # largest cost ratio of two units that share a stratum; None puts each
 # (family, outcome) group in one stratum (lattice_dp costs are all alike).
-# data_arrivals pairs nothing: its three units cost 1.2-4.6 s and run on
-# every seed
-PAIR_RATIO = {"fig8_batch": 1.25, "data_arrivals": 1.0, "lattice_dp": None,
-              "long_horizon": 1.25}
+# data_arrivals pairs nothing: its four units (1.5-2.2 s) run on every seed
+PAIR_RATIO = {"fig8_batch": 1.25, "data_arrivals": 1.0, "lattice_dp": None}
 DP_GRID = "0.5"
 FIG7_E = ([5, 0, 0, 0, 3, 0, 0, 0, 0, 0, 7, 0, 0, 0, 4, 0, 0, 0, 6, 0],
           [10, 0, 7, 0, 0, 0, 0, 0, 9, 0, 0, 5, 0, 8, 0, 5, 0, 0, 0, 0])
@@ -54,14 +50,9 @@ def pool_units(workload: str) -> list:
                  "count": FIG8_BLOCK, "family": "fig8"}
                 for s in range(0, FIG8_POOL, FIG8_BLOCK)]
     if workload == "data_arrivals":
-        return [{"id": f"data-n50-s{s}", "kind": "generated", "n": 50,
-                 "seed": s, "family": "ab_gt1", "data": True}
-                for s in range(DATA_POOL)]
-    if workload == "long_horizon":
-        return [{"id": f"{fam}-n{LONG_N}-s{s}", "kind": "generated",
-                 "n": LONG_N, "seed": s, "family": fam, "data": False,
-                 "offline": True}
-                for fam in FAMILIES for s in range(LONG_POOL)]
+        return [{"id": f"data-{fam}-n50-s{s}", "kind": "generated",
+                 "n": 50, "seed": s, "family": fam, "data": True}
+                for fam in FAMILIES for s in range(DATA_POOL)]
     if workload == "lattice_dp":
         units = [{"id": "fig7", "kind": "fig7", "family": "fig7"}]
         units += [{"id": f"{fam}-n20-s{s}", "kind": "generated", "n": 20,
@@ -150,9 +141,6 @@ def unit_ops(unit: dict, scenario_path: str = None) -> list:
                           "--count", str(unit["count"]), "--jobs", "2"])]
     if unit.get("data"):
         return [("solve-data", ["solve-data", "--scenario", scenario_path])]
-    if unit.get("offline"):
-        return [("solve-offline", ["solve-offline", "--scenario",
-                                   scenario_path])]
     return [("online-dp", ["online-dp", "--scenario", scenario_path,
                            "--grid", DP_GRID]),
             ("oracle", ["oracle", "--scenario", scenario_path,
@@ -162,15 +150,17 @@ def unit_ops(unit: dict, scenario_path: str = None) -> list:
 def make_strata(units: list, ratio) -> list:
     """Strata of unit ids: same family and outcome, similar recorded cost.
 
-    ``units`` carry ``cost_s`` and ``ok`` from the reference run.  Within a
-    (family, ok) group, from the costliest unit down, a unit is paired with
-    the next one when their costs differ by at most ``ratio``; a unit
-    without such a partner is a stratum of its own and runs on every seed.
-    ``ratio=None`` keeps the whole group as one stratum.
+    ``units`` carry ``cost_s`` and ``failed_ops`` (how many of the unit's
+    ops fail the check) from the reference run, so every seed attempts the
+    same number of failing ops.  Within a (family, failed_ops) group, from
+    the costliest unit down, a unit is paired with the next one when their
+    costs differ by at most ``ratio``; a unit without such a partner is a
+    stratum of its own and runs on every seed.  ``ratio=None`` keeps the
+    whole group as one stratum.
     """
     groups = {}
     for u in units:
-        groups.setdefault((u["family"], u["ok"]), []).append(u)
+        groups.setdefault((u["family"], u["failed_ops"]), []).append(u)
     strata = []
     for key in sorted(groups, key=str):
         ranked = sorted(groups[key], key=lambda u: (-u["cost_s"], u["id"]))
@@ -194,6 +184,14 @@ def select_units(workload: str, seed: int, refs: dict) -> list:
     chosen = [by_id[rng.choice(stratum)] for stratum in entry["strata"]]
     rng.shuffle(chosen)
     return chosen
+
+
+def expected_pass_cost(entry: dict) -> float:
+    """Recorded cost of a pass, averaged over the seeds: the sum over strata
+    of the mean cost of the stratum's units."""
+    cost = {u["id"]: u["cost_s"] for u in entry["units"]}
+    return sum(sum(cost[i] for i in stratum) / len(stratum)
+               for stratum in entry["strata"])
 
 
 def load_references() -> dict:
