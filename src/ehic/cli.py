@@ -36,7 +36,8 @@ import numpy as np
 
 from . import data_causality, online, oracle
 from .errors import (ConvergenceError, InfeasiblePolicyError,
-                     InvalidInputError, OracleSizeError, ShapeError)
+                     InvalidInputError, InvalidUtilityError, OracleSizeError,
+                     ShapeError, UnsupportedRegionError)
 from .iterative import (IterativeOptions, build_subproblem, iterate_offline,
                         joint_objective)
 from .model import (DataProfile, HarvestProfile, Scenario, TimeGrid, User,
@@ -406,7 +407,8 @@ def main(argv=None) -> int:
         _diagnostic(exc, 3)
         return 3
     except (InvalidInputError, ShapeError, OracleSizeError,
-            InfeasiblePolicyError, FileNotFoundError,
+            InfeasiblePolicyError, InvalidUtilityError,
+            UnsupportedRegionError, FileNotFoundError,
             json.JSONDecodeError, KeyError) as exc:
         _diagnostic(exc, 2)
         return 2

@@ -126,21 +126,6 @@ def feasible_floor(policy_row, harvest, tau: float) -> np.ndarray:
     return np.diff(np.concatenate([[0.0], s])) / tau
 
 
-def _spend_evenly(scenario: Scenario) -> np.ndarray:
-    tau, n = scenario.grid.tau, scenario.grid.N
-    policy = np.zeros((2, n))
-    for j, user in enumerate(scenario.users):
-        e = user.harvest.arrivals
-        target = float(np.sum(e)) / (n * tau)
-        bat = 0.0
-        for i in range(n):
-            bat = min(bat + e[i], user.harvest.capacity)
-            p = target if bat >= target * tau else bat / tau
-            policy[j, i] = p
-            bat -= p * tau
-    return policy
-
-
 def initial_policy(scenario: Scenario, opts: IterativeOptions) -> np.ndarray:
     n = scenario.grid.N
     if opts.initial_policy_mode == "supplied":
@@ -148,7 +133,8 @@ def initial_policy(scenario: Scenario, opts: IterativeOptions) -> np.ndarray:
             raise ValueError("supplied mode requires initial_policy")
         start = np.asarray(opts.initial_policy, dtype=float).reshape(2, n)
     elif opts.initial_policy_mode == "spend-evenly":
-        start = _spend_evenly(scenario)
+        from .online import naive_policy   # online imports this module
+        start = naive_policy(scenario)
     else:
         start = np.zeros((2, n))
     tau = scenario.grid.tau

@@ -121,12 +121,18 @@ class Scenario:
 
 
 def validate_scenario(raw: Scenario) -> Scenario:
-    """Check shapes/signs and truncate harvests at the battery capacity.
+    """Check shapes and finiteness, truncate harvests at the battery capacity.
 
     An arrival larger than the battery is lost on arrival, so it is clipped
     here once; the operation is idempotent.
     """
     n = raw.grid.N
+    # NaN passes the constructors' sign checks (nan < 0 is False), and inf
+    # breaks every solver
+    if not np.isfinite(raw.grid.tau):
+        raise InvalidInputError("slot duration must be finite")
+    if not (np.isfinite(raw.channel.a) and np.isfinite(raw.channel.b)):
+        raise InvalidInputError("cross gains must be finite")
     users = []
     for j, user in enumerate(raw.users):
         e = user.harvest.arrivals
@@ -137,6 +143,14 @@ def validate_scenario(raw: Scenario) -> Scenario:
             raise ShapeError(
                 f"user {j + 1}: {user.data.arrivals.shape[0]} data arrivals "
                 f"for {n} slots")
+        if not (np.all(np.isfinite(e))
+                and np.isfinite(user.harvest.capacity)):
+            raise InvalidInputError(
+                f"user {j + 1}: energy arrivals and capacity must be finite")
+        if not (user.data.is_infinite
+                or np.all(np.isfinite(user.data.arrivals))):
+            raise InvalidInputError(
+                f"user {j + 1}: data arrivals must be finite")
         clipped = np.minimum(e, user.harvest.capacity)
         users.append(User(HarvestProfile(clipped, user.harvest.capacity),
                           user.data))

@@ -7,6 +7,16 @@ state under the arrival distributions.  Next-state values between grid
 nodes are interpolated multilinearly; battery overflow at an arrival is
 truncated, exactly like the physical battery.
 
+Work that does not change between slots is done once.  Every action's
+throughput comes from one scalar rate-model call, and the states that can
+afford it form a box (a suffix of every grid axis, since the axes start at
+0 and increase).  Each slot then makes one interpolator call per action and
+arrival outcome, over the next states of that action's box, read from
+per-axis tables of shifted grid coordinates.  A state takes a later action
+only when it is strictly better, so among equal values the first action in
+(p1, p2) order wins.  The interpolator receives the same points as a
+state-by-state loop would give it, so the tables are bit-identical to it.
+
 The naive baseline transmits at the mean harvest rate whenever the battery
 allows and drains the battery otherwise.  The distributed baseline runs the
 single-user water-filling solver against an assumed constant interference
@@ -27,7 +37,6 @@ from .iterative import build_subproblem
 from .model import Scenario
 from .rates import RateModel
 from .single_user import solve_single_user
-
 
 @dataclass(frozen=True)
 class StateGrid:
@@ -106,17 +115,6 @@ class ArrivalDistribution:
             for u in scenario.users)
         return cls(n, energy, data)
 
-    def queue_cap(self, user: int) -> float:
-        """Grid cap for the data queue: mean total plus three std devs."""
-        total_mean, total_var = 0.0, 0.0
-        for values, probs in self.data[user]:
-            values = np.asarray(values, dtype=float)
-            probs = np.asarray(probs, dtype=float)
-            m = float(np.sum(values * probs))
-            total_mean += m
-            total_var += float(np.sum(probs * (values - m) ** 2))
-        return total_mean + 3.0 * np.sqrt(total_var)
-
 
 @dataclass
 class DPResult:
@@ -126,7 +124,6 @@ class DPResult:
     policies: np.ndarray     # (N,) + state shape + (2,)
     grid: StateGrid
     tau: float
-    action_warning: bool = False
 
 
 def _joint_outcomes(dists):
@@ -164,9 +161,7 @@ def value_iteration(stats: ArrivalDistribution, rate_model: RateModel,
     n = stats.n_slots
     axes = [grid.e1, grid.e2] + ([grid.b1, grid.b2] if grid.with_data else [])
     shape = tuple(len(ax) for ax in axes)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = [m.ravel() for m in mesh]
-    n_states = flat[0].shape[0]
+    ndim = len(axes)
 
     de1 = grid.e1[1] - grid.e1[0]
     de2 = grid.e2[1] - grid.e2[0]
@@ -174,54 +169,76 @@ def value_iteration(stats: ArrivalDistribution, rate_model: RateModel,
     acts2 = grid.e2 / tau
     if de1 <= 0 or de2 <= 0:
         raise InvalidInputError("battery grids must be increasing")
+    spend1 = acts1 * tau
+    spend2 = acts2 * tau
+    g1, g2 = len(acts1), len(acts2)
+    # slot throughput of action a = j1 * g2 + j2, one scalar call each
+    gain = tau * np.fromiter((rate_model.sum_rate(p1, p2)
+                              for p1 in acts1 for p2 in acts2), float, g1 * g2)
+    # what an action removes from each axis: one row per battery level and,
+    # in data mode, one row per action for each queue
+    shifts = [spend1, spend2]
+    firsts = [[int(np.count_nonzero(grid.e1 + 1e-12 < c)) for c in spend1],
+              [int(np.count_nonzero(grid.e2 + 1e-12 < c)) for c in spend2]]
+    if grid.with_data:
+        own = tau * np.array([[float(r) for r in rate_model.user_rates(p1, p2)]
+                              for p1 in acts1 for p2 in acts2])
+        shifts += [own[:, 0], own[:, 1]]
+        firsts += [np.count_nonzero(sh[:, None] > ax[None, :] + 1e-9,
+                                    axis=1).tolist()
+                   for sh, ax in zip(shifts[2:], axes[2:])]
+    # per axis and row, the states that can afford the shift (a suffix of
+    # the axis) as an index and its length; the queue axes share one row
+    # per action
+    span = [[((slice(k, None),), (len(ax) - k,)) for k in ks]
+            for ax, ks in zip(axes, firsts)]
+    queue = [((), ())] * (g1 * g2)
+    if grid.with_data:
+        queue = [(b1[0] + b2[0], b1[1] + b2[1])
+                 for b1, b2 in zip(span[2], span[3])]
+    # a state no action reaches keeps (0, 0), the extra last row
+    powers = np.zeros((g1 * g2 + 1, 2))
+    powers[:-1, 0] = np.repeat(acts1, g2)
+    powers[:-1, 1] = np.tile(acts2, g1)
+    # axis d of a point block is a row reshaped along dimension d
+    along = [tuple(-1 if e == d else 1 for e in range(ndim))
+             for d in range(ndim)]
 
     values = np.zeros((n + 1,) + shape)
     policies = np.zeros((n,) + shape + (2,))
-    e1f, e2f = flat[0], flat[1]
-    b1f = flat[2] if grid.with_data else None
-    b2f = flat[3] if grid.with_data else None
-
     for i in range(n - 1, -1, -1):
         interp = RegularGridInterpolator(axes, values[i + 1],
                                          bounds_error=False, fill_value=None)
-        outcomes = _slot_outcomes(stats, i)
-        best = np.full(n_states, -np.inf)
-        best_act = np.zeros((n_states, 2))
-        for p1 in acts1:
-            feas1 = e1f + 1e-12 >= p1 * tau
-            if not np.any(feas1):
-                continue
-            for p2 in acts2:
-                feas = feas1 & (e2f + 1e-12 >= p2 * tau)
-                if not np.any(feas):
+        # next coordinate on each axis for every shift, per outcome
+        moved = []
+        for ev, dv, prob in _slot_outcomes(stats, i):
+            arrivals = tuple(ev) + tuple(dv or ())
+            moved.append((prob, [
+                np.clip(ax[None, :] - sh[:, None] + arr, 0.0, ax[-1])
+                for ax, sh, arr in zip(axes, shifts, arrivals)]))
+        best = np.full(shape, -np.inf)
+        choice = np.full(shape, g1 * g2)
+        for j1, (box1, block1) in enumerate(span[0]):
+            for j2, (box2, block2) in enumerate(span[1]):
+                a = j1 * g2 + j2
+                box = box1 + box2 + queue[a][0]
+                block = block1 + block2 + queue[a][1]
+                if 0 in block:
                     continue
-                r_sum = float(rate_model.sum_rate(p1, p2))
-                if grid.with_data:
-                    r1, r2 = rate_model.user_rates(p1, p2)
-                    feas = feas & (tau * r1 <= b1f + 1e-9) \
-                                & (tau * r2 <= b2f + 1e-9)
-                    if not np.any(feas):
-                        continue
-                idx = np.nonzero(feas)[0]
-                total = np.full(idx.shape[0], tau * r_sum)
-                for ev, dv, prob in outcomes:
-                    ne1 = np.clip(e1f[idx] - p1 * tau + ev[0], 0.0, grid.e1[-1])
-                    ne2 = np.clip(e2f[idx] - p2 * tau + ev[1], 0.0, grid.e2[-1])
-                    cols = [ne1, ne2]
-                    if grid.with_data:
-                        nb1 = np.clip(b1f[idx] - tau * r1 + dv[0],
-                                      0.0, grid.b1[-1])
-                        nb2 = np.clip(b2f[idx] - tau * r2 + dv[1],
-                                      0.0, grid.b2[-1])
-                        cols += [nb1, nb2]
-                    total += prob * interp(np.column_stack(cols))
-                better = total > best[idx]
-                sel = idx[better]
-                best[sel] = total[better]
-                best_act[sel, 0] = p1
-                best_act[sel, 1] = p2
-        values[i] = best.reshape(shape)
-        policies[i] = best_act.reshape(shape + (2,))
+                rows = (j1, j2, a, a)
+                total = gain[a]
+                for prob, tables in moved:
+                    pts = np.empty((ndim,) + block)
+                    for d in range(ndim):
+                        pts[d] = tables[d][rows[d], box[d]].reshape(along[d])
+                    total = total + prob * interp(pts.reshape(ndim, -1).T)
+                total = total.reshape(block)
+                held = best[box]
+                better = total > held
+                np.copyto(held, total, where=better)
+                np.copyto(choice[box], a, where=better)
+        values[i] = best
+        policies[i] = powers[choice]
     return DPResult(values=values, policies=policies, grid=grid, tau=tau)
 
 

@@ -6,14 +6,18 @@ never fabricates energy.  Two search modes:
 
 * infinite backlog: a dynamic program over joint battery levels.  Battery
   overflow is excluded (it is never profitable without data constraints), so
-  returned policies satisfy the full energy corridor.
+  returned policies satisfy the full energy corridor.  Per user-1 action s1,
+  one array pass gathers the next-slot values of every (b1, b2, s2) from the
+  value table and masks infeasible entries with -inf; runs of b2 keep each
+  block at most ``_BLOCK`` entries (or a single b2 row).
 * finite data arrivals: layered enumeration of (battery, per-user bits) states
   with exact floating-point bit accounting, since cumulative bits are not
   lattice-valued.  Battery overflow is allowed here and simply loses energy
   (truncation), which is what makes blocked-harvest instances well-posed.
 
 Both modes are deterministic: among ties the lexicographically smallest
-action sequence wins.
+action sequence wins.  In the battery DP that is the first maximum over s2,
+and a larger s1 replaces a smaller one only when strictly better.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .errors import OracleSizeError
 from .model import Scenario
 
 _NEG = -math.inf
+# candidate entries scored per block of the battery DP
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,11 @@ def _search_batteries(scenario, rate_model, opts):
             f"(cap {opts.max_enumeration:.2e})", size_estimate=estimate)
     r_total = tau * _rate_tables(rate_model, caps, dp)
 
+    # each (run of b2, s1) scores one block over (b1, b2, s2), gathering the
+    # next state from the value table; a block holds at most _BLOCK entries,
+    # or a single b2 row (at most the state count)
+    b2_run = max(1, _BLOCK // ((k1 + 1) * (k2 + 1)))
+    b2v = np.arange(k2 + 1)
     value = np.zeros((k1 + 1, k2 + 1))
     actions = []
     for i in range(n - 1, -1, -1):
@@ -96,30 +107,31 @@ def _search_batteries(scenario, rate_model, opts):
         last = i == n - 1
         a1n = 0 if last else int(arr[0][i + 1])
         a2n = 0 if last else int(arr[1][i + 1])
-        for s1 in range(k1 + 1):
-            # battery range for which spending s1 is feasible: b >= s1, and
-            # room for the next arrival (no overflow) unless this is the end
-            lo1, hi1 = s1, k1 if last else min(k1, k1 + s1 - a1n)
-            if hi1 < lo1:
-                continue
-            for s2 in range(k2 + 1):
-                lo2, hi2 = s2, k2 if last else min(k2, k2 + s2 - a2n)
-                if hi2 < lo2:
+        for c in range(0, k2 + 1, b2_run):
+            d = min(c + b2_run, k2 + 1)
+            # next battery of user 2 for (b2, s2): spending s2 needs b2 >= s2,
+            # and room for the next arrival (no overflow) unless at the end
+            nxt2 = b2v[c:d, None] - b2v[None, :] + a2n
+            off2 = (nxt2 < a2n) | (nxt2 > k2)
+            nxt2 = np.clip(nxt2, 0, k2)
+            for s1 in range(k1 + 1):
+                lo1, hi1 = s1, k1 if last else min(k1, k1 + s1 - a1n)
+                if hi1 < lo1:
                     continue
-                if last:
-                    cand = r_total[s1, s2]
-                    blk = new_val[lo1:hi1 + 1, lo2:hi2 + 1]
-                    better = cand > blk
-                else:
-                    nxt = value[lo1 - s1 + a1n:hi1 - s1 + a1n + 1,
-                                lo2 - s2 + a2n:hi2 - s2 + a2n + 1]
-                    cand = r_total[s1, s2] + nxt
-                    blk = new_val[lo1:hi1 + 1, lo2:hi2 + 1]
-                    better = cand > blk
-                if np.any(better):
-                    np.copyto(blk, cand, where=better)
-                    act_blk = act[lo1:hi1 + 1, lo2:hi2 + 1]
-                    act_blk[better] = (s1, s2)
+                # the terminal value is zero, so the last slot adds 0.0
+                rows = value[lo1 - s1 + a1n:hi1 - s1 + a1n + 1]
+                cand = r_total[s1] + rows[:, nxt2]
+                cand[:, off2] = _NEG
+                # first maximum over s2, and only a strictly better one
+                # replaces a smaller s1: the smallest action wins ties
+                top = np.argmax(cand, axis=2)
+                top_val = np.take_along_axis(cand, top[..., None], 2)[..., 0]
+                blk = new_val[lo1:hi1 + 1, c:d]
+                better = top_val > blk
+                blk[better] = top_val[better]
+                act_blk = act[lo1:hi1 + 1, c:d]
+                act_blk[better, 0] = s1
+                act_blk[better, 1] = top[better]
         value = new_val
         actions.append(act)
     actions.reverse()

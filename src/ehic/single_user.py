@@ -462,11 +462,6 @@ class _Segment:
     d0max: float       # max f'(0) over the segment
 
 
-def _totals(utilities, idx, level):
-    qmin, qmax = utilities.inv_deriv(level, idx)
-    return qmin, qmax
-
-
 def _equalize(utilities, idx, target):
     """Common-level allocation of ``target`` total power over slots ``idx``.
 
@@ -489,7 +484,7 @@ def _equalize(utilities, idx, target):
             level = -1.0
         else:
             level = 2.0 * level
-        _, qmax = _totals(utilities, idx, level)
+        _, qmax = utilities.inv_deriv(level, idx)
         if np.sum(qmax) >= target:
             lo = level
             break
@@ -523,7 +518,7 @@ def _equalize(utilities, idx, target):
                     mid = min(max(mid, lo + 0.02 * width), hi - 0.02 * width)
         if mid is None:
             mid = 0.5 * (lo + hi)
-        qmin, qmax = _totals(utilities, idx, mid)
+        qmin, qmax = utilities.inv_deriv(mid, idx)
         tmin = float(np.sum(qmin))
         err = abs(tmin - target)
         # stay on Newton while it contracts quadratically, else alternate
@@ -544,8 +539,8 @@ def _equalize(utilities, idx, target):
             hi, t_hi = mid, tmin
             if err <= exit_tol:
                 break
-    qmin, _ = _totals(utilities, idx, hi)
-    _, qmax = _totals(utilities, idx, lo)
+    qmin, _ = utilities.inv_deriv(hi, idx)
+    _, qmax = utilities.inv_deriv(lo, idx)
     powers = qmin.copy()
     extra = target - float(np.sum(powers))
     if extra > 0.0:

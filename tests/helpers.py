@@ -48,3 +48,126 @@ def lattice_arrivals(rng, n, emax, step=0.05):
     """Random arrival vector on the oracle lattice (keeps gaps quadratic)."""
     k = int(round(emax / step))
     return np.minimum(rng.integers(0, k + 1, n) * step, emax)
+
+
+def loop_value_iteration(stats, rate_model, grid, tau=1.0):
+    """Reference for ``online.value_iteration``: the per-action loop it
+    replaced.  One interpolator call per (p1, p2) pair; the first maximum in
+    (p1, p2) order wins."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    from ehic.online import DPResult, _slot_outcomes
+
+    n = stats.n_slots
+    axes = [grid.e1, grid.e2] + ([grid.b1, grid.b2] if grid.with_data else [])
+    shape = tuple(len(ax) for ax in axes)
+    flat = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
+    n_states = flat[0].shape[0]
+    acts1 = grid.e1 / tau
+    acts2 = grid.e2 / tau
+    values = np.zeros((n + 1,) + shape)
+    policies = np.zeros((n,) + shape + (2,))
+    e1f, e2f = flat[0], flat[1]
+    b1f = flat[2] if grid.with_data else None
+    b2f = flat[3] if grid.with_data else None
+    for i in range(n - 1, -1, -1):
+        interp = RegularGridInterpolator(axes, values[i + 1],
+                                         bounds_error=False, fill_value=None)
+        outcomes = _slot_outcomes(stats, i)
+        best = np.full(n_states, -np.inf)
+        best_act = np.zeros((n_states, 2))
+        for p1 in acts1:
+            feas1 = e1f + 1e-12 >= p1 * tau
+            if not np.any(feas1):
+                continue
+            for p2 in acts2:
+                feas = feas1 & (e2f + 1e-12 >= p2 * tau)
+                if not np.any(feas):
+                    continue
+                r_sum = float(rate_model.sum_rate(p1, p2))
+                if grid.with_data:
+                    r1, r2 = rate_model.user_rates(p1, p2)
+                    feas = feas & (tau * r1 <= b1f + 1e-9) \
+                                & (tau * r2 <= b2f + 1e-9)
+                    if not np.any(feas):
+                        continue
+                idx = np.nonzero(feas)[0]
+                total = np.full(idx.shape[0], tau * r_sum)
+                for ev, dv, prob in outcomes:
+                    ne1 = np.clip(e1f[idx] - p1 * tau + ev[0], 0.0,
+                                  grid.e1[-1])
+                    ne2 = np.clip(e2f[idx] - p2 * tau + ev[1], 0.0,
+                                  grid.e2[-1])
+                    cols = [ne1, ne2]
+                    if grid.with_data:
+                        nb1 = np.clip(b1f[idx] - tau * r1 + dv[0],
+                                      0.0, grid.b1[-1])
+                        nb2 = np.clip(b2f[idx] - tau * r2 + dv[1],
+                                      0.0, grid.b2[-1])
+                        cols += [nb1, nb2]
+                    total += prob * interp(np.column_stack(cols))
+                better = total > best[idx]
+                sel = idx[better]
+                best[sel] = total[better]
+                best_act[sel, 0] = p1
+                best_act[sel, 1] = p2
+        values[i] = best.reshape(shape)
+        policies[i] = best_act.reshape(shape + (2,))
+    return DPResult(values=values, policies=policies, grid=grid, tau=tau)
+
+
+def loop_search_batteries(scenario, rate_model, opts):
+    """Reference for ``oracle._search_batteries``: the per-(s1, s2) slice
+    loop it replaced.  Strict improvement, so the smallest action wins."""
+    from ehic.oracle import _lattice, _rate_tables
+
+    n = scenario.grid.N
+    tau = scenario.grid.tau
+    dp = opts.power_grid_step
+    _quantum, caps, arr = _lattice(scenario, opts)
+    k1, k2 = caps
+    r_total = tau * _rate_tables(rate_model, caps, dp)
+    value = np.zeros((k1 + 1, k2 + 1))
+    actions = []
+    for i in range(n - 1, -1, -1):
+        new_val = np.full((k1 + 1, k2 + 1), -np.inf)
+        act = np.zeros((k1 + 1, k2 + 1, 2), dtype=np.int32)
+        last = i == n - 1
+        a1n = 0 if last else int(arr[0][i + 1])
+        a2n = 0 if last else int(arr[1][i + 1])
+        for s1 in range(k1 + 1):
+            lo1, hi1 = s1, k1 if last else min(k1, k1 + s1 - a1n)
+            if hi1 < lo1:
+                continue
+            for s2 in range(k2 + 1):
+                lo2, hi2 = s2, k2 if last else min(k2, k2 + s2 - a2n)
+                if hi2 < lo2:
+                    continue
+                if last:
+                    cand = r_total[s1, s2]
+                else:
+                    cand = r_total[s1, s2] + value[
+                        lo1 - s1 + a1n:hi1 - s1 + a1n + 1,
+                        lo2 - s2 + a2n:hi2 - s2 + a2n + 1]
+                blk = new_val[lo1:hi1 + 1, lo2:hi2 + 1]
+                better = cand > blk
+                if np.any(better):
+                    np.copyto(blk, cand, where=better)
+                    act[lo1:hi1 + 1, lo2:hi2 + 1][better] = (s1, s2)
+        value = new_val
+        actions.append(act)
+    actions.reverse()
+
+    b1 = min(int(arr[0][0]), k1)
+    b2 = min(int(arr[1][0]), k2)
+    policy = np.zeros((2, n))
+    objective = 0.0
+    for i in range(n):
+        s1, s2 = actions[i][b1, b2]
+        policy[0, i] = s1 * dp
+        policy[1, i] = s2 * dp
+        objective += float(r_total[s1, s2])
+        if i < n - 1:
+            b1 = b1 - int(s1) + int(arr[0][i + 1])
+            b2 = b2 - int(s2) + int(arr[1][i + 1])
+    return policy, objective

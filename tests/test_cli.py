@@ -176,6 +176,29 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert json.loads(err.strip())["exit_status"] == 2
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("where", ["E", "Emax", "B", "tau", "a", "b"])
+    def test_non_finite_input_is_2(self, tmp_path, capsys, where, bad):
+        doc = json.loads(json.dumps(SCEN))
+        user = doc["users"][0]
+        if where == "E":
+            user["E"][1] = bad
+        elif where == "Emax":
+            user["Emax"] = bad
+        elif where == "B":
+            user["B"] = [0.5, bad, 0.5]
+        elif where == "tau":
+            doc["tau"] = bad
+        else:
+            doc["channel"][where] = bad
+        path = _write_scenario(tmp_path, doc)
+        solver = "solve-data" if where == "B" else "solve-offline"
+        assert main([solver, "--scenario", path,
+                     "--out", str(tmp_path / "x")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InvalidInputError"
+        assert not (tmp_path / "x").exists()
+
     def test_missing_file_is_2(self, tmp_path):
         assert main(["solve-offline", "--scenario",
                      str(tmp_path / "nope.json"),

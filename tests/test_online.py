@@ -2,20 +2,106 @@
 
 import numpy as np
 import pytest
+import scipy.interpolate
 
+from ehic import online
+from ehic.cli import fig7_scenario
 from ehic.errors import InvalidInputError
 from ehic.iterative import iterate_offline, joint_objective
 from ehic.model import HarvestProfile, TimeGrid
 from ehic.online import (ArrivalDistribution, StateGrid, distributed_policy,
                          naive_policy, rollout_table, value_iteration)
-from ehic.rates import build_rate_model
+from ehic.rates import Region, build_rate_model
 from ehic.single_user import ScaledLogUtilities, solve_single_user
 
-from helpers import two_user_scenario
+from helpers import loop_value_iteration, two_user_scenario
 
 
 def _grid(emax, points=21):
     return StateGrid(np.linspace(0, emax, points), np.linspace(0, emax, points))
+
+
+def _fig7_case(step):
+    scen = fig7_scenario()
+    rm = build_rate_model(0.9, 2.0, 10.0, 10.0)
+    grid = StateGrid.uniform(10.0, 10.0, int(round(10.0 / step)) + 1)
+    return ArrivalDistribution.deterministic(scen), rm, grid, 1.0
+
+
+def _generated_case(a, b, tau=1.0):
+    rng = np.random.default_rng(21)
+    scen = two_user_scenario(rng.uniform(0, 3, 5), rng.uniform(0, 3, 5), 3.0,
+                             a, b, tau=tau)
+    rm = build_rate_model(a, b, 3.0 / tau, 3.0 / tau)
+    grid = StateGrid(np.linspace(0, 3, 16), np.linspace(0, 3, 13))
+    return ArrivalDistribution.deterministic(scen), rm, grid, tau
+
+
+def _stochastic_case():
+    laws = tuple(tuple((np.array([0.0, 1.3]), np.array([0.25, 0.75]))
+                       for _ in range(3)) for _ in range(2))
+    rm = build_rate_model(0.9, 2.0, 2.0, 2.0)
+    return ArrivalDistribution(3, laws), rm, _grid(2.0, 15), 1.0
+
+
+def _data_case():
+    scen = two_user_scenario([2.0, 0.0, 1.0], [0.5, 1.5, 0.0], 2.0, 0.9, 2.0,
+                             b1=[0.1, 5.0, 0.3])
+    rm = build_rate_model(0.9, 2.0, 2.0, 2.0)
+    grid = StateGrid(np.linspace(0, 2, 7), np.linspace(0, 2, 6),
+                     np.linspace(0, 5.1, 6), np.linspace(0, 5.1, 5))
+    return ArrivalDistribution.deterministic(scen), rm, grid, 1.0
+
+
+DP_CASES = {
+    "fig7-grid0.5": lambda: _fig7_case(0.5),
+    "fig7-grid1.0": lambda: _fig7_case(1.0),
+    "ab-at-most-one": lambda: _generated_case(0.5, 1.5),
+    "mirrored": lambda: _generated_case(3.0, 0.6, tau=0.7),
+    "stochastic": _stochastic_case,
+    "data-mode": _data_case,
+}
+
+
+class TestBatchedValueIteration:
+    """The DP reproduces the per-action loop bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(DP_CASES))
+    def test_matches_loop_reference(self, case):
+        stats, rm, grid, tau = DP_CASES[case]()
+        ref = loop_value_iteration(stats, rm, grid, tau)
+        res = value_iteration(stats, rm, grid, tau)
+        assert np.array_equal(res.values, ref.values)
+        assert np.array_equal(res.policies, ref.policies)
+
+    @pytest.mark.parametrize("case", ["stochastic", "data-mode"])
+    def test_interpolator_gets_the_loop_points(self, case, monkeypatch):
+        """One call per (slot, feasible action, outcome), with the points the
+        per-action loop passes, in the same order."""
+        stats, rm, grid, tau = DP_CASES[case]()
+        seen = {"loop": [], "dp": []}
+        base = scipy.interpolate.RegularGridInterpolator
+
+        def recorder(key):
+            class Recording(base):
+                def __call__(self, xi, *args, **kwargs):
+                    seen[key].append(np.array(xi))
+                    return super().__call__(xi, *args, **kwargs)
+            return Recording
+
+        monkeypatch.setattr(scipy.interpolate, "RegularGridInterpolator",
+                            recorder("loop"))
+        monkeypatch.setattr(online, "RegularGridInterpolator", recorder("dp"))
+        loop_value_iteration(stats, rm, grid, tau)
+        value_iteration(stats, rm, grid, tau)
+        assert len(seen["dp"]) == len(seen["loop"]) > 0
+        for got, want in zip(seen["dp"], seen["loop"]):
+            assert np.array_equal(got, want)
+
+    def test_case_regions(self):
+        assert DP_CASES["mirrored"]()[1].mirrored
+        assert DP_CASES["ab-at-most-one"]()[1].region \
+            is Region.ASYMMETRIC_AB_AT_MOST_ONE
 
 
 class TestValueIteration:

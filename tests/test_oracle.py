@@ -6,13 +6,58 @@ import math
 import numpy as np
 import pytest
 
+from ehic import oracle
+from ehic.cli import fig7_scenario
 from ehic.errors import OracleSizeError
 from ehic.iterative import iterate_offline, joint_objective
 from ehic.model import feasibility_report
 from ehic.oracle import OracleOptions, brute_force
 from ehic.rates import build_rate_model
 
-from helpers import lattice_arrivals, single_user_scenario, two_user_scenario
+from helpers import (lattice_arrivals, loop_search_batteries,
+                     single_user_scenario, two_user_scenario)
+
+
+def _fig7_case(step):
+    return (fig7_scenario(), build_rate_model(0.9, 2.0, 10.0, 10.0),
+            OracleOptions(step))
+
+
+def _generated_case(a, b):
+    rng = np.random.default_rng(22)
+    scen = two_user_scenario(lattice_arrivals(rng, 5, 2.0, 0.1),
+                             lattice_arrivals(rng, 5, 1.5, 0.1), 2.0, a, b,
+                             emax2=1.5)
+    return scen, build_rate_model(a, b, 2.0, 1.5), OracleOptions(0.1)
+
+
+BATTERY_CASES = {
+    "fig7-grid0.5": lambda: _fig7_case(0.5),
+    "fig7-grid1.0": lambda: _fig7_case(1.0),
+    "ab-at-most-one": lambda: _generated_case(0.5, 1.5),
+    "mirrored": lambda: _generated_case(3.0, 0.6),
+}
+
+
+class TestBatchedBatteryDP:
+    """The gathered battery DP reproduces the per-slice loop exactly."""
+
+    @pytest.mark.parametrize("case", sorted(BATTERY_CASES))
+    def test_matches_loop_reference(self, case):
+        scen, rm, opts = BATTERY_CASES[case]()
+        ref_policy, ref_obj = loop_search_batteries(scen, rm, opts)
+        policy, obj = brute_force(scen, rm, opts)
+        assert np.array_equal(policy, ref_policy)
+        assert obj == ref_obj
+
+    @pytest.mark.parametrize("block", [1, 50])
+    def test_small_blocks_split_b2(self, block, monkeypatch):
+        scen, rm, opts = BATTERY_CASES["fig7-grid1.0"]()
+        ref_policy, ref_obj = loop_search_batteries(scen, rm, opts)
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        policy, obj = brute_force(scen, rm, opts)
+        assert np.array_equal(policy, ref_policy)
+        assert obj == ref_obj
 
 
 class TestSingleUser:
