@@ -31,7 +31,7 @@ from .errors import ConvergenceError
 from .iterative import (IterativeOptions, feasible_floor, iterate_offline,
                         joint_objective)
 from .model import (HarvestProfile, Scenario, User, energy_bounds,
-                    validate_scenario)
+                    validate_scenario, violation)
 from .rates import RateModel
 
 
@@ -51,25 +51,6 @@ class PenaltySchedule:
             raise ValueError("max_rounds must be positive")
         if self.violation_tol <= 0:
             raise ValueError("violation tolerance must be positive")
-
-
-def violation(policy, scenario: Scenario, rate_model: RateModel) -> np.ndarray:
-    """Per-user, per-slot cumulative data-causality violation (2, N).
-
-    Zero exactly where the data constraint holds; infinite-backlog users get
-    an all-zero row.
-    """
-    p = np.asarray(policy, dtype=float).reshape(2, scenario.grid.N)
-    tau = scenario.grid.tau
-    r1, r2 = rate_model.user_rates(p[0], p[1])
-    bits = np.vstack([np.atleast_1d(r1), np.atleast_1d(r2)]) * tau
-    out = np.zeros((2, scenario.grid.N))
-    for j, user in enumerate(scenario.users):
-        if user.data.is_infinite:
-            continue
-        out[j] = np.maximum(0.0,
-                            np.cumsum(bits[j]) - np.cumsum(user.data.arrivals))
-    return out
 
 
 def resolve_contradictions(scenario: Scenario, policy=None,

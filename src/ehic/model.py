@@ -19,6 +19,7 @@ immutable after construction and all operations are pure functions.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -212,6 +213,26 @@ def energy_bounds(harvest: HarvestProfile, tau: float):
     return lower, upper
 
 
+def violation(policy, scenario: Scenario,
+              rate_model: _rates.RateModel) -> np.ndarray:
+    """Per-user, per-slot cumulative data-causality violation (2, N).
+
+    Zero exactly where the data constraint holds; infinite-backlog users get
+    an all-zero row.
+    """
+    p = np.asarray(policy, dtype=float).reshape(2, scenario.grid.N)
+    tau = scenario.grid.tau
+    r1, r2 = rate_model.user_rates(p[0], p[1])
+    bits = np.vstack([np.atleast_1d(r1), np.atleast_1d(r2)]) * tau
+    out = np.zeros((2, scenario.grid.N))
+    for j, user in enumerate(scenario.users):
+        if user.data.is_infinite:
+            continue
+        out[j] = np.maximum(0.0,
+                            np.cumsum(bits[j]) - np.cumsum(user.data.arrivals))
+    return out
+
+
 def feasibility_report(policy, scenario: Scenario, rate_model,
                        tol: float = 1e-9) -> FeasibilityReport:
     """Evaluate all three constraint families for a candidate policy."""
@@ -220,9 +241,7 @@ def feasibility_report(policy, scenario: Scenario, rate_model,
     p = as_policy(policy, n)
     energy = np.zeros((2, n))
     battery = np.zeros((2, n))
-    data = np.zeros((2, n))
-    r1, r2 = rate_model.user_rates(p[0], p[1])
-    user_bits = np.vstack([np.atleast_1d(r1), np.atleast_1d(r2)]) * tau
+    data = violation(p, scenario, rate_model)
     for j, user in enumerate(scenario.users):
         cum_e = np.cumsum(user.harvest.arrivals)
         s = cumulative_consumption(p[j], tau)
@@ -231,9 +250,6 @@ def feasibility_report(policy, scenario: Scenario, rate_model,
         if n > 1:
             battery[j, :-1] = np.maximum(
                 0.0, cum_e[1:] - user.harvest.capacity - s[:-1])
-        if not user.data.is_infinite:
-            data[j] = np.maximum(
-                0.0, np.cumsum(user_bits[j]) - np.cumsum(user.data.arrivals))
     worst_e, worst_b, worst_d = _worst(energy), _worst(battery), _worst(data)
     feasible = max(worst_e.magnitude, worst_b.magnitude,
                    worst_d.magnitude) <= tol
@@ -265,32 +281,67 @@ def cumulative_departure(policy, rate_model, grid: TimeGrid) -> np.ndarray:
 # to normalized units with the per-user energy scale from normalize_channel.
 
 
+def _object(value, name) -> dict:
+    if not isinstance(value, dict):
+        raise InvalidInputError(f"{name} must be a JSON object")
+    return value
+
+
+def _number(value, name) -> float:
+    # float() accepts numeric strings and booleans, and fails on other
+    # values with ValueError, TypeError or OverflowError, not invalid input
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(
+            f"{name} must be a number, not {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInputError(f"{name} is out of range") from None
+
+
+def _numbers(values, name) -> np.ndarray:
+    if not isinstance(values, (list, tuple)):
+        raise InvalidInputError(f"{name} must be a list of numbers")
+    return np.array([_number(v, name) for v in values], dtype=float)
+
+
+def _slot_count(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(
+            f"slot count 'N' must be an integer, not {value!r}")
+    return int(value)
+
+
 def scenario_from_dict(doc: dict):
     """Parse and validate a scenario document.
 
     Returns ``(scenario, info)`` where ``info`` records unit conversion
-    factors (empty for already-normalized inputs).
+    factors (empty for already-normalized inputs).  Every malformed document
+    raises ``InvalidInputError`` or ``ShapeError``.
     """
-    if not isinstance(doc, dict):
-        raise InvalidInputError("scenario document must be a JSON object")
+    _object(doc, "scenario document")
     for key in ("tau", "N", "users", "channel"):
         if key not in doc:
             raise InvalidInputError(f"scenario document missing '{key}'")
-    grid = TimeGrid(N=int(doc["N"]), tau=float(doc["tau"]))
+    grid = TimeGrid(N=_slot_count(doc["N"]), tau=_number(doc["tau"], "tau"))
     if not isinstance(doc["users"], (list, tuple)) or len(doc["users"]) != 2:
         raise ShapeError("'users' must list exactly two users")
-    channel_doc = doc["channel"]
+    channel_doc = _object(doc["channel"], "channel")
     info = {}
     if "physical" in channel_doc:
-        phys = channel_doc["physical"]
+        phys = _object(channel_doc["physical"], "physical channel")
+        keys = ("h11_db", "h22_db", "h12_db", "h21_db", "noise_psd",
+                "bandwidth")
         try:
             norm = _rates.normalize_channel(
-                h11_db=float(phys["h11_db"]), h22_db=float(phys["h22_db"]),
-                h12_db=float(phys["h12_db"]), h21_db=float(phys["h21_db"]),
-                noise_psd=float(phys["noise_psd"]),
-                bandwidth=float(phys["bandwidth"]))
+                **{key: _number(phys[key], key) for key in keys})
         except KeyError as exc:
             raise InvalidInputError(f"physical channel missing {exc}") from exc
+        except OverflowError:
+            raise InvalidInputError(
+                "physical channel gains are out of range") from None
         channel = norm.params
         # scenario energies are in mJ; scale converts J -> normalized units
         energy_scale = tuple(s * 1e-3 for s in norm.energy_scale)
@@ -300,16 +351,17 @@ def scenario_from_dict(doc: dict):
     else:
         if "a" not in channel_doc or "b" not in channel_doc:
             raise InvalidInputError("channel must give {a, b} or a physical block")
-        channel = _rates.ChannelParams(float(channel_doc["a"]),
-                                       float(channel_doc["b"]))
+        channel = _rates.ChannelParams(_number(channel_doc["a"], "a"),
+                                       _number(channel_doc["b"], "b"))
         energy_scale = (1.0, 1.0)
     users = []
     for j, u in enumerate(doc["users"]):
+        _object(u, f"user {j + 1}")
         for key in ("E", "Emax"):
             if key not in u:
                 raise InvalidInputError(f"user {j + 1} missing '{key}'")
-        e = np.asarray(u["E"], dtype=float) * energy_scale[j]
-        emax = float(u["Emax"]) * energy_scale[j]
+        e = _numbers(u["E"], f"user {j + 1} 'E'") * energy_scale[j]
+        emax = _number(u["Emax"], f"user {j + 1} 'Emax'") * energy_scale[j]
         b_doc = u.get("B", "infinite")
         if isinstance(b_doc, str):
             if b_doc != "infinite":
@@ -317,7 +369,7 @@ def scenario_from_dict(doc: dict):
                     f"user {j + 1}: B must be a vector or 'infinite'")
             data = DataProfile.infinite()
         else:
-            data = DataProfile(np.asarray(b_doc, dtype=float))
+            data = DataProfile(_numbers(b_doc, f"user {j + 1} 'B'"))
         users.append(User(HarvestProfile(e, emax), data))
     scenario = validate_scenario(Scenario(grid, tuple(users), channel))
     return scenario, info

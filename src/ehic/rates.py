@@ -337,26 +337,6 @@ class RateModel:
         r2 = lambda x, y: ur(x, y)[1]
         return diff(r1, 0), diff(r1, 1), diff(r2, 0), diff(r2, 1)
 
-    def base_level_T1(self, p2):
-        """Effective inverse gain 1/h seen by the canonical first user.
-
-        The other user's power raises the floor of the water-filling picture;
-        in the min-form region the floor switches branch at ``p_c``.
-        """
-        p2 = np.asarray(p2, dtype=float)
-        if np.any(p2 < 0):
-            raise InvalidInputError("powers must be nonnegative")
-        a, b = self._a, self._b
-        if self.region in (Region.ASYMMETRIC_AB_ABOVE_ONE, Region.VERY_STRONG):
-            out = 1.0 + a * p2 if self.region is Region.ASYMMETRIC_AB_ABOVE_ONE \
-                else np.ones_like(p2)
-        elif self.region is Region.ASYMMETRIC_AB_AT_MOST_ONE:
-            out = np.where(p2 < self.p_c, 1.0 + a * p2, (1.0 + p2) / b)
-        else:
-            raise UnsupportedRegionError(
-                "base level is undefined for generic kernels")
-        return out if out.ndim else float(out)
-
     def max_gradient_bound(self, p_max: float = 10.0) -> float:
         """Upper bound on |d sum_rate/d p_j| over [0, p_max]^2 (error budgets)."""
         if self.region is Region.ASYMMETRIC_AB_ABOVE_ONE:

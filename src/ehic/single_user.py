@@ -18,6 +18,10 @@ given level come from inverting f_i', analytically where possible and by
 safeguarded Newton or bisection otherwise.  Ties under flat marginals
 (linear utilities) are broken by consuming as late as possible, which keeps
 the output deterministic and maximizes forward flexibility.
+
+There is one solve path and ``verify_kkt`` is its only gate: a policy whose
+residuals miss the tolerance raises ``ConvergenceError`` carrying that policy
+and its residual.  No second method is tried.
 """
 
 from __future__ import annotations
@@ -83,6 +87,18 @@ class SlotUtilities:
 
     def _all_idx(self, idx):
         return np.arange(self.n) if idx is None else np.asarray(idx)
+
+    def _bisect_inv_deriv(self, level, idx, hi_start=1.0):
+        """Bisection inverse of ``deriv`` on slots ``idx``, others at zero."""
+        idx = self._all_idx(idx)
+        full = np.zeros(self.n)
+
+        def d(sub):
+            buf = full.copy()
+            buf[idx] = sub
+            return self.deriv(buf)[idx]
+
+        return _bisect_inv(d, level, idx.shape[0], hi_start=hi_start)
 
 
 def _real_cubic_roots(c3, c2, c1, c0):
@@ -214,18 +230,22 @@ class InterferedUtilities(SlotUtilities):
             + 0.5 * np.log1p(p)
 
     def deriv(self, p):
-        a, po = self.a, self.p_other
-        base = 1.0 + a * p
-        return -a * po / (2.0 * (1.0 + po + a * p) * base) \
-            + 1.0 / (2.0 * (1.0 + p))
+        return self.deriv_at(slice(None), p)
 
-    def _curv(self, p, po):
+    def _deriv_curv(self, p, po):
+        """f'(p) and f''(p) for other-user powers ``po``.
+
+        Computed together because they share subexpressions; f' here equals
+        ``deriv_at`` bit for bit (the same operations, with the sum's terms
+        swapped).
+        """
         a = self.a
         a1 = 1.0 + po + a * p
         a2 = 1.0 + a * p
         a3 = 1.0 + p
-        return a * a / (2.0 * a2 * a2) - a * a / (2.0 * a1 * a1) \
-            - 1.0 / (2.0 * a3 * a3)
+        return (1.0 / (2.0 * a3) - a * po / (2.0 * a1 * a2),
+                a * a / (2.0 * a2 * a2) - a * a / (2.0 * a1 * a1)
+                - 1.0 / (2.0 * a3 * a3))
 
     def inv_deriv(self, level, idx=None):
         idx = self._all_idx(idx)
@@ -257,13 +277,8 @@ class InterferedUtilities(SlotUtilities):
                 found |= ok
         x = np.minimum(np.maximum(x, 0.0), hi)
         for _ in range(2):
-            a1 = 1.0 + po + a * x
-            a2 = 1.0 + a * x
-            a3 = 1.0 + x
-            fx = 1.0 / (2.0 * a3) - a * po / (2.0 * a1 * a2) - level
-            curv = a * a / (2.0 * a2 * a2) - a * a / (2.0 * a1 * a1) \
-                - 1.0 / (2.0 * a3 * a3)
-            x = np.minimum(np.maximum(x - fx / curv, 0.0), hi)
+            d, curv = self._deriv_curv(x, po)
+            x = np.minimum(np.maximum(x - (d - level) / curv, 0.0), hi)
         bad = np.abs(self.deriv_at(idx, x) - level) > 1e-9 * (1.0 + level)
         bad &= ~zero
         if np.any(bad):
@@ -288,7 +303,7 @@ class InterferedUtilities(SlotUtilities):
         active = qmin > 0.0
         if not np.any(active):
             return 0.0
-        curv = self._curv(qmin[active], po[active])
+        _, curv = self._deriv_curv(qmin[active], po[active])
         return float(np.sum(1.0 / curv))
 
 
@@ -342,9 +357,7 @@ class PiecewiseMinUtilities(SlotUtilities):
             return q, q.copy()
         # one-sided derivatives at the kink
         pc = self.p_c
-        base = 1.0 + self.a * pc
-        d_hi = -self.a * po / (2.0 * (1.0 + po + self.a * pc) * base) \
-            + 1.0 / (2.0 * (1.0 + pc))
+        d_hi = self._branch1.deriv_at(idx, pc)
         d_lo = 1.0 / (2.0 * (1.0 + self.b * po + pc))
         q = np.empty(idx.shape)
         on1 = level > d_hi            # strictly inside branch 1, q < p_c
@@ -371,7 +384,7 @@ class PiecewiseMinUtilities(SlotUtilities):
         b1 = q < self.p_c - tol
         b2 = q > self.p_c + tol
         if np.any(b1):
-            slope[b1] = 1.0 / self._branch1._curv(q[b1], po[b1])
+            slope[b1] = 1.0 / self._branch1._deriv_curv(q[b1], po[b1])[1]
         slope[b2] = -1.0 / (2.0 * level * level)
         return float(np.sum(slope))
 
@@ -395,15 +408,7 @@ class GenericSlotUtilities(SlotUtilities):
         return (self.value(p + step) - self.value(lo)) / (p + step - lo)
 
     def inv_deriv(self, level, idx=None):
-        idx = self._all_idx(idx)
-        full = np.zeros(self.n)
-
-        def d(sub):
-            buf = full.copy()
-            buf[idx] = sub
-            return self.deriv(buf)[idx]
-
-        return _bisect_inv(d, level, idx.shape[0])
+        return self._bisect_inv_deriv(level, idx)
 
 
 class ProximalUtilities(SlotUtilities):
@@ -422,16 +427,8 @@ class ProximalUtilities(SlotUtilities):
         return self.base.deriv(p) - 2.0 * self.eps * (p - self.anchor)
 
     def inv_deriv(self, level, idx=None):
-        idx = self._all_idx(idx)
-        full = np.zeros(self.n)
-
-        def d(sub):
-            buf = full.copy()
-            buf[idx] = sub
-            return self.deriv(buf)[idx]
-
-        return _bisect_inv(d, level, idx.shape[0],
-                           hi_start=float(np.max(self.anchor) + 1.0))
+        return self._bisect_inv_deriv(
+            level, idx, hi_start=float(np.max(self.anchor) + 1.0))
 
 
 def check_utilities(utilities: SlotUtilities, p_max: float):
@@ -453,26 +450,16 @@ def check_utilities(utilities: SlotUtilities, p_max: float):
 # level equalization within a window
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Segment:
-    lo: int
-    hi: int            # inclusive
-    level: float
-    has_pos: bool
-    d0max: float       # max f'(0) over the segment
-
-
 def _equalize(utilities, idx, target):
     """Common-level allocation of ``target`` total power over slots ``idx``.
 
-    Returns (powers, level).  Flat stretches of f' are resolved by assigning
-    the slack to the latest slots first.
+    Flat stretches of f' are resolved by assigning the slack to the latest
+    slots first.
     """
     m = idx.shape[0]
-    d0 = utilities.deriv_at_zero()[idx]
     if target <= 1e-15 * (1.0 + abs(target)):
-        return np.zeros(m), float(np.max(d0))
-    hi = float(np.max(d0))
+        return np.zeros(m)
+    hi = float(np.max(utilities.deriv_at_zero()[idx]))
     # find lo with total demand at least target (qmax side): descend from hi
     # through 0 and into negative levels if the utilities ever slope down
     lo = None
@@ -561,74 +548,36 @@ def _equalize(utilities, idx, target):
             extra += take
             if extra >= -1e-18 * (1.0 + target):
                 break
-    return powers, float(hi)
+    return powers
 
 
 # ---------------------------------------------------------------------------
 # corridor decomposition
 # ---------------------------------------------------------------------------
 
-class _BacktrackExhausted(Exception):
-    pass
-
-
-def _junction_ok(left: _Segment, right: _Segment, side: str, eps: float):
-    # 'U' pin (battery empty): the level may only drop forward, so the left
-    # segment must be able to sit at or above the right one; 'L' pin (battery
-    # full): the reverse.  All-zero segments can raise their level freely.
-    dl_max = _INF if not left.has_pos else left.level
-    dl_min = left.d0max if not left.has_pos else left.level
-    dr_max = _INF if not right.has_pos else right.level
-    dr_min = right.d0max if not right.has_pos else right.level
-    if side == "U":
-        return dl_max >= dr_min - eps
-    return dl_min <= dr_max + eps
-
-
-def _solve_corridor(utilities, tau, lower, upper, z_total, budget):
+def _solve_corridor(utilities, tau, lower, upper, z_total):
+    """Equalize the whole horizon; where that breaks the corridor, pin the
+    worst boundary to the bound it violates and solve both halves alike."""
     n = lower.shape[0]
-    ref = max(float(upper[-1]), 1.0)
-    feas_eps = 1e-10 * ref
-    p_tiny = 1e-12 * max(1.0, ref / tau)
+    feas_eps = 1e-10 * max(float(upper[-1]), 1.0)
 
     def solve(lo, hi, a_val, b_val):
-        if budget[0] <= 0:
-            raise _BacktrackExhausted("relaxation budget exhausted")
-        budget[0] -= 1
-        idx = np.arange(lo, hi + 1)
-        target = max(0.0, (b_val - a_val) / tau)
-        powers, level = _equalize(utilities, idx, target)
-        d0 = utilities.deriv_at_zero()[idx]
-        seg = _Segment(lo, hi, level, bool(np.any(powers > p_tiny)),
-                       float(np.max(d0)))
+        powers = _equalize(utilities, np.arange(lo, hi + 1),
+                           max(0.0, (b_val - a_val) / tau))
         if hi == lo:
-            return powers, [seg]
+            return powers
         s_interior = a_val + tau * np.cumsum(powers)[:-1]
         over = s_interior - upper[lo:hi]
         under = lower[lo:hi] - s_interior
         worst = np.maximum(over, under)
         if np.max(worst) <= feas_eps:
-            return powers, [seg]
-        order = np.argsort(-worst)
-        tried = 0
-        for k in order:
-            if worst[k] <= feas_eps or tried >= 8:
-                break
-            tried += 1
-            boundary = lo + int(k)
-            side = "U" if over[k] >= under[k] else "L"
-            pin = upper[boundary] if side == "U" else lower[boundary]
-            try:
-                p_left, seg_left = solve(lo, boundary, a_val, pin)
-                p_right, seg_right = solve(boundary + 1, hi, pin, b_val)
-            except _BacktrackExhausted:
-                raise
-            eps_lvl = 1e-9 * (1.0 + abs(seg_left[-1].level)
-                              + abs(seg_right[0].level))
-            if _junction_ok(seg_left[-1], seg_right[0], side, eps_lvl):
-                return np.concatenate([p_left, p_right]), seg_left + seg_right
-        raise _BacktrackExhausted(
-            f"no junction-consistent pin at window [{lo}, {hi}]")
+            return powers
+        # argsort's first entry, not argmax: they break ties between equally
+        # violated boundaries differently, and the tie rule shapes the output
+        k = int(np.argsort(-worst)[0])
+        pin = upper[lo + k] if over[k] >= under[k] else lower[lo + k]
+        return np.concatenate([solve(lo, lo + k, a_val, pin),
+                               solve(lo + k + 1, hi, pin, b_val)])
 
     return solve(0, n - 1, 0.0, z_total)
 
@@ -774,32 +723,14 @@ def verify_kkt(policy_row, utilities: SlotUtilities, harvest: HarvestProfile,
 # solver entry point
 # ---------------------------------------------------------------------------
 
-def _scipy_fallback(utilities, tau, lower, upper, x0):
-    from scipy.optimize import LinearConstraint, minimize
-
-    n = lower.shape[0]
-    a_mat = tau * np.tril(np.ones((n, n)))
-    con = LinearConstraint(a_mat, lower, upper)
-
-    def neg_obj(p):
-        return -tau * float(np.sum(utilities.value(np.maximum(p, 0.0))))
-
-    def neg_grad(p):
-        return -tau * utilities.deriv(np.maximum(p, 0.0))
-
-    res = minimize(neg_obj, x0, jac=neg_grad, method="trust-constr",
-                   bounds=[(0.0, None)] * n, constraints=[con],
-                   options={"xtol": 1e-14, "gtol": 1e-12, "maxiter": 2000})
-    return np.maximum(res.x, 0.0)
-
-
 def solve_single_user(utilities: SlotUtilities, harvest: HarvestProfile,
                       grid: TimeGrid, tol: float = 1e-7):
     """Optimal own-power schedule for one user; returns (powers, certificate).
 
     The certificate is produced by ``verify_kkt`` on the returned policy; the
-    post-condition is residuals at or below ``tol``, independent of how the
-    policy was constructed.
+    post-condition is residuals at or below ``tol``.  Otherwise this raises
+    ``ConvergenceError`` with the policy as ``best_policy`` and the larger of
+    its two residuals as ``residual``.
     """
     n = grid.N
     if utilities.n != n:
@@ -813,30 +744,11 @@ def solve_single_user(utilities: SlotUtilities, harvest: HarvestProfile,
     _, qmax0 = utilities.inv_deriv(0.0)
     cap = tau * float(np.sum(qmax0)) if np.all(np.isfinite(qmax0)) else _INF
     z_total = min(float(upper[-1]), cap)
-    budget = [max(60, 50 * n)]
-    powers = None
-    try:
-        powers, _segments = _solve_corridor(utilities, tau, lower, upper,
-                                            z_total, budget)
-    except _BacktrackExhausted:
-        powers = None
-    if powers is not None:
-        cert = verify_kkt(powers, utilities, harvest, grid)
-        if (cert.stationarity_residual <= tol
-                and cert.complementarity_residual <= tol):
-            return powers, cert
-        best = (powers, cert)
-    else:
-        best = None
-    x0 = best[0] if best is not None else np.zeros(n)
-    powers = _scipy_fallback(utilities, tau, lower, upper, x0)
+    powers = _solve_corridor(utilities, tau, lower, upper, z_total)
     cert = verify_kkt(powers, utilities, harvest, grid)
-    if (cert.stationarity_residual <= tol
-            and cert.complementarity_residual <= tol):
-        return powers, cert
-    if best is not None and (best[1].stationarity_residual
-                             < cert.stationarity_residual):
-        powers, cert = best
-    raise ConvergenceError(
-        "single-user solve did not reach the requested KKT residual",
-        best_policy=powers, residual=cert.stationarity_residual)
+    residual = max(cert.stationarity_residual, cert.complementarity_residual)
+    if residual > tol:
+        raise ConvergenceError(
+            "single-user solve did not reach the requested KKT residual",
+            best_policy=powers, residual=residual)
+    return powers, cert

@@ -199,6 +199,27 @@ class TestMainExitCodes:
         assert err["error"] == "InvalidInputError"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("where, bad", [
+        ("N", float("nan")), ("N", "x"), ("N", 2.5), ("N", True),
+        ("tau", "x"), ("a", "x"), ("b", None), ("E", "x"),
+        ("E", [2.0, "x", 1.0]), ("E", [2.0, "0", 1.0]), ("Emax", "x"),
+        ("B", [0.5, "x", 0.5]), ("B", {"0": 0.5}),
+    ])
+    def test_malformed_number_is_2(self, tmp_path, capsys, where, bad):
+        doc = json.loads(json.dumps(SCEN))
+        if where in ("N", "tau"):
+            doc[where] = bad
+        elif where in ("a", "b"):
+            doc["channel"][where] = bad
+        else:
+            doc["users"][0][where] = bad
+        path = _write_scenario(tmp_path, doc)
+        assert main(["solve-offline", "--scenario", path,
+                     "--out", str(tmp_path / "x")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InvalidInputError"
+        assert not (tmp_path / "x").exists()
+
     def test_missing_file_is_2(self, tmp_path):
         assert main(["solve-offline", "--scenario",
                      str(tmp_path / "nope.json"),

@@ -1,7 +1,11 @@
 """Scenario validation, feasibility accounting and the JSON schema."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehic.errors import InvalidInputError, ShapeError
 from ehic.model import (DataProfile, HarvestProfile, Scenario, TimeGrid, User,
@@ -166,3 +170,78 @@ class TestScenarioSchema:
                          {"E": [1.0], "Emax": 1.0, "B": "infinite"}]}
         with pytest.raises(InvalidInputError):
             scenario_from_dict(doc)
+
+
+# anything a JSON document can hold where a number is expected
+_NUMBER = st.one_of(st.integers(-2, 4), st.integers(10 ** 400, 10 ** 401),
+                    st.floats(allow_nan=True, allow_infinity=True))
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.lists(st.one_of(_NUMBER, st.none(), st.text(max_size=1)),
+                           max_size=3),
+                  st.dictionaries(st.text(max_size=2), st.integers(0, 2),
+                                  max_size=1))
+
+
+def _slots(node):
+    """(container, key) of every value inside a JSON-like tree."""
+    keys = (list(node) if isinstance(node, dict)
+            else range(len(node)) if isinstance(node, list) else ())
+    out = []
+    for key in keys:
+        out.append((node, key))
+        out += _slots(node[key])
+    return out
+
+
+@st.composite
+def _scenario_docs(draw):
+    """A valid scenario document, broken in up to two places."""
+    n = draw(st.integers(1, 3))
+    vector = st.lists(st.floats(0.0, 12.0), min_size=n, max_size=n)
+
+    def user():
+        return {"E": draw(vector), "Emax": draw(st.floats(0.5, 10.0)),
+                "B": draw(st.one_of(st.just("infinite"), vector))}
+
+    if draw(st.booleans()):
+        channel = {"a": draw(st.floats(0.0, 3.0)),
+                   "b": draw(st.floats(0.0, 3.0))}
+    else:
+        channel = {"physical": {
+            "h11_db": draw(st.floats(-200.0, 0.0)),
+            "h22_db": draw(st.floats(-200.0, 0.0)),
+            "h12_db": draw(st.floats(-200.0, 0.0)),
+            "h21_db": draw(st.floats(-200.0, 0.0)),
+            "noise_psd": 1e-19, "bandwidth": 1e6}}
+    box = {"doc": {"tau": draw(st.floats(0.1, 2.0)), "N": n,
+                   "users": [user(), user()], "channel": channel}}
+    for _ in range(draw(st.integers(0, 2))):
+        parent, key = draw(st.sampled_from(_slots(box)))
+        if parent is box or draw(st.booleans()):
+            parent[key] = draw(st.one_of(_NUMBER, _JUNK))
+        else:
+            del parent[key]
+    return box["doc"]
+
+
+class TestScenarioDocumentProperty:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_scenario_docs())
+    def test_parses_to_valid_scenario_or_raises_documented_error(self, doc):
+        try:
+            scen, _ = scenario_from_dict(doc)
+        except (InvalidInputError, ShapeError):
+            return
+        n, tau = scen.grid.N, scen.grid.tau
+        assert isinstance(n, int) and n >= 1
+        assert math.isfinite(tau) and tau > 0
+        assert all(math.isfinite(g) and g >= 0
+                   for g in (scen.channel.a, scen.channel.b))
+        for user in scen.users:
+            cap, e = user.harvest.capacity, user.harvest.arrivals
+            assert math.isfinite(cap) and cap > 0
+            assert e.shape == (n,) and np.all(e >= 0) and np.all(e <= cap)
+            if not user.data.is_infinite:
+                b = user.data.arrivals
+                assert b.shape == (n,) and np.all(np.isfinite(b))
+                assert np.all(b >= 0)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ehic.errors import (InvalidInputError, UnsupportedRegionError)
+from ehic.errors import InvalidInputError
 from ehic.rates import (ChannelParams, RateModel, Region, build_rate_model,
                         classify_region, interference_as_noise_kernel,
                         normalize_channel)
@@ -135,23 +135,6 @@ class TestGradient:
                    - f(pts[:, 0], pts[:, 1] - step)) / (2 * step)
             assert np.max(np.abs(d1 - fd1)) <= 1e-6
             assert np.max(np.abs(d2 - fd2)) <= 1e-6
-
-
-class TestBaseLevel:
-    def test_no_interference(self):
-        model = build_rate_model(0.9, 2.0, 10.0, 10.0)
-        assert model.base_level_T1(0.0) == pytest.approx(1.0)
-
-    def test_min_form_branches(self):
-        model = build_rate_model(0.5, 1.5, 10.0, 10.0)
-        assert model.base_level_T1(1.0) == pytest.approx(1.5)
-        assert model.base_level_T1(4.0) == pytest.approx(10.0 / 3.0)
-
-    def test_generic_unsupported(self):
-        model = build_rate_model(0.1, 0.1, 10.0, 10.0,
-                                 kernel=interference_as_noise_kernel(0.1, 0.1))
-        with pytest.raises(UnsupportedRegionError):
-            model.base_level_T1(1.0)
 
 
 class TestRegionBContinuity:

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from ehic.errors import InfeasiblePolicyError, InvalidUtilityError
+from ehic.errors import (ConvergenceError, InfeasiblePolicyError,
+                         InvalidUtilityError)
 from ehic.model import HarvestProfile, TimeGrid
 from ehic.single_user import (GenericSlotUtilities, InterferedUtilities,
                               LinearUtilities, PiecewiseMinUtilities,
@@ -198,15 +199,49 @@ class TestUtilityFamilies:
         assert np.sum(p) == pytest.approx(2.0, abs=1e-8)
 
 
+class TestSingleGate:
+    def test_wrong_inverse_raises_with_best_policy(self):
+        # an inverse that sends twice the power to the second slot at every
+        # level: the window equalizes to unequal marginals with no constraint
+        # binding between them, so the certificate fails and the solve raises
+        # (an optimizer that ignores inv_deriv would find [2/3, 2/3, 2/3])
+        class SkewedInverse(ScaledLogUtilities):
+            def inv_deriv(self, level, idx=None):
+                qmin, qmax = super().inv_deriv(level, idx)
+                skew = np.where(self._all_idx(idx) == 1, 2.0, 1.0)
+                return qmin * skew, qmax * skew
+
+        harvest = HarvestProfile(np.array([2.0, 0.0, 0.0]), 2.0)
+        grid = TimeGrid(3, 1.0)
+        util = SkewedInverse(np.ones(3))
+        with pytest.raises(ConvergenceError) as info:
+            solve_single_user(util, harvest, grid)
+        best = info.value.best_policy
+        assert np.allclose(best, [0.5, 1.0, 0.5])
+        assert info.value.residual > 1e-7
+        cert = verify_kkt(best, util, harvest, grid)
+        assert info.value.residual == cert.stationarity_residual
+
+
 class TestRandomStress:
-    def test_certificates_across_families(self):
-        rng = np.random.default_rng(9)
-        for trial in range(120):
-            n = int(rng.integers(2, 8))
+    @pytest.mark.parametrize("seed, trials, n_max, sparse, taus", [
+        pytest.param(9, 120, 7, False, (1.0,), id="dense"),
+        # mostly idle harvests bind the corridor often; tau != 1 checks the
+        # energy/power scaling
+        pytest.param(10, 100, 40, True, (0.5, 2.0), id="sparse"),
+    ])
+    def test_certificates_across_families(self, seed, trials, n_max, sparse,
+                                          taus):
+        rng = np.random.default_rng(seed)
+        for trial in range(trials):
+            n = int(rng.integers(2, n_max + 1))
             emax = float(rng.choice([1.0, 2.0, 5.0]))
             e = np.minimum(rng.uniform(0, emax, n), emax)
+            if sparse:
+                e[rng.uniform(size=n) < 0.7] = 0.0
+            tau = taus[(trial // 4) % len(taus)]
             harvest = HarvestProfile(e, emax)
-            grid = TimeGrid(n, 1.0)
+            grid = TimeGrid(n, tau)
             fam = trial % 4
             if fam == 0:
                 util = ScaledLogUtilities(rng.uniform(0.3, 2.0, n))
@@ -223,7 +258,7 @@ class TestRandomStress:
             p, cert = solve_single_user(util, harvest, grid)
             assert cert.stationarity_residual <= 1e-7
             assert cert.complementarity_residual <= 1e-7
-            s = np.cumsum(p)
+            s = tau * np.cumsum(p)
             cum_e = np.cumsum(e)
             assert np.all(s <= cum_e + 1e-9 * emax)
             if n > 1:
