@@ -22,12 +22,14 @@ errors, 3 on solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import multiprocessing
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -287,13 +289,23 @@ def _fig8_single(seed: int, tol: float, max_sweeps: int):
 
 def _run_fig8(config: ExperimentConfig, out_dir: Path) -> dict:
     seeds = [config.seed + i for i in range(config.preset_count)]
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(
-                lambda s: _fig8_single(s, config.tol, config.max_sweeps),
-                seeds))
+    run_one = functools.partial(_fig8_single, tol=config.tol,
+                                max_sweeps=config.max_sweeps)
+    workers = min(config.jobs, len(seeds))
+    if workers > 1:
+        # seeds are independent and their work holds the GIL, so they run in
+        # forked processes (fork, not forkserver: workers inherit the loaded
+        # modules); pickled floats come back exactly, in seed order, and the
+        # first failing seed in that order raises, as in the serial loop,
+        # without waiting for the seeds queued after it
+        pool = ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            rows = list(pool.map(run_one, seeds))
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
-        rows = [_fig8_single(s, config.tol, config.max_sweeps) for s in seeds]
+        rows = [run_one(s) for s in seeds]
     lines = ["seed,bits_iterative,bits_distributed,bits_naive"]
     for row in rows:
         lines.append(",".join([str(row["seed"]), _fmt(row["bits_iterative"]),

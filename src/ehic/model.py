@@ -19,6 +19,7 @@ immutable after construction and all operations are pure functions.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -45,10 +46,20 @@ class TimeGrid:
     tau: float
 
     def __post_init__(self):
-        if int(self.N) != self.N or self.N < 1:
+        # int() and isfinite() raise on NaN, inf and non-numbers, and a NaN
+        # tau would pass a plain sign check (nan <= 0 is False)
+        try:
+            n_ok = int(self.N) == self.N and self.N >= 1
+        except (TypeError, ValueError, OverflowError):
+            n_ok = False
+        if not n_ok:
             raise InvalidInputError("slot count must be a positive integer")
-        if self.tau <= 0:
-            raise InvalidInputError("slot duration must be positive")
+        try:
+            tau_ok = math.isfinite(self.tau) and self.tau > 0
+        except TypeError:
+            tau_ok = False
+        if not tau_ok:
+            raise InvalidInputError("slot duration must be positive and finite")
 
     @property
     def T(self) -> float:

@@ -115,13 +115,18 @@ def _real_cubic_roots(c3, c2, c1, c0):
     shift = a / 3.0
     roots = np.full((3,) + a.shape, np.nan)
     one = disc > 0.0
-    if np.any(one):
+    if one.all():
+        # the common case: one real root everywhere, no masked gathers
+        sq = np.sqrt(disc)
+        roots[0] = np.cbrt(-0.5 * q + sq) + np.cbrt(-0.5 * q - sq) - shift
+        return roots
+    if one.any():
         sq = np.sqrt(disc[one])
         u = np.cbrt(-0.5 * q[one] + sq)
         v = np.cbrt(-0.5 * q[one] - sq)
         roots[0][one] = u + v - shift[one]
     three = ~one
-    if np.any(three):
+    if three.any():
         pp = p[three]
         qq = q[three]
         m = 2.0 * np.sqrt(np.maximum(-pp / 3.0, 0.0))
@@ -261,10 +266,11 @@ class InterferedUtilities(SlotUtilities):
             return q, q
         # clearing denominators turns f'(x) = level into a cubic in x with a
         # single root on [0, hi]; two Newton polish steps absorb roundoff
+        k2, k1, k0, m0 = self._cubic_terms()
         d2 = 2.0 * level
-        c2 = d2 * (a * a + a * (2.0 + po)) - a * a
-        c1 = d2 * (a * (2.0 + po) + 1.0 + po) - 2.0 * a
-        c0 = d2 * (1.0 + po) - 1.0 - po * (1.0 - a)
+        c2 = d2 * k2[idx] - a * a
+        c1 = d2 * k1[idx] - 2.0 * a
+        c0 = d2 * k0[idx] - 1.0 - m0[idx]
         roots = _real_cubic_roots(d2 * a * a, c2, c1, c0)
         x = np.full(idx.shape, 0.5 * hi)
         found = np.zeros(idx.shape, dtype=bool)
@@ -272,7 +278,7 @@ class InterferedUtilities(SlotUtilities):
         for k in (0, 2, 1):
             cand = roots[k]
             ok = ~found & np.isfinite(cand) & (cand >= -pad) & (cand <= hi + pad)
-            if np.any(ok):
+            if ok.any():
                 x = np.where(ok, cand, x)
                 found |= ok
         x = np.minimum(np.maximum(x, 0.0), hi)
@@ -281,7 +287,7 @@ class InterferedUtilities(SlotUtilities):
             x = np.minimum(np.maximum(x - (d - level) / curv, 0.0), hi)
         bad = np.abs(self.deriv_at(idx, x) - level) > 1e-9 * (1.0 + level)
         bad &= ~zero
-        if np.any(bad):
+        if bad.any():
             sub = idx[bad]
             x_bad, _ = _bisect_inv(
                 lambda pp: self.deriv_at(sub, pp), level, sub.shape[0],
@@ -289,6 +295,21 @@ class InterferedUtilities(SlotUtilities):
             x[bad] = x_bad
         q = np.where(zero, 0.0, x)
         return q, q
+
+    def _cubic_terms(self):
+        """The parts of the cubic's coefficients that depend on p_other only.
+
+        Cached per instance, as ``deriv_at_zero`` is: every level probe
+        needs them.  ``inv_deriv`` only combines them with the level
+        elementwise.
+        """
+        cached = getattr(self, "_cubic_cache", None)
+        if cached is None:
+            a, po = self.a, self.p_other
+            cached = (a * a + a * (2.0 + po), a * (2.0 + po) + 1.0 + po,
+                      1.0 + po, po * (1.0 - a))
+            self._cubic_cache = cached
+        return cached
 
     def deriv_at(self, idx, p):
         po = self.p_other[idx]

@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from ehic import cli
 from ehic.cli import (ExperimentConfig, fig7_scenario, gen_scenario, main,
                       run_experiment)
+from ehic.errors import ConvergenceError
 from ehic.model import feasibility_report, scenario_from_dict
 from ehic.rates import build_rate_model
 
@@ -150,16 +152,65 @@ class TestPresets:
         rows = list(csv.DictReader(open(out / "scenarios.csv")))
         assert len(rows) == 5
 
-    def test_fig8_jobs_deterministic(self, tmp_path):
+    # (5, 2) is the shape of a benchmark fig8 op
+    @pytest.mark.parametrize("count, jobs", [(4, 3), (5, 2)],
+                             ids=["count4-jobs3", "count5-jobs2"])
+    def test_fig8_jobs_deterministic(self, tmp_path, count, jobs):
         a = run_experiment(ExperimentConfig(
             solver="preset-fig8", out_dir=str(tmp_path / "a"), seed=3,
-            preset_count=4, jobs=1))
+            preset_count=count, jobs=1))
         b = run_experiment(ExperimentConfig(
             solver="preset-fig8", out_dir=str(tmp_path / "b"), seed=3,
-            preset_count=4, jobs=3))
+            preset_count=count, jobs=jobs))
         assert a["mean_total_bits"] == b["mean_total_bits"]
         assert (tmp_path / "a" / "scenarios.csv").read_bytes() == \
             (tmp_path / "b" / "scenarios.csv").read_bytes()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the process pools ``preset fig8`` creates."""
+    made = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self._max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return made
+
+
+class TestFig8Pool:
+    def test_workers_capped_at_seed_count(self, tmp_path, capsys, pools):
+        assert main(["preset", "fig8", "--count", "2", "--jobs", "8",
+                     "--out", str(tmp_path / "x")]) == 0
+        assert pools == [2]
+
+    def test_single_seed_runs_in_process(self, tmp_path, capsys, pools):
+        assert main(["preset", "fig8", "--count", "1", "--jobs", "2",
+                     "--out", str(tmp_path / "x")]) == 0
+        assert pools == []
+
+    def test_worker_convergence_error_is_3(self, tmp_path, capsys,
+                                           monkeypatch, pools):
+        # patched before the pool forks, so the workers inherit it; every
+        # seed fails with its own message, and the first seed's is reported
+        def fail(scenario, rate_model, opts):
+            total = scenario.harvest_matrix().sum()
+            raise ConvergenceError(f"no convergence, harvest {total!r}")
+
+        monkeypatch.setattr(cli, "iterate_offline", fail)
+        errs = []
+        for jobs in ("1", "2"):
+            assert main(["preset", "fig8", "--count", "3", "--jobs", jobs,
+                         "--out", str(tmp_path / jobs)]) == 3
+            errs.append(capsys.readouterr().err)
+        assert pools == [2]
+        assert errs[0] == errs[1]
+        doc = json.loads(errs[0])
+        assert doc["error"] == "ConvergenceError" and doc["exit_status"] == 3
+        assert not (tmp_path / "2").exists()
 
 
 class TestMainExitCodes:

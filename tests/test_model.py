@@ -46,6 +46,18 @@ class TestValidate:
         with pytest.raises(InvalidInputError):
             HarvestProfile(np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("n", [float("nan"), float("inf"),
+                                   float("-inf"), "x", "3", None, 2.5, -1])
+    def test_bad_slot_count_rejected(self, n):
+        with pytest.raises(InvalidInputError):
+            TimeGrid(n, 1.0)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"),
+                                     float("-inf"), "x", None, -1.0])
+    def test_bad_slot_duration_rejected(self, tau):
+        with pytest.raises(InvalidInputError):
+            TimeGrid(3, tau)
+
     def test_idempotent(self):
         scen = validate_scenario(_raw([12.0, 3.0], [5.0, 0.0], 10.0))
         again = validate_scenario(scen)

@@ -12,7 +12,8 @@ from ehic.model import HarvestProfile, TimeGrid
 from ehic.single_user import (GenericSlotUtilities, InterferedUtilities,
                               LinearUtilities, PiecewiseMinUtilities,
                               ProximalUtilities, ScaledLogUtilities,
-                              solve_single_user, verify_kkt)
+                              _real_cubic_roots, solve_single_user,
+                              verify_kkt)
 
 
 def log_utils(n, h=None):
@@ -163,6 +164,20 @@ class TestUtilityFamilies:
             q, _ = util.inv_deriv(level)
             err = np.abs(np.where(q > 0, util.deriv(q) - level, 0.0))
             assert np.max(err) <= 1e-10
+
+    def test_cubic_roots_fast_path_matches_masked_path(self):
+        # x^3 + c1 x + c0 with c1 > 0 has one real root, so the first call
+        # takes the unmasked path; the appended (x-1)(x-2)(x-3) forces the
+        # masked gathers on the same entries
+        rng = np.random.default_rng(7)
+        c1 = rng.uniform(0.1, 3.0, 50)
+        c0 = rng.normal(0.0, 5.0, 50)
+        fast = _real_cubic_roots(np.ones(50), np.zeros(50), c1, c0)
+        masked = _real_cubic_roots(np.ones(51), np.append(np.zeros(50), -6.0),
+                                   np.append(c1, 11.0), np.append(c0, -6.0))
+        assert np.isnan(fast[1:]).all()
+        assert np.array_equal(fast, masked[:, :50], equal_nan=True)
+        assert np.allclose(masked[:, 50], [3.0, 2.0, 1.0])
 
     def test_piecewise_kink_plateau(self):
         util = PiecewiseMinUtilities(0.5, 1.5, 2.0, np.array([1.0, 4.0]))
