@@ -288,6 +288,10 @@ def _fig8_single(seed: int, tol: float, max_sweeps: int):
 
 
 def _run_fig8(config: ExperimentConfig, out_dir: Path) -> dict:
+    if config.preset_count < 1:
+        raise InvalidInputError("fig8 needs --count of at least 1")
+    if config.jobs < 1:
+        raise InvalidInputError("--jobs must be at least 1")
     seeds = [config.seed + i for i in range(config.preset_count)]
     run_one = functools.partial(_fig8_single, tol=config.tol,
                                 max_sweeps=config.max_sweeps)

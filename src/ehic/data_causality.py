@@ -157,16 +157,20 @@ def _solve_block(scenario, rate_model, policy, user, eps, start_obj):
     n = scenario.grid.N
     lower, upper = energy_bounds(scenario.users[user].harvest, tau)
     fun, grad = _block_fun_and_grad(scenario, rate_model, policy, user, eps)
+    # the cumulative constraints are linear: their Jacobians are constant
+    cum = np.tril(np.ones((n, n)))
+    jac_upper = -tau * cum
+    jac_lower = tau * cum[:-1]
     cons = [{
         "type": "ineq",
         "fun": lambda x: upper - tau * np.cumsum(x),
-        "jac": lambda x: -tau * np.tril(np.ones((n, n))),
+        "jac": lambda x: jac_upper,
     }]
     if n > 1:
         cons.append({
             "type": "ineq",
             "fun": lambda x: tau * np.cumsum(x)[:-1] - lower[:-1],
-            "jac": lambda x: tau * np.tril(np.ones((n, n)))[:-1],
+            "jac": lambda x: jac_lower,
         })
     res = minimize(fun, policy[user], jac=grad, method="SLSQP",
                    bounds=[(0.0, None)] * n, constraints=cons,

@@ -13,11 +13,14 @@ KKT conditions of the concave program, so the construction is certified by
 reconstructing multipliers from the active-constraint structure
 (``verify_kkt``) and reporting stationarity/complementarity residuals.
 
-Levels are found by bisection on the common marginal; per-slot powers at a
-given level come from inverting f_i', analytically where possible and by
-safeguarded Newton or bisection otherwise.  Ties under flat marginals
-(linear utilities) are broken by consuming as late as possible, which keeps
-the output deterministic and maximizes forward flexibility.
+A window's common level is found by a bracketed root search on its total
+demand: Newton steps in 1/level (every family's demand is close to
+alpha + beta/level) from the analytic demand slope, kept inside the bracket
+and alternated with bisection whenever they stop contracting.  Per-slot
+powers at a given level come from inverting f_i', analytically where
+possible and by safeguarded Newton or bisection otherwise.  Ties under flat
+marginals (linear utilities) are broken by consuming as late as possible,
+which keeps the output deterministic and maximizes forward flexibility.
 
 There is one solve path and ``verify_kkt`` is its only gate: a policy whose
 residuals miss the tolerance raises ``ConvergenceError`` carrying that policy
@@ -48,7 +51,7 @@ class SlotUtilities:
     ``inv_deriv(level, idx)`` returns per-slot (qmin, qmax): the smallest and
     largest powers at which f_i' equals ``level`` (a range only where f_i' is
     flat at that value; qmax may be inf).  qmin/qmax are nonincreasing in the
-    level, which is what the level bisection relies on.
+    level, which is what the bracketed level search relies on.
     """
 
     n = 0
@@ -483,7 +486,6 @@ def _equalize(utilities, idx, target):
     hi = float(np.max(utilities.deriv_at_zero()[idx]))
     # find lo with total demand at least target (qmax side): descend from hi
     # through 0 and into negative levels if the utilities ever slope down
-    lo = None
     level = hi
     for _ in range(200):
         if level > 0.0:
@@ -492,67 +494,70 @@ def _equalize(utilities, idx, target):
             level = -1.0
         else:
             level = 2.0 * level
-        _, qmax = utilities.inv_deriv(level, idx)
+        qmin, qmax = utilities.inv_deriv(level, idx)
         if np.sum(qmax) >= target:
-            lo = level
             break
-    if lo is None:
+    else:
         raise ConvergenceError(
             "forced consumption exceeds the range of the slot utilities")
-    # bracketed root search on the monotone total-demand curve: a Newton step
-    # (analytic demand slope) or a secant step alternates with plain bisection
-    # so the bracket provably halves every other iteration; plateaus and
-    # jumps always fall back to bisection
+    # bracketed root search on the monotone total-demand curve, starting
+    # from the descent's last probe.  Every family's demand is close to
+    # alpha + beta/level (exact for ScaledLog on a fixed active set), so the
+    # fast step is Newton in 1/level on the analytic slope, else Newton in
+    # the level, else a secant step.  A step outside the open bracket is
+    # replaced by bisection, and so is the turn after any probe that did not
+    # cut the error 4x, so the bracket provably halves every other probe;
+    # plateaus and jumps always fall back to bisection
+    lo = mid = level
     t_lo, t_hi = None, 0.0   # total demand at lo (>= target) and hi (<= target)
-    newton_from = None       # (level, total, slope) at the last probe
+    at_lo = at_hi = None     # (qmin, qmax) probed at lo and hi
     fast_turn = False
     last_err = _INF
     exit_tol = 1e-12 * (1.0 + target)
     for _ in range(200):
-        width = hi - lo
-        if width <= 1e-15 * max(abs(hi), abs(lo), 1e-12):
-            break
-        mid = None
-        if fast_turn:
-            if newton_from is not None:
-                lvl, tot, slope = newton_from
-                if np.isfinite(slope) and slope < 0.0:
-                    mid = lvl - (tot - target) / slope
-            if mid is None and t_lo is not None and np.isfinite(t_lo) \
-                    and t_lo > t_hi:
-                mid = lo + (t_lo - target) * width / (t_lo - t_hi)
-            if mid is not None:
-                if not (lo + 0.02 * width <= mid <= hi - 0.02 * width):
-                    mid = min(max(mid, lo + 0.02 * width), hi - 0.02 * width)
-        if mid is None:
-            mid = 0.5 * (lo + hi)
-        qmin, qmax = utilities.inv_deriv(mid, idx)
         tmin = float(np.sum(qmin))
         err = abs(tmin - target)
         # stay on Newton while it contracts quadratically, else alternate
-        # with bisection so the bracket provably halves every other step
+        # with bisection
         fast_turn = (err <= 0.25 * last_err) or not fast_turn
         last_err = err
-        slope = utilities.inv_deriv_slope(mid, idx, qmin)
-        newton_from = None if slope is None else (mid, tmin, slope)
         if tmin > target:
-            lo, t_lo = mid, tmin
+            lo, t_lo, at_lo = mid, tmin, (qmin, qmax)
             if err <= exit_tol:
-                hi = mid   # overshoot is dust; trimmed by the distributor
+                hi, at_hi = lo, at_lo   # overshoot is dust; trimmed below
                 break
         elif np.sum(qmax) >= target:
             lo = hi = mid
+            at_lo = at_hi = (qmin, qmax)
             break
         else:
-            hi, t_hi = mid, tmin
+            hi, t_hi, at_hi = mid, tmin, (qmin, qmax)
             if err <= exit_tol:
                 break
-    qmin, _ = utilities.inv_deriv(hi, idx)
-    _, qmax = utilities.inv_deriv(lo, idx)
-    powers = qmin.copy()
+        width = hi - lo
+        if width <= 1e-15 * max(abs(hi), abs(lo), 1e-12):
+            break
+        step = None
+        if fast_turn:
+            slope = utilities.inv_deriv_slope(mid, idx, qmin)
+            if slope is not None and np.isfinite(slope) and slope < 0.0:
+                # fit tmin = alpha + beta/mid with this slope
+                beta = -slope * mid * mid
+                alpha = tmin + slope * mid
+                if mid > 0.0 and target > alpha:
+                    step = beta / (target - alpha)
+                else:
+                    step = mid - (tmin - target) / slope
+            elif t_lo is not None and np.isfinite(t_lo) and t_lo > t_hi:
+                step = lo + (t_lo - target) * width / (t_lo - t_hi)
+        mid = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+        qmin, qmax = utilities.inv_deriv(mid, idx)
+    if at_hi is None:   # hi is still max f'(0), never probed
+        at_hi = utilities.inv_deriv(hi, idx)
+    powers = at_hi[0].copy()
     extra = target - float(np.sum(powers))
     if extra > 0.0:
-        room = qmax - powers
+        room = at_lo[1] - powers
         for k in range(m - 1, -1, -1):       # latest slots first
             take = min(room[k], extra)
             if take > 0.0:

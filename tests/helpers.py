@@ -171,3 +171,106 @@ def loop_search_batteries(scenario, rate_model, opts):
             b1 = b1 - int(s1) + int(arr[0][i + 1])
             b2 = b2 - int(s2) + int(arr[1][i + 1])
     return policy, objective
+
+
+def bisect_equalize(utilities, idx, target):
+    """Reference for ``single_user._equalize``: the level search it replaced.
+    A bisection first turn, Newton in the level clamped to 2% of the bracket
+    from each end, and fresh probes at both bracket ends for the
+    distributor."""
+    from ehic.errors import ConvergenceError
+
+    _INF = np.inf
+    m = idx.shape[0]
+    if target <= 1e-15 * (1.0 + abs(target)):
+        return np.zeros(m)
+    hi = float(np.max(utilities.deriv_at_zero()[idx]))
+    # find lo with total demand at least target (qmax side): descend from hi
+    # through 0 and into negative levels if the utilities ever slope down
+    lo = None
+    level = hi
+    for _ in range(200):
+        if level > 0.0:
+            level = 0.0 if level < 1e-280 else 0.5 * level
+        elif level == 0.0:
+            level = -1.0
+        else:
+            level = 2.0 * level
+        _, qmax = utilities.inv_deriv(level, idx)
+        if np.sum(qmax) >= target:
+            lo = level
+            break
+    if lo is None:
+        raise ConvergenceError(
+            "forced consumption exceeds the range of the slot utilities")
+    # bracketed root search on the monotone total-demand curve: a Newton step
+    # (analytic demand slope) or a secant step alternates with plain bisection
+    # so the bracket provably halves every other iteration; plateaus and
+    # jumps always fall back to bisection
+    t_lo, t_hi = None, 0.0   # total demand at lo (>= target) and hi (<= target)
+    newton_from = None       # (level, total, slope) at the last probe
+    fast_turn = False
+    last_err = _INF
+    exit_tol = 1e-12 * (1.0 + target)
+    for _ in range(200):
+        width = hi - lo
+        if width <= 1e-15 * max(abs(hi), abs(lo), 1e-12):
+            break
+        mid = None
+        if fast_turn:
+            if newton_from is not None:
+                lvl, tot, slope = newton_from
+                if np.isfinite(slope) and slope < 0.0:
+                    mid = lvl - (tot - target) / slope
+            if mid is None and t_lo is not None and np.isfinite(t_lo) \
+                    and t_lo > t_hi:
+                mid = lo + (t_lo - target) * width / (t_lo - t_hi)
+            if mid is not None:
+                if not (lo + 0.02 * width <= mid <= hi - 0.02 * width):
+                    mid = min(max(mid, lo + 0.02 * width), hi - 0.02 * width)
+        if mid is None:
+            mid = 0.5 * (lo + hi)
+        qmin, qmax = utilities.inv_deriv(mid, idx)
+        tmin = float(np.sum(qmin))
+        err = abs(tmin - target)
+        # stay on Newton while it contracts quadratically, else alternate
+        # with bisection so the bracket provably halves every other step
+        fast_turn = (err <= 0.25 * last_err) or not fast_turn
+        last_err = err
+        slope = utilities.inv_deriv_slope(mid, idx, qmin)
+        newton_from = None if slope is None else (mid, tmin, slope)
+        if tmin > target:
+            lo, t_lo = mid, tmin
+            if err <= exit_tol:
+                hi = mid   # overshoot is dust; trimmed by the distributor
+                break
+        elif np.sum(qmax) >= target:
+            lo = hi = mid
+            break
+        else:
+            hi, t_hi = mid, tmin
+            if err <= exit_tol:
+                break
+    qmin, _ = utilities.inv_deriv(hi, idx)
+    _, qmax = utilities.inv_deriv(lo, idx)
+    powers = qmin.copy()
+    extra = target - float(np.sum(powers))
+    if extra > 0.0:
+        room = qmax - powers
+        for k in range(m - 1, -1, -1):       # latest slots first
+            take = min(room[k], extra)
+            if take > 0.0:
+                powers[k] += take
+                extra -= take
+            if extra <= 1e-18 * (1.0 + target):
+                break
+        if extra > 0.0:
+            powers[-1] += extra
+    elif extra < 0.0:
+        for k in range(m - 1, -1, -1):
+            take = min(powers[k], -extra)
+            powers[k] -= take
+            extra += take
+            if extra >= -1e-18 * (1.0 + target):
+                break
+    return powers

@@ -271,6 +271,16 @@ class TestMainExitCodes:
         assert err["error"] == "InvalidInputError"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--count", "0"), ("--count", "-3"), ("--jobs", "0"), ("--jobs", "-2"),
+    ])
+    def test_bad_fig8_count_or_jobs_is_2(self, tmp_path, capsys, flag, value):
+        assert main(["preset", "fig8", "--count", "1", flag, value,
+                     "--out", str(tmp_path / "x")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InvalidInputError"
+        assert not (tmp_path / "x").exists()
+
     def test_missing_file_is_2(self, tmp_path):
         assert main(["solve-offline", "--scenario",
                      str(tmp_path / "nope.json"),

@@ -6,14 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from ehic import cli, single_user
 from ehic.errors import (ConvergenceError, InfeasiblePolicyError,
                          InvalidUtilityError)
 from ehic.model import HarvestProfile, TimeGrid
 from ehic.single_user import (GenericSlotUtilities, InterferedUtilities,
                               LinearUtilities, PiecewiseMinUtilities,
                               ProximalUtilities, ScaledLogUtilities,
-                              _real_cubic_roots, solve_single_user,
+                              _equalize, _real_cubic_roots, solve_single_user,
                               verify_kkt)
+
+from helpers import bisect_equalize
 
 
 def log_utils(n, h=None):
@@ -278,3 +281,135 @@ class TestRandomStress:
             assert np.all(s <= cum_e + 1e-9 * emax)
             if n > 1:
                 assert np.all(s[:-1] >= cum_e[1:] - emax - 1e-9 * emax)
+
+
+def _family(name, rng, n):
+    if name == "scaled_log":
+        return ScaledLogUtilities(rng.uniform(0.3, 2.0, n))
+    if name == "interfered":
+        return InterferedUtilities(rng.uniform(0.1, 1.0), rng.uniform(0, 3, n))
+    if name == "piecewise_min":
+        a = rng.uniform(0.1, 0.9)
+        b = rng.uniform(1.0, 0.99 / a)
+        return PiecewiseMinUtilities(a, b, (b - 1) / (1 - a * b),
+                                     rng.uniform(0, 3, n))
+    if name == "linear":
+        # few distinct slopes, so most windows hold a tied plateau
+        return LinearUtilities(rng.integers(0, 3, n).astype(float))
+    if name == "generic":
+        return GenericSlotUtilities(lambda p: np.sqrt(1.0 + p) - 1.0,
+                                    lambda p: 0.5 / np.sqrt(1.0 + p), n=n)
+    return ProximalUtilities(ScaledLogUtilities(rng.uniform(0.3, 2.0, n)),
+                             1e-2, rng.uniform(0.0, 2.0, n))
+
+
+class TestLevelSearch:
+    """``_equalize`` against the bisection-first search it replaced.
+
+    Both stop once the total is within 1e-12*(1 + target) of the target and
+    trim the rest, so they agree to that absolute tolerance per slot.
+    """
+
+    @staticmethod
+    def assert_matches_reference(util, target):
+        idx = np.arange(util.n)
+        got = _equalize(util, idx, target)
+        ref = bisect_equalize(util, idx, target)
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * (1.0 + target))
+        assert np.sum(got) == pytest.approx(target, rel=1e-12, abs=1e-12)
+        return got
+
+    @pytest.mark.parametrize("family", ["scaled_log", "interfered",
+                                        "piecewise_min", "linear", "generic",
+                                        "proximal"])
+    def test_matches_bisection_search(self, family):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n = int(rng.integers(1, 21))
+            util = _family(family, rng, n)
+            target = float(rng.choice([rng.uniform(0, 1), rng.uniform(0, 10),
+                                       rng.uniform(0, 40)]))
+            if family == "proximal":
+                # past the level-0 demand the level is negative, and neither
+                # search's descent gets below zero from a positive max f'(0)
+                # (a known limit; the negative-level test starts at zero)
+                at_zero = float(np.sum(util.inv_deriv(0.0)[1]))
+                target = min(target, 0.9 * at_zero)
+            self.assert_matches_reference(util, target)
+
+    def test_piecewise_min_across_the_kink(self):
+        util = PiecewiseMinUtilities(0.5, 1.5, 2.0, np.array([0.2, 1.0, 4.0]))
+        # p_c = 2: at total 1.5 every slot is below it, at 20 every slot
+        # above; in between the level crosses the slots' kink intervals,
+        # and for totals near 6 the middle slot sits on its kink
+        for target in (4.0, 5.0, 7.0, 9.0):
+            self.assert_matches_reference(util, target)
+        for target in (5.9, 6.0, 6.1):
+            got = self.assert_matches_reference(util, target)
+            assert got[0] > 2.0 and got[1] == 2.0 and got[2] < 2.0
+        assert np.all(self.assert_matches_reference(util, 1.5) < 2.0)
+        assert np.all(self.assert_matches_reference(util, 20.0) > 2.0)
+
+    def test_linear_plateau_goes_to_the_latest_slots(self):
+        util = LinearUtilities(np.array([1.0, 2.0, 0.5, 2.0, 2.0, 1.0]))
+        got = self.assert_matches_reference(util, 3.5)
+        assert np.array_equal(got, [0.0, 0.0, 0.0, 0.0, 3.5, 0.0])
+
+    @pytest.mark.parametrize("family", ["scaled_log", "linear", "generic"])
+    def test_zero_target(self, family):
+        util = _family(family, np.random.default_rng(3), 5)
+        assert np.array_equal(_equalize(util, np.arange(5), 0.0), np.zeros(5))
+
+    def test_target_met_at_first_descent_probe(self):
+        # the first descent probe is level 1/4 = max f'(0) / 2, where each
+        # unit-gain slot demands exactly 1/(2 * 1/4) - 1 = 1
+        util = log_utils(4)
+        got = self.assert_matches_reference(util, 4.0)
+        assert np.array_equal(got, np.ones(4))
+        # within the stopping tolerance above the first probe's total
+        self.assert_matches_reference(util, 4.0 - 1e-13)
+
+    def test_descent_into_negative_levels(self):
+        # f'(p) = -p (and -p/2): max f'(0) = 0, so the level search descends
+        # to -1, -2, -4, ... before it brackets the target
+        prox = ProximalUtilities(LinearUtilities(np.zeros(3)), 0.5,
+                                 np.zeros(3))
+        got = self.assert_matches_reference(prox, 7.5)
+        assert np.allclose(got, 2.5, rtol=1e-12)
+        generic = GenericSlotUtilities(lambda p: -0.25 * p ** 2,
+                                       lambda p: -0.5 * p, n=2)
+        got = self.assert_matches_reference(generic, 10.0)
+        assert np.allclose(got, 5.0, rtol=1e-12)
+
+    def test_probe_budget_on_fig8(self, monkeypatch, tmp_path):
+        # inv_deriv calls made by _equalize itself, per utility family, on
+        # ten serial fig8 seeds; the bisection-first search made 14.8
+        # (ScaledLog) and 16.4 (Interfered) per call
+        calls = {}
+        probes = {}
+        inside = []
+        search = single_user._equalize
+
+        def counting_equalize(utilities, idx, target):
+            name = type(utilities).__name__
+            calls[name] = calls.get(name, 0) + 1
+            inside.append(name)
+            try:
+                return search(utilities, idx, target)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(single_user, "_equalize", counting_equalize)
+        for cls in (ScaledLogUtilities, InterferedUtilities):
+            def counting_inv(self, level, idx=None, _inv=cls.inv_deriv):
+                name = type(self).__name__
+                if inside and inside[-1] == name:
+                    probes[name] = probes.get(name, 0) + 1
+                return _inv(self, level, idx)
+            monkeypatch.setattr(cls, "inv_deriv", counting_inv)
+        assert cli.main(["preset", "fig8", "--seed", "0", "--count", "10",
+                         "--jobs", "1", "--out", str(tmp_path / "f8")]) == 0
+        mean = {name: probes.get(name, 0) / calls[name] for name in calls}
+        assert set(mean) == {"ScaledLogUtilities", "InterferedUtilities"}
+        assert mean["ScaledLogUtilities"] <= 3.5
+        assert mean["InterferedUtilities"] <= 6.0
