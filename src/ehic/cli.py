@@ -217,7 +217,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     solver = config.solver
     if solver in ("solve-offline", "preset-fig7"):
         policy, report = iterate_offline(scenario, rate_model, opts)
-        summary.update(sweeps=report.sweeps_used, converged=report.converged,
+        summary.update(sweeps=report.sweeps_used,
+                       start_steps=report.start_steps,
+                       converged=report.converged,
                        final_displacement=report.final_displacement)
         summary.update(_kkt_summary(policy, scenario, rate_model))
         if not report.converged:

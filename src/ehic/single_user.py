@@ -78,6 +78,15 @@ class SlotUtilities:
             self._d0_cache = cached
         return cached
 
+    def demand_at_zero(self):
+        """Per-slot largest power at level 0 (``inv_deriv``'s qmax), cached
+        like ``deriv_at_zero``; inf wherever the marginal never reaches 0."""
+        cached = getattr(self, "_q0_cache", None)
+        if cached is None:
+            cached = self.inv_deriv(0.0)[1]
+            self._q0_cache = cached
+        return cached
+
     def inv_deriv(self, level, idx=None):
         raise NotImplementedError
 
@@ -485,8 +494,12 @@ def _equalize(utilities, idx, target):
         return np.zeros(m)
     hi = float(np.max(utilities.deriv_at_zero()[idx]))
     # find lo with total demand at least target (qmax side): descend from hi
-    # through 0 and into negative levels if the utilities ever slope down
+    # through 0 and into negative levels if the utilities ever slope down.
+    # Where the demand at level 0 falls short of the target the level is
+    # negative, and halving a positive level would never get there
     level = hi
+    if level > 0.0 and float(np.sum(utilities.demand_at_zero()[idx])) < target:
+        level = 0.0
     for _ in range(200):
         if level > 0.0:
             level = 0.0 if level < 1e-280 else 0.5 * level
@@ -606,6 +619,19 @@ def _solve_corridor(utilities, tau, lower, upper, z_total):
                                solve(lo + k + 1, hi, pin, b_val)])
 
     return solve(0, n - 1, 0.0, z_total)
+
+
+def _total_at_level_zero(q0, tau, lower, upper):
+    """Total consumption at the optimum: every slot takes its demand at
+    level 0, where its marginal reaches zero, unless the corridor forces
+    more (a full battery) or allows less (an empty one)."""
+    if np.all(np.isinf(q0)):
+        return float(upper[-1])     # spend everything
+    floor = np.maximum.accumulate(lower)
+    s = 0.0
+    for k, q in enumerate((tau * q0).tolist()):
+        s = min(float(upper[k]), max(float(floor[k]), s + q))
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -766,10 +792,8 @@ def solve_single_user(utilities: SlotUtilities, harvest: HarvestProfile,
     total_power = float(np.sum(harvest.arrivals)) / tau
     check_utilities(utilities, total_power)
     lower, upper = energy_bounds(harvest, tau)
-    # spend everything unless marginals hit zero before the harvest runs out
-    _, qmax0 = utilities.inv_deriv(0.0)
-    cap = tau * float(np.sum(qmax0)) if np.all(np.isfinite(qmax0)) else _INF
-    z_total = min(float(upper[-1]), cap)
+    z_total = _total_at_level_zero(utilities.demand_at_zero(), tau, lower,
+                                   upper)
     powers = _solve_corridor(utilities, tau, lower, upper, z_total)
     cert = verify_kkt(powers, utilities, harvest, grid)
     residual = max(cert.stationarity_residual, cert.complementarity_residual)

@@ -1,14 +1,19 @@
 """Two-user alternation: subproblem construction, monotone ascent,
-decoupled-region behavior and initialization independence."""
+decoupled-region behavior, initialization independence, and the joint
+barrier start with its block-tridiagonal solve."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ehic.iterative import (IterativeOptions, build_subproblem,
-                            initial_policy, iterate_offline, joint_objective)
-from ehic.model import HarvestProfile, TimeGrid
-from ehic.rates import build_rate_model, interference_as_noise_kernel
-from ehic.single_user import ScaledLogUtilities, solve_single_user
+from ehic.cli import _rate_model_for, fig7_scenario, gen_scenario
+from ehic.iterative import (IterativeOptions, block_tridiag_solve,
+                            build_subproblem, initial_policy, iterate_offline,
+                            joint_objective, joint_start)
+from ehic.model import HarvestProfile, TimeGrid, energy_bounds
+from ehic.rates import Region, build_rate_model, interference_as_noise_kernel
+from ehic.single_user import ScaledLogUtilities, solve_single_user, verify_kkt
 
 from helpers import lattice_arrivals, two_user_scenario
 
@@ -138,3 +143,164 @@ class TestIterateOffline:
             rep = feasibility_report(policy, scen, rm, tol=1e-9 * 5.0)
             assert rep.energy_causality.magnitude <= 1e-9 * 5.0
             assert rep.battery_capacity.magnitude <= 1e-9 * 5.0
+
+
+class TestBlockTridiagSolve:
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_matches_dense_solve(self, n):
+        # M M^T with M lower block-bidiagonal is SPD and block-tridiagonal
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            m = np.zeros((2 * n, 2 * n))
+            for i in range(n):
+                m[2 * i:2 * i + 2, 2 * i:2 * i + 2] = (
+                    3.0 * np.eye(2) + 0.5 * rng.normal(size=(2, 2)))
+                if i:
+                    m[2 * i:2 * i + 2, 2 * i - 2:2 * i] = rng.normal(
+                        size=(2, 2))
+            dense = m @ m.T
+            diag = np.array([dense[2 * i:2 * i + 2, 2 * i:2 * i + 2]
+                             for i in range(n)])
+            off = np.array([dense[2 * i:2 * i + 2, 2 * i + 2:2 * i + 4]
+                            for i in range(n - 1)]).reshape(n - 1, 2, 2)
+            rhs = rng.normal(size=(n, 2))
+            want = np.linalg.solve(dense, rhs.ravel()).reshape(n, 2)
+            got = block_tridiag_solve(diag, off, rhs)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(
+                1.0, float(np.max(np.abs(want))))
+
+
+def _joint_cases():
+    """(name, scenario, sweep bound or None), all in the a*b > 1 region."""
+    cases = [("fig7", fig7_scenario(), 2)]
+    cases += [(f"fig8-{s}", gen_scenario(20, 1.0, 10.0, 5.0, s, 0.7, 5.0), 2)
+              for s in range(80)]
+    cases.append(("n400", gen_scenario(400, 1.0, 10, 5, seed=11, a=0.7, b=5),
+                  3))
+    cases += [(f"mirrored-{s}", gen_scenario(50, 1.0, 10.0, 5.0, s, 5.0, 0.7),
+               None) for s in range(2)]
+    cases.append(("tau-0.5", gen_scenario(30, 0.5, 10.0, 5.0, 3, 0.7, 5.0),
+                  None))
+    cases.append(("n1", two_user_scenario([3.0], [2.0], 5.0, 0.7, 5.0), None))
+    cases.append(("zero-harvest",
+                  two_user_scenario(np.zeros(4), np.zeros(4), 5.0, 0.7, 5.0),
+                  None))
+    # arrivals of a full battery: zero-width corridors before them
+    cases.append(("e-is-emax",
+                  two_user_scenario([0.0, 0.0, 5.0, 5.0, 0.0, 2.0],
+                                    [5.0, 5.0, 1.0, 0.0, 5.0, 0.0],
+                                    5.0, 0.7, 5.0), None))
+    return cases
+
+
+_JOINT_CASES = _joint_cases()
+
+
+def _assert_strictly_feasible(policy, scen):
+    tau = scen.grid.tau
+    scale = max([1.0] + [float(np.sum(u.harvest.arrivals))
+                         for u in scen.users])
+    for j, user in enumerate(scen.users):
+        lower, upper = energy_bounds(user.harvest, tau)
+        floor = np.maximum.accumulate(lower)
+        s = tau * np.cumsum(policy[j])
+        assert s[-1] == pytest.approx(upper[-1], rel=1e-12, abs=1e-12)
+        free = upper - floor > 1e-12 * scale
+        free[-1] = False
+        assert np.all(s[free] > floor[free]) and np.all(s[free] < upper[free])
+        assert np.all(s >= floor - 1e-12 * scale)
+        assert np.all(s <= upper + 1e-12 * scale)
+        # an increment with a free end is strictly positive
+        touches = free | np.concatenate([[False], free[:-1]])
+        assert np.all(policy[j][touches] > 0.0)
+        assert np.all(policy[j] >= 0.0)
+
+
+def _assert_certified(policy, scen, rm, tol=1e-7):
+    for user in range(2):
+        utils = build_subproblem(scen, rm, user, policy[1 - user])
+        cert = verify_kkt(policy[user], utils, scen.users[user].harvest,
+                          scen.grid)
+        assert cert.stationarity_residual <= tol
+        assert cert.complementarity_residual <= tol
+
+
+class TestJointStart:
+    @pytest.mark.parametrize("name, scen, max_sweeps", _JOINT_CASES,
+                             ids=[c[0] for c in _JOINT_CASES])
+    def test_start_is_strictly_feasible_and_certifies(self, name, scen,
+                                                      max_sweeps):
+        rm = _rate_model_for(scen)
+        assert rm.region is Region.ASYMMETRIC_AB_ABOVE_ONE
+        start, steps = joint_start(scen, rm)
+        _assert_strictly_feasible(start, scen)
+        policy, report = iterate_offline(scen, rm)
+        assert report.converged
+        assert report.start_steps == steps
+        if max_sweeps is not None:
+            assert report.sweeps_used <= max_sweeps
+        _assert_certified(policy, scen, rm)
+
+    def test_objective_matches_the_zero_start(self):
+        cases = [c for c in _JOINT_CASES if c[0] != "n400"]
+        cases = cases[:13] + cases[-7:]
+        assert len(cases) == 20
+        for _name, scen, _ in cases:
+            rm = _rate_model_for(scen)
+            p_joint, _ = iterate_offline(scen, rm)
+            p_zero, report = iterate_offline(
+                scen, rm, IterativeOptions(initial_policy_mode="zeros"))
+            assert report.start_steps == 0
+            o_joint = joint_objective(p_joint, scen, rm)
+            o_zero = joint_objective(p_zero, scen, rm)
+            assert abs(o_joint - o_zero) <= 1e-12 * max(1.0, abs(o_zero))
+
+    def test_fig8_pool_sweeps(self):
+        # the alternation from zeros takes 883 sweeps over these seeds
+        total = 0
+        for s in range(80):
+            scen = gen_scenario(20, 1.0, 10.0, 5.0, s, 0.7, 5.0)
+            _, report = iterate_offline(scen, _rate_model_for(scen))
+            total += report.sweeps_used
+        assert total <= 160
+
+    def test_other_regions_start_from_zeros(self):
+        # a*b <= 1: "joint" is "zeros", bit for bit
+        scen = gen_scenario(20, 1.0, 10.0, 5.0, 4, 0.5, 1.5)
+        rm = _rate_model_for(scen)
+        assert rm.region is Region.ASYMMETRIC_AB_AT_MOST_ONE
+        p_joint, r_joint = iterate_offline(scen, rm)
+        p_zero, r_zero = iterate_offline(
+            scen, rm, IterativeOptions(initial_policy_mode="zeros"))
+        assert r_joint.start_steps == 0
+        assert np.array_equal(p_joint, p_zero)
+        assert r_joint.objective_trace == r_zero.objective_trace
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n=st.integers(1, 8), tau=st.sampled_from([0.5, 1.0, 2.0]),
+           emax=st.sampled_from([1.0, 2.5, 5.0]),
+           draws=st.lists(st.sampled_from([0.0, 0.0, 0.3, 0.7, 1.0]),
+                          min_size=16, max_size=16),
+           a=st.floats(0.2, 0.95), excess=st.floats(0.05, 3.0),
+           mirrored=st.booleans())
+    def test_property_small_scenarios(self, n, tau, emax, draws, a, excess,
+                                      mirrored):
+        # arrivals of 0 and of a full battery pin corridor entries
+        e1 = emax * np.array(draws[:n])
+        e2 = emax * np.array(draws[8:8 + n])
+        b = (1.0 + excess) / a
+        gains = (b, a) if mirrored else (a, b)
+        scen = two_user_scenario(e1, e2, emax, *gains, tau=tau)
+        rm = _rate_model_for(scen)
+        assert rm.region is Region.ASYMMETRIC_AB_ABOVE_ONE
+        assert rm.mirrored == mirrored
+        start, _ = joint_start(scen, rm)
+        _assert_strictly_feasible(start, scen)
+        policy, report = iterate_offline(scen, rm)
+        assert report.converged
+        _assert_certified(policy, scen, rm)
+        p_zero, _ = iterate_offline(
+            scen, rm, IterativeOptions(initial_policy_mode="zeros"))
+        o_joint = joint_objective(policy, scen, rm)
+        o_zero = joint_objective(p_zero, scen, rm)
+        assert abs(o_joint - o_zero) <= 1e-9 * max(1.0, abs(o_zero))

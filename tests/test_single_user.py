@@ -413,3 +413,24 @@ class TestLevelSearch:
         assert set(mean) == {"ScaledLogUtilities", "InterferedUtilities"}
         assert mean["ScaledLogUtilities"] <= 3.5
         assert mean["InterferedUtilities"] <= 6.0
+
+
+class TestNegativeLevels:
+    """Levels below zero reached from a positive max f'(0)."""
+
+    def test_forced_consumption_past_the_level_zero_demand(self):
+        # f'(p) = 1 - p: the battery forces 2 units into slot 1 (level -1),
+        # and slot 2 then takes its level-0 demand of 1
+        util = ProximalUtilities(LinearUtilities(np.ones(2)), 0.5, np.zeros(2))
+        harvest = HarvestProfile(np.array([2.0, 2.0]), 2.0)
+        p, cert = solve_single_user(util, harvest, TimeGrid(2, 1.0))
+        assert np.allclose(p, [2.0, 1.0], rtol=1e-12)
+        assert max(cert.stationarity_residual,
+                   cert.complementarity_residual) <= 1e-7
+        assert np.allclose(cert.water_levels, [-1.0, 0.0], atol=1e-9)
+
+    def test_equalize_descends_past_zero(self):
+        # three slots with f'(p) = 1 - p demand 3 at level 0; 7.5 needs -1.5
+        util = ProximalUtilities(LinearUtilities(np.ones(3)), 0.5, np.zeros(3))
+        got = _equalize(util, np.arange(3), 7.5)
+        assert np.allclose(got, 2.5, rtol=1e-12)
