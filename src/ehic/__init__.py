@@ -4,9 +4,12 @@ transmitters sharing a Gaussian interference channel.
 The central objects are a ``Scenario`` (time grid, per-user harvest/data
 profiles, channel) and a ``RateModel`` (region-tagged sum-rate kernels).
 ``iterate_offline`` computes the optimal offline schedule by alternating
-single-user directional water-filling; ``solve_with_data`` extends it to
-per-slot data arrivals via a quadratic penalty; ``online`` hosts the DP,
-naive and distributed baselines and ``oracle`` a brute-force ground truth.
+single-user directional water-filling, started from a joint barrier-Newton
+solution where a*b > 1; ``solve_with_data`` extends it to per-slot data
+arrivals via a quadratic penalty.  The solvers take three settings in all:
+``max_sweeps``, the KKT tolerance ``tol`` and the data ``violation_tol``.
+``online`` hosts the DP, naive and distributed baselines and ``oracle`` a
+brute-force ground truth.
 """
 
 from .errors import (ConvergenceError, InfeasiblePolicyError,
@@ -20,13 +23,11 @@ from .rates import (ChannelParams, GenericKernel, RateModel, Region,
                     interference_as_noise_kernel, normalize_channel)
 from .single_user import (GenericSlotUtilities, InterferedUtilities,
                           KKTCertificate, LinearUtilities,
-                          PiecewiseMinUtilities, ProximalUtilities,
-                          ScaledLogUtilities, SlotUtilities,
-                          solve_single_user, verify_kkt)
-from .iterative import (IterativeOptions, SolveReport, build_subproblem,
-                        iterate_offline, joint_objective)
-from .data_causality import (PenaltySchedule, resolve_contradictions,
-                             solve_with_data, violation)
+                          PiecewiseMinUtilities, ScaledLogUtilities,
+                          SlotUtilities, solve_single_user, verify_kkt)
+from .iterative import (SolveReport, build_subproblem, iterate_offline,
+                        joint_objective)
+from .data_causality import resolve_contradictions, solve_with_data, violation
 from .online import (ArrivalDistribution, DPResult, StateGrid,
                      distributed_policy, naive_policy, rollout_table,
                      value_iteration)
@@ -39,12 +40,11 @@ __all__ = [
     "DataProfile", "DPResult", "FeasibilityReport", "GenericKernel",
     "GenericSlotUtilities", "HarvestProfile", "InfeasiblePolicyError",
     "InterferedUtilities", "InvalidInputError", "InvalidUtilityError",
-    "IterativeOptions", "KKTCertificate", "LinearUtilities", "OracleOptions",
-    "OracleSizeError", "PenaltySchedule", "PiecewiseMinUtilities",
-    "ProximalUtilities", "RateModel", "Region", "RegionTag", "ScaledLogUtilities",
-    "Scenario", "ShapeError", "SlotUtilities", "SolveReport", "StateGrid",
-    "TimeGrid", "UnsupportedRegionError", "User", "brute_force",
-    "build_rate_model", "build_subproblem", "classify_region",
+    "KKTCertificate", "LinearUtilities", "OracleOptions", "OracleSizeError",
+    "PiecewiseMinUtilities", "RateModel", "Region", "RegionTag",
+    "ScaledLogUtilities", "Scenario", "ShapeError", "SlotUtilities",
+    "SolveReport", "StateGrid", "TimeGrid", "UnsupportedRegionError", "User",
+    "brute_force", "build_rate_model", "build_subproblem", "classify_region",
     "cumulative_departure", "distributed_policy", "feasibility_report",
     "interference_as_noise_kernel", "iterate_offline", "joint_objective",
     "naive_policy", "normalize_channel", "resolve_contradictions",

@@ -40,8 +40,7 @@ from . import data_causality, online, oracle
 from .errors import (ConvergenceError, InfeasiblePolicyError,
                      InvalidInputError, InvalidUtilityError, OracleSizeError,
                      ShapeError, UnsupportedRegionError)
-from .iterative import (IterativeOptions, build_subproblem, iterate_offline,
-                        joint_objective)
+from .iterative import build_subproblem, iterate_offline, joint_objective
 from .model import (DataProfile, HarvestProfile, Scenario, TimeGrid, User,
                     cumulative_departure, feasibility_report,
                     scenario_from_dict, validate_scenario)
@@ -73,7 +72,6 @@ class ExperimentConfig:
     preset_count: int = 100
     jobs: int = 1
     write_tables: bool = False
-    gen_params: Optional[dict] = None
 
 
 def gen_scenario(n: int, tau: float, emax, mean_interarrival: float,
@@ -187,8 +185,22 @@ def _load_scenario(path: str):
 # experiment runner
 # ---------------------------------------------------------------------------
 
+def _check_settings(config: ExperimentConfig):
+    """Reject solver settings that no run can use, whichever solver runs: a
+    NaN tolerance would pass every ``residual > tol`` gate."""
+    for flag, value in (("--tol", config.tol), ("--grid", config.grid_step),
+                        ("--violation-tol", config.violation_tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidInputError(
+                f"{flag} must be positive and finite, got {value!r}")
+    if config.max_sweeps < 1:
+        raise InvalidInputError(
+            f"--max-sweeps must be at least 1, got {config.max_sweeps}")
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the configured solver and emit policy.csv + summary.json."""
+    _check_settings(config)
     out_dir = Path(config.out_dir)
     if config.solver == "preset-fig8":
         return _run_fig8(config, out_dir)
@@ -197,14 +209,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
         scenario, info = fig7_scenario(), {}
     elif config.scenario_path is not None:
         scenario, info = _load_scenario(config.scenario_path)
-    elif config.gen_params is not None:
-        scenario = gen_scenario(seed=config.seed, **config.gen_params)
-        info = {}
     else:
         raise InvalidInputError(f"solver {config.solver} needs --scenario")
     rate_model = _rate_model_for(scenario)
-    opts = IterativeOptions(max_sweeps=config.max_sweeps,
-                            solver_tol=config.tol)
     summary = {
         "solver": config.solver,
         "seed": config.seed,
@@ -216,7 +223,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     solver = config.solver
     if solver in ("solve-offline", "preset-fig7"):
-        policy, report = iterate_offline(scenario, rate_model, opts)
+        policy, report = iterate_offline(scenario, rate_model,
+                                         max_sweeps=config.max_sweeps,
+                                         tol=config.tol)
         summary.update(sweeps=report.sweeps_used,
                        start_steps=report.start_steps,
                        converged=report.converged,
@@ -226,10 +235,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
             raise ConvergenceError("iterative solve did not converge",
                                    best_policy=policy)
     elif solver == "solve-data":
-        schedule = data_causality.PenaltySchedule(
-            violation_tol=config.violation_tol)
         policy, report = data_causality.solve_with_data(
-            scenario, rate_model, opts, schedule)
+            scenario, rate_model, max_sweeps=config.max_sweeps,
+            tol=config.tol, violation_tol=config.violation_tol)
         summary.update(rounds=report.rounds_used,
                        final_violation=report.final_violation,
                        converged=report.converged,
@@ -278,8 +286,8 @@ def _fig8_single(seed: int, tol: float, max_sweeps: int):
     scenario = gen_scenario(FIG8_SLOTS, 1.0, FIG8_EMAX,
                             FIG8_MEAN_INTERARRIVAL, seed, *FIG8_CHANNEL)
     rate_model = _rate_model_for(scenario)
-    opts = IterativeOptions(max_sweeps=max_sweeps, solver_tol=tol)
-    p_iter, _ = iterate_offline(scenario, rate_model, opts)
+    p_iter, _ = iterate_offline(scenario, rate_model, max_sweeps=max_sweeps,
+                                tol=tol)
     p_dist = np.vstack([online.distributed_policy(scenario, rate_model, u)
                         for u in range(2)])
     p_naive = online.naive_policy(scenario)

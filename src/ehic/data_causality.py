@@ -22,39 +22,25 @@ value unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import ConvergenceError
-from .iterative import (IterativeOptions, feasible_floor, iterate_offline,
-                        joint_objective)
+from .errors import ConvergenceError, InvalidInputError
+from .iterative import (_DISPLACEMENT_TOL, _OBJECTIVE_TOL, feasible_floor,
+                        iterate_offline, joint_objective)
 from .model import (HarvestProfile, Scenario, User, energy_bounds,
                     validate_scenario, violation)
 from .rates import RateModel
 
 
-@dataclass(frozen=True)
-class PenaltySchedule:
-    """Penalty coefficient ramp: eps_0 for the warm-start round, then growth."""
-
-    eps0: float = 0.0
-    growth_factor: float = 4.0
-    max_rounds: int = 40
-    violation_tol: float = 1e-4
-
-    def __post_init__(self):
-        if self.growth_factor <= 1.0:
-            raise ValueError("growth factor must exceed 1")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be positive")
-        if self.violation_tol <= 0:
-            raise ValueError("violation tolerance must be positive")
+_GROWTH = 4.0       # penalty coefficient factor per round, from 1
+_MAX_ROUNDS = 40
+_INNER_SWEEPS = 40  # cap on the block sweeps of one penalty round
 
 
-def resolve_contradictions(scenario: Scenario, policy=None,
-                           violations=None) -> Scenario:
+def resolve_contradictions(scenario: Scenario) -> Scenario:
     """Drop harvest energy that can provably never be spent.
 
     While a user's cumulative data arrivals are zero it cannot transmit at
@@ -63,12 +49,7 @@ def resolve_contradictions(scenario: Scenario, policy=None,
     each arrival in full and evicts the oldest stored energy when the battery
     would otherwise have to drain through a data-blocked boundary.  Identity
     when no user has such a blocked prefix; idempotent.
-
-    ``policy``/``violations`` are accepted as a fast-path hint: when given
-    and the violations are all zero, the scenario is returned unchanged.
     """
-    if violations is not None and not np.any(np.asarray(violations) > 0.0):
-        return scenario
     n = scenario.grid.N
     users = []
     changed = False
@@ -185,7 +166,7 @@ def _solve_block(scenario, rate_model, policy, user, eps, start_obj):
     return policy, start_obj
 
 
-def _penalized_descent(scenario, rate_model, policy, eps, opts, inner_sweeps):
+def _penalized_descent(scenario, rate_model, policy, eps, inner_sweeps):
     obj = _penalized_objective(policy, scenario, rate_model, eps)
     for _ in range(inner_sweeps):
         prev = policy.copy()
@@ -195,79 +176,57 @@ def _penalized_descent(scenario, rate_model, policy, eps, opts, inner_sweeps):
                 continue
             policy, obj = _solve_block(scenario, rate_model, policy, user,
                                        eps, obj)
+        # the displacement bound stays absolute here: SLSQP stops short of
+        # the block optima, so where this loop stops moves the answer, and
+        # the relative bound of iterate_offline would move it
         disp = float(np.max(np.abs(policy - prev)))
-        if (obj - start <= opts.objective_tol * max(1.0, abs(obj))
-                and disp <= opts.displacement_tol):
+        if (obj - start <= _OBJECTIVE_TOL * max(1.0, abs(obj))
+                and disp <= _DISPLACEMENT_TOL):
             break
     return policy
 
 
 def solve_with_data(scenario: Scenario, rate_model: RateModel,
-                    opts: IterativeOptions = None,
-                    schedule: PenaltySchedule = None):
+                    max_sweeps: int = 200, tol: float = 1e-7,
+                    violation_tol: float = 1e-4):
     """Best-effort schedule under energy AND data causality.
 
-    Outer rounds grow the penalty coefficient; each round runs coordinate
-    descent on the penalized objective warm-started from the previous round
-    (round zero is the unconstrained solution).  Terminates once the largest
-    violation is at or below ``schedule.violation_tol``.  If the rounds run
-    out, a second contradiction-resolution pass is attempted before raising
-    ``ConvergenceError`` with the best policy attached.
+    Outer rounds grow the penalty coefficient (1, 4, 16, ...); each round
+    runs coordinate descent on the penalized objective warm-started from the
+    previous round (round zero is ``iterate_offline`` with ``max_sweeps`` and
+    ``tol``).  Terminates once the largest violation is at or below
+    ``violation_tol``; after ``_MAX_ROUNDS`` rounds it raises
+    ``ConvergenceError`` with the last policy attached.
     """
-    if opts is None:
-        opts = IterativeOptions()
-    if schedule is None:
-        schedule = PenaltySchedule()
+    if not (np.isfinite(violation_tol) and violation_tol > 0.0):
+        raise InvalidInputError("violation_tol must be positive and finite")
     scen = validate_scenario(scenario)
     if all(u.data.is_infinite for u in scen.users):
-        policy, report = iterate_offline(scen, rate_model, opts)
+        policy, report = iterate_offline(scen, rate_model, max_sweeps, tol)
         report.unusable_energy = np.zeros((2, scen.grid.N))
         return policy, report
 
     original = scen.harvest_matrix()
     scen = resolve_contradictions(scen)
-    unusable = original - scen.harvest_matrix()
 
-    policy, report = iterate_offline(scen, rate_model, opts)
-    viol = violation(policy, scen, rate_model)
-    vmax = float(np.max(viol))
-    report.unusable_energy = unusable
+    policy, report = iterate_offline(scen, rate_model, max_sweeps, tol)
+    vmax = float(np.max(violation(policy, scen, rate_model)))
+    report.unusable_energy = original - scen.harvest_matrix()
     report.violation_trace = [vmax]
-    report.final_violation = vmax
-    if vmax <= schedule.violation_tol:
-        report.converged = True
-        return policy, report
-
-    inner_sweeps = min(opts.max_sweeps, 40)
-    base = schedule.eps0 if schedule.eps0 > 0.0 else 1.0
-    resolved_again = False
-    k = 0
-    while k < schedule.max_rounds:
-        k += 1
-        eps_k = base * schedule.growth_factor ** (k - 1)
-        policy = _penalized_descent(scen, rate_model, policy, eps_k, opts,
-                                    inner_sweeps)
-        viol = violation(policy, scen, rate_model)
-        vmax = float(np.max(viol))
+    inner_sweeps = min(max_sweeps, _INNER_SWEEPS)
+    for k in range(1, _MAX_ROUNDS + 1):
+        if vmax <= violation_tol:
+            break
+        policy = _penalized_descent(scen, rate_model, policy,
+                                    _GROWTH ** (k - 1), inner_sweeps)
+        vmax = float(np.max(violation(policy, scen, rate_model)))
         report.violation_trace.append(vmax)
         report.rounds_used = k
-        report.round_objectives.append(joint_objective(policy, scen, rate_model))
-        if vmax <= schedule.violation_tol:
-            break
-        if k == schedule.max_rounds and not resolved_again:
-            reduced = resolve_contradictions(scen, policy, viol)
-            if reduced is not scen:
-                scen = reduced
-                unusable = original - scen.harvest_matrix()
-                report.unusable_energy = unusable
-                resolved_again = True
-                k = 0  # restart the ramp on the reduced scenario
-
     report.final_violation = vmax
-    report.converged = vmax <= schedule.violation_tol
+    report.converged = vmax <= violation_tol
     if not report.converged:
         raise ConvergenceError(
             f"data-causality violation {vmax:.3g} above tolerance "
-            f"{schedule.violation_tol:.3g} after {schedule.max_rounds} rounds",
+            f"{violation_tol:.3g} after {_MAX_ROUNDS} rounds",
             best_policy=policy, residual=vmax)
     return policy, report

@@ -9,60 +9,47 @@ stop when both the objective improvement and the policy displacement fall
 below tolerance.
 
 Where to start: in the a*b > 1 region (either orientation) the sum rate is
-smooth and jointly concave, and the default start is ``joint_start``, a
-log-barrier Newton method on both users at once whose Newton systems are
+smooth and jointly concave, and the alternation starts from ``joint_start``,
+a log-barrier Newton method on both users at once whose Newton systems are
 block-tridiagonal and cost O(N).  From it the alternation certifies in one
 sweep on every fig8 seed (80 sweeps over seeds 0-79, against 883 from
 zeros; fig7 1 against 38).  The start decides nothing: the same alternation
 runs from it, every block solve is checked by ``verify_kkt``, and the same
 convergence tests end it.  Elsewhere (the min-form a*b <= 1 region with its
-kink, very strong, generic) the default start is zeros, and a geometric
+kink, very strong, generic) it starts from zeros, and a geometric
 extrapolation along the sweep direction shortens the cold alternation:
 without it, mean sweeps rise from 11.0 to 19.3 over fig8 seeds 0-79 from
 zeros and from 11.6 to 16.7 at a=0.5, b=1.5, N=50 (seeds 0-19).
 
-A proximal displacement penalty (epsilon > 0) is available for kernels whose
-block optima are non-unique; the default relies on strict concavity of the
-slot utilities plus the deterministic consume-late tie-break in the
-single-user solver.
+No proximal term is needed: in the regions with a known sum capacity the
+slot utilities are strictly concave, so each block optimum is unique, and
+the single-user solver breaks ties under flat marginals deterministically
+(consume late).
+
+A sweep counts as converged once its objective gain is at most
+``_OBJECTIVE_TOL`` relative and its largest power change at most
+``_DISPLACEMENT_TOL`` relative to max(1, largest power): the block solves'
+own sweep-to-sweep jitter grows with the powers (5e-7 at powers of 2e3), so
+an absolute bound cannot be met once powers reach the thousands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import InvalidInputError, ShapeError
 from .model import Scenario, energy_bounds, validate_scenario
 from .rates import RateModel, Region
 from .single_user import (GenericSlotUtilities, InterferedUtilities,
-                          PiecewiseMinUtilities, ProximalUtilities,
-                          ScaledLogUtilities, SlotUtilities, solve_single_user)
+                          PiecewiseMinUtilities, ScaledLogUtilities,
+                          SlotUtilities, solve_single_user)
 
-
-@dataclass(frozen=True)
-class IterativeOptions:
-    max_sweeps: int = 200
-    objective_tol: float = 1e-9        # relative improvement per sweep
-    displacement_tol: float = 1e-7     # max-norm policy change per sweep
-    proximal_epsilon: float = 0.0
-    # joint | zeros | spend-evenly | supplied
-    initial_policy_mode: str = "joint"
-    initial_policy: Optional[np.ndarray] = None
-    solver_tol: float = 1e-7
-
-    def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be positive")
-        if self.objective_tol <= 0 or self.displacement_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.proximal_epsilon < 0:
-            raise ValueError("proximal epsilon must be nonnegative")
-        if self.initial_policy_mode not in ("joint", "zeros", "spend-evenly",
-                                            "supplied"):
-            raise ValueError(f"unknown initial mode {self.initial_policy_mode}")
+_OBJECTIVE_TOL = 1e-9      # relative objective gain of a converged sweep
+_DISPLACEMENT_TOL = 1e-7   # largest power change of a converged sweep,
+                           # relative to max(1, largest power)
 
 
 @dataclass
@@ -75,13 +62,10 @@ class SolveReport:
     start_steps: int = 0     # Newton steps of the joint start (0: not run)
     converged: bool = False
     final_displacement: float = float("nan")
-    # populated by the data-arrival solver only; round_objectives is the true
-    # (unpenalized) objective after each penalty round and need not be
-    # monotone, unlike objective_trace
+    # populated by the data-arrival solver only
     rounds_used: int = 0
     final_violation: float = 0.0
     violation_trace: list = field(default_factory=list)
-    round_objectives: list = field(default_factory=list)
     unusable_energy: Optional[np.ndarray] = None
 
 
@@ -387,81 +371,64 @@ def joint_start(scenario: Scenario, rate_model: RateModel):
     return to_policy(z), steps
 
 
-def initial_policy(scenario: Scenario, opts: IterativeOptions) -> np.ndarray:
-    """Floored start of the alternation.  The ``"joint"`` mode is resolved
-    by ``iterate_offline``, which knows the rate model; here it is zeros."""
-    n = scenario.grid.N
-    if opts.initial_policy_mode == "supplied":
-        if opts.initial_policy is None:
-            raise ValueError("supplied mode requires initial_policy")
-        start = np.asarray(opts.initial_policy, dtype=float).reshape(2, n)
-    elif opts.initial_policy_mode == "spend-evenly":
-        from .online import naive_policy   # online imports this module
-        start = naive_policy(scenario)
-    else:
-        start = np.zeros((2, n))
-    tau = scenario.grid.tau
-    return np.vstack([feasible_floor(start[j], scenario.users[j].harvest, tau)
-                      for j in range(2)])
-
-
 def iterate_offline(scenario: Scenario, rate_model: RateModel,
-                    opts: IterativeOptions = None):
+                    max_sweeps: int = 200, tol: float = 1e-7):
     """Alternating single-user solves until the joint objective settles.
 
-    Data-arrival constraints are ignored here (infinite-backlog problem); the
-    data-aware solver wraps this routine.  Returns ``(policy, report)`` with a
-    half-sweep objective trace that is nondecreasing under the default
-    (epsilon = 0) configuration.
+    Starts from ``joint_start`` in the a*b > 1 region and from zeros
+    elsewhere, floored onto each user's energy corridor.  Every block solve
+    must reach KKT residuals of at most ``tol``.  Data-arrival constraints
+    are ignored here (infinite-backlog problem); the data-aware solver wraps
+    this routine.  Returns ``(policy, report)`` with a nondecreasing
+    half-sweep objective trace; ``report.converged`` is False when
+    ``max_sweeps`` sweeps did not settle.
     """
-    if opts is None:
-        opts = IterativeOptions()
+    if max_sweeps < 1:
+        raise InvalidInputError("max_sweeps must be at least 1")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise InvalidInputError("tol must be positive and finite")
     scen = validate_scenario(scenario)
-    start_steps = 0
-    if (opts.initial_policy_mode == "joint"
-            and rate_model.region is Region.ASYMMETRIC_AB_ABOVE_ONE):
+    tau = scen.grid.tau
+    start, start_steps = np.zeros((2, scen.grid.N)), 0
+    if rate_model.region is Region.ASYMMETRIC_AB_ABOVE_ONE:
         start, start_steps = joint_start(scen, rate_model)
-        opts = replace(opts, initial_policy_mode="supplied",
-                       initial_policy=start)
-    policy = initial_policy(scen, opts)
+    policy = np.vstack([feasible_floor(start[j], scen.users[j].harvest, tau)
+                        for j in range(2)])
     obj = joint_objective(policy, scen, rate_model)
     report = SolveReport(objective_trace=[obj], start_steps=start_steps)
     scale = max(1.0, abs(obj))
     prev_disp = None
-    for sweep in range(1, opts.max_sweeps + 1):
+    for sweep in range(1, max_sweeps + 1):
         prev_policy = policy.copy()
         sweep_start_obj = obj
         for user in (0, 1):
             utils = build_subproblem(scen, rate_model, user, policy[1 - user])
-            if opts.proximal_epsilon > 0.0:
-                utils = ProximalUtilities(utils, opts.proximal_epsilon,
-                                          policy[user])
             row, _cert = solve_single_user(utils, scen.users[user].harvest,
-                                           scen.grid, tol=opts.solver_tol)
+                                           scen.grid, tol=tol)
             candidate = policy.copy()
             candidate[user] = row
             cand_obj = joint_objective(candidate, scen, rate_model)
-            if opts.proximal_epsilon > 0.0 or cand_obj >= obj - 1e-12 * scale:
+            if cand_obj >= obj - 1e-12 * scale:
                 policy, obj = candidate, cand_obj
             report.objective_trace.append(obj)
         disp = float(np.max(np.abs(policy - prev_policy)))
         report.displacement_trace.append(disp)
         report.sweeps_used = sweep
-        improved = obj - sweep_start_obj
         scale = max(1.0, abs(obj))
-        if improved <= opts.objective_tol * scale and disp <= opts.displacement_tol:
+        disp_tol = _DISPLACEMENT_TOL * max(1.0, float(np.max(np.abs(policy))))
+        if obj - sweep_start_obj <= _OBJECTIVE_TOL * scale and disp <= disp_tol:
             report.converged = True
             break
         # geometric extrapolation along the sweep direction, accepted only
         # when it does not hurt the objective (keeps the trace monotone and
         # the fixed point unchanged; it merely skips contraction steps)
-        if (prev_disp is not None and disp > opts.displacement_tol
-                and 0.0 < disp < 0.999 * prev_disp):
+        if (prev_disp is not None and disp > disp_tol
+                and disp < 0.999 * prev_disp):
             rho = disp / prev_disp
             theta = min(rho / (1.0 - rho), 50.0)
             jumped = policy + theta * (policy - prev_policy)
             jumped = np.vstack([
-                feasible_floor(jumped[j], scen.users[j].harvest, scen.grid.tau)
+                feasible_floor(jumped[j], scen.users[j].harvest, tau)
                 for j in range(2)])
             jumped_obj = joint_objective(jumped, scen, rate_model)
             if jumped_obj >= obj - 1e-12 * scale:

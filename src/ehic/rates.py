@@ -29,6 +29,11 @@ import numpy as np
 
 from .errors import InvalidInputError, UnsupportedRegionError
 
+# a generic kernel must pass a midpoint-concavity check on this many random
+# point pairs in [0, _CONCAVITY_PMAX]^2
+_CONCAVITY_PMAX = 10.0
+_CONCAVITY_SAMPLES = 1000
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -132,9 +137,7 @@ class RateModel:
     """
 
     def __init__(self, channel: ChannelParams, tag: RegionTag,
-                 kernel: Optional[GenericKernel] = None,
-                 concavity_check_pmax: float = 10.0,
-                 concavity_samples: int = 1000):
+                 kernel: Optional[GenericKernel] = None):
         self.channel = channel
         self.tag = tag
         self.region = tag.region
@@ -153,7 +156,7 @@ class RateModel:
         if self.region is Region.GENERIC:
             if kernel is None:
                 raise InvalidInputError("generic region requires a kernel")
-            self._check_generic_kernel(concavity_check_pmax, concavity_samples)
+            self._check_generic_kernel()
 
     @property
     def canonical_gains(self):
@@ -162,10 +165,10 @@ class RateModel:
 
     # -- construction helpers -------------------------------------------------
 
-    def _check_generic_kernel(self, pmax, samples):
+    def _check_generic_kernel(self):
         rng = np.random.default_rng(0)
-        x = rng.uniform(0.0, pmax, size=(samples, 2))
-        y = rng.uniform(0.0, pmax, size=(samples, 2))
+        x = rng.uniform(0.0, _CONCAVITY_PMAX, size=(_CONCAVITY_SAMPLES, 2))
+        y = rng.uniform(0.0, _CONCAVITY_PMAX, size=(_CONCAVITY_SAMPLES, 2))
         f = self.kernel.sum_rate
         mid = f(0.5 * (x[:, 0] + y[:, 0]), 0.5 * (x[:, 1] + y[:, 1]))
         avg = 0.5 * (f(x[:, 0], x[:, 1]) + f(y[:, 0], y[:, 1]))

@@ -39,6 +39,9 @@ from .errors import (ConvergenceError, InfeasiblePolicyError,
 from .model import HarvestProfile, TimeGrid, energy_bounds
 
 _INF = math.inf
+# slack, relative to max(1, battery capacity), within which verify_kkt counts
+# a cumulative bound as binding
+_BINDING_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -444,26 +447,6 @@ class GenericSlotUtilities(SlotUtilities):
         return self._bisect_inv_deriv(level, idx)
 
 
-class ProximalUtilities(SlotUtilities):
-    """Wrap utilities with -eps*(p - anchor)^2, penalizing displacement."""
-
-    def __init__(self, base: SlotUtilities, eps: float, anchor):
-        self.base = base
-        self.eps = float(eps)
-        self.anchor = np.asarray(anchor, dtype=float)
-        self.n = base.n
-
-    def value(self, p):
-        return self.base.value(p) - self.eps * (p - self.anchor) ** 2
-
-    def deriv(self, p):
-        return self.base.deriv(p) - 2.0 * self.eps * (p - self.anchor)
-
-    def inv_deriv(self, level, idx=None):
-        return self._bisect_inv_deriv(
-            level, idx, hi_start=float(np.max(self.anchor) + 1.0))
-
-
 def check_utilities(utilities: SlotUtilities, p_max: float):
     """Sampled concavity check: f' must be nonincreasing on [0, p_max]."""
     grid = np.linspace(0.0, max(p_max, 1e-6), 33)
@@ -658,7 +641,7 @@ class KKTCertificate:
 
 
 def verify_kkt(policy_row, utilities: SlotUtilities, harvest: HarvestProfile,
-               grid: TimeGrid, binding_tol=None) -> KKTCertificate:
+               grid: TimeGrid) -> KKTCertificate:
     """Reconstruct multipliers for a policy and report KKT residuals.
 
     The level profile is rebuilt backward from the deadline: positive-power
@@ -673,8 +656,7 @@ def verify_kkt(policy_row, utilities: SlotUtilities, harvest: HarvestProfile,
         raise InfeasiblePolicyError(f"policy row must have shape ({n},)")
     tau = grid.tau
     scale_e = max(1.0, harvest.capacity)
-    if binding_tol is None:
-        binding_tol = 1e-7 * scale_e
+    binding_tol = _BINDING_TOL * scale_e
     lower, upper = energy_bounds(harvest, tau)
     cum_e = np.cumsum(harvest.arrivals)
     l_raw = np.empty(n)

@@ -13,7 +13,7 @@ import pytest
 
 from ehic.cli import _fig8_single, fig7_scenario, _rate_model_for
 from ehic.data_causality import solve_with_data
-from ehic.iterative import IterativeOptions, iterate_offline, joint_objective
+from ehic.iterative import iterate_offline, joint_objective
 from ehic.model import HarvestProfile, TimeGrid
 from ehic.online import ArrivalDistribution, StateGrid, rollout_table, \
     value_iteration

@@ -196,7 +196,7 @@ class TestFig8Pool:
                                            monkeypatch, pools):
         # patched before the pool forks, so the workers inherit it; every
         # seed fails with its own message, and the first seed's is reported
-        def fail(scenario, rate_model, opts):
+        def fail(scenario, rate_model, **settings):
             total = scenario.harvest_matrix().sum()
             raise ConvergenceError(f"no convergence, harvest {total!r}")
 
@@ -279,6 +279,31 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "x")]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "InvalidInputError"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("solve-offline", "--max-sweeps", "0"),
+        ("solve-offline", "--tol", "0"),
+        ("solve-offline", "--tol", "nan"),
+        ("solve-offline", "--tol", "inf"),
+        ("solve-data", "--violation-tol", "-1"),
+        ("solve-data", "--violation-tol", "nan"),
+        ("oracle", "--grid", "0"),
+        ("online-dp", "--grid", "0"),
+        ("online-dp", "--grid", "nan"),
+        ("online-dp", "--tol", "nan"),
+        ("preset fig7", "--max-sweeps", "0"),
+        ("preset fig8", "--tol", "inf"),
+    ])
+    def test_bad_solver_setting_is_2(self, tmp_path, capsys, command, flag,
+                                     value):
+        argv = command.split()
+        if argv[0] != "preset":
+            doc = DATA_SCEN if command == "solve-data" else SCEN
+            argv += ["--scenario", _write_scenario(tmp_path, doc)]
+        assert main(argv + [flag, value, "--out", str(tmp_path / "x")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InvalidInputError" and flag in err["message"]
         assert not (tmp_path / "x").exists()
 
     def test_missing_file_is_2(self, tmp_path):

@@ -1,14 +1,17 @@
 """Penalty-method data-causality solver: violation accounting, contradiction
 resolution and agreement with the exhaustive search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ehic.data_causality import (PenaltySchedule, _block_fun_and_grad,
-                                 resolve_contradictions, solve_with_data,
-                                 violation)
-from ehic.iterative import IterativeOptions, iterate_offline, joint_objective
-from ehic.model import feasibility_report
+from ehic.cli import gen_scenario
+from ehic.data_causality import (_block_fun_and_grad, resolve_contradictions,
+                                 solve_with_data, violation)
+from ehic.errors import InvalidInputError
+from ehic.iterative import iterate_offline, joint_objective
+from ehic.model import DataProfile, User, feasibility_report
 from ehic.oracle import OracleOptions, brute_force
 from ehic.rates import build_rate_model
 
@@ -70,6 +73,23 @@ class TestResolveContradictions:
         again = resolve_contradictions(red)
         assert np.array_equal(again.users[0].harvest.arrivals,
                               red.users[0].harvest.arrivals)
+        # a seeded batch with data-blocked prefixes of every length: a second
+        # pass returns the once-reduced scenario itself
+        rng = np.random.default_rng(15)
+        changed = 0
+        for seed in range(200):
+            n = int(rng.integers(1, 12))
+            base = gen_scenario(n, 1.0, rng.uniform(1.0, 10.0),
+                                rng.uniform(0.5, 3.0), seed, 0.7, 5.0)
+            users = tuple(
+                User(u.harvest, DataProfile(
+                    rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.3)))
+                for u in base.users)
+            scen = replace(base, users=users)
+            red = resolve_contradictions(scen)
+            changed += red is not scen
+            assert resolve_contradictions(red) is red
+        assert changed >= 50
 
     def test_oracle_value_unchanged_by_removal(self):
         scen = single_user_scenario([1.0, 1.0, 1.0], 1.0,
@@ -184,9 +204,8 @@ class TestCrossCoupling:
 
 class TestScheduleValidation:
     def test_bad_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            PenaltySchedule(growth_factor=1.0)
-        with pytest.raises(ValueError):
-            PenaltySchedule(max_rounds=0)
-        with pytest.raises(ValueError):
-            PenaltySchedule(violation_tol=0.0)
+        scen = single_user_scenario([2.0, 0.0], 3.0, b_arr=[0.1, 5.0])
+        rm = build_rate_model(0.5, 2.0, 3.0, 3.0)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError):
+                solve_with_data(scen, rm, violation_tol=bad)

@@ -1,21 +1,43 @@
 """Two-user alternation: subproblem construction, monotone ascent,
 decoupled-region behavior, initialization independence, and the joint
-barrier start with its block-tridiagonal solve."""
+barrier start with its block-tridiagonal solve.
+
+``iterative.joint_start`` is the one place a start enters the alternation;
+tests of other starts patch it."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehic import iterative
 from ehic.cli import _rate_model_for, fig7_scenario, gen_scenario
-from ehic.iterative import (IterativeOptions, block_tridiag_solve,
-                            build_subproblem, initial_policy, iterate_offline,
-                            joint_objective, joint_start)
+from ehic.errors import InvalidInputError
+from ehic.iterative import (block_tridiag_solve, build_subproblem,
+                            feasible_floor, iterate_offline, joint_objective,
+                            joint_start)
 from ehic.model import HarvestProfile, TimeGrid, energy_bounds
+from ehic.online import naive_policy
 from ehic.rates import Region, build_rate_model, interference_as_noise_kernel
 from ehic.single_user import ScaledLogUtilities, solve_single_user, verify_kkt
 
 from helpers import lattice_arrivals, two_user_scenario
+
+
+def _zero_start(scen, rate_model):
+    return np.zeros((2, scen.grid.N)), 0
+
+
+def _naive_start(scen, rate_model):
+    return naive_policy(scen), 0
+
+
+def _iterate_from(start, scen, rm):
+    """``iterate_offline`` with ``start`` in place of the joint start."""
+    with mock.patch.object(iterative, "joint_start", start):
+        return iterate_offline(scen, rm)
 
 
 class TestBuildSubproblem:
@@ -106,30 +128,40 @@ class TestIterateOffline:
             scen = two_user_scenario(rng.uniform(0, 2, n),
                                      rng.uniform(0, 2, n), 2.0, 0.9, 2.0)
             rm = build_rate_model(0.9, 2.0, 2.0, 2.0)
-            p0, _ = iterate_offline(scen, rm,
-                                    IterativeOptions(initial_policy_mode="zeros"))
-            p1, _ = iterate_offline(scen, rm,
-                                    IterativeOptions(
-                                        initial_policy_mode="spend-evenly"))
+            p0, _ = _iterate_from(_zero_start, scen, rm)
+            p1, _ = _iterate_from(_naive_start, scen, rm)
             o0 = joint_objective(p0, scen, rm)
             o1 = joint_objective(p1, scen, rm)
             assert abs(o0 - o1) <= 1e-6 * max(1.0, abs(o0))
 
     def test_supplied_initial_policy_is_floored(self):
         scen = two_user_scenario([2.0, 2.0], [0.0, 0.0], 2.0, 0.9, 2.0)
-        opts = IterativeOptions(initial_policy_mode="supplied",
-                                initial_policy=np.zeros((2, 2)))
-        start = initial_policy(scen, opts)
+        rm = build_rate_model(0.9, 2.0, 2.0, 2.0)
+        floored = np.vstack([feasible_floor(np.zeros(2), u.harvest, 1.0)
+                             for u in scen.users])
         # capacity requires consuming 2 by the end of slot 1
-        assert start[0, 0] == pytest.approx(2.0)
+        assert floored[0, 0] == pytest.approx(2.0)
+        _, report = _iterate_from(_zero_start, scen, rm)
+        assert report.objective_trace[0] == joint_objective(floored, scen, rm)
 
-    def test_proximal_epsilon_accepted(self):
+    def test_converges_at_powers_in_the_thousands(self):
+        # powers of 2e3: the block solves jitter by 5e-7 from sweep to sweep,
+        # so an absolute 1e-7 bound on the displacement was never met
+        scen = gen_scenario(5, 0.5, 1000.0, 0.25, 495, 0.99,
+                            6.0606060606060606)
+        rm = _rate_model_for(scen)
+        policy, report = iterate_offline(scen, rm)
+        assert report.converged
+        assert np.max(policy) >= 1000.0
+        _assert_certified(policy, scen, rm)
+
+    def test_bad_settings_rejected(self):
         scen = two_user_scenario([1.0, 0.0], [0.0, 1.0], 2.0, 0.9, 2.0)
         rm = build_rate_model(0.9, 2.0, 2.0, 2.0)
-        p_plain, _ = iterate_offline(scen, rm)
-        p_prox, _ = iterate_offline(
-            scen, rm, IterativeOptions(proximal_epsilon=1e-6))
-        assert np.allclose(p_plain, p_prox, atol=1e-3)
+        for kwargs in ({"max_sweeps": 0}, {"tol": 0.0},
+                       {"tol": float("nan")}, {"tol": float("inf")}):
+            with pytest.raises(InvalidInputError):
+                iterate_offline(scen, rm, **kwargs)
 
     def test_fixed_point_feasibility(self):
         rng = np.random.default_rng(13)
@@ -248,8 +280,7 @@ class TestJointStart:
         for _name, scen, _ in cases:
             rm = _rate_model_for(scen)
             p_joint, _ = iterate_offline(scen, rm)
-            p_zero, report = iterate_offline(
-                scen, rm, IterativeOptions(initial_policy_mode="zeros"))
+            p_zero, report = _iterate_from(_zero_start, scen, rm)
             assert report.start_steps == 0
             o_joint = joint_objective(p_joint, scen, rm)
             o_zero = joint_objective(p_zero, scen, rm)
@@ -265,16 +296,22 @@ class TestJointStart:
         assert total <= 160
 
     def test_other_regions_start_from_zeros(self):
-        # a*b <= 1: "joint" is "zeros", bit for bit
+        # a*b <= 1: no joint start, the alternation starts from zeros
         scen = gen_scenario(20, 1.0, 10.0, 5.0, 4, 0.5, 1.5)
         rm = _rate_model_for(scen)
         assert rm.region is Region.ASYMMETRIC_AB_AT_MOST_ONE
-        p_joint, r_joint = iterate_offline(scen, rm)
-        p_zero, r_zero = iterate_offline(
-            scen, rm, IterativeOptions(initial_policy_mode="zeros"))
-        assert r_joint.start_steps == 0
-        assert np.array_equal(p_joint, p_zero)
-        assert r_joint.objective_trace == r_zero.objective_trace
+
+        def refuse(scen, rate_model):
+            raise AssertionError("joint start outside the a*b > 1 region")
+
+        p_default, r_default = iterate_offline(scen, rm)
+        p_zero, r_zero = _iterate_from(refuse, scen, rm)
+        assert r_default.start_steps == 0
+        assert np.array_equal(p_default, p_zero)
+        assert r_default.objective_trace == r_zero.objective_trace
+        floored = np.vstack([feasible_floor(np.zeros(20), u.harvest, 1.0)
+                             for u in scen.users])
+        assert r_zero.objective_trace[0] == joint_objective(floored, scen, rm)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(n=st.integers(1, 8), tau=st.sampled_from([0.5, 1.0, 2.0]),
@@ -299,8 +336,7 @@ class TestJointStart:
         policy, report = iterate_offline(scen, rm)
         assert report.converged
         _assert_certified(policy, scen, rm)
-        p_zero, _ = iterate_offline(
-            scen, rm, IterativeOptions(initial_policy_mode="zeros"))
+        p_zero, _ = _iterate_from(_zero_start, scen, rm)
         o_joint = joint_objective(policy, scen, rm)
         o_zero = joint_objective(p_zero, scen, rm)
         assert abs(o_joint - o_zero) <= 1e-9 * max(1.0, abs(o_zero))

@@ -12,9 +12,8 @@ from ehic.errors import (ConvergenceError, InfeasiblePolicyError,
 from ehic.model import HarvestProfile, TimeGrid
 from ehic.single_user import (GenericSlotUtilities, InterferedUtilities,
                               LinearUtilities, PiecewiseMinUtilities,
-                              ProximalUtilities, ScaledLogUtilities,
-                              _equalize, _real_cubic_roots, solve_single_user,
-                              verify_kkt)
+                              ScaledLogUtilities, _equalize, _real_cubic_roots,
+                              solve_single_user, verify_kkt)
 
 from helpers import bisect_equalize
 
@@ -197,16 +196,6 @@ class TestUtilityFamilies:
             solve_single_user(bad, HarvestProfile(np.ones(3), 2.0),
                               TimeGrid(3, 1.0))
 
-    def test_proximal_tie_break(self):
-        # flat marginals everywhere: the proximal term pins the solution to
-        # the anchor where the corridor allows
-        base = LinearUtilities(np.ones(3))
-        anchor = np.array([0.5, 0.5, 0.0])
-        prox = ProximalUtilities(base, 1e-3, anchor)
-        harvest = HarvestProfile(np.array([0.5, 0.5, 0.0]), 2.0)
-        p, _ = solve_single_user(prox, harvest, TimeGrid(3, 1.0))
-        assert np.allclose(p, anchor, atol=1e-6)
-
     def test_generic_bisection_path(self):
         util = GenericSlotUtilities(lambda p: np.sqrt(1.0 + p) - 1.0,
                                     lambda p: 0.5 / np.sqrt(1.0 + p), n=2)
@@ -299,8 +288,13 @@ def _family(name, rng, n):
     if name == "generic":
         return GenericSlotUtilities(lambda p: np.sqrt(1.0 + p) - 1.0,
                                     lambda p: 0.5 / np.sqrt(1.0 + p), n=n)
-    return ProximalUtilities(ScaledLogUtilities(rng.uniform(0.3, 2.0, n)),
-                             1e-2, rng.uniform(0.0, 2.0, n))
+    # "proximal": a log utility minus 1e-2 (p - anchor)^2, whose marginal
+    # turns negative past the anchor
+    h = rng.uniform(0.3, 2.0, n)
+    anchor = rng.uniform(0.0, 2.0, n)
+    return GenericSlotUtilities(
+        lambda p: 0.5 * np.log1p(h * p) - 1e-2 * (p - anchor) ** 2,
+        lambda p: h / (2.0 * (1.0 + h * p)) - 2e-2 * (p - anchor), n=n)
 
 
 class TestLevelSearch:
@@ -372,8 +366,8 @@ class TestLevelSearch:
     def test_descent_into_negative_levels(self):
         # f'(p) = -p (and -p/2): max f'(0) = 0, so the level search descends
         # to -1, -2, -4, ... before it brackets the target
-        prox = ProximalUtilities(LinearUtilities(np.zeros(3)), 0.5,
-                                 np.zeros(3))
+        prox = GenericSlotUtilities(lambda p: -0.5 * p ** 2, lambda p: -p,
+                                    n=3)
         got = self.assert_matches_reference(prox, 7.5)
         assert np.allclose(got, 2.5, rtol=1e-12)
         generic = GenericSlotUtilities(lambda p: -0.25 * p ** 2,
@@ -421,7 +415,8 @@ class TestNegativeLevels:
     def test_forced_consumption_past_the_level_zero_demand(self):
         # f'(p) = 1 - p: the battery forces 2 units into slot 1 (level -1),
         # and slot 2 then takes its level-0 demand of 1
-        util = ProximalUtilities(LinearUtilities(np.ones(2)), 0.5, np.zeros(2))
+        util = GenericSlotUtilities(lambda p: p - 0.5 * p ** 2,
+                                    lambda p: 1.0 - p, n=2)
         harvest = HarvestProfile(np.array([2.0, 2.0]), 2.0)
         p, cert = solve_single_user(util, harvest, TimeGrid(2, 1.0))
         assert np.allclose(p, [2.0, 1.0], rtol=1e-12)
@@ -431,6 +426,7 @@ class TestNegativeLevels:
 
     def test_equalize_descends_past_zero(self):
         # three slots with f'(p) = 1 - p demand 3 at level 0; 7.5 needs -1.5
-        util = ProximalUtilities(LinearUtilities(np.ones(3)), 0.5, np.zeros(3))
+        util = GenericSlotUtilities(lambda p: p - 0.5 * p ** 2,
+                                    lambda p: 1.0 - p, n=3)
         got = _equalize(util, np.arange(3), 7.5)
         assert np.allclose(got, 2.5, rtol=1e-12)
