@@ -228,6 +228,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                                          tol=config.tol)
         summary.update(sweeps=report.sweeps_used,
                        start_steps=report.start_steps,
+                       certified_starts=report.certified_starts,
                        converged=report.converged,
                        final_displacement=report.final_displacement)
         summary.update(_kkt_summary(policy, scenario, rate_model))

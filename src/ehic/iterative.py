@@ -15,8 +15,20 @@ block-tridiagonal and cost O(N).  From it the alternation certifies in one
 sweep on every fig8 seed (80 sweeps over seeds 0-79, against 883 from
 zeros; fig7 1 against 38).  The start decides nothing: the same alternation
 runs from it, every block solve is checked by ``verify_kkt``, and the same
-convergence tests end it.  Elsewhere (the min-form a*b <= 1 region with its
-kink, very strong, generic) it starts from zeros, and a geometric
+convergence tests end it.
+
+Each block solve is offered the block's current row as its start, and
+returns it unsolved when its certificate already meets the tolerance
+(counted in ``SolveReport.certified_starts``).  Each user's constraints
+involve only that user, so where the sum rate is smooth and jointly concave
+a point at which both blocks certify is the joint optimum.  At the barrier
+gap ``_GAP_TOL`` of 1e-10 the joint start itself certifies both blocks on
+77 of the 80 fig8 seeds, and the certifying sweep costs two certificates.
+A smaller gap certifies more (all 80 from 3e-11 down), but from 5e-11 down
+the N=400 start touches its corridor in floating point.
+
+Elsewhere (the min-form a*b <= 1 region with its kink, very strong,
+generic) the alternation starts from zeros, and a geometric
 extrapolation along the sweep direction shortens the cold alternation:
 without it, mean sweeps rise from 11.0 to 19.3 over fig8 seeds 0-79 from
 zeros and from 11.6 to 16.7 at a=0.5, b=1.5, N=50 (seeds 0-19).
@@ -60,6 +72,7 @@ class SolveReport:
     displacement_trace: list = field(default_factory=list)
     sweeps_used: int = 0
     start_steps: int = 0     # Newton steps of the joint start (0: not run)
+    certified_starts: int = 0   # block solves that returned their start
     converged: bool = False
     final_displacement: float = float("nan")
     # populated by the data-arrival solver only
@@ -174,7 +187,7 @@ def block_tridiag_solve(diag, off, rhs) -> np.ndarray:
     return np.array(x)
 
 
-_GAP_TOL = 1e-9       # the joint start stops once the barrier gap m/t is below
+_GAP_TOL = 1e-10      # the joint start stops once the barrier gap m/t is below
 _MAX_NEWTON = 300     # Newton step cap of the joint start
 _T_GROWTH = 10.0      # barrier weight factor per centering
 _CENTERED = 1e-6      # Newton decrement^2 / 2 that counts as centered
@@ -404,7 +417,11 @@ def iterate_offline(scenario: Scenario, rate_model: RateModel,
         for user in (0, 1):
             utils = build_subproblem(scen, rate_model, user, policy[1 - user])
             row, _cert = solve_single_user(utils, scen.users[user].harvest,
-                                           scen.grid, tol=tol)
+                                           scen.grid, tol=tol,
+                                           start=policy[user])
+            # a row equal to its start means the start certified: a solved
+            # row that equal would have certified as the start already
+            report.certified_starts += int(np.array_equal(row, policy[user]))
             candidate = policy.copy()
             candidate[user] = row
             cand_obj = joint_objective(candidate, scen, rate_model)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OracleSizeError
+from .errors import InvalidInputError, OracleSizeError
 from .model import Scenario
 
 _NEG = -math.inf
@@ -41,8 +41,14 @@ class OracleOptions:
     max_enumeration: int = 50_000_000
 
     def __post_init__(self):
-        if self.power_grid_step <= 0:
-            raise ValueError("power grid step must be positive")
+        step = self.power_grid_step
+        if not (math.isfinite(step) and step > 0):
+            raise InvalidInputError(
+                f"power grid step must be positive and finite, got {step!r}")
+        if not self.max_enumeration >= 1:
+            raise InvalidInputError(
+                "max_enumeration must be at least 1, got "
+                f"{self.max_enumeration!r}")
 
 
 def _snap_units(x: float, quantum: float) -> int:

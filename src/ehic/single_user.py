@@ -14,17 +14,26 @@ reconstructing multipliers from the active-constraint structure
 (``verify_kkt``) and reporting stationarity/complementarity residuals.
 
 A window's common level is found by a bracketed root search on its total
-demand: Newton steps in 1/level (every family's demand is close to
-alpha + beta/level) from the analytic demand slope, kept inside the bracket
-and alternated with bisection whenever they stop contracting.  Per-slot
-powers at a given level come from inverting f_i', analytically where
-possible and by safeguarded Newton or bisection otherwise.  Ties under flat
+demand.  The first probe is the mean marginal at the even split, which is
+exact when the window's marginals are identical (every window of the
+distributed baseline); then Newton steps in 1/level (every family's demand
+is close to alpha + beta/level) from the analytic demand slope, kept inside
+the bracket and alternated with bisection whenever they stop contracting.
+Per-slot powers at a given level come from inverting f_i', analytically
+where possible and by safeguarded Newton or bisection otherwise.  Ties under flat
 marginals (linear utilities) are broken by consuming as late as possible,
 which keeps the output deterministic and maximizes forward flexibility.
 
 There is one solve path and ``verify_kkt`` is its only gate: a policy whose
 residuals miss the tolerance raises ``ConvergenceError`` carrying that policy
-and its residual.  No second method is tried.
+and its residual.  No second method is tried.  A caller may offer a start
+row; if its certificate already meets the tolerance it is returned without
+a solve, so the same gate decides both outcomes.
+
+The closed-form families (``_CHECKED_EXACTLY``) check in their constructors
+the parameters that make them concave; any other utilities, subclasses of
+those families included, go through ``check_utilities``' sampling on every
+solve.
 """
 
 from __future__ import annotations
@@ -42,6 +51,8 @@ _INF = math.inf
 # slack, relative to max(1, battery capacity), within which verify_kkt counts
 # a cumulative bound as binding
 _BINDING_TOL = 1e-7
+# slack of a solved row on its corridor, relative to max(1, total harvest)
+_FEAS_EPS = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +101,12 @@ class SlotUtilities:
             self._q0_cache = cached
         return cached
 
+    def deriv_at(self, idx, p):
+        """f_i'(p) on slots ``idx`` only, for powers ``p`` of those slots."""
+        full = np.zeros(self.n)
+        full[idx] = p
+        return self.deriv(full)[idx]
+
     def inv_deriv(self, level, idx=None):
         raise NotImplementedError
 
@@ -106,14 +123,8 @@ class SlotUtilities:
     def _bisect_inv_deriv(self, level, idx, hi_start=1.0):
         """Bisection inverse of ``deriv`` on slots ``idx``, others at zero."""
         idx = self._all_idx(idx)
-        full = np.zeros(self.n)
-
-        def d(sub):
-            buf = full.copy()
-            buf[idx] = sub
-            return self.deriv(buf)[idx]
-
-        return _bisect_inv(d, level, idx.shape[0], hi_start=hi_start)
+        return _bisect_inv(lambda sub: self.deriv_at(idx, sub), level,
+                           idx.shape[0], hi_start=hi_start)
 
 
 def _real_cubic_roots(c3, c2, c1, c0):
@@ -155,6 +166,15 @@ def _real_cubic_roots(c3, c2, c1, c0):
     return roots
 
 
+def _finite(values, name):
+    """``values`` as a float array, or ``InvalidUtilityError`` if any entry
+    is not finite."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidUtilityError(f"{name} must be finite")
+    return arr
+
+
 def _bisect_inv(deriv_fn, level, n, hi_start=1.0):
     """Generic monotone inverse of a vectorized nonincreasing derivative."""
     lo = np.zeros(n)
@@ -179,10 +199,10 @@ class ScaledLogUtilities(SlotUtilities):
     """f_i(p) = (1/2) ln(1 + h_i p) + c_i, the fading-channel slot utility."""
 
     def __init__(self, h, const=None):
-        self.h = np.asarray(h, dtype=float)
+        self.h = _finite(h, "channel gains")
         self.n = self.h.shape[0]
         self.const = (np.zeros(self.n) if const is None
-                      else np.asarray(const, dtype=float))
+                      else _finite(const, "utility constants"))
         if np.any(self.h <= 0):
             raise InvalidUtilityError("channel gains must be positive")
 
@@ -191,6 +211,10 @@ class ScaledLogUtilities(SlotUtilities):
 
     def deriv(self, p):
         return self.h / (2.0 * (1.0 + self.h * p))
+
+    def deriv_at(self, idx, p):
+        h = self.h[idx]
+        return h / (2.0 * (1.0 + h * p))
 
     def inv_deriv(self, level, idx=None):
         idx = self._all_idx(idx)
@@ -211,7 +235,7 @@ class LinearUtilities(SlotUtilities):
     """f_i(p) = c_i p: flat marginal, used for linear power-rate curves."""
 
     def __init__(self, slope):
-        self.slope = np.asarray(slope, dtype=float)
+        self.slope = _finite(slope, "slopes")
         self.n = self.slope.shape[0]
         if np.any(self.slope < 0):
             raise InvalidUtilityError("slopes must be nonnegative")
@@ -221,6 +245,9 @@ class LinearUtilities(SlotUtilities):
 
     def deriv(self, p):
         return np.broadcast_to(self.slope, np.shape(p)).copy()
+
+    def deriv_at(self, idx, p):
+        return np.broadcast_to(self.slope[idx], np.shape(p)).copy()
 
     def inv_deriv(self, level, idx=None):
         idx = self._all_idx(idx)
@@ -235,15 +262,22 @@ class InterferedUtilities(SlotUtilities):
 
     f(p) = (1/2) ln(1 + P_i / (1 + a p)) + (1/2) ln(1 + p), where P_i is the
     other transmitter's fixed power in slot i and ``a`` the cross gain into
-    this user's receiver.  Concave in p for a <= 1.  The derivative is the
-    generalized water level; its inverse has no closed form, so a safeguarded
-    Newton iteration (with analytic curvature) is used.
+    this user's receiver.  Concave in p for a <= 1, which the constructor
+    requires, with P_i finite and nonnegative.  The derivative is the
+    generalized water level; its inverse is the root of a cubic, polished by
+    Newton steps with analytic curvature.
     """
 
     def __init__(self, a, p_other):
         self.a = float(a)
-        self.p_other = np.asarray(p_other, dtype=float)
+        # a <= 1 is what makes f concave: a/(1 + a p) <= 1/(1 + p), so f'' < 0
+        if not 0.0 <= self.a <= 1.0:
+            raise InvalidUtilityError(
+                f"cross gain must lie in [0, 1], got {a!r}")
+        self.p_other = _finite(p_other, "other-user powers")
         self.n = self.p_other.shape[0]
+        if np.any(self.p_other < 0):
+            raise InvalidUtilityError("other-user powers must be nonnegative")
 
     def value(self, p):
         return 0.5 * np.log1p(self.p_other / (1.0 + self.a * p)) \
@@ -349,16 +383,28 @@ class PiecewiseMinUtilities(SlotUtilities):
     Below the threshold p_c the noise-treated branch is active; at and above
     it the decode-limited branch (1/2)ln(1 + b P_i + p) takes over.  The
     utility is the pointwise min of two concave branches, hence concave with
-    a downward derivative kink at p_c.
+    a downward derivative kink at p_c.  The constructor checks that kink:
+    at any other p_c the derivative could jump up there.
     """
 
     def __init__(self, a, b, p_c, p_other):
-        self.a = float(a)
+        self._branch1 = InterferedUtilities(a, p_other)
+        self.a = self._branch1.a
         self.b = float(b)
         self.p_c = float(p_c)
-        self.p_other = np.asarray(p_other, dtype=float)
+        self.p_other = self._branch1.p_other
         self.n = self.p_other.shape[0]
-        self._branch1 = InterferedUtilities(a, p_other)
+        if not (math.isfinite(self.b) and self.b >= 0.0):
+            raise InvalidUtilityError(
+                f"decode gain must be finite and nonnegative, got {b!r}")
+        if not self.p_c >= 0.0:
+            raise InvalidUtilityError(
+                f"threshold power must be nonnegative or inf, got {p_c!r}")
+        if math.isfinite(self.p_c):
+            above, below = self.deriv_range(np.full(self.n, self.p_c))
+            if np.any(above > below + 1e-9 * (1.0 + np.abs(below))):
+                raise InvalidUtilityError(
+                    "utility derivative rises at the threshold power")
 
     def _expr2(self, p):
         return 0.5 * np.log1p(self.b * self.p_other + p)
@@ -367,8 +413,11 @@ class PiecewiseMinUtilities(SlotUtilities):
         return np.minimum(self._branch1.value(p), self._expr2(p))
 
     def deriv(self, p):
-        d1 = self._branch1.deriv(p)
-        d2 = 1.0 / (2.0 * (1.0 + self.b * self.p_other + p))
+        return self.deriv_at(slice(None), p)
+
+    def deriv_at(self, idx, p):
+        d1 = self._branch1.deriv_at(idx, p)
+        d2 = 1.0 / (2.0 * (1.0 + self.b * self.p_other[idx] + p))
         return np.where(p >= self.p_c, d2, d1)
 
     def deriv_range(self, p):
@@ -448,7 +497,13 @@ class GenericSlotUtilities(SlotUtilities):
 
 
 def check_utilities(utilities: SlotUtilities, p_max: float):
-    """Sampled concavity check: f' must be nonincreasing on [0, p_max]."""
+    """Sampled concavity check: f' must be nonincreasing on [0, p_max].
+
+    ``solve_single_user`` skips it for instances of exactly the closed-form
+    classes in ``_CHECKED_EXACTLY``: their constructors check the parameters
+    that make them concave, finite and differentiable, which is exact where
+    33 samples are not.  A subclass may override ``deriv`` and is sampled.
+    """
     grid = np.linspace(0.0, max(p_max, 1e-6), 33)
     derivs = np.stack([utilities.deriv(np.full(utilities.n, g)) for g in grid])
     if not np.all(np.isfinite(derivs)):
@@ -460,6 +515,10 @@ def check_utilities(utilities: SlotUtilities, p_max: float):
     v0 = utilities.value(np.zeros(utilities.n))
     if not np.all(np.isfinite(v0)):
         raise InvalidUtilityError("utility must be finite at zero power")
+
+
+_CHECKED_EXACTLY = (ScaledLogUtilities, LinearUtilities, InterferedUtilities,
+                    PiecewiseMinUtilities)
 
 
 # ---------------------------------------------------------------------------
@@ -476,40 +535,32 @@ def _equalize(utilities, idx, target):
     if target <= 1e-15 * (1.0 + abs(target)):
         return np.zeros(m)
     hi = float(np.max(utilities.deriv_at_zero()[idx]))
-    # find lo with total demand at least target (qmax side): descend from hi
-    # through 0 and into negative levels if the utilities ever slope down.
-    # Where the demand at level 0 falls short of the target the level is
-    # negative, and halving a positive level would never get there
-    level = hi
-    if level > 0.0 and float(np.sum(utilities.demand_at_zero()[idx])) < target:
-        level = 0.0
-    for _ in range(200):
-        if level > 0.0:
-            level = 0.0 if level < 1e-280 else 0.5 * level
-        elif level == 0.0:
-            level = -1.0
-        else:
-            level = 2.0 * level
-        qmin, qmax = utilities.inv_deriv(level, idx)
-        if np.sum(qmax) >= target:
-            break
-    else:
-        raise ConvergenceError(
-            "forced consumption exceeds the range of the slot utilities")
-    # bracketed root search on the monotone total-demand curve, starting
-    # from the descent's last probe.  Every family's demand is close to
-    # alpha + beta/level (exact for ScaledLog on a fixed active set), so the
-    # fast step is Newton in 1/level on the analytic slope, else Newton in
-    # the level, else a secant step.  A step outside the open bracket is
-    # replaced by bisection, and so is the turn after any probe that did not
-    # cut the error 4x, so the bracket provably halves every other probe;
-    # plateaus and jumps always fall back to bisection
-    lo = mid = level
     t_lo, t_hi = None, 0.0   # total demand at lo (>= target) and hi (<= target)
     at_lo = at_hi = None     # (qmin, qmax) probed at lo and hi
+    exit_tol = 1e-12 * (1.0 + target)
+    # the first probe is the mean marginal at the even split: exact when the
+    # window's marginals are identical.  A probe whose demand falls short of
+    # the target is the bracket's high end, and the descent goes on from it
+    level = float(np.mean(utilities.deriv_at(idx, np.full(m, target / m))))
+    qmin, qmax = utilities.inv_deriv(level, idx)
+    if np.sum(qmax) < target:
+        tmin = float(np.sum(qmin))
+        hi, t_hi, at_hi = level, tmin, (qmin, qmax)
+        if target - tmin <= exit_tol:
+            return _distribute_late(qmin, None, target)
+        level = _descend(utilities, idx, target, level)
+        qmin, qmax = utilities.inv_deriv(level, idx)
+    lo = mid = level
+    # bracketed root search on the monotone total-demand curve, from the
+    # last probe.  Every family's demand is close to alpha + beta/level
+    # (exact for ScaledLog on a fixed active set), so the fast step is Newton
+    # in 1/level on the analytic slope, else Newton in the level, else a
+    # secant step.  A step outside the open bracket is replaced by bisection,
+    # and so is the turn after any probe that did not cut the error 4x, so
+    # the bracket provably halves every other probe; plateaus and jumps
+    # always fall back to bisection
     fast_turn = False
     last_err = _INF
-    exit_tol = 1e-12 * (1.0 + target)
     for _ in range(200):
         tmin = float(np.sum(qmin))
         err = abs(tmin - target)
@@ -550,10 +601,47 @@ def _equalize(utilities, idx, target):
         qmin, qmax = utilities.inv_deriv(mid, idx)
     if at_hi is None:   # hi is still max f'(0), never probed
         at_hi = utilities.inv_deriv(hi, idx)
-    powers = at_hi[0].copy()
+    return _distribute_late(at_hi[0], at_lo[1], target)
+
+
+def _descend(utilities, idx, target, level):
+    """A level below ``level`` whose total demand (qmax side) is at least
+    ``target``: halve, then go through 0 into negative levels if the
+    utilities ever slope down.  Where the demand at level 0 falls short of
+    the target the level is negative, and halving a positive level would
+    never get there."""
+    if level > 0.0 and float(np.sum(utilities.demand_at_zero()[idx])) < target:
+        level = 0.0
+    for _ in range(200):
+        if level > 0.0:
+            level = 0.0 if level < 1e-280 else 0.5 * level
+        elif level == 0.0:
+            level = -1.0
+        else:
+            level = 2.0 * level
+        qmin, qmax = utilities.inv_deriv(level, idx)
+        if np.sum(qmax) >= target:
+            break
+    else:
+        raise ConvergenceError(
+            "forced consumption exceeds the range of the slot utilities")
+    return level
+
+
+def _distribute_late(powers, qmax_lo, target):
+    """Trim the demand ``powers`` at the bracket's high end to ``target``.
+
+    What is missing goes to the latest slots first, each up to its demand
+    ``qmax_lo`` at the low end (None when no low end was probed: then any
+    slot with power can take more, as a hair lower level would give it);
+    what is over comes off the latest slots first.
+    """
+    powers = powers.copy()
+    m = powers.shape[0]
     extra = target - float(np.sum(powers))
     if extra > 0.0:
-        room = at_lo[1] - powers
+        room = (np.where(powers > 0.0, _INF, 0.0) if qmax_lo is None
+                else qmax_lo - powers)
         for k in range(m - 1, -1, -1):       # latest slots first
             take = min(room[k], extra)
             if take > 0.0:
@@ -581,7 +669,7 @@ def _solve_corridor(utilities, tau, lower, upper, z_total):
     """Equalize the whole horizon; where that breaks the corridor, pin the
     worst boundary to the bound it violates and solve both halves alike."""
     n = lower.shape[0]
-    feas_eps = 1e-10 * max(float(upper[-1]), 1.0)
+    feas_eps = _FEAS_EPS * max(float(upper[-1]), 1.0)
 
     def solve(lo, hi, a_val, b_val):
         powers = _equalize(utilities, np.arange(lo, hi + 1),
@@ -602,6 +690,21 @@ def _solve_corridor(utilities, tau, lower, upper, z_total):
                                solve(lo + k + 1, hi, pin, b_val)])
 
     return solve(0, n - 1, 0.0, z_total)
+
+
+def _as_tight_as_solved(row, tau, lower, upper, z_total):
+    """Whether ``row`` meets the corridor as tightly as ``_solve_corridor``'s
+    rows do: nonnegative, within ``_FEAS_EPS`` of both bounds, and spending
+    the optimal total ``z_total``.  ``verify_kkt`` allows 1e-6 of the
+    capacity on the corridor and counts a bound within 1e-7 of it as
+    binding; this keeps a returned start as exact as a solved row."""
+    row = np.asarray(row, dtype=float)
+    if row.shape != lower.shape or not np.all(row >= 0.0):
+        return False
+    s = tau * np.cumsum(row)
+    eps = _FEAS_EPS * max(float(upper[-1]), 1.0)
+    return bool(np.all(s <= upper + eps) and np.all(s >= lower - eps)
+                and abs(s[-1] - z_total) <= eps)
 
 
 def _total_at_level_zero(q0, tau, lower, upper):
@@ -654,6 +757,9 @@ def verify_kkt(policy_row, utilities: SlotUtilities, harvest: HarvestProfile,
     n = grid.N
     if p.shape != (n,):
         raise InfeasiblePolicyError(f"policy row must have shape ({n},)")
+    if not np.all(np.isfinite(p)):
+        # NaN compares false everywhere below and would certify as optimal
+        raise InfeasiblePolicyError("policy row must be finite")
     tau = grid.tau
     scale_e = max(1.0, harvest.capacity)
     binding_tol = _BINDING_TOL * scale_e
@@ -758,24 +864,39 @@ def verify_kkt(policy_row, utilities: SlotUtilities, harvest: HarvestProfile,
 # ---------------------------------------------------------------------------
 
 def solve_single_user(utilities: SlotUtilities, harvest: HarvestProfile,
-                      grid: TimeGrid, tol: float = 1e-7):
+                      grid: TimeGrid, tol: float = 1e-7, start=None):
     """Optimal own-power schedule for one user; returns (powers, certificate).
 
     The certificate is produced by ``verify_kkt`` on the returned policy; the
     post-condition is residuals at or below ``tol``.  Otherwise this raises
     ``ConvergenceError`` with the policy as ``best_policy`` and the larger of
     its two residuals as ``residual``.
+
+    A ``start`` row whose own certificate has both residuals at or below
+    ``tol`` is returned as it is, with that certificate, provided it meets
+    the corridor and spends the optimal total as tightly as a solved row
+    does.  Any other start is ignored and the problem solved from scratch,
+    so the certificate is the gate either way.
     """
     n = grid.N
     if utilities.n != n:
         raise InvalidUtilityError(
             f"{utilities.n} slot utilities for {n} slots")
     tau = grid.tau
-    total_power = float(np.sum(harvest.arrivals)) / tau
-    check_utilities(utilities, total_power)
+    if type(utilities) not in _CHECKED_EXACTLY:
+        check_utilities(utilities, float(np.sum(harvest.arrivals)) / tau)
     lower, upper = energy_bounds(harvest, tau)
     z_total = _total_at_level_zero(utilities.demand_at_zero(), tau, lower,
                                    upper)
+    if start is not None and _as_tight_as_solved(start, tau, lower, upper,
+                                                 z_total):
+        try:
+            cert = verify_kkt(start, utilities, harvest, grid)
+        except InfeasiblePolicyError:
+            cert = None
+        if (cert is not None and cert.stationarity_residual <= tol
+                and cert.complementarity_residual <= tol):
+            return np.array(start, dtype=float), cert
     powers = _solve_corridor(utilities, tau, lower, upper, z_total)
     cert = verify_kkt(powers, utilities, harvest, grid)
     residual = max(cert.stationarity_residual, cert.complementarity_residual)

@@ -141,6 +141,10 @@ class TestPresets:
         p1 = np.array([float(r["p1"]) for r in rows])
         assert p1[0] <= 0.01 * p1.max() and p1[1] <= 0.01 * p1.max()
         assert summary["converged"]
+        # user 2's block returns the joint start it got (TestCertifiedStarts)
+        assert (summary["sweeps"], summary["certified_starts"]) == (1, 1)
+        assert max(summary[f"{kind}_user{u}"] for kind in
+                   ("stationarity", "complementarity") for u in (1, 2)) <= 1e-7
 
     def test_fig8_small_batch_ordering(self, tmp_path):
         out = tmp_path / "f8"

@@ -340,3 +340,37 @@ class TestJointStart:
         o_joint = joint_objective(policy, scen, rm)
         o_zero = joint_objective(p_zero, scen, rm)
         assert abs(o_joint - o_zero) <= 1e-9 * max(1.0, abs(o_zero))
+
+
+class TestCertifiedStarts:
+    """Block solves that return the row they were offered, unsolved."""
+
+    def test_fig8_seeds_certify_at_the_joint_start(self):
+        # both blocks pass verify_kkt at the joint start on 77 of the 80
+        # seeds at a barrier gap of 1e-10 (71 at 1e-9)
+        both = 0
+        for s in range(80):
+            scen = gen_scenario(20, 1.0, 10.0, 5.0, s, 0.7, 5.0)
+            _, report = iterate_offline(scen, _rate_model_for(scen))
+            assert report.sweeps_used == 1
+            assert report.certified_starts >= 1
+            both += report.certified_starts == 2
+        assert both >= 75
+
+    def test_fig7(self):
+        # the joint start gives user 1 about 1.2e-10 in two slots that the
+        # optimum leaves idle; the certificate counts powers above 1e-10 as
+        # transmitting, so that block is solved and user 2's is returned
+        scen = fig7_scenario()
+        rm = _rate_model_for(scen)
+        start, _ = joint_start(scen, rm)
+        assert 1e-10 < np.sort(start[0])[2] < 2e-10
+        _, report = iterate_offline(scen, rm)
+        assert (report.sweeps_used, report.certified_starts) == (1, 1)
+
+    def test_cold_alternation(self):
+        # a*b <= 1 starts from zeros: the early sweeps move both blocks
+        scen = gen_scenario(20, 1.0, 10.0, 5.0, 4, 0.5, 1.5)
+        _, report = iterate_offline(scen, _rate_model_for(scen))
+        assert report.sweeps_used > 1
+        assert 0 < report.certified_starts < 2 * report.sweeps_used

@@ -8,7 +8,7 @@ import pytest
 
 from ehic import oracle
 from ehic.cli import fig7_scenario
-from ehic.errors import OracleSizeError
+from ehic.errors import InvalidInputError, OracleSizeError
 from ehic.iterative import iterate_offline, joint_objective
 from ehic.model import feasibility_report
 from ehic.oracle import OracleOptions, brute_force
@@ -149,3 +149,15 @@ class TestDataMode:
         policy, _ = brute_force(scen, rm, OracleOptions(0.05))
         r1, _ = rm.user_rates(policy[0], policy[1])
         assert np.cumsum(r1)[0] <= 0.05 + 1e-12
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"power_grid_step": float("nan")}, {"power_grid_step": float("inf")},
+    {"power_grid_step": 0.0}, {"power_grid_step": -0.05},
+    {"max_enumeration": 0}, {"max_enumeration": -3},
+    {"max_enumeration": float("nan")},
+], ids=["step-nan", "step-inf", "step-zero", "step-negative", "cap-zero",
+        "cap-negative", "cap-nan"])
+def test_options_reject_unusable_settings(kwargs):
+    with pytest.raises(InvalidInputError):
+        OracleOptions(**kwargs)

@@ -89,6 +89,14 @@ class TestVerifyKkt:
             verify_kkt(np.array([2.0, 0.0]), log_utils(2), harvest,
                        TimeGrid(2, 1.0))
 
+    def test_rejects_non_finite_policy(self):
+        # NaN fails every comparison, so without the check it certified
+        # with both residuals 0
+        harvest = HarvestProfile(np.array([2.0, 0.0]), 2.0)
+        with pytest.raises(InfeasiblePolicyError):
+            verify_kkt(np.array([np.nan, np.nan]), log_utils(2), harvest,
+                       TimeGrid(2, 1.0))
+
     def test_multiplier_signs_and_placement(self):
         rng = np.random.default_rng(5)
         grid_cases = 0
@@ -228,6 +236,138 @@ class TestSingleGate:
         assert info.value.residual > 1e-7
         cert = verify_kkt(best, util, harvest, grid)
         assert info.value.residual == cert.stationarity_residual
+
+
+class TestStart:
+    """A start whose certificate meets the tolerance is returned unsolved;
+    any other start leaves the solve exactly as it is without one."""
+
+    @staticmethod
+    def case():
+        rng = np.random.default_rng(21)
+        e = np.minimum(rng.uniform(0.0, 3.0, 12), 2.0)
+        e[rng.uniform(size=12) < 0.4] = 0.0
+        return (InterferedUtilities(0.7, rng.uniform(0.0, 3.0, 12)),
+                HarvestProfile(e, 2.0), TimeGrid(12, 1.0))
+
+    def test_certified_start_comes_back_unchanged(self):
+        util, harvest, grid = self.case()
+        cold, cold_cert = solve_single_user(util, harvest, grid)
+        got, cert = solve_single_user(util, harvest, grid, start=cold)
+        assert np.array_equal(got, cold)
+        assert got is not cold
+        for name in ("lam", "mu", "eta", "water_levels"):
+            assert np.array_equal(getattr(cert, name), getattr(cold_cert, name))
+        assert cert.stationarity_residual == cold_cert.stationarity_residual
+        assert (cert.complementarity_residual
+                == cold_cert.complementarity_residual)
+
+    @pytest.mark.parametrize("start", ["zeros", "outside", "nan", "short"])
+    def test_other_starts_give_the_cold_solve(self, start):
+        util, harvest, grid = self.case()
+        cold, cold_cert = solve_single_user(util, harvest, grid)
+        row = {"zeros": np.zeros(12),
+               # twice the optimum overspends the harvest
+               "outside": 2.0 * cold,
+               "nan": np.full(12, np.nan),
+               "short": cold[:-1]}[start]
+        got, cert = solve_single_user(util, harvest, grid, start=row)
+        assert np.array_equal(got, cold)
+        assert np.array_equal(cert.water_levels, cold_cert.water_levels)
+
+    def test_uncertifiable_start_keeps_the_gate(self):
+        # the wrong inverse of TestSingleGate: a start that does not certify
+        # sends the solve down the same path, which still raises
+        class SkewedInverse(ScaledLogUtilities):
+            def inv_deriv(self, level, idx=None):
+                qmin, qmax = super().inv_deriv(level, idx)
+                skew = np.where(self._all_idx(idx) == 1, 2.0, 1.0)
+                return qmin * skew, qmax * skew
+
+        harvest = HarvestProfile(np.array([2.0, 0.0, 0.0]), 2.0)
+        util = SkewedInverse(np.ones(3))
+        with pytest.raises(ConvergenceError) as info:
+            solve_single_user(util, harvest, TimeGrid(3, 1.0),
+                              start=np.array([2.0, 0.0, 0.0]))
+        assert np.allclose(info.value.best_policy, [0.5, 1.0, 0.5])
+
+    def test_start_leaving_energy_unspent_is_solved(self):
+        # 1e-8 of the harvest left in the battery is within verify_kkt's
+        # binding tolerance, so the start certifies, but a solved row spends
+        # everything to 1e-10
+        util, harvest, grid = self.case()
+        cold, _ = solve_single_user(util, harvest, grid)
+        last = int(np.flatnonzero(cold > 1e-3)[-1])
+        row = cold.copy()
+        row[last] -= 1e-8
+        cert = verify_kkt(row, util, harvest, grid)
+        assert max(cert.stationarity_residual,
+                   cert.complementarity_residual) <= 1e-7
+        got, _ = solve_single_user(util, harvest, grid, start=row)
+        assert np.array_equal(got, cold)
+
+
+class TestExactChecks:
+    """The closed-form families check their parameters when built; every
+    other utility, subclasses included, is sampled on each solve."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: ScaledLogUtilities(np.array([1.0, np.nan])),
+        lambda: ScaledLogUtilities(np.array([1.0, 0.0])),
+        lambda: ScaledLogUtilities(np.ones(2), np.array([0.0, np.inf])),
+        lambda: LinearUtilities(np.array([1.0, np.nan])),
+        lambda: LinearUtilities(np.array([1.0, -1.0])),
+        lambda: InterferedUtilities(1.5, np.ones(2)),
+        lambda: InterferedUtilities(-0.1, np.ones(2)),
+        lambda: InterferedUtilities(np.nan, np.ones(2)),
+        lambda: InterferedUtilities(0.5, np.array([1.0, np.nan])),
+        lambda: InterferedUtilities(0.5, np.array([1.0, -1.0])),
+        lambda: PiecewiseMinUtilities(1.5, 1.5, 2.0, np.ones(2)),
+        lambda: PiecewiseMinUtilities(0.5, -1.0, 2.0, np.ones(2)),
+        lambda: PiecewiseMinUtilities(0.5, np.nan, 2.0, np.ones(2)),
+        lambda: PiecewiseMinUtilities(0.5, 1.5, np.nan, np.ones(2)),
+        lambda: PiecewiseMinUtilities(0.5, 1.5, -1.0, np.ones(2)),
+        # with b < 1 the decode branch's marginal at p_c = 1 is the larger
+        # one where P_i > 0, so f' jumps up there
+        lambda: PiecewiseMinUtilities(0.5, 0.5, 1.0, np.array([0.0, 2.0])),
+    ], ids=["log-nan-h", "log-zero-h", "log-inf-const", "linear-nan",
+            "linear-negative", "interfered-a-1.5", "interfered-a-negative",
+            "interfered-a-nan", "interfered-p-nan", "interfered-p-negative",
+            "piecewise-a-1.5", "piecewise-b-negative", "piecewise-b-nan",
+            "piecewise-pc-nan", "piecewise-pc-negative",
+            "piecewise-derivative-rises"])
+    def test_constructor_rejects(self, build):
+        with pytest.raises(InvalidUtilityError):
+            build()
+
+    def test_crossing_threshold_and_no_threshold_accepted(self):
+        # p_c = (b - 1) / (1 - a b) = 2 is where the branches cross
+        PiecewiseMinUtilities(0.5, 1.5, 2.0, np.array([0.0, 2.0, 50.0]))
+        PiecewiseMinUtilities(0.5, 2.0, math.inf, np.array([0.0, 2.0]))
+        InterferedUtilities(1.0, np.zeros(2))
+
+    def test_subclass_with_convex_derivative_is_sampled(self):
+        class ConvexLog(ScaledLogUtilities):
+            def deriv(self, p):
+                return self.h * (1.0 + p)
+
+        with pytest.raises(InvalidUtilityError):
+            solve_single_user(ConvexLog(np.ones(3)),
+                              HarvestProfile(np.ones(3), 2.0),
+                              TimeGrid(3, 1.0))
+
+    def test_closed_form_skips_sampling(self, monkeypatch):
+        def refuse(utilities, p_max):
+            raise AssertionError("sampled a closed-form utility")
+
+        monkeypatch.setattr(single_user, "check_utilities", refuse)
+        solve_single_user(log_utils(3), HarvestProfile(np.ones(3), 2.0),
+                          TimeGrid(3, 1.0))
+        with pytest.raises(AssertionError):
+            solve_single_user(
+                GenericSlotUtilities(lambda p: np.log1p(p),
+                                     lambda p: 1.0 / (1.0 + p), n=3),
+                HarvestProfile(np.ones(3), 2.0), TimeGrid(3, 1.0))
 
 
 class TestRandomStress:
@@ -407,6 +547,31 @@ class TestLevelSearch:
         assert set(mean) == {"ScaledLogUtilities", "InterferedUtilities"}
         assert mean["ScaledLogUtilities"] <= 3.5
         assert mean["InterferedUtilities"] <= 6.0
+
+
+class TestEvenSplitProbe:
+    """The level search's first probe is the mean marginal at the even
+    split, exact for identical marginals."""
+
+    @pytest.mark.parametrize("util", [
+        ScaledLogUtilities(np.full(7, 0.6), np.full(7, 0.3)),
+        InterferedUtilities(0.7, np.full(7, 1.9)),
+    ], ids=["scaled_log", "interfered"])
+    @pytest.mark.parametrize("target", [0.01, 3.0, 250.0])
+    def test_identical_marginals_take_one_probe(self, util, target,
+                                                monkeypatch):
+        probes = []
+        inverse = util.inv_deriv
+
+        def counting(level, idx=None):
+            probes.append(level)
+            return inverse(level, idx)
+
+        monkeypatch.setattr(util, "inv_deriv", counting)
+        got = _equalize(util, np.arange(7), target)
+        assert len(probes) == 1
+        assert np.allclose(got, target / 7, rtol=1e-12)
+        assert np.sum(got) == pytest.approx(target, rel=1e-15)
 
 
 class TestNegativeLevels:
