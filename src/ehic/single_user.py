@@ -13,12 +13,17 @@ KKT conditions of the concave program, so the construction is certified by
 reconstructing multipliers from the active-constraint structure
 (``verify_kkt``) and reporting stationarity/complementarity residuals.
 
-A window's common level is found by a bracketed root search on its total
+A window's common level is found by one bracketed root search on its total
 demand.  The first probe is the mean marginal at the even split, which is
 exact when the window's marginals are identical (every window of the
-distributed baseline); then Newton steps in 1/level (every family's demand
-is close to alpha + beta/level) from the analytic demand slope, kept inside
-the bracket and alternated with bisection whenever they stop contracting.
+distributed baseline).  After each probe the step is, in order: Newton in
+1/level (every family's demand is close to alpha + beta/level) from the
+analytic demand slope; a secant step across the bracket where the family
+has no slope; bisection once both ends exist; and while the bracket has no
+low end, a descent that halves a positive level, jumps to -1 where the
+window's demand at level 0 falls short of the target, and doubles a
+negative one.  A fast step outside the bracket is not taken, and while fast
+steps do not cut the error 4x per probe they take every other turn only.
 Per-slot powers at a given level come from inverting f_i', analytically
 where possible and by safeguarded Newton or bisection otherwise.  Ties under flat
 marginals (linear utilities) are broken by consuming as late as possible,
@@ -475,9 +480,11 @@ class PiecewiseMinUtilities(SlotUtilities):
 
 
 class GenericSlotUtilities(SlotUtilities):
-    """Utilities defined by callables; derivative inverse via bisection."""
+    """Utilities on ``n`` slots defined by callables: ``value_fn(p)`` and its
+    derivative ``deriv_fn(p)``, each mapping a power vector to per-slot
+    values; the derivative inverse is by bisection."""
 
-    def __init__(self, value_fn, deriv_fn=None, n=None):
+    def __init__(self, value_fn, deriv_fn, n):
         self._value_fn = value_fn
         self._deriv_fn = deriv_fn
         self.n = n
@@ -486,11 +493,7 @@ class GenericSlotUtilities(SlotUtilities):
         return np.asarray(self._value_fn(p), dtype=float)
 
     def deriv(self, p):
-        if self._deriv_fn is not None:
-            return np.asarray(self._deriv_fn(p), dtype=float)
-        step = 1e-6
-        lo = np.maximum(p - step, 0.0)
-        return (self.value(p + step) - self.value(lo)) / (p + step - lo)
+        return np.asarray(self._deriv_fn(p), dtype=float)
 
     def inv_deriv(self, level, idx=None):
         return self._bisect_inv_deriv(level, idx)
@@ -534,38 +537,31 @@ def _equalize(utilities, idx, target):
     m = idx.shape[0]
     if target <= 1e-15 * (1.0 + abs(target)):
         return np.zeros(m)
-    hi = float(np.max(utilities.deriv_at_zero()[idx]))
-    t_lo, t_hi = None, 0.0   # total demand at lo (>= target) and hi (<= target)
+    # the bracket: total demand (qmin side) is above the target at lo and at
+    # most the target at hi.  lo stays open until a probe's demand (qmax
+    # side) covers the target
+    lo, hi = -_INF, float(np.max(utilities.deriv_at_zero()[idx]))
+    t_lo, t_hi = None, 0.0   # total demand at lo and hi
     at_lo = at_hi = None     # (qmin, qmax) probed at lo and hi
     exit_tol = 1e-12 * (1.0 + target)
-    # the first probe is the mean marginal at the even split: exact when the
-    # window's marginals are identical.  A probe whose demand falls short of
-    # the target is the bracket's high end, and the descent goes on from it
-    level = float(np.mean(utilities.deriv_at(idx, np.full(m, target / m))))
-    qmin, qmax = utilities.inv_deriv(level, idx)
-    if np.sum(qmax) < target:
-        tmin = float(np.sum(qmin))
-        hi, t_hi, at_hi = level, tmin, (qmin, qmax)
-        if target - tmin <= exit_tol:
-            return _distribute_late(qmin, None, target)
-        level = _descend(utilities, idx, target, level)
-        qmin, qmax = utilities.inv_deriv(level, idx)
-    lo = mid = level
-    # bracketed root search on the monotone total-demand curve, from the
-    # last probe.  Every family's demand is close to alpha + beta/level
+    # root search on the monotone total-demand curve.  The first probe is
+    # the mean marginal at the even split: exact when the window's marginals
+    # are identical.  Every family's demand is close to alpha + beta/level
     # (exact for ScaledLog on a fixed active set), so the fast step is Newton
-    # in 1/level on the analytic slope, else Newton in the level, else a
-    # secant step.  A step outside the open bracket is replaced by bisection,
-    # and so is the turn after any probe that did not cut the error 4x, so
-    # the bracket provably halves every other probe; plateaus and jumps
-    # always fall back to bisection
+    # in 1/level on the analytic slope, else a secant step across the
+    # bracket.  Without a fast step, and on the turn after any probe that
+    # did not cut the error 4x, bisection takes over, so a closed bracket
+    # provably halves every other probe; while lo is open the level descends
+    # instead, into negative levels where the window's demand at level 0
+    # falls short of the target
+    mid = float(np.mean(utilities.deriv_at(idx, np.full(m, target / m))))
     fast_turn = False
     last_err = _INF
     for _ in range(200):
+        qmin, qmax = utilities.inv_deriv(mid, idx)
         tmin = float(np.sum(qmin))
         err = abs(tmin - target)
         # stay on Newton while it contracts quadratically, else alternate
-        # with bisection
         fast_turn = (err <= 0.25 * last_err) or not fast_turn
         last_err = err
         if tmin > target:
@@ -581,8 +577,8 @@ def _equalize(utilities, idx, target):
             hi, t_hi, at_hi = mid, tmin, (qmin, qmax)
             if err <= exit_tol:
                 break
-        width = hi - lo
-        if width <= 1e-15 * max(abs(hi), abs(lo), 1e-12):
+        if at_lo is not None and \
+                hi - lo <= 1e-15 * max(abs(hi), abs(lo), 1e-12):
             break
         step = None
         if fast_turn:
@@ -593,39 +589,25 @@ def _equalize(utilities, idx, target):
                 alpha = tmin + slope * mid
                 if mid > 0.0 and target > alpha:
                     step = beta / (target - alpha)
-                else:
-                    step = mid - (tmin - target) / slope
             elif t_lo is not None and np.isfinite(t_lo) and t_lo > t_hi:
-                step = lo + (t_lo - target) * width / (t_lo - t_hi)
-        mid = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
-        qmin, qmax = utilities.inv_deriv(mid, idx)
+                step = lo + (t_lo - target) * (hi - lo) / (t_lo - t_hi)
+        if step is not None and lo < step < hi:
+            mid = step
+        elif at_lo is not None:
+            mid = 0.5 * (lo + hi)
+        elif mid > 0.0 and \
+                float(np.sum(utilities.demand_at_zero()[idx])) >= target:
+            mid = 0.0 if mid < 1e-280 else 0.5 * mid
+        else:
+            mid = 2.0 * mid if mid < 0.0 else -1.0
+    else:
+        if at_lo is None:
+            raise ConvergenceError(
+                "forced consumption exceeds the range of the slot utilities")
     if at_hi is None:   # hi is still max f'(0), never probed
         at_hi = utilities.inv_deriv(hi, idx)
-    return _distribute_late(at_hi[0], at_lo[1], target)
-
-
-def _descend(utilities, idx, target, level):
-    """A level below ``level`` whose total demand (qmax side) is at least
-    ``target``: halve, then go through 0 into negative levels if the
-    utilities ever slope down.  Where the demand at level 0 falls short of
-    the target the level is negative, and halving a positive level would
-    never get there."""
-    if level > 0.0 and float(np.sum(utilities.demand_at_zero()[idx])) < target:
-        level = 0.0
-    for _ in range(200):
-        if level > 0.0:
-            level = 0.0 if level < 1e-280 else 0.5 * level
-        elif level == 0.0:
-            level = -1.0
-        else:
-            level = 2.0 * level
-        qmin, qmax = utilities.inv_deriv(level, idx)
-        if np.sum(qmax) >= target:
-            break
-    else:
-        raise ConvergenceError(
-            "forced consumption exceeds the range of the slot utilities")
-    return level
+    return _distribute_late(at_hi[0], None if at_lo is None else at_lo[1],
+                            target)
 
 
 def _distribute_late(powers, qmax_lo, target):

@@ -6,11 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from ehic import cli
+from ehic import cli, online
 from ehic.cli import (ExperimentConfig, fig7_scenario, gen_scenario, main,
                       run_experiment)
 from ehic.errors import ConvergenceError
-from ehic.model import feasibility_report, scenario_from_dict
+from ehic.model import feasibility_report, scenario_from_dict, scenario_to_dict
 from ehic.rates import build_rate_model
 
 
@@ -129,6 +129,57 @@ class TestRunExperiment:
             grid_step=0.1, write_tables=True))
         assert summary["dp_value_at_start"] > 0
         assert (out / "tables.csv").exists()
+
+
+class TestBaselines:
+    """``naive`` and ``distributed`` on the fig7 scenario, from a file."""
+
+    @pytest.fixture
+    def fig7_path(self, tmp_path):
+        return _write_scenario(tmp_path, scenario_to_dict(fig7_scenario()),
+                               "fig7.json")
+
+    @staticmethod
+    def run(command, scen_path, out):
+        assert main([command, "--scenario", scen_path, "--out", str(out)]) == 0
+        return json.loads((out / "summary.json").read_text())
+
+    def test_objectives_order(self, fig7_path, tmp_path):
+        obj = {command: self.run(command, fig7_path,
+                                 tmp_path / command)["objective_nats"]
+               for command in ("solve-offline", "distributed", "naive")}
+        assert obj["solve-offline"] >= obj["distributed"] >= obj["naive"]
+        assert obj["solve-offline"] == pytest.approx(15.0872, abs=1e-4)
+        assert obj["distributed"] == pytest.approx(14.9633, abs=1e-4)
+        assert obj["naive"] == pytest.approx(13.6453, abs=1e-4)
+
+    def test_distributed_writes_its_policy(self, fig7_path, tmp_path):
+        out = tmp_path / "distributed"
+        summary = self.run("distributed", fig7_path, out)
+        assert summary["feasibility"]["feasible"]
+        rows = list(csv.DictReader(
+            (out / "policy.csv").read_text().splitlines()))
+        written = np.array([[float(r["p1"]) for r in rows],
+                            [float(r["p2"]) for r in rows]])
+        scen, _ = cli._load_scenario(fig7_path)
+        rm = cli._rate_model_for(scen)
+        expected = np.vstack([online.distributed_policy(scen, rm, user)
+                              for user in range(2)])
+        assert np.array_equal(written, expected)
+
+    def test_naive_overflows_a_battery(self, fig7_path, tmp_path):
+        # naive transmits at its mean harvest rate and lets a full battery
+        # spill, as a real one would: user 2 loses 4.2 before the arrival
+        # in slot 16.  It never spends energy it has not harvested
+        feas = self.run("naive", fig7_path, tmp_path / "naive")["feasibility"]
+        assert feas["feasible"] is False
+        assert feas["worst_energy_causality"] == 0.0
+        assert feas["worst_battery_capacity"] == pytest.approx(4.2, rel=1e-12)
+        scen, _ = cli._load_scenario(fig7_path)
+        worst = feasibility_report(online.naive_policy(scen), scen,
+                                   cli._rate_model_for(scen)).battery_capacity
+        # user 2 (index 1) at the end of slot 15 (index 14)
+        assert (worst.user, worst.slot) == (1, 14)
 
 
 class TestPresets:

@@ -1,6 +1,7 @@
 """Single-user corridor solver: worked examples, certificate structure,
 closed-form agreement and random stress against an independent search."""
 
+import json
 import math
 
 import numpy as np
@@ -12,8 +13,9 @@ from ehic.errors import (ConvergenceError, InfeasiblePolicyError,
 from ehic.model import HarvestProfile, TimeGrid
 from ehic.single_user import (GenericSlotUtilities, InterferedUtilities,
                               LinearUtilities, PiecewiseMinUtilities,
-                              ScaledLogUtilities, _equalize, _real_cubic_roots,
-                              solve_single_user, verify_kkt)
+                              ScaledLogUtilities, SlotUtilities, _equalize,
+                              _real_cubic_roots, solve_single_user,
+                              verify_kkt)
 
 from helpers import bisect_equalize
 
@@ -174,6 +176,31 @@ class TestUtilityFamilies:
             q, _ = util.inv_deriv(level)
             err = np.abs(np.where(q > 0, util.deriv(q) - level, 0.0))
             assert np.max(err) <= 1e-10
+
+    def test_interfered_without_cross_gain(self):
+        # a = 0 leaves f'(p) = 1/(2(1 + p)), inverted in closed form
+        util = InterferedUtilities(0.0, np.array([0.0, 0.4, 2.0, 8.0]))
+        for level in (0.7, 0.5, 0.49, 0.3, 0.1, 0.02, 0.004):
+            q, qmax = util.inv_deriv(level)
+            assert np.array_equal(q, np.full(4, max(0.0, 1 / (2 * level) - 1)))
+            assert np.array_equal(qmax, q)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_solve_offline_without_cross_gain(self, seed, tmp_path):
+        # a = 0, b = 1.5 is in the min-form region, whose noise-treated
+        # branch is the interfered utility at a = 0
+        scen = str(tmp_path / "scen.json")
+        assert cli.main(["gen-scenario", "--n", "20", "--tau", "1",
+                         "--emax", "10", "--mean-interarrival", "5",
+                         "--seed", str(seed), "--a", "0", "--b", "1.5",
+                         "--out", scen]) == 0
+        out = tmp_path / "run"
+        assert cli.main(["solve-offline", "--scenario", scen, "--tol", "1e-7",
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["converged"]
+        assert max(summary[f"{kind}_user{u}"] for kind in
+                   ("stationarity", "complementarity") for u in (1, 2)) <= 1e-7
 
     def test_cubic_roots_fast_path_matches_masked_path(self):
         # x^3 + c1 x + c0 with c1 > 0 has one real root, so the first call
@@ -464,9 +491,9 @@ class TestLevelSearch:
             target = float(rng.choice([rng.uniform(0, 1), rng.uniform(0, 10),
                                        rng.uniform(0, 40)]))
             if family == "proximal":
-                # past the level-0 demand the level is negative, and neither
-                # search's descent gets below zero from a positive max f'(0)
-                # (a known limit; the negative-level test starts at zero)
+                # past the level-0 demand the level is negative; from a
+                # positive max f'(0) the solver's search gets there
+                # (TestNegativeLevels), but the reference's halving does not
                 at_zero = float(np.sum(util.inv_deriv(0.0)[1]))
                 target = min(target, 0.9 * at_zero)
             self.assert_matches_reference(util, target)
@@ -495,17 +522,19 @@ class TestLevelSearch:
         assert np.array_equal(_equalize(util, np.arange(5), 0.0), np.zeros(5))
 
     def test_target_met_at_first_descent_probe(self):
-        # the first descent probe is level 1/4 = max f'(0) / 2, where each
-        # unit-gain slot demands exactly 1/(2 * 1/4) - 1 = 1
+        # the first probe, the mean marginal at the even split, is level
+        # f'(1) = 1/4, where each unit-gain slot demands exactly
+        # 1/(2 * 1/4) - 1 = 1
         util = log_utils(4)
         got = self.assert_matches_reference(util, 4.0)
         assert np.array_equal(got, np.ones(4))
-        # within the stopping tolerance above the first probe's total
+        # a target within the stopping tolerance below that total
         self.assert_matches_reference(util, 4.0 - 1e-13)
 
     def test_descent_into_negative_levels(self):
-        # f'(p) = -p (and -p/2): max f'(0) = 0, so the level search descends
-        # to -1, -2, -4, ... before it brackets the target
+        # f'(p) = -p (and -p/2): max f'(0) = 0, so every level is negative;
+        # the marginals are identical and linear, so the even-split probe
+        # lands on the level (-2.5 in both windows) at once
         prox = GenericSlotUtilities(lambda p: -0.5 * p ** 2, lambda p: -p,
                                     n=3)
         got = self.assert_matches_reference(prox, 7.5)
@@ -595,3 +624,77 @@ class TestNegativeLevels:
                                     lambda p: 1.0 - p, n=3)
         got = _equalize(util, np.arange(3), 7.5)
         assert np.allclose(got, 2.5, rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.2, 2.0, 5.0, 20.0])
+    def test_equalize_unequal_marginals_past_zero(self, scale):
+        # proximal log utilities: unequal, nonlinear marginals with
+        # max f'(0) > 0.  Past their level-0 demand the common level is
+        # negative; at 1.2 and 2.0 the 8-slot window's even-split probe
+        # falls short and the search doubles it before it brackets the level
+        rng = np.random.default_rng(0)
+        for n in (3, 8):
+            util = _family("proximal", rng, n)
+            assert np.max(util.deriv_at_zero()) > 0.0
+            target = scale * float(np.sum(util.demand_at_zero()))
+            got = _equalize(util, np.arange(n), target)
+            assert np.sum(got) == pytest.approx(target, rel=1e-12, abs=1e-12)
+            marginals = util.deriv(got)[got > 0.0]
+            assert np.ptp(marginals) <= 1e-9
+            assert np.max(marginals) < 0.0
+
+    def test_forced_consumption_on_unequal_marginals(self):
+        # the second arrival fills the battery only if slots 1-3 spend the
+        # first 30 units, about twice their level-0 demand: their common
+        # level is negative, and slot 4 takes its level-0 demand
+        util = _family("proximal", np.random.default_rng(5), 4)
+        harvest = HarvestProfile(np.array([30.0, 0.0, 0.0, 30.0]), 30.0)
+        p, cert = solve_single_user(util, harvest, TimeGrid(4, 1.0))
+        assert np.sum(p[:3]) == pytest.approx(30.0, rel=1e-12)
+        assert max(cert.stationarity_residual,
+                   cert.complementarity_residual) <= 1e-7
+        assert np.all(cert.water_levels[:3] < 0.0)
+        assert np.ptp(cert.water_levels[:3]) <= 1e-9
+        assert cert.water_levels[3] == pytest.approx(0.0, abs=1e-9)
+
+    def test_demand_short_of_target_at_every_level_raises(self):
+        # each slot's demand stops at 1, so 3 slots never reach 10
+        class CappedDemand(SlotUtilities):
+            n = 3
+
+            def deriv(self, p):
+                return 1.0 - np.asarray(p, dtype=float)
+
+            def inv_deriv(self, level, idx=None):
+                q = np.full(self._all_idx(idx).shape,
+                            min(max(1.0 - level, 0.0), 1.0))
+                return q, q.copy()
+
+        with pytest.raises(ConvergenceError,
+                           match="forced consumption exceeds the range of "
+                                 "the slot utilities"):
+            _equalize(CappedDemand(), np.arange(3), 10.0)
+
+    def test_positive_short_probe_jumps_below_zero(self):
+        # f'(p) = 10 - p and exp(-p) - 1/2: the even-split probe is level
+        # 2 + exp(-5.5)/2, short of the target 11, and so is the demand
+        # 10 + ln 2 at level 0, so the next probe is -1, not half the level
+        util = GenericSlotUtilities(
+            lambda p: np.array([10.0 * p[0] - 0.5 * p[0] ** 2,
+                                -np.exp(-p[1]) - 0.5 * p[1]]),
+            lambda p: np.array([10.0 - p[0], np.exp(-p[1]) - 0.5]), n=2)
+        util.demand_at_zero()   # cached before the probes are recorded
+        probes = []
+        inverse = util.inv_deriv
+
+        def recording(level, idx=None):
+            probes.append(level)
+            return inverse(level, idx)
+
+        util.inv_deriv = recording
+        got = _equalize(util, np.arange(2), 11.0)
+        assert probes[0] == pytest.approx(2.0 + 0.5 * np.exp(-5.5), rel=1e-15)
+        assert probes[1] == -1.0
+        assert np.sum(got) == pytest.approx(11.0, rel=1e-12)
+        marginals = util.deriv(got)
+        assert np.ptp(marginals) <= 1e-9
+        assert np.max(marginals) < 0.0
