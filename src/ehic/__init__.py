@@ -26,7 +26,7 @@ from .single_user import (GenericSlotUtilities, InterferedUtilities,
                           PiecewiseMinUtilities, ScaledLogUtilities,
                           SlotUtilities, solve_single_user, verify_kkt)
 from .iterative import (SolveReport, build_subproblem, iterate_offline,
-                        joint_objective)
+                        iterate_offline_many, joint_objective)
 from .data_causality import resolve_contradictions, solve_with_data, violation
 from .online import (ArrivalDistribution, DPResult, StateGrid,
                      distributed_policy, naive_policy, rollout_table,
@@ -46,7 +46,8 @@ __all__ = [
     "SolveReport", "StateGrid", "TimeGrid", "UnsupportedRegionError", "User",
     "brute_force", "build_rate_model", "build_subproblem", "classify_region",
     "cumulative_departure", "distributed_policy", "feasibility_report",
-    "interference_as_noise_kernel", "iterate_offline", "joint_objective",
+    "interference_as_noise_kernel", "iterate_offline",
+    "iterate_offline_many", "joint_objective",
     "naive_policy", "normalize_channel", "resolve_contradictions",
     "rollout_table", "scenario_from_dict", "scenario_to_dict",
     "solve_single_user", "solve_with_data", "validate_scenario",

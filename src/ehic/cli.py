@@ -22,14 +22,11 @@ errors, 3 on solver non-convergence.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
-import multiprocessing
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -40,7 +37,8 @@ from . import data_causality, online, oracle
 from .errors import (ConvergenceError, InfeasiblePolicyError,
                      InvalidInputError, InvalidUtilityError, OracleSizeError,
                      ShapeError, UnsupportedRegionError)
-from .iterative import build_subproblem, iterate_offline, joint_objective
+from .iterative import (build_subproblem, iterate_offline,
+                        iterate_offline_many, joint_objective)
 from .model import (DataProfile, HarvestProfile, Scenario, TimeGrid, User,
                     cumulative_departure, feasibility_report,
                     scenario_from_dict, validate_scenario)
@@ -283,44 +281,35 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return summary
 
 
-def _fig8_single(seed: int, tol: float, max_sweeps: int):
-    scenario = gen_scenario(FIG8_SLOTS, 1.0, FIG8_EMAX,
-                            FIG8_MEAN_INTERARRIVAL, seed, *FIG8_CHANNEL)
-    rate_model = _rate_model_for(scenario)
-    p_iter, _ = iterate_offline(scenario, rate_model, max_sweeps=max_sweeps,
-                                tol=tol)
-    p_dist = np.vstack([online.distributed_policy(scenario, rate_model, u)
-                        for u in range(2)])
-    p_naive = online.naive_policy(scenario)
-    to_bits = lambda p: joint_objective(p, scenario, rate_model) / LN2
-    return {"seed": seed, "bits_iterative": to_bits(p_iter),
-            "bits_distributed": to_bits(p_dist),
-            "bits_naive": to_bits(p_naive)}
-
-
 def _run_fig8(config: ExperimentConfig, out_dir: Path) -> dict:
     if config.preset_count < 1:
         raise InvalidInputError("fig8 needs --count of at least 1")
     if config.jobs < 1:
         raise InvalidInputError("--jobs must be at least 1")
+    # all seeds share N, tau and channel, so their joint starts are one
+    # batch; a seed's row is the same in any batch, and --jobs changes
+    # nothing (it is kept for the command lines that pass it)
     seeds = [config.seed + i for i in range(config.preset_count)]
-    run_one = functools.partial(_fig8_single, tol=config.tol,
-                                max_sweeps=config.max_sweeps)
-    workers = min(config.jobs, len(seeds))
-    if workers > 1:
-        # seeds are independent and their work holds the GIL, so they run in
-        # forked processes (fork, not forkserver: workers inherit the loaded
-        # modules); pickled floats come back exactly, in seed order, and the
-        # first failing seed in that order raises, as in the serial loop,
-        # without waiting for the seeds queued after it
-        pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork"))
-        try:
-            rows = list(pool.map(run_one, seeds))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        rows = [run_one(s) for s in seeds]
+    scenarios = [gen_scenario(FIG8_SLOTS, 1.0, FIG8_EMAX,
+                              FIG8_MEAN_INTERARRIVAL, s, *FIG8_CHANNEL)
+                 for s in seeds]
+    rate_models = [_rate_model_for(s) for s in scenarios]
+    solved = iterate_offline_many(scenarios, rate_models,
+                                  max_sweeps=config.max_sweeps, tol=config.tol)
+    rows = []
+    for seed, scenario, rate_model, (p_iter, report) in zip(
+            seeds, scenarios, rate_models, solved):
+        if not report.converged:
+            raise ConvergenceError(
+                f"fig8 seed {seed}: iterative solve did not converge",
+                best_policy=p_iter)
+        p_dist = np.vstack([online.distributed_policy(scenario, rate_model, u)
+                            for u in range(2)])
+        p_naive = online.naive_policy(scenario)
+        to_bits = lambda p: joint_objective(p, scenario, rate_model) / LN2
+        rows.append({"seed": seed, "bits_iterative": to_bits(p_iter),
+                     "bits_distributed": to_bits(p_dist),
+                     "bits_naive": to_bits(p_naive)})
     lines = ["seed,bits_iterative,bits_distributed,bits_naive"]
     for row in rows:
         lines.append(",".join([str(row["seed"]), _fmt(row["bits_iterative"]),

@@ -11,11 +11,15 @@ below tolerance.
 Where to start: in the a*b > 1 region (either orientation) the sum rate is
 smooth and jointly concave, and the alternation starts from ``joint_start``,
 a log-barrier Newton method on both users at once whose Newton systems are
-block-tridiagonal and cost O(N).  From it the alternation certifies in one
-sweep on every fig8 seed (80 sweeps over seeds 0-79, against 883 from
-zeros; fig7 1 against 38).  The start decides nothing: the same alternation
-runs from it, every block solve is checked by ``verify_kkt``, and the same
-convergence tests end it.
+bands of half-width 3, solved in O(N) by LAPACK's banded Cholesky.  It runs
+on a batch of scenarios that share N, tau and channel, one LAPACK call per
+Newton step for all of them, and gives each scenario the start it would get
+alone; ``iterate_offline_many`` batches its scenarios so, and
+``iterate_offline`` is its batch of one.  From the joint start the
+alternation certifies in one sweep on every fig8 seed (80 sweeps over seeds
+0-79, against 883 from zeros; fig7 1 against 38).  The start decides
+nothing: the same alternation runs from it, every block solve is checked by
+``verify_kkt``, and the same convergence tests end it.
 
 Each block solve is offered the block's current row as its start, and
 returns it unsolved when its certificate already meets the tolerance
@@ -51,6 +55,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dpbsv as _dpbsv
 
 from .errors import InvalidInputError, ShapeError
 from .model import Scenario, energy_bounds, validate_scenario
@@ -139,52 +144,46 @@ def feasible_floor(policy_row, harvest, tau: float) -> np.ndarray:
     return np.diff(np.concatenate([[0.0], s])) / tau
 
 
-def block_tridiag_solve(diag, off, rhs) -> np.ndarray:
-    """Solve a symmetric block-tridiagonal system with 2x2 blocks in O(N).
+def band_solve(band, rhs):
+    """Solve stacked symmetric positive definite band systems at once.
 
-    ``diag`` (N, 2, 2) holds the diagonal blocks, ``off`` (N-1, 2, 2) the
-    blocks coupling block n (rows) to block n+1 (columns), and ``rhs`` is
-    (N, 2).  Block Gaussian elimination without pivoting, so the matrix must
-    be positive definite (a barrier Hessian is).  The sweep runs on Python
-    floats: at the N of interest a loop over 2x2 blocks costs less than the
-    per-call overhead of numpy on them.
+    ``band`` (kd+1, B, m) holds B systems of order m in LAPACK's lower band
+    storage, ``band[k, b, j] = A_b[j + k, j]``, with zeros past each
+    system's last row, and ``rhs`` (B, m, r) their right-hand sides.  The
+    stacked matrix is block diagonal, and one call of LAPACK's banded
+    Cholesky ``dpbsv`` (Golub & Van Loan, Matrix Computations, sec. 4.3)
+    solves it in O(B m kd^2).  Its factorization works column by column and
+    the blocks never meet, so each system solves bit-identically alone or
+    stacked.
+
+    Returns ``(x, ok)``.  ``ok[b]`` is False for a system that breaks down:
+    one with a non-finite entry (checked first, since a NaN would leak into
+    the next system through the zero coupling), or one that is not positive
+    definite, which ``dpbsv`` reports as a non-positive pivot; the other
+    systems are then solved again without it.  A broken system's rows of
+    ``x`` are NaN.
     """
-    n = rhs.shape[0]
-    d = np.asarray(diag, dtype=float).reshape(n, 4).tolist()
-    b = np.asarray(off, dtype=float).reshape(max(n - 1, 0), 4).tolist()
-    r = np.asarray(rhs, dtype=float).tolist()
-    cs, ys = [], []
-    c00 = c01 = c10 = c11 = y0 = y1 = 0.0
-    for i in range(n):
-        m00, m01, m10, m11 = d[i]
-        r0, r1 = r[i]
-        if i:
-            # subtract A_i C_{i-1} and A_i y_{i-1}, where A_i = off[i-1]^T
-            e00, e01, e10, e11 = b[i - 1]
-            m00 -= e00 * c00 + e10 * c10
-            m01 -= e00 * c01 + e10 * c11
-            m10 -= e01 * c00 + e11 * c10
-            m11 -= e01 * c01 + e11 * c11
-            r0 -= e00 * y0 + e10 * y1
-            r1 -= e01 * y0 + e11 * y1
-        det = m00 * m11 - m01 * m10
-        i00, i01, i10, i11 = m11 / det, -m01 / det, -m10 / det, m00 / det
-        y0, y1 = i00 * r0 + i01 * r1, i10 * r0 + i11 * r1
-        ys.append((y0, y1))
-        if i < n - 1:
-            e00, e01, e10, e11 = b[i]
-            c00, c01 = i00 * e00 + i01 * e10, i00 * e01 + i01 * e11
-            c10, c11 = i10 * e00 + i11 * e10, i10 * e01 + i11 * e11
-            cs.append((c00, c01, c10, c11))
-    x = [None] * n
-    x0, x1 = ys[-1]
-    x[-1] = (x0, x1)
-    for i in range(n - 2, -1, -1):
-        c00, c01, c10, c11 = cs[i]
-        y0, y1 = ys[i]
-        x0, x1 = y0 - (c00 * x0 + c01 * x1), y1 - (c10 * x0 + c11 * x1)
-        x[i] = (x0, x1)
-    return np.array(x)
+    kd1, _, m = band.shape
+    ok = (np.isfinite(band).all(axis=(0, 2))
+          & np.isfinite(rhs).all(axis=(1, 2)))
+    if ok.all():
+        _, sol, info = _dpbsv(band.reshape(kd1, -1),
+                              rhs.reshape(-1, rhs.shape[2]), lower=1)
+        if info == 0:
+            return sol.reshape(rhs.shape), ok
+    x = np.full(rhs.shape, np.nan)
+    live = np.flatnonzero(ok)
+    while live.size:
+        _, sol, info = _dpbsv(band[:, live].reshape(kd1, -1),
+                              rhs[live].reshape(-1, rhs.shape[2]), lower=1)
+        if info < 0:
+            raise ValueError(f"dpbsv: illegal argument {-info}")
+        if info == 0:
+            x[live] = sol.reshape(live.size, m, -1)
+            break
+        ok[live[(info - 1) // m]] = False
+        live = np.flatnonzero(ok)
+    return x, ok
 
 
 _GAP_TOL = 1e-10      # the joint start stops once the barrier gap m/t is below
@@ -195,20 +194,23 @@ _FULL_STEP = 0.25     # Newton decrement^2 below which no line search is run
 _T_START = 1e4        # first barrier weight over m / (total harvest)
 
 
-def joint_start(scenario: Scenario, rate_model: RateModel):
-    """Both users' joint optimum in the a*b > 1 region, by barrier Newton.
+def joint_start(scenarios, rate_model: RateModel):
+    """Both users' joint optimum in the a*b > 1 region, by barrier Newton,
+    for a batch of scenarios that share N, tau and channel.
 
     Maximizes tau * sum_n r(p_1n, p_2n) over the cumulative consumptions
     S_jn = tau * sum_{i<=n} p_ji, where the sum rate is smooth and jointly
     concave (Boyd & Vandenberghe, Convex Optimization, ch. 11).  Log
     barriers keep S above its floor (the battery corridor's lower bound made
     monotone), below the cumulative harvest and increasing in n, which is
-    p > 0; barriers that another one implies are left out.  Entries whose
-    corridor has zero width are pinned and dropped from the Newton system:
-    slots before a user's first arrival, slots followed by an arrival of a
-    full battery, and the last slot (the rate grows in each power, so all
-    energy is spent).  Each Newton system is block-tridiagonal with 2x2
-    blocks, since the users couple only within a slot.
+    p > 0; barriers that another one implies are masked out.  Entries whose
+    corridor has zero width are pinned: slots before a user's first arrival,
+    slots followed by an arrival of a full battery, and the last slot (the
+    rate grows in each power, so all energy is spent).  The users couple
+    only within a slot, so with S ordered (S_1n, S_2n) slot by slot each
+    Newton system is a band of half-width 3, positive definite with the
+    pinned rows set to the identity; ``band_solve`` solves the systems of
+    every scenario still iterating in one LAPACK call.
 
     Steps stop at the boundary fraction 0.99 and backtrack while the Newton
     decrement is large.  The barrier weight t starts where the objective's
@@ -223,95 +225,115 @@ def joint_start(scenario: Scenario, rate_model: RateModel):
     itself, and the line search compares merits through those relative
     changes for the same reason.
 
-    Returns ``(policy, newton_steps)`` in the caller's user order.  Never
-    raises: at the step cap, or on a numerical breakdown, it returns its last
-    strictly feasible iterate.  Nothing certifies this start; the
-    alternation that follows it does.
+    Every scenario keeps its own t, centering, line search and stop, and
+    every reduction runs over one scenario's entries, so a scenario's start
+    is bit-identical whatever else is in the batch.  Returns ``(starts,
+    newton_steps)``: arrays of shape (B, 2, N) in the callers' user order
+    and (B,).  Never raises: at the step cap, or on a numerical breakdown
+    (a system that is not positive definite, a non-finite decrement), a
+    scenario stops at its last strictly feasible iterate and the others go
+    on.  Nothing certifies these starts; the alternation that follows does.
     """
-    n, tau = scenario.grid.N, scenario.grid.tau
+    n, tau = scenarios[0].grid.N, scenarios[0].grid.tau
+    if any((s.grid.N, s.grid.tau) != (n, tau) for s in scenarios):
+        raise InvalidInputError("a joint start batch must share N and tau")
     order = [1, 0] if rate_model.mirrored else [0, 1]
     a = rate_model.canonical_gains[0]
-    floor = np.empty((2, n))
-    upper = np.empty((2, n))
-    for row, j in enumerate(order):
-        lower, upper[row] = energy_bounds(scenario.users[j].harvest, tau)
-        floor[row] = np.maximum.accumulate(lower)
+    size = len(scenarios)
+    # state and masks are (scenario, slot, user), so that a scenario's S is
+    # one contiguous run of its band system's unknowns
+    floor = np.empty((size, n, 2))
+    upper = np.empty((size, n, 2))
+    for k, scen in enumerate(scenarios):
+        for col, j in enumerate(order):
+            lower, upper[k, :, col] = energy_bounds(scen.users[j].harvest, tau)
+            floor[k, :, col] = np.maximum.accumulate(lower)
     floor[:, -1] = upper[:, -1]
-    pinned = upper - floor <= 1e-12 * max(1.0, float(np.max(upper[:, -1])))
+    scale = np.maximum(1.0, upper[:, -1].max(axis=1))
+    pinned = upper - floor <= 1e-12 * scale[:, None, None]
     free = ~pinned
     # a strictly feasible start: weights rising in n keep the increments
     # positive between a nondecreasing floor and harvest
-    w = np.arange(1, n + 1) / (n + 1.0)
+    w = (np.arange(1, n + 1) / (n + 1.0))[:, None]
     cum = np.where(pinned, upper, floor + w * (upper - floor))
-    # active barriers: increments touching a free entry, floors that rise,
-    # and cumulative harvests that grow in the next slot
+    # barriers: increments touching a free entry, floors that rise, and
+    # cumulative harvests that grow in the next slot
     mono = free.copy()
     mono[:, 1:] |= free[:, :-1]
-    rises = floor > np.concatenate([np.zeros((2, 1)), floor[:, :-1]], axis=1)
-    grows = np.zeros((2, n), dtype=bool)
+    rises = floor > np.concatenate([np.zeros((size, 1, 2)), floor[:, :-1]],
+                                   axis=1)
+    grows = np.zeros_like(free)
     grows[:, :-1] = upper[:, :-1] < upper[:, 1:]
-    lo_idx = np.flatnonzero(free & rises)
-    up_idx = np.flatnonzero(free & grows)
-    # the state z holds every increment tau*p (pinned pairs' ones are
-    # constant), then the floor slacks, then the harvest slacks; barriers
-    # act on z[act]
-    flat = cum.ravel()
-    z = np.concatenate([np.diff(cum, axis=1, prepend=0.0).ravel(),
-                        flat[lo_idx] - floor.ravel()[lo_idx],
-                        upper.ravel()[up_idx] - flat[up_idx]])
-    act = np.concatenate([np.flatnonzero(mono),
-                          np.arange(2 * n, z.size)])
-    m = act.size
-
-    def to_policy(z):
-        return z[:2 * n].reshape(2, n)[order] / tau
-
-    if m == 0 or z[act].min() <= 0.0:
-        return to_policy(z), 0
+    # z stacks every increment tau*p (those without a barrier stay
+    # constant), the floor slacks and the harvest slacks; barriers act on
+    # z[act], and a slack without one is held at 1
+    act = np.stack([mono, free & rises, free & grows], axis=1)
+    z = np.stack([np.diff(cum, axis=1, prepend=0.0), cum - floor,
+                  upper - cum], axis=1)
+    z[:, 1:][~act[:, 1:]] = 1.0
+    m = act.reshape(size, -1).sum(axis=1)
+    t = _T_START * m / np.maximum(1.0, upper[:, -1].sum(axis=1))
+    starts = z[:, 0].copy()
+    steps = np.zeros(size, dtype=int)
+    live = np.flatnonzero((m > 0) & (np.where(act, z, 1.0).reshape(size, -1)
+                                     .min(axis=1) > 0.0))
+    # the working set holds the live scenarios' rows only
+    z, act, free, t, m = z[live], act[live], free[live], t[live], m[live]
+    mono = act[:, 0]
+    lo_f, up_f = act[:, 1].astype(float), act[:, 2].astype(float)
+    fw = free.astype(float)
+    pin_f = 1.0 - fw
+    grow = (1.0 - 1.0 / _T_GROWTH) * fw
+    # the band's entries that survive pinning (lower storage, columns
+    # (S_1n, S_2n) slot by slot, row k of column j coupling it to j + k)
+    nxt = np.concatenate([fw[:, 1:], np.zeros((live.size, 1, 2))], axis=1)
+    bmask = np.zeros((4, live.size, n, 2))
+    bmask[0] = fw
+    bmask[1, ..., 0] = fw[..., 0] * fw[..., 1]
+    bmask[1, ..., 1] = fw[..., 1] * nxt[..., 0]
+    bmask[2] = fw * nxt
+    bmask[3, ..., 0] = fw[..., 0] * nxt[..., 1]
+    band = np.zeros((4, live.size, n, 2))
+    hp = np.zeros((live.size, n + 1, 3))
+    taken = np.zeros(live.size, dtype=int)   # Newton steps of the live ones
+    nd = 2 * n
 
     def direction(ds):
         """Change of z along a change ``ds`` of S."""
-        dd = ds.copy()
-        dd[:, 1:] -= ds[:, :-1]
-        flat = ds.ravel()
-        return np.concatenate([dd.ravel(), flat[lo_idx], -flat[up_idx]])
+        dz = np.empty(z.shape)
+        dz[:, 0] = ds
+        dz[:, 0, 1:] -= ds[:, :-1]
+        np.multiply(ds, lo_f, out=dz[:, 1])
+        np.multiply(ds, up_f, out=dz[:, 2])
+        np.negative(dz[:, 2], out=dz[:, 2])
+        return dz
 
-    def boundary_step(dz, z):
+    def boundary_step(dz):
         """Largest step along dz, up to 1, keeping 1% of every argument."""
-        worst = -float((dz[act] / z[act]).min())
-        return 1.0 if worst <= 0.99 else 0.99 / worst
+        ratio = np.where(act, dz / z, 0.0).reshape(len(z), -1)
+        worst = -ratio.min(axis=1)
+        return np.where(worst <= 0.99, 1.0, 0.99 / worst)
 
-    def merit_change(z, dz, t):
-        """Change of -t * objective - sum(log args) from z to z + dz, from
-        the relative changes (the merit itself is too large to difference
-        once t is)."""
-        p = z[:2 * n].reshape(2, n) / tau
-        dp = dz[:2 * n].reshape(2, n) / tau
-        v = 1.0 + a * p[1]
-        dv = a * dp[1]
-        rate = (np.log1p((dv + dp[0]) / (v + p[0])) - np.log1p(dv / v)
-                + np.log1p(dp[1] / (1.0 + p[1])))
-        return (-0.5 * t * tau * float(rate.sum())
-                - float(np.log1p(dz[act] / z[act]).sum()))
+    def merit_change(rows, dz):
+        """Change of -t * objective - sum(log args) from z to z + dz for the
+        scenarios ``rows``, from the relative changes (the merit itself is
+        too large to difference once t is)."""
+        zr = z[rows]
+        p = zr[:, 0] / tau
+        dp = dz[:, 0] / tau
+        v = 1.0 + a * p[..., 1]
+        dv = a * dp[..., 1]
+        rate = (np.log1p((dv + dp[..., 0]) / (v + p[..., 0]))
+                - np.log1p(dv / v) + np.log1p(dp[..., 1] / (1.0 + p[..., 1])))
+        logs = np.where(act[rows], np.log1p(dz / zr), 0.0)
+        return (-0.5 * t[rows] * tau * rate.sum(axis=1)
+                - logs.reshape(len(rows), -1).sum(axis=1))
 
-    keep = ~mono
-    fw = free.astype(float)
-    # pinned rows and columns of the Newton system become the identity
-    dw = (fw[0], fw[0] * fw[1], fw[1])
-    ow = (fw[0, :-1] * fw[0, 1:], fw[0, :-1] * fw[1, 1:],
-          fw[1, :-1] * fw[0, 1:], fw[1, :-1] * fw[1, 1:])
-    diag = np.empty((n, 2, 2))
-    off = np.empty((n - 1, 2, 2))
-    hpad = np.zeros((3, n + 1))
-    n_lo = lo_idx.size
-    t = _T_START * m / max(1.0, float(np.sum(upper[:, -1])))
-    steps = 0
     with np.errstate(all="ignore"):
-        while steps < _MAX_NEWTON:
-            d = z[:2 * n].reshape(2, n)
-            sl = z[2 * n:2 * n + n_lo]
-            su = z[2 * n + n_lo:]
-            p1, p2 = d / tau
+        while live.size:
+            d = z[:, 0]
+            p = d / tau
+            p1, p2 = p[..., 0], p[..., 1]
             v = 1.0 + a * p2
             # gradient and negated Hessian of the sum rate in (p_1, p_2)
             g1 = 0.5 / (v + p1)
@@ -322,89 +344,83 @@ def joint_start(scenario: Scenario, rate_model: RateModel):
             k12 = a * k11
             k22 = a * k12 - 2.0 * av * av + 2.0 * hy * hy
             # the same in the increments, times t, plus their barrier
-            inv_d = 1.0 / d
-            inv_d[keep] = 0.0
-            tg = t * np.vstack([g1, g2])
+            inv_d = np.where(mono, 1.0 / d, 0.0)
+            tg = np.empty(d.shape)
+            tg[..., 0] = g1
+            tg[..., 1] = g2
+            tg *= t[:, None, None]
             grad = -tg - inv_d
             grad[:, :-1] -= grad[:, 1:].copy()
-            gflat = grad.ravel()
-            gflat[lo_idx] -= 1.0 / sl
-            gflat[up_idx] += 1.0 / su
+            grad -= lo_f / z[:, 1]
+            grad += up_f / z[:, 2]
             grad *= fw
-            c = t / tau
-            hpad[0, :n] = c * k11 + inv_d[0] * inv_d[0]
-            hpad[1, :n] = c * k12
-            hpad[2, :n] = c * k22 + inv_d[1] * inv_d[1]
-            # S-space blocks: D^T blockdiag(H) D plus the slack curvature
-            hsum = hpad[:, :n] + hpad[:, 1:]
-            box = np.zeros(2 * n)
-            box[lo_idx] += sl ** -2.0
-            box[up_idx] += su ** -2.0
-            box = box.reshape(2, n)
-            diag[:, 0, 0] = (hsum[0] + box[0]) * dw[0] + pinned[0]
-            diag[:, 0, 1] = diag[:, 1, 0] = hsum[1] * dw[1]
-            diag[:, 1, 1] = (hsum[2] + box[1]) * dw[2] + pinned[1]
-            h1 = hpad[:, 1:n]
-            off[:, 0, 0] = -h1[0] * ow[0]
-            off[:, 0, 1] = -h1[1] * ow[1]
-            off[:, 1, 0] = -h1[1] * ow[2]
-            off[:, 1, 1] = -h1[2] * ow[3]
-            try:
-                ds = block_tridiag_solve(diag, off, -grad.T).T
-            except ZeroDivisionError:
-                break
-            decrement = -float(np.sum(grad * ds))
-            if not (np.isfinite(decrement) and decrement >= 0.0):
-                break
-            if decrement <= 2.0 * _CENTERED:
-                if m / t <= _GAP_TOL:
+            c = (t / tau)[:, None]
+            hp[:, :n, 0] = c * k11 + inv_d[..., 0] * inv_d[..., 0]
+            hp[:, :n, 1] = c * k12
+            hp[:, :n, 2] = c * k22 + inv_d[..., 1] * inv_d[..., 1]
+            # S-space system: D^T blockdiag(H) D plus the slack curvature
+            hsum = hp[:, :n] + hp[:, 1:]
+            hnext = hp[:, 1:]
+            band[0] = hsum[..., ::2] + (lo_f * z[:, 1] ** -2.0
+                                        + up_f * z[:, 2] ** -2.0)
+            band[1, ..., 0] = hsum[..., 1]
+            band[1, ..., 1] = -hnext[..., 1]
+            band[2] = -hnext[..., ::2]
+            band[3, ..., 0] = -hnext[..., 1]
+            band *= bmask
+            band[0] += pin_f
+            # predict the next center along the path's tangent in 1/t:
+            # dS/dt = H^-1 grad F, scaled by (1 - 1/growth) * t
+            tg[:, :-1] -= tg[:, 1:].copy()
+            rhs = np.empty(d.shape + (2,))
+            np.negative(grad, out=rhs[..., 0])
+            np.multiply(tg, grow, out=rhs[..., 1])
+            x, ok = band_solve(band.reshape(4, -1, nd), rhs.reshape(-1, nd, 2))
+            ds = x[..., 0].reshape(-1, n, 2)
+            decrement = -(grad * ds).reshape(-1, nd).sum(axis=1)
+            stop = ~(ok & np.isfinite(decrement) & (decrement >= 0.0))
+            centered = decrement <= 2.0 * _CENTERED
+            stop |= centered & (m / t <= _GAP_TOL)
+            dz = direction(np.where(centered[:, None, None],
+                                    x[..., 1].reshape(-1, n, 2), ds))
+            alpha = boundary_step(dz)
+            search = ~stop & ~centered & (decrement > _FULL_STEP)
+            while True:
+                search &= alpha > 1e-12
+                rows = np.flatnonzero(search)
+                if not rows.size:
                     break
-                # predict the next center along the path's tangent in 1/t:
-                # dS/dt = H^-1 grad F, scaled by (1 - 1/growth) * t
-                tg[:, :-1] -= tg[:, 1:].copy()
-                tg *= (1.0 - 1.0 / _T_GROWTH) * fw
-                try:
-                    move = direction(block_tridiag_solve(diag, off, tg.T).T)
-                except ZeroDivisionError:
-                    break
-                z = z + boundary_step(move, z) * move
-                t *= _T_GROWTH
-                continue
-            dz = direction(ds)
-            alpha = boundary_step(dz, z)
-            if decrement > _FULL_STEP:
-                while (alpha > 1e-12 and merit_change(z, alpha * dz, t)
-                       > -0.25 * alpha * decrement):
-                    alpha *= 0.5
-            steps += 1
-            cand = z + alpha * dz
-            if alpha <= 1e-12 or not cand[act].min() > 0.0:
-                break
-            z = cand
-    return to_policy(z), steps
+                worse = (merit_change(rows, alpha[rows, None, None, None]
+                                      * dz[rows])
+                         > -0.25 * alpha[rows] * decrement[rows])
+                alpha[rows[worse]] *= 0.5
+                search[rows[~worse]] = False
+            cand = z + alpha[:, None, None, None] * dz
+            newton = ~stop & ~centered
+            taken += newton
+            stop |= newton & ((alpha <= 1e-12) | ~(
+                np.where(act, cand, 1.0).reshape(len(z), -1).min(axis=1)
+                > 0.0))
+            t = np.where(centered & ~stop, t * _T_GROWTH, t)
+            z = np.where(stop[:, None, None, None], z, cand)
+            stop |= taken >= _MAX_NEWTON
+            if stop.any():
+                starts[live[stop]] = z[stop, 0]
+                steps[live[stop]] = taken[stop]
+                keep = ~stop
+                live = live[keep]
+                z, act, fw, lo_f, up_f, pin_f, t, m, grow, hp, taken = (
+                    arr[keep] for arr in (z, act, fw, lo_f, up_f, pin_f, t, m,
+                                          grow, hp, taken))
+                mono = act[:, 0]
+                bmask, band = bmask[:, keep], band[:, keep]
+    return starts.transpose(0, 2, 1)[:, order] / tau, steps
 
 
-def iterate_offline(scenario: Scenario, rate_model: RateModel,
-                    max_sweeps: int = 200, tol: float = 1e-7):
-    """Alternating single-user solves until the joint objective settles.
-
-    Starts from ``joint_start`` in the a*b > 1 region and from zeros
-    elsewhere, floored onto each user's energy corridor.  Every block solve
-    must reach KKT residuals of at most ``tol``.  Data-arrival constraints
-    are ignored here (infinite-backlog problem); the data-aware solver wraps
-    this routine.  Returns ``(policy, report)`` with a nondecreasing
-    half-sweep objective trace; ``report.converged`` is False when
-    ``max_sweeps`` sweeps did not settle.
-    """
-    if max_sweeps < 1:
-        raise InvalidInputError("max_sweeps must be at least 1")
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise InvalidInputError("tol must be positive and finite")
-    scen = validate_scenario(scenario)
+def _alternate(scen: Scenario, rate_model: RateModel, start, start_steps,
+               max_sweeps: int, tol: float):
+    """The alternation of ``iterate_offline`` from ``start``."""
     tau = scen.grid.tau
-    start, start_steps = np.zeros((2, scen.grid.N)), 0
-    if rate_model.region is Region.ASYMMETRIC_AB_ABOVE_ONE:
-        start, start_steps = joint_start(scen, rate_model)
     policy = np.vstack([feasible_floor(start[j], scen.users[j].harvest, tau)
                         for j in range(2)])
     obj = joint_objective(policy, scen, rate_model)
@@ -453,3 +469,46 @@ def iterate_offline(scenario: Scenario, rate_model: RateModel,
         prev_disp = disp
     report.final_displacement = report.displacement_trace[-1]
     return policy, report
+
+
+def iterate_offline_many(scenarios, rate_models, max_sweeps: int = 200,
+                         tol: float = 1e-7):
+    """``iterate_offline`` for each scenario, with one joint start per batch.
+
+    The a*b > 1 scenarios that share N, tau and channel get their joint
+    starts from one ``joint_start`` call; a scenario's start, and so its
+    result, is the same in any batch.  The alternations then run one after
+    the other, in the given order.  Returns a list of ``(policy, report)``.
+    """
+    if max_sweeps < 1:
+        raise InvalidInputError("max_sweeps must be at least 1")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise InvalidInputError("tol must be positive and finite")
+    scens = [validate_scenario(s) for s in scenarios]
+    starts = [(np.zeros((2, s.grid.N)), 0) for s in scens]
+    batches = {}
+    for k, (scen, rm) in enumerate(zip(scens, rate_models)):
+        if rm.region is Region.ASYMMETRIC_AB_ABOVE_ONE:
+            key = (scen.grid.N, scen.grid.tau, rm.canonical_gains, rm.mirrored)
+            batches.setdefault(key, []).append(k)
+    for ks in batches.values():
+        policies, steps = joint_start([scens[k] for k in ks], rate_models[ks[0]])
+        for k, start, count in zip(ks, policies, steps):
+            starts[k] = (start, int(count))
+    return [_alternate(scen, rm, start, count, max_sweeps, tol)
+            for scen, rm, (start, count) in zip(scens, rate_models, starts)]
+
+
+def iterate_offline(scenario: Scenario, rate_model: RateModel,
+                    max_sweeps: int = 200, tol: float = 1e-7):
+    """Alternating single-user solves until the joint objective settles.
+
+    Starts from ``joint_start`` in the a*b > 1 region and from zeros
+    elsewhere, floored onto each user's energy corridor.  Every block solve
+    must reach KKT residuals of at most ``tol``.  Data-arrival constraints
+    are ignored here (infinite-backlog problem); the data-aware solver wraps
+    this routine.  Returns ``(policy, report)`` with a nondecreasing
+    half-sweep objective trace; ``report.converged`` is False when
+    ``max_sweeps`` sweeps did not settle.
+    """
+    return iterate_offline_many([scenario], [rate_model], max_sweeps, tol)[0]

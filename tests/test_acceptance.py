@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from ehic.cli import _fig8_single, fig7_scenario, _rate_model_for
+from ehic.cli import (ExperimentConfig, _rate_model_for, fig7_scenario,
+                      run_experiment)
 from ehic.data_causality import solve_with_data
 from ehic.iterative import iterate_offline, joint_objective
 from ehic.model import HarvestProfile, TimeGrid
@@ -229,11 +230,14 @@ def test_c09_very_strong_decoupling():
         f"worst displacement {worst:.2e}")
 
 
-def test_c10_seeded_batch_ordering():
-    rows = [_fig8_single(seed, 1e-7, 200) for seed in range(100)]
-    mean_iter = float(np.mean([r["bits_iterative"] for r in rows]))
-    mean_dist = float(np.mean([r["bits_distributed"] for r in rows]))
-    mean_naive = float(np.mean([r["bits_naive"] for r in rows]))
+def test_c10_seeded_batch_ordering(tmp_path):
+    summary = run_experiment(ExperimentConfig(
+        solver="preset-fig8", out_dir=str(tmp_path), seed=0, tol=1e-7,
+        max_sweeps=200, preset_count=100))
+    means = summary["mean_total_bits"]
+    mean_iter = means["bits_iterative"]
+    mean_dist = means["bits_distributed"]
+    mean_naive = means["bits_naive"]
     assert mean_iter >= mean_dist >= mean_naive
     assert mean_dist >= 0.95 * mean_iter
     _ok("c10 batch ordering over 100 seeds",

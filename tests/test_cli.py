@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ehic import cli, online
+from ehic import cli, iterative, online
 from ehic.cli import (ExperimentConfig, fig7_scenario, gen_scenario, main,
                       run_experiment)
 from ehic.errors import ConvergenceError
@@ -223,49 +223,84 @@ class TestPresets:
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Worker counts of the process pools ``preset fig8`` creates."""
-    made = []
+def no_processes(monkeypatch):
+    """Fail the test if ``preset fig8`` starts a process or forks."""
+    import multiprocessing.process
+    import os
 
-    class RecordingPool(cli.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self._max_workers)
+    def refuse(*args, **kwargs):
+        raise AssertionError("preset fig8 started a process")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    return made
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+def _csv_rows(path):
+    return path.read_bytes().splitlines()[1:]
 
 
 class TestFig8Pool:
-    def test_workers_capped_at_seed_count(self, tmp_path, capsys, pools):
-        assert main(["preset", "fig8", "--count", "2", "--jobs", "8",
-                     "--out", str(tmp_path / "x")]) == 0
-        assert pools == [2]
+    """``preset fig8`` runs every seed in one process, whatever --jobs."""
 
-    def test_single_seed_runs_in_process(self, tmp_path, capsys, pools):
-        assert main(["preset", "fig8", "--count", "1", "--jobs", "2",
-                     "--out", str(tmp_path / "x")]) == 0
-        assert pools == []
+    def test_no_process_pool_for_any_jobs(self, tmp_path, capsys,
+                                          no_processes):
+        outputs = set()
+        for jobs in ("1", "2", "8"):
+            assert main(["preset", "fig8", "--count", "3", "--jobs", jobs,
+                         "--out", str(tmp_path / jobs)]) == 0
+            outputs.add((tmp_path / jobs / "scenarios.csv").read_bytes())
+        assert len(outputs) == 1
+
+    def test_seed_row_is_independent_of_the_batch(self, tmp_path, capsys):
+        assert main(["preset", "fig8", "--count", "20",
+                     "--out", str(tmp_path / "all")]) == 0
+        rows = _csv_rows(tmp_path / "all" / "scenarios.csv")
+        for seed in (0, 7, 19):
+            out = tmp_path / str(seed)
+            assert main(["preset", "fig8", "--seed", str(seed), "--count",
+                         "1", "--out", str(out)]) == 0
+            assert _csv_rows(out / "scenarios.csv") == [rows[seed]]
 
     def test_worker_convergence_error_is_3(self, tmp_path, capsys,
-                                           monkeypatch, pools):
-        # patched before the pool forks, so the workers inherit it; every
-        # seed fails with its own message, and the first seed's is reported
-        def fail(scenario, rate_model, **settings):
-            total = scenario.harvest_matrix().sum()
+                                           monkeypatch, no_processes):
+        # the batch fails with the first seed's message
+        def fail(scenarios, rate_models, **settings):
+            total = scenarios[0].harvest_matrix().sum()
             raise ConvergenceError(f"no convergence, harvest {total!r}")
 
-        monkeypatch.setattr(cli, "iterate_offline", fail)
+        monkeypatch.setattr(cli, "iterate_offline_many", fail)
         errs = []
         for jobs in ("1", "2"):
             assert main(["preset", "fig8", "--count", "3", "--jobs", jobs,
                          "--out", str(tmp_path / jobs)]) == 3
             errs.append(capsys.readouterr().err)
-        assert pools == [2]
         assert errs[0] == errs[1]
         doc = json.loads(errs[0])
         assert doc["error"] == "ConvergenceError" and doc["exit_status"] == 3
+        first = gen_scenario(20, 1.0, 10.0, 5.0, 0, 0.7, 5.0)
+        assert doc["message"] == \
+            f"no convergence, harvest {first.harvest_matrix().sum()!r}"
+        assert not (tmp_path / "1").exists()
         assert not (tmp_path / "2").exists()
+
+    def test_unconverged_seed_is_3(self, tmp_path, capsys, monkeypatch):
+        # from zeros, one sweep does not settle seed 4: the first unsettled
+        # seed in seed order is reported and nothing is written, as
+        # solve-offline does for one scenario; the default sweep budget
+        # settles the same seeds from zeros
+        def zero_start(scenarios, rate_model):
+            n = scenarios[0].grid.N
+            return np.zeros((len(scenarios), 2, n)), np.zeros(len(scenarios))
+
+        monkeypatch.setattr(iterative, "joint_start", zero_start)
+        assert main(["preset", "fig8", "--seed", "4", "--count", "3",
+                     "--max-sweeps", "1", "--out", str(tmp_path / "x")]) == 3
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["exit_status"] == 3
+        assert doc["message"].startswith("fig8 seed 4:")
+        assert not (tmp_path / "x").exists()
+        assert main(["preset", "fig8", "--seed", "4", "--count", "3",
+                     "--out", str(tmp_path / "y")]) == 0
 
 
 class TestMainExitCodes:

@@ -1,9 +1,10 @@
 """Two-user alternation: subproblem construction, monotone ascent,
-decoupled-region behavior, initialization independence, and the joint
-barrier start with its block-tridiagonal solve.
+decoupled-region behavior, initialization independence, and the batched
+joint barrier start with its banded solve.
 
 ``iterative.joint_start`` is the one place a start enters the alternation;
-tests of other starts patch it."""
+tests of other starts patch it with a stand-in of the same batch
+signature."""
 
 from unittest import mock
 
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 from ehic import iterative
 from ehic.cli import _rate_model_for, fig7_scenario, gen_scenario
 from ehic.errors import InvalidInputError
-from ehic.iterative import (block_tridiag_solve, build_subproblem,
-                            feasible_floor, iterate_offline, joint_objective,
-                            joint_start)
+from ehic.iterative import (band_solve, build_subproblem, feasible_floor,
+                            iterate_offline, iterate_offline_many,
+                            joint_objective, joint_start)
 from ehic.model import HarvestProfile, TimeGrid, energy_bounds
 from ehic.online import naive_policy
 from ehic.rates import Region, build_rate_model, interference_as_noise_kernel
@@ -26,12 +27,18 @@ from ehic.single_user import ScaledLogUtilities, solve_single_user, verify_kkt
 from helpers import lattice_arrivals, two_user_scenario
 
 
-def _zero_start(scen, rate_model):
-    return np.zeros((2, scen.grid.N)), 0
+def _zero_start(scens, rate_model):
+    return np.zeros((len(scens), 2, scens[0].grid.N)), np.zeros(len(scens))
 
 
-def _naive_start(scen, rate_model):
-    return naive_policy(scen), 0
+def _naive_start(scens, rate_model):
+    return np.array([naive_policy(s) for s in scens]), np.zeros(len(scens))
+
+
+def _start_of(scen, rm):
+    """``joint_start`` on a batch of one."""
+    starts, steps = joint_start([scen], rm)
+    return starts[0], int(steps[0])
 
 
 def _iterate_from(start, scen, rm):
@@ -177,29 +184,67 @@ class TestIterateOffline:
             assert rep.battery_capacity.magnitude <= 1e-9 * 5.0
 
 
+def _lower_band(dense, kd=3):
+    """LAPACK lower band storage of a symmetric matrix of half-width kd."""
+    m = dense.shape[0]
+    band = np.zeros((kd + 1, m))
+    for k in range(kd + 1):
+        band[k, :max(m - k, 0)] = np.diag(dense, -k)
+    return band
+
+
+def _block_tridiag_spd(n, rng):
+    # M M^T with M lower block-bidiagonal (2x2 blocks) is SPD and
+    # block-tridiagonal: a band of half-width 3 in (p1, p2) slot order
+    m = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        m[2 * i:2 * i + 2, 2 * i:2 * i + 2] = (
+            3.0 * np.eye(2) + 0.5 * rng.normal(size=(2, 2)))
+        if i:
+            m[2 * i:2 * i + 2, 2 * i - 2:2 * i] = rng.normal(size=(2, 2))
+    return m @ m.T
+
+
 class TestBlockTridiagSolve:
+    """``band_solve``: LAPACK's banded Cholesky on stacked systems."""
+
     @pytest.mark.parametrize("n", [1, 2, 50])
     def test_matches_dense_solve(self, n):
-        # M M^T with M lower block-bidiagonal is SPD and block-tridiagonal
         rng = np.random.default_rng(n)
         for _ in range(5):
-            m = np.zeros((2 * n, 2 * n))
-            for i in range(n):
-                m[2 * i:2 * i + 2, 2 * i:2 * i + 2] = (
-                    3.0 * np.eye(2) + 0.5 * rng.normal(size=(2, 2)))
-                if i:
-                    m[2 * i:2 * i + 2, 2 * i - 2:2 * i] = rng.normal(
-                        size=(2, 2))
-            dense = m @ m.T
-            diag = np.array([dense[2 * i:2 * i + 2, 2 * i:2 * i + 2]
-                             for i in range(n)])
-            off = np.array([dense[2 * i:2 * i + 2, 2 * i + 2:2 * i + 4]
-                            for i in range(n - 1)]).reshape(n - 1, 2, 2)
-            rhs = rng.normal(size=(n, 2))
-            want = np.linalg.solve(dense, rhs.ravel()).reshape(n, 2)
-            got = block_tridiag_solve(diag, off, rhs)
-            assert np.max(np.abs(got - want)) <= 1e-12 * max(
+            dense = _block_tridiag_spd(n, rng)
+            rhs = rng.normal(size=2 * n)
+            want = np.linalg.solve(dense, rhs)
+            got, ok = band_solve(_lower_band(dense)[:, None],
+                                 rhs[None, :, None])
+            assert ok.tolist() == [True]
+            assert np.max(np.abs(got[0, :, 0] - want)) <= 1e-12 * max(
                 1.0, float(np.max(np.abs(want))))
+
+    def test_stacked_systems_solve_as_alone(self):
+        rng = np.random.default_rng(7)
+        dense = [_block_tridiag_spd(20, rng) for _ in range(4)]
+        bands = np.stack([_lower_band(d) for d in dense], axis=1)
+        rhs = rng.normal(size=(4, 40, 2))
+        stacked, ok = band_solve(bands, rhs)
+        assert ok.all()
+        for b in range(4):
+            alone, _ = band_solve(bands[:, b:b + 1], rhs[b:b + 1])
+            assert np.array_equal(stacked[b], alone[0])
+
+    def test_breakdown_is_reported_per_system(self):
+        rng = np.random.default_rng(3)
+        dense = [_block_tridiag_spd(10, rng) for _ in range(4)]
+        dense[1][5, 5] = -1.0          # no longer positive definite
+        bands = np.stack([_lower_band(d) for d in dense], axis=1)
+        bands[2, 2, 4] = np.nan        # a non-finite entry
+        rhs = rng.normal(size=(4, 20, 1))
+        x, ok = band_solve(bands, rhs)
+        assert ok.tolist() == [True, False, False, True]
+        assert np.isnan(x[1]).all() and np.isnan(x[2]).all()
+        for b in (0, 3):
+            alone, _ = band_solve(bands[:, b:b + 1], rhs[b:b + 1])
+            assert np.array_equal(x[b], alone[0])
 
 
 def _joint_cases():
@@ -264,7 +309,7 @@ class TestJointStart:
                                                       max_sweeps):
         rm = _rate_model_for(scen)
         assert rm.region is Region.ASYMMETRIC_AB_ABOVE_ONE
-        start, steps = joint_start(scen, rm)
+        start, steps = _start_of(scen, rm)
         _assert_strictly_feasible(start, scen)
         policy, report = iterate_offline(scen, rm)
         assert report.converged
@@ -301,7 +346,7 @@ class TestJointStart:
         rm = _rate_model_for(scen)
         assert rm.region is Region.ASYMMETRIC_AB_AT_MOST_ONE
 
-        def refuse(scen, rate_model):
+        def refuse(scens, rate_model):
             raise AssertionError("joint start outside the a*b > 1 region")
 
         p_default, r_default = iterate_offline(scen, rm)
@@ -331,7 +376,7 @@ class TestJointStart:
         rm = _rate_model_for(scen)
         assert rm.region is Region.ASYMMETRIC_AB_ABOVE_ONE
         assert rm.mirrored == mirrored
-        start, _ = joint_start(scen, rm)
+        start, _ = _start_of(scen, rm)
         _assert_strictly_feasible(start, scen)
         policy, report = iterate_offline(scen, rm)
         assert report.converged
@@ -340,6 +385,60 @@ class TestJointStart:
         o_joint = joint_objective(policy, scen, rm)
         o_zero = joint_objective(p_zero, scen, rm)
         assert abs(o_joint - o_zero) <= 1e-9 * max(1.0, abs(o_zero))
+
+    def test_batch_gives_each_scenario_its_own_start(self):
+        # bit-identical starts and step counts in any batch composition
+        scens = [gen_scenario(20, 1.0, 10.0, 5.0, s, 0.7, 5.0)
+                 for s in range(16)]
+        rm = _rate_model_for(scens[0])
+        starts, steps = joint_start(scens, rm)
+        for k in (0, 5):
+            sub, sub_steps = joint_start(scens[k:k + 5], rm)
+            assert np.array_equal(sub, starts[k:k + 5])
+            assert np.array_equal(sub_steps, steps[k:k + 5])
+        for k, scen in enumerate(scens):
+            alone, count = _start_of(scen, rm)
+            assert np.array_equal(alone, starts[k]) and count == steps[k]
+
+    def test_breakdown_stops_only_its_scenario(self):
+        scens = [gen_scenario(20, 1.0, 10.0, 5.0, s, 0.7, 5.0)
+                 for s in range(3)]
+        rm = _rate_model_for(scens[0])
+        calls = []
+
+        def break_second(band, rhs):
+            # on the third solve, all three still live, the second
+            # scenario's system stops being positive definite
+            calls.append(band.shape[1])
+            if len(calls) == 3:
+                assert band.shape[1] == 3
+                band = band.copy()
+                band[0, 1, 0] = -1.0
+            return band_solve(band, rhs)
+
+        with mock.patch.object(iterative, "band_solve", break_second):
+            starts, steps = joint_start(scens, rm)
+        for k in (0, 2):
+            alone, count = _start_of(scens[k], rm)
+            assert np.array_equal(starts[k], alone) and steps[k] == count
+        # the second stops at its last strictly feasible iterate
+        assert steps[1] == 2 and steps[1] < _start_of(scens[1], rm)[1]
+        _assert_strictly_feasible(starts[1], scens[1])
+
+    def test_many_matches_one_at_a_time(self):
+        # mixed regions, horizons and orientations: one batch per group
+        scens = [gen_scenario(20, 1.0, 10.0, 5.0, 0, 0.7, 5.0),
+                 gen_scenario(20, 1.0, 10.0, 5.0, 4, 0.5, 1.5),
+                 gen_scenario(30, 1.0, 10.0, 5.0, 1, 0.7, 5.0),
+                 gen_scenario(20, 1.0, 10.0, 5.0, 1, 0.7, 5.0),
+                 gen_scenario(20, 1.0, 10.0, 5.0, 2, 5.0, 0.7)]
+        rms = [_rate_model_for(s) for s in scens]
+        for scen, rm, (policy, report) in zip(
+                scens, rms, iterate_offline_many(scens, rms)):
+            p_one, r_one = iterate_offline(scen, rm)
+            assert np.array_equal(policy, p_one)
+            assert report.objective_trace == r_one.objective_trace
+            assert report.start_steps == r_one.start_steps
 
 
 class TestCertifiedStarts:
@@ -363,7 +462,7 @@ class TestCertifiedStarts:
         # transmitting, so that block is solved and user 2's is returned
         scen = fig7_scenario()
         rm = _rate_model_for(scen)
-        start, _ = joint_start(scen, rm)
+        start, _ = _start_of(scen, rm)
         assert 1e-10 < np.sort(start[0])[2] < 2e-10
         _, report = iterate_offline(scen, rm)
         assert (report.sweeps_used, report.certified_starts) == (1, 1)
