@@ -14,7 +14,7 @@ brute-force ground truth.
 
 from .errors import (ConvergenceError, InfeasiblePolicyError,
                      InvalidInputError, InvalidUtilityError, OracleSizeError,
-                     ShapeError, UnsupportedRegionError)
+                     ShapeError)
 from .model import (DataProfile, FeasibilityReport, HarvestProfile, Scenario,
                     TimeGrid, User, cumulative_departure, feasibility_report,
                     scenario_from_dict, scenario_to_dict, validate_scenario)
@@ -43,7 +43,7 @@ __all__ = [
     "KKTCertificate", "LinearUtilities", "OracleOptions", "OracleSizeError",
     "PiecewiseMinUtilities", "RateModel", "Region", "RegionTag",
     "ScaledLogUtilities", "Scenario", "ShapeError", "SlotUtilities",
-    "SolveReport", "StateGrid", "TimeGrid", "UnsupportedRegionError", "User",
+    "SolveReport", "StateGrid", "TimeGrid", "User",
     "brute_force", "build_rate_model", "build_subproblem", "classify_region",
     "cumulative_departure", "distributed_policy", "feasibility_report",
     "interference_as_noise_kernel", "iterate_offline",

@@ -36,7 +36,7 @@ import numpy as np
 from . import data_causality, online, oracle
 from .errors import (ConvergenceError, InfeasiblePolicyError,
                      InvalidInputError, InvalidUtilityError, OracleSizeError,
-                     ShapeError, UnsupportedRegionError)
+                     ShapeError)
 from .iterative import (build_subproblem, iterate_offline,
                         iterate_offline_many, joint_objective)
 from .model import (DataProfile, HarvestProfile, Scenario, TimeGrid, User,
@@ -423,8 +423,7 @@ def main(argv=None) -> int:
         _diagnostic(exc, 3)
         return 3
     except (InvalidInputError, ShapeError, OracleSizeError,
-            InfeasiblePolicyError, InvalidUtilityError,
-            UnsupportedRegionError, FileNotFoundError,
+            InfeasiblePolicyError, InvalidUtilityError, FileNotFoundError,
             json.JSONDecodeError, KeyError) as exc:
         _diagnostic(exc, 2)
         return 2

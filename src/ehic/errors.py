@@ -9,10 +9,6 @@ class ShapeError(ValueError):
     """Raised when a vector or policy has the wrong length/shape."""
 
 
-class UnsupportedRegionError(ValueError):
-    """Raised when an operation is not defined for the model's region."""
-
-
 class InvalidUtilityError(ValueError):
     """Raised when a per-slot utility fails its concavity sampling check."""
 

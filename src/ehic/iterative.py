@@ -2,11 +2,10 @@
 
 Each half-sweep fixes one user's power vector and re-solves the other user's
 single-user problem, whose slot utilities are the joint rate restricted to
-that user's power (constants in the fixed user's power are retained so the
-per-sweep objectives are directly comparable).  For a jointly concave rate
-the alternation converges to the optimum; sweeps run user 1 then user 2 and
-stop when both the objective improvement and the policy displacement fall
-below tolerance.
+that user's power, given by its marginal in that power; the sweeps compare
+``joint_objective``.  For a jointly concave rate the alternation converges to
+the optimum; sweeps run user 1 then user 2 and stop when both the objective
+improvement and the policy displacement fall below tolerance.
 
 Where to start: in the a*b > 1 region (either orientation) the sum rate is
 smooth and jointly concave, and the alternation starts from ``joint_start``,
@@ -92,8 +91,8 @@ def build_subproblem(scenario: Scenario, rate_model: RateModel, user: int,
     """Slot utilities p -> r(p, other_i) for one user, other user fixed.
 
     The interference term enters as a per-slot fading floor where the region
-    admits it, and the fixed user's own-rate term is kept as an additive
-    constant so the subproblem objective equals the joint objective.
+    admits it.  The utilities' marginal in the user's power equals the joint
+    rate's partial in it, which is all the single-user solver reads.
     """
     if user not in (0, 1):
         raise ShapeError("user index must be 0 or 1")
@@ -104,28 +103,25 @@ def build_subproblem(scenario: Scenario, rate_model: RateModel, user: int,
     region = rate_model.region
     if region is Region.GENERIC:
         if user == 0:
-            value = lambda p: rate_model.sum_rate(p, other)
             deriv = lambda p: rate_model.grad(p, other)[0]
         else:
-            value = lambda p: rate_model.sum_rate(other, p)
             deriv = lambda p: rate_model.grad(other, p)[1]
-        return GenericSlotUtilities(value, deriv, n=n)
+        return GenericSlotUtilities(deriv, n=n)
 
     cu = (1 - user) if rate_model.mirrored else user
     a, b = rate_model.canonical_gains
-    const = 0.5 * np.log1p(other)
     if region is Region.VERY_STRONG:
-        return ScaledLogUtilities(np.ones(n), const)
+        return ScaledLogUtilities(np.ones(n))
     if region is Region.ASYMMETRIC_AB_ABOVE_ONE:
         if cu == 0:
-            return ScaledLogUtilities(1.0 / (1.0 + a * other), const)
+            return ScaledLogUtilities(1.0 / (1.0 + a * other))
         return InterferedUtilities(a, other)
     # min-form region: the active branch per slot depends only on the fixed
     # user's power through p_c
     if cu == 0:
         h = np.where(other < rate_model.p_c,
                      1.0 / (1.0 + a * other), b / (1.0 + other))
-        return ScaledLogUtilities(h, const)
+        return ScaledLogUtilities(h)
     return PiecewiseMinUtilities(a, b, rate_model.p_c, other)
 
 

@@ -40,7 +40,7 @@ def _frozen_array(values, name):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Slot count N and slot duration tau (seconds); deadline T = N*tau."""
+    """Slot count N and slot duration tau (seconds)."""
 
     N: int
     tau: float
@@ -60,10 +60,6 @@ class TimeGrid:
             tau_ok = False
         if not tau_ok:
             raise InvalidInputError("slot duration must be positive and finite")
-
-    @property
-    def T(self) -> float:
-        return self.N * self.tau
 
 
 @dataclass(frozen=True)
@@ -172,8 +168,6 @@ def validate_scenario(raw: Scenario) -> Scenario:
 def as_policy(policy, n_slots: int) -> np.ndarray:
     """Coerce to a (2, N) nonnegative power matrix."""
     p = np.asarray(policy, dtype=float)
-    if p.ndim == 1:
-        p = p[np.newaxis, :]
     if p.ndim != 2 or p.shape[1] != n_slots or p.shape[0] != 2:
         raise ShapeError(f"policy must have shape (2, {n_slots}), got {p.shape}")
     return p

@@ -38,6 +38,11 @@ from .model import Scenario
 from .rates import RateModel
 from .single_user import solve_single_user
 
+# rounds of per-user clamping in ``_clamp_departures``: shrinking one user's
+# power raises the other's rate, which can then overshoot its queue again
+_CLAMP_PASSES = 3
+
+
 @dataclass(frozen=True)
 class StateGrid:
     """Uniform battery (and optional data-queue) grids; all include 0."""
@@ -62,16 +67,6 @@ class StateGrid:
     @property
     def with_data(self) -> bool:
         return self.b1 is not None
-
-    @classmethod
-    def uniform(cls, capacity1, capacity2, points, b_cap1=None, b_cap2=None,
-                b_points=None):
-        e1 = np.linspace(0.0, capacity1, points)
-        e2 = np.linspace(0.0, capacity2, points)
-        if b_cap1 is None:
-            return cls(e1, e2)
-        return cls(e1, e2, np.linspace(0.0, b_cap1, b_points),
-                   np.linspace(0.0, b_cap2, b_points))
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,6 @@ class DPResult:
     values: np.ndarray       # (N+1,) + state shape
     policies: np.ndarray     # (N,) + state shape + (2,)
     grid: StateGrid
-    tau: float
 
 
 def _joint_outcomes(dists):
@@ -239,7 +233,7 @@ def value_iteration(stats: ArrivalDistribution, rate_model: RateModel,
                 np.copyto(choice[box], a, where=better)
         values[i] = best
         policies[i] = powers[choice]
-    return DPResult(values=values, policies=policies, grid=grid, tau=tau)
+    return DPResult(values=values, policies=policies, grid=grid)
 
 
 def rollout_table(result: DPResult, scenario: Scenario,
@@ -286,7 +280,7 @@ def rollout_table(result: DPResult, scenario: Scenario,
     return policy, total
 
 
-def _clamp_departures(rate_model, tau, p1, p2, queues, passes=3):
+def _clamp_departures(rate_model, tau, p1, p2, queues):
     """Shrink powers until each user's departures fit its data queue.
 
     Interpolated table actions can overshoot between queue grid nodes; own
@@ -294,7 +288,7 @@ def _clamp_departures(rate_model, tau, p1, p2, queues, passes=3):
     restriction the DP imposed on grid states.
     """
     p = [p1, p2]
-    for _ in range(passes):
+    for _ in range(_CLAMP_PASSES):
         ok = True
         for j in range(2):
             r = rate_model.user_rates(p[0], p[1])[j]

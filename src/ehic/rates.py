@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedRegionError
+from .errors import InvalidInputError
 
 # a generic kernel must pass a midpoint-concavity check on this many random
 # point pairs in [0, _CONCAVITY_PMAX]^2
@@ -64,16 +64,17 @@ class RegionTag:
 class GenericKernel:
     """Caller-supplied concave sum-rate kernel for regions without a closed form.
 
-    ``sum_rate(p1, p2)`` is required and must be jointly concave, nondecreasing
-    and zero at the origin (checked by sampling at model construction).
-    ``user_rates`` and ``grad`` are optional; central differences are used for
-    the gradient when absent, and operations that need a per-user rate split
-    raise if ``user_rates`` is missing.
+    All three callables are required and take the two power arrays:
+    ``sum_rate(p1, p2)`` must be jointly concave, nondecreasing and zero at
+    the origin (checked by sampling at model construction);
+    ``user_rates(p1, p2)`` returns the per-user rates (r1, r2) that sum to it;
+    ``grad(p1, p2)`` returns its partials (d/dp1, d/dp2), which are the
+    alternation's slot marginals.
     """
 
     sum_rate: Callable
-    user_rates: Optional[Callable] = None
-    grad: Optional[Callable] = None
+    user_rates: Callable
+    grad: Callable
 
 
 def interference_as_noise_kernel(a: float, b: float) -> GenericKernel:
@@ -139,7 +140,6 @@ class RateModel:
     def __init__(self, channel: ChannelParams, tag: RegionTag,
                  kernel: Optional[GenericKernel] = None):
         self.channel = channel
-        self.tag = tag
         self.region = tag.region
         self.mirrored = tag.mirrored
         # canonical gains: a <= 1 <= b orientation for the asymmetric regions
@@ -228,9 +228,6 @@ class RateModel:
             return r1, 0.5 * np.log1p(p2)
         if self.region is Region.VERY_STRONG:
             return 0.5 * np.log1p(p1), 0.5 * np.log1p(p2)
-        if self.kernel.user_rates is None:
-            raise UnsupportedRegionError(
-                "generic kernel does not define per-user rates")
         r1, r2 = self.kernel.user_rates(p1, p2)
         return np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
 
@@ -265,10 +262,8 @@ class RateModel:
             return np.where(on_b, d1b, d1a), np.where(on_b, d2b, d2a)
         if self.region is Region.VERY_STRONG:
             return 0.5 / (1.0 + p1), 0.5 / (1.0 + p2)
-        if self.kernel.grad is not None:
-            d1, d2 = self.kernel.grad(p1, p2)
-            return np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
-        return self._grad_numeric(p1, p2)
+        d1, d2 = self.kernel.grad(p1, p2)
+        return np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
 
     def _grad_tin_branch(self, p1, p2):
         a = self._a
@@ -276,14 +271,6 @@ class RateModel:
         d1 = 1.0 / (2.0 * (base + p1))
         d2 = -a * p1 / (2.0 * (1.0 + p1 + a * p2) * base) + 1.0 / (2.0 * (1.0 + p2))
         return np.broadcast_arrays(d1, d2)[0], d2
-
-    def _grad_numeric(self, p1, p2, step=1e-6):
-        f = self.kernel.sum_rate
-        lo1 = np.maximum(p1 - step, 0.0)
-        lo2 = np.maximum(p2 - step, 0.0)
-        d1 = (f(p1 + step, p2) - f(lo1, p2)) / (p1 + step - lo1)
-        d2 = (f(p1, p2 + step) - f(p1, lo2)) / (p2 + step - lo2)
-        return np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
 
     def user_rate_partials(self, p1, p2):
         """Jacobian of (r1, r2) in (p1, p2): (d11, d12, d21, d22).
@@ -323,9 +310,6 @@ class RateModel:
             return d11, d12, zero, zero + d22
         if self.region is Region.VERY_STRONG:
             return 0.5 / (1.0 + p1), zero, zero, 0.5 / (1.0 + p2)
-        if self.kernel.user_rates is None:
-            raise UnsupportedRegionError(
-                "generic kernel does not define per-user rates")
         step = 1e-6
         ur = self.kernel.user_rates
 

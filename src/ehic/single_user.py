@@ -65,21 +65,21 @@ _FEAS_EPS = 1e-10
 # ---------------------------------------------------------------------------
 
 class SlotUtilities:
-    """Per-slot concave utilities f_i with derivative and derivative inverse.
+    """Per-slot concave utilities f_i, given by their marginals f_i' alone.
 
-    ``inv_deriv(level, idx)`` returns per-slot (qmin, qmax): the smallest and
-    largest powers at which f_i' equals ``level`` (a range only where f_i' is
-    flat at that value; qmax may be inf).  qmin/qmax are nonincreasing in the
-    level, which is what the bracketed level search relies on.
+    The solver and its certificate read only f_i' (``deriv`` or ``deriv_at``;
+    a subclass overrides either one), its inverse and, optionally, the
+    inverse's slope.  ``inv_deriv(level, idx)`` returns per-slot (qmin,
+    qmax): the smallest and largest powers at which f_i' equals ``level`` (a
+    range only where f_i' is flat at that value; qmax may be inf).  qmin/qmax
+    are nonincreasing in the level, which is what the bracketed level search
+    relies on.
     """
 
     n = 0
 
-    def value(self, p):
-        raise NotImplementedError
-
     def deriv(self, p):
-        raise NotImplementedError
+        return self.deriv_at(slice(None), p)
 
     def deriv_range(self, p):
         """One-sided derivative interval (right, left) at p.
@@ -124,12 +124,6 @@ class SlotUtilities:
 
     def _all_idx(self, idx):
         return np.arange(self.n) if idx is None else np.asarray(idx)
-
-    def _bisect_inv_deriv(self, level, idx, hi_start=1.0):
-        """Bisection inverse of ``deriv`` on slots ``idx``, others at zero."""
-        idx = self._all_idx(idx)
-        return _bisect_inv(lambda sub: self.deriv_at(idx, sub), level,
-                           idx.shape[0], hi_start=hi_start)
 
 
 def _real_cubic_roots(c3, c2, c1, c0):
@@ -201,21 +195,13 @@ def _bisect_inv(deriv_fn, level, n, hi_start=1.0):
 
 
 class ScaledLogUtilities(SlotUtilities):
-    """f_i(p) = (1/2) ln(1 + h_i p) + c_i, the fading-channel slot utility."""
+    """f_i(p) = (1/2) ln(1 + h_i p), the fading-channel slot utility."""
 
-    def __init__(self, h, const=None):
+    def __init__(self, h):
         self.h = _finite(h, "channel gains")
         self.n = self.h.shape[0]
-        self.const = (np.zeros(self.n) if const is None
-                      else _finite(const, "utility constants"))
         if np.any(self.h <= 0):
             raise InvalidUtilityError("channel gains must be positive")
-
-    def value(self, p):
-        return 0.5 * np.log1p(self.h * p) + self.const
-
-    def deriv(self, p):
-        return self.h / (2.0 * (1.0 + self.h * p))
 
     def deriv_at(self, idx, p):
         h = self.h[idx]
@@ -244,12 +230,6 @@ class LinearUtilities(SlotUtilities):
         self.n = self.slope.shape[0]
         if np.any(self.slope < 0):
             raise InvalidUtilityError("slopes must be nonnegative")
-
-    def value(self, p):
-        return self.slope * p
-
-    def deriv(self, p):
-        return np.broadcast_to(self.slope, np.shape(p)).copy()
 
     def deriv_at(self, idx, p):
         return np.broadcast_to(self.slope[idx], np.shape(p)).copy()
@@ -283,13 +263,6 @@ class InterferedUtilities(SlotUtilities):
         self.n = self.p_other.shape[0]
         if np.any(self.p_other < 0):
             raise InvalidUtilityError("other-user powers must be nonnegative")
-
-    def value(self, p):
-        return 0.5 * np.log1p(self.p_other / (1.0 + self.a * p)) \
-            + 0.5 * np.log1p(p)
-
-    def deriv(self, p):
-        return self.deriv_at(slice(None), p)
 
     def _deriv_curv(self, p, po):
         """f'(p) and f''(p) for other-user powers ``po``.
@@ -411,15 +384,6 @@ class PiecewiseMinUtilities(SlotUtilities):
                 raise InvalidUtilityError(
                     "utility derivative rises at the threshold power")
 
-    def _expr2(self, p):
-        return 0.5 * np.log1p(self.b * self.p_other + p)
-
-    def value(self, p):
-        return np.minimum(self._branch1.value(p), self._expr2(p))
-
-    def deriv(self, p):
-        return self.deriv_at(slice(None), p)
-
     def deriv_at(self, idx, p):
         d1 = self._branch1.deriv_at(idx, p)
         d2 = 1.0 / (2.0 * (1.0 + self.b * self.p_other[idx] + p))
@@ -480,23 +444,21 @@ class PiecewiseMinUtilities(SlotUtilities):
 
 
 class GenericSlotUtilities(SlotUtilities):
-    """Utilities on ``n`` slots defined by callables: ``value_fn(p)`` and its
-    derivative ``deriv_fn(p)``, each mapping a power vector to per-slot
-    values; the derivative inverse is by bisection."""
+    """Utilities on ``n`` slots given by their derivative ``deriv_fn(p)``,
+    which maps a power vector to per-slot marginals; the derivative inverse
+    is by bisection."""
 
-    def __init__(self, value_fn, deriv_fn, n):
-        self._value_fn = value_fn
+    def __init__(self, deriv_fn, n):
         self._deriv_fn = deriv_fn
         self.n = n
-
-    def value(self, p):
-        return np.asarray(self._value_fn(p), dtype=float)
 
     def deriv(self, p):
         return np.asarray(self._deriv_fn(p), dtype=float)
 
     def inv_deriv(self, level, idx=None):
-        return self._bisect_inv_deriv(level, idx)
+        idx = self._all_idx(idx)
+        return _bisect_inv(lambda sub: self.deriv_at(idx, sub), level,
+                           idx.shape[0])
 
 
 def check_utilities(utilities: SlotUtilities, p_max: float):
@@ -505,7 +467,8 @@ def check_utilities(utilities: SlotUtilities, p_max: float):
     ``solve_single_user`` skips it for instances of exactly the closed-form
     classes in ``_CHECKED_EXACTLY``: their constructors check the parameters
     that make them concave, finite and differentiable, which is exact where
-    33 samples are not.  A subclass may override ``deriv`` and is sampled.
+    33 samples are not.  A subclass may override ``deriv`` or ``deriv_at``
+    and is sampled.
     """
     grid = np.linspace(0.0, max(p_max, 1e-6), 33)
     derivs = np.stack([utilities.deriv(np.full(utilities.n, g)) for g in grid])
@@ -515,9 +478,6 @@ def check_utilities(utilities: SlotUtilities, p_max: float):
     if np.any(np.diff(derivs, axis=0) > slack):
         raise InvalidUtilityError(
             "utility derivative increases somewhere on the sampled grid")
-    v0 = utilities.value(np.zeros(utilities.n))
-    if not np.all(np.isfinite(v0)):
-        raise InvalidUtilityError("utility must be finite at zero power")
 
 
 _CHECKED_EXACTLY = (ScaledLogUtilities, LinearUtilities, InterferedUtilities,

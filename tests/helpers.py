@@ -113,7 +113,7 @@ def loop_value_iteration(stats, rate_model, grid, tau=1.0):
                 best_act[sel, 1] = p2
         values[i] = best.reshape(shape)
         policies[i] = best_act.reshape(shape + (2,))
-    return DPResult(values=values, policies=policies, grid=grid, tau=tau)
+    return DPResult(values=values, policies=policies, grid=grid)
 
 
 def loop_search_batteries(scenario, rate_model, opts):

@@ -47,15 +47,28 @@ def _iterate_from(start, scen, rm):
         return iterate_offline(scen, rm)
 
 
+def _assert_marginals_are_partials(a, b, p_max, kernel=None):
+    """Each user's subproblem marginal equals the joint rate's partial in that
+    user's power at 200 random power pairs: the one property of the slot
+    utilities that the single-user solver and its certificate read."""
+    rm = build_rate_model(a, b, p_max, p_max, kernel=kernel)
+    n = 200
+    scen = two_user_scenario(np.ones(n), np.ones(n), p_max, a, b)
+    policy = np.random.default_rng(12).uniform(0.0, p_max, (2, n))
+    partials = rm.grad(policy[0], policy[1])
+    for user in range(2):
+        utils = build_subproblem(scen, rm, user, policy[1 - user])
+        np.testing.assert_allclose(utils.deriv(policy[user]), partials[user],
+                                   rtol=1e-13, atol=0.0)
+    return rm
+
+
 class TestBuildSubproblem:
     def test_zero_interference_gives_unit_gain(self):
         scen = two_user_scenario(np.ones(3), np.zeros(3), 10.0, 0.9, 2.0)
         rm = build_rate_model(0.9, 2.0, 10.0, 10.0)
         utils = build_subproblem(scen, rm, 0, np.zeros(3))
         assert np.allclose(utils.deriv(np.zeros(3)), 0.5)
-        assert np.allclose(utils.value(np.zeros(3)), 0.0)
-        assert utils.value(np.array([1.0, 1.0, 1.0]))[0] == \
-            pytest.approx(0.5 * np.log(2.0))
 
     def test_interference_raises_base_level(self):
         scen = two_user_scenario(np.ones(2), np.ones(2), 10.0, 0.9, 2.0)
@@ -71,25 +84,21 @@ class TestBuildSubproblem:
         assert utils.deriv(np.zeros(1))[0] == pytest.approx(0.5 / (10.0 / 3.0))
 
     def test_objectives_comparable_across_users(self):
-        # constants are retained, so each user's slot utilities sum to the
-        # joint per-slot rate
-        scen = two_user_scenario([1.0, 2.0], [2.0, 0.5], 10.0, 0.9, 2.0)
-        rm = build_rate_model(0.9, 2.0, 10.0, 10.0)
-        policy = np.array([[0.7, 1.1], [1.3, 0.2]])
-        joint = rm.sum_rate(policy[0], policy[1])
-        for user in range(2):
-            utils = build_subproblem(scen, rm, user, policy[1 - user])
-            assert np.allclose(utils.value(policy[user]), joint, atol=1e-12)
+        # a*b > 1, min-form (p_c = 2, so both branches), very strong, generic
+        for a, b, p_max, kernel, region in [
+                (0.9, 2.0, 10.0, None, Region.ASYMMETRIC_AB_ABOVE_ONE),
+                (0.5, 1.5, 10.0, None, Region.ASYMMETRIC_AB_AT_MOST_ONE),
+                (50.0, 50.0, 2.0, None, Region.VERY_STRONG),
+                (0.1, 0.2, 10.0, interference_as_noise_kernel(0.1, 0.2),
+                 Region.GENERIC)]:
+            rm = _assert_marginals_are_partials(a, b, p_max, kernel)
+            assert rm.region is region and not rm.mirrored
 
     def test_mirrored_dispatch(self):
-        scen = two_user_scenario([1.0], [1.0], 10.0, 2.0, 0.9)
-        rm = build_rate_model(2.0, 0.9, 10.0, 10.0)
-        assert rm.mirrored
-        policy = np.array([[0.8], [0.3]])
-        joint = rm.sum_rate(policy[0], policy[1])
-        for user in range(2):
-            utils = build_subproblem(scen, rm, user, policy[1 - user])
-            assert np.allclose(utils.value(policy[user]), joint, atol=1e-12)
+        for a, b, region in [(2.0, 0.9, Region.ASYMMETRIC_AB_ABOVE_ONE),
+                             (1.5, 0.5, Region.ASYMMETRIC_AB_AT_MOST_ONE)]:
+            rm = _assert_marginals_are_partials(a, b, 10.0)
+            assert rm.region is region and rm.mirrored
 
 
 class TestIterateOffline:

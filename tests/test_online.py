@@ -24,7 +24,9 @@ def _grid(emax, points=21):
 def _fig7_case(step):
     scen = fig7_scenario()
     rm = build_rate_model(0.9, 2.0, 10.0, 10.0)
-    grid = StateGrid.uniform(10.0, 10.0, int(round(10.0 / step)) + 1)
+    points = int(round(10.0 / step)) + 1
+    grid = StateGrid(np.linspace(0.0, 10.0, points),
+                     np.linspace(0.0, 10.0, points))
     return ArrivalDistribution.deterministic(scen), rm, grid, 1.0
 
 

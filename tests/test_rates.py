@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from ehic.errors import InvalidInputError
-from ehic.rates import (ChannelParams, RateModel, Region, build_rate_model,
-                        classify_region, interference_as_noise_kernel,
-                        normalize_channel)
+from ehic.rates import (ChannelParams, GenericKernel, RateModel, Region,
+                        build_rate_model, classify_region,
+                        interference_as_noise_kernel, normalize_channel)
 
 LN = math.log
 
@@ -180,6 +180,13 @@ class TestGenericKernel:
         with pytest.raises(InvalidInputError):
             build_rate_model(0.3, 0.3, 5.0, 5.0,
                              kernel=interference_as_noise_kernel(6.0, 6.0))
+
+    def test_kernel_requires_rates_and_gradient(self):
+        f = lambda p1, p2: (p1, p2)
+        with pytest.raises(TypeError):
+            GenericKernel(sum_rate=f, user_rates=f)
+        with pytest.raises(TypeError):
+            GenericKernel(sum_rate=f, grad=f)
 
     def test_noise_kernel_small_gains_accepted(self):
         model = build_rate_model(0.1, 0.2, 5.0, 5.0,
