@@ -432,13 +432,16 @@ def _alternate(scen: Scenario, rate_model: RateModel, start, start_steps,
                                            scen.grid, tol=tol,
                                            start=policy[user])
             # a row equal to its start means the start certified: a solved
-            # row that equal would have certified as the start already
-            report.certified_starts += int(np.array_equal(row, policy[user]))
-            candidate = policy.copy()
-            candidate[user] = row
-            cand_obj = joint_objective(candidate, scen, rate_model)
-            if cand_obj >= obj - 1e-12 * scale:
-                policy, obj = candidate, cand_obj
+            # row that equal would have certified as the start already.  The
+            # policy is then unchanged, and so is its objective, bit for bit
+            if np.array_equal(row, policy[user]):
+                report.certified_starts += 1
+            else:
+                candidate = policy.copy()
+                candidate[user] = row
+                cand_obj = joint_objective(candidate, scen, rate_model)
+                if cand_obj >= obj - 1e-12 * scale:
+                    policy, obj = candidate, cand_obj
             report.objective_trace.append(obj)
         disp = float(np.max(np.abs(policy - prev_policy)))
         report.displacement_trace.append(disp)

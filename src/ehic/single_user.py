@@ -14,9 +14,13 @@ reconstructing multipliers from the active-constraint structure
 (``verify_kkt``) and reporting stationarity/complementarity residuals.
 
 A window's common level is found by one bracketed root search on its total
-demand.  The first probe is the mean marginal at the even split, which is
-exact when the window's marginals are identical (every window of the
-distributed baseline).  After each probe the step is, in order: Newton in
+demand, from the even split.  Where every slot's marginal is the same there
+(every window of the distributed baseline, every one-slot window), the even
+split meets the window's KKT condition: the families whose derivative
+inverse is a root solve (interfered, min-form) return it without a probe,
+and ``verify_kkt`` gates the row as any other.  Otherwise the first probe is
+the mean marginal at the even split, exact when the marginals are
+identical.  After each probe the step is, in order: Newton in
 1/level (every family's demand is close to alpha + beta/level) from the
 analytic demand slope; a secant step across the bracket where the family
 has no slope; bisection once both ends exist; and while the bracket has no
@@ -482,6 +486,11 @@ def check_utilities(utilities: SlotUtilities, p_max: float):
 
 _CHECKED_EXACTLY = (ScaledLogUtilities, LinearUtilities, InterferedUtilities,
                     PiecewiseMinUtilities)
+# the closed-form families whose derivative inverse is a root solve; for
+# these ``_equalize`` returns the even split of a window whose marginals are
+# all equal there without a probe.  ScaledLog's inverse costs no more than
+# that check, and Linear keeps its consume-late tie rule
+_ROOT_SOLVED_INVERSE = (InterferedUtilities, PiecewiseMinUtilities)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +523,15 @@ def _equalize(utilities, idx, target):
     # provably halves every other probe; while lo is open the level descends
     # instead, into negative levels where the window's demand at level 0
     # falls short of the target
-    mid = float(np.mean(utilities.deriv_at(idx, np.full(m, target / m))))
+    even = np.full(m, target / m)
+    marg = utilities.deriv_at(idx, even)
+    if type(utilities) in _ROOT_SOLVED_INVERSE and np.all(marg == marg[0]):
+        # a split at which every slot has the same marginal meets the
+        # window's KKT condition: it is the common level's allocation, and
+        # probing the root-solved inverse at that level would only return
+        # the split again, up to roundoff
+        return _distribute_late(even, None, target)
+    mid = float(np.mean(marg))
     fast_turn = False
     last_err = _INF
     for _ in range(200):
@@ -578,12 +595,15 @@ def _distribute_late(powers, qmax_lo, target):
     slot with power can take more, as a hair lower level would give it);
     what is over comes off the latest slots first.
     """
-    powers = powers.copy()
-    m = powers.shape[0]
     extra = target - float(np.sum(powers))
     if extra > 0.0:
         room = (np.where(powers > 0.0, _INF, 0.0) if qmax_lo is None
-                else qmax_lo - powers)
+                else qmax_lo - powers).tolist()
+    # the loops run on Python floats: the same IEEE operations as on numpy
+    # scalars, at a fraction of the cost per slot
+    m = powers.shape[0]
+    powers = powers.tolist()
+    if extra > 0.0:
         for k in range(m - 1, -1, -1):       # latest slots first
             take = min(room[k], extra)
             if take > 0.0:
@@ -600,7 +620,7 @@ def _distribute_late(powers, qmax_lo, target):
             extra += take
             if extra >= -1e-18 * (1.0 + target):
                 break
-    return powers
+    return np.array(powers)
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +675,10 @@ def _total_at_level_zero(q0, tau, lower, upper):
     more (a full battery) or allows less (an empty one)."""
     if np.all(np.isinf(q0)):
         return float(upper[-1])     # spend everything
-    floor = np.maximum.accumulate(lower)
+    floor = np.maximum.accumulate(lower).tolist()
     s = 0.0
-    for k, q in enumerate((tau * q0).tolist()):
-        s = min(float(upper[k]), max(float(floor[k]), s + q))
+    for u, f, q in zip(upper.tolist(), floor, (tau * q0).tolist()):
+        s = min(u, max(f, s + q))
     return s
 
 
@@ -721,12 +741,15 @@ def verify_kkt(policy_row, utilities: SlotUtilities, harvest: HarvestProfile,
             report={"violation": worst})
 
     g_lo, g_hi = utilities.deriv_range(np.maximum(p, 0.0))
-    g_lo, g_hi = np.atleast_1d(g_lo), np.atleast_1d(g_hi)
-    pos = p > 1e-11 * max(1.0, scale_e / tau)
-    empty = (upper - s) <= binding_tol
-    full = np.zeros(n, dtype=bool)
+    # the per-slot passes run on Python floats: the same IEEE operations and
+    # builtin max/min as on numpy scalars, at a fraction of the cost per slot
+    g_lo = np.atleast_1d(g_lo).tolist()
+    g_hi = np.atleast_1d(g_hi).tolist()
+    pos = (p > 1e-11 * max(1.0, scale_e / tau)).tolist()
+    empty = ((upper - s) <= binding_tol).tolist()
+    full = [False] * n
     if n > 1:
-        full[:-1] = (s[:-1] - l_raw[:-1]) <= binding_tol
+        full[:-1] = ((s[:-1] - l_raw[:-1]) <= binding_tol).tolist()
 
     # backward pass: propagate the interval of admissible levels.  The level
     # may rise across boundary k only while the battery is empty there, and
@@ -734,10 +757,10 @@ def verify_kkt(policy_row, utilities: SlotUtilities, harvest: HarvestProfile,
     # to lie in its derivative interval (a point unless the utility has a
     # kink at p); an idle slot only bounds the level below.
     stat_resid = 0.0
-    intervals = np.empty((n, 2))
+    intervals = [None] * n
     j_lo, j_hi = 0.0, 0.0
     for k in range(n - 1, -1, -1):
-        b_lo = -_INF if (k < n - 1 and full[k]) else j_lo
+        b_lo = -_INF if full[k] else j_lo
         b_hi = _INF if empty[k] else j_hi
         if pos[k]:
             i_lo, i_hi = max(g_lo[k], b_lo), min(g_hi[k], b_hi)
@@ -757,10 +780,10 @@ def verify_kkt(policy_row, utilities: SlotUtilities, harvest: HarvestProfile,
 
     # forward pass: concrete levels, moving only as the constraints allow and
     # as little as possible (smallest multipliers)
-    lam = np.zeros(n)
-    mu = np.zeros(max(n - 1, 0))
-    eta = np.zeros(n)
-    levels = np.zeros(n)
+    lam = [0.0] * n
+    mu = [0.0] * max(n - 1, 0)
+    eta = [0.0] * n
+    levels = [0.0] * n
     d_prev = None
     for k in range(n):
         i_lo, i_hi = intervals[k]
@@ -768,7 +791,7 @@ def verify_kkt(policy_row, utilities: SlotUtilities, harvest: HarvestProfile,
             d = i_lo if math.isfinite(i_lo) else min(i_hi, 0.0)
         else:
             # increment d_prev - d must lie in the allowed set of boundary k-1
-            a_lo = -_INF if (k - 1 < n - 1 and full[k - 1]) else 0.0
+            a_lo = -_INF if full[k - 1] else 0.0
             a_hi = _INF if empty[k - 1] else 0.0
             r_lo, r_hi = d_prev - a_hi, d_prev - a_lo
             lo, hi = max(i_lo, r_lo), min(i_hi, r_hi)
@@ -778,7 +801,7 @@ def verify_kkt(policy_row, utilities: SlotUtilities, harvest: HarvestProfile,
             delta = d_prev - d
             if empty[k - 1]:
                 lam[k - 1] = max(0.0, delta)
-            if k - 1 < n - 1 and full[k - 1]:
+            if full[k - 1]:
                 mu[k - 1] = max(0.0, -delta)
         if not pos[k]:
             eta[k] = tau * max(0.0, d - g_lo[k])
@@ -791,12 +814,15 @@ def verify_kkt(policy_row, utilities: SlotUtilities, harvest: HarvestProfile,
         stat_resid = max(stat_resid, d_prev)
 
     comp = 0.0
+    upper_l, s_l, l_raw_l, p_l = (upper.tolist(), s.tolist(), l_raw.tolist(),
+                                  p.tolist())
     for k in range(n):
-        comp = max(comp, lam[k] * max(0.0, upper[k] - s[k]))
+        comp = max(comp, lam[k] * max(0.0, upper_l[k] - s_l[k]))
         if k < n - 1:
-            comp = max(comp, mu[k] * max(0.0, s[k] - l_raw[k]))
-        comp = max(comp, eta[k] * max(0.0, p[k]))
-    return KKTCertificate(lam=lam, mu=mu, eta=eta, water_levels=levels,
+            comp = max(comp, mu[k] * max(0.0, s_l[k] - l_raw_l[k]))
+        comp = max(comp, eta[k] * max(0.0, p_l[k]))
+    return KKTCertificate(lam=np.array(lam), mu=np.array(mu),
+                          eta=np.array(eta), water_levels=np.array(levels),
                           stationarity_residual=float(stat_resid),
                           complementarity_residual=float(comp))
 

@@ -274,3 +274,120 @@ def bisect_equalize(utilities, idx, target):
             if extra >= -1e-18 * (1.0 + target):
                 break
     return powers
+
+
+def reference_verify_kkt(policy_row, utilities, harvest, grid):
+    """Reference for ``single_user.verify_kkt``: the same certificate with
+    its per-slot passes on numpy scalars and arrays, as it was written before
+    they moved to Python floats.  Both must agree bit for bit."""
+    import math
+
+    from ehic.errors import InfeasiblePolicyError
+    from ehic.model import energy_bounds
+    from ehic.single_user import _BINDING_TOL, KKTCertificate
+
+    _INF = np.inf
+    p = np.asarray(policy_row, dtype=float)
+    n = grid.N
+    if p.shape != (n,):
+        raise InfeasiblePolicyError(f"policy row must have shape ({n},)")
+    if not np.all(np.isfinite(p)):
+        # NaN compares false everywhere below and would certify as optimal
+        raise InfeasiblePolicyError("policy row must be finite")
+    tau = grid.tau
+    scale_e = max(1.0, harvest.capacity)
+    binding_tol = _BINDING_TOL * scale_e
+    lower, upper = energy_bounds(harvest, tau)
+    cum_e = np.cumsum(harvest.arrivals)
+    l_raw = np.empty(n)
+    l_raw[:-1] = cum_e[1:] - harvest.capacity if n > 1 else 0.0
+    l_raw[-1] = -_INF                      # no capacity bound after the end
+    s = tau * np.cumsum(p)
+    feas_tol = 1e-6 * scale_e
+    worst = max(float(np.max(s - upper)),
+                float(np.max(l_raw[:-1] - s[:-1])) if n > 1 else 0.0,
+                float(np.max(-p)) * tau)
+    if worst > feas_tol:
+        raise InfeasiblePolicyError(
+            f"policy violates the energy corridor by {worst:.3g}",
+            report={"violation": worst})
+
+    g_lo, g_hi = utilities.deriv_range(np.maximum(p, 0.0))
+    g_lo, g_hi = np.atleast_1d(g_lo), np.atleast_1d(g_hi)
+    pos = p > 1e-11 * max(1.0, scale_e / tau)
+    empty = (upper - s) <= binding_tol
+    full = np.zeros(n, dtype=bool)
+    if n > 1:
+        full[:-1] = (s[:-1] - l_raw[:-1]) <= binding_tol
+
+    # backward pass: propagate the interval of admissible levels.  The level
+    # may rise across boundary k only while the battery is empty there, and
+    # fall only while it is full.  A positive-power slot requires the level
+    # to lie in its derivative interval (a point unless the utility has a
+    # kink at p); an idle slot only bounds the level below.
+    stat_resid = 0.0
+    intervals = np.empty((n, 2))
+    j_lo, j_hi = 0.0, 0.0
+    for k in range(n - 1, -1, -1):
+        b_lo = -_INF if (k < n - 1 and full[k]) else j_lo
+        b_hi = _INF if empty[k] else j_hi
+        if pos[k]:
+            i_lo, i_hi = max(g_lo[k], b_lo), min(g_hi[k], b_hi)
+            if i_lo > i_hi:
+                gap = max(g_lo[k] - b_hi, b_lo - g_hi[k])
+                stat_resid = max(stat_resid, gap)
+                d = b_hi if g_lo[k] > b_hi else b_lo
+                i_lo = i_hi = d
+        else:
+            if b_hi >= g_lo[k]:
+                i_lo, i_hi = max(g_lo[k], b_lo), b_hi
+            else:
+                stat_resid = max(stat_resid, g_lo[k] - b_hi)
+                i_lo = i_hi = b_hi
+        intervals[k] = (i_lo, i_hi)
+        j_lo, j_hi = i_lo, i_hi
+
+    # forward pass: concrete levels, moving only as the constraints allow and
+    # as little as possible (smallest multipliers)
+    lam = np.zeros(n)
+    mu = np.zeros(max(n - 1, 0))
+    eta = np.zeros(n)
+    levels = np.zeros(n)
+    d_prev = None
+    for k in range(n):
+        i_lo, i_hi = intervals[k]
+        if d_prev is None:
+            d = i_lo if math.isfinite(i_lo) else min(i_hi, 0.0)
+        else:
+            # increment d_prev - d must lie in the allowed set of boundary k-1
+            a_lo = -_INF if (k - 1 < n - 1 and full[k - 1]) else 0.0
+            a_hi = _INF if empty[k - 1] else 0.0
+            r_lo, r_hi = d_prev - a_hi, d_prev - a_lo
+            lo, hi = max(i_lo, r_lo), min(i_hi, r_hi)
+            if lo > hi:   # only via accumulated residual dust
+                lo = hi = min(max(d_prev, i_lo), i_hi)
+            d = min(max(d_prev, lo), hi)
+            delta = d_prev - d
+            if empty[k - 1]:
+                lam[k - 1] = max(0.0, delta)
+            if k - 1 < n - 1 and full[k - 1]:
+                mu[k - 1] = max(0.0, -delta)
+        if not pos[k]:
+            eta[k] = tau * max(0.0, d - g_lo[k])
+        levels[k] = d
+        d_prev = d
+    # closing boundary at the deadline
+    if empty[n - 1]:
+        lam[n - 1] = max(0.0, d_prev)
+    elif d_prev > binding_tol:
+        stat_resid = max(stat_resid, d_prev)
+
+    comp = 0.0
+    for k in range(n):
+        comp = max(comp, lam[k] * max(0.0, upper[k] - s[k]))
+        if k < n - 1:
+            comp = max(comp, mu[k] * max(0.0, s[k] - l_raw[k]))
+        comp = max(comp, eta[k] * max(0.0, p[k]))
+    return KKTCertificate(lam=lam, mu=mu, eta=eta, water_levels=levels,
+                          stationarity_residual=float(stat_resid),
+                          complementarity_residual=float(comp))

@@ -303,6 +303,43 @@ class TestFig8Pool:
                      "--out", str(tmp_path / "y")]) == 0
 
 
+class TestParserReuse:
+    """``main`` builds its argument parser once per process."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._build_parser.cache_clear()
+        yield
+        cli._build_parser.cache_clear()
+
+    def test_two_calls_build_one_parser(self, tmp_path, capsys):
+        for name in ("a", "b"):
+            assert main(["gen-scenario", "--n", "4", "--seed", "9",
+                         "--out", str(tmp_path / f"{name}.json")]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert (tmp_path / "a.json").read_bytes() == \
+            (tmp_path / "b.json").read_bytes()
+
+    def test_bad_argument_after_a_good_call_is_2(self, tmp_path, capsys):
+        assert main(["gen-scenario", "--n", "4",
+                     "--out", str(tmp_path / "ok.json")]) == 0
+        for argv in (["preset", "fig9"], ["solve-offline", "--tol", "x"],
+                     ["no-such-command"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_repeated_fig8_runs_are_byte_identical(self, tmp_path, capsys):
+        outputs = set()
+        for k in range(3):
+            assert main(["preset", "fig8", "--count", "5",
+                         "--out", str(tmp_path / str(k))]) == 0
+            outputs.add((tmp_path / str(k) / "scenarios.csv").read_bytes())
+        assert len(outputs) == 1
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
         scen_path = _write_scenario(tmp_path, SCEN)

@@ -17,7 +17,7 @@ from ehic.single_user import (GenericSlotUtilities, InterferedUtilities,
                               _real_cubic_roots, solve_single_user,
                               verify_kkt)
 
-from helpers import bisect_equalize
+from helpers import bisect_equalize, reference_verify_kkt
 
 
 def log_utils(n, h=None):
@@ -121,6 +121,110 @@ class TestVerifyKkt:
                     assert s[k] - (cum_e[k + 1] - emax) <= 1e-7  # battery full
                     grid_cases += 1
         assert grid_cases > 0   # the family does exercise capacity binds
+
+
+def _assert_same_certificate(row, utilities, harvest, grid):
+    """``verify_kkt`` and its numpy-scalar reference agree bit for bit, or
+    both reject the row.  Returns the certificate (None when rejected)."""
+    try:
+        ref = reference_verify_kkt(row, utilities, harvest, grid)
+    except InfeasiblePolicyError:
+        with pytest.raises(InfeasiblePolicyError):
+            verify_kkt(row, utilities, harvest, grid)
+        return None
+    got = verify_kkt(row, utilities, harvest, grid)
+    for name in ("lam", "mu", "eta", "water_levels"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    for name in ("stationarity_residual", "complementarity_residual"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert type(a) is float and np.float64(a).tobytes() == \
+            np.float64(b).tobytes(), name
+    return got
+
+
+class TestCertificateReference:
+    """``verify_kkt`` runs its per-slot passes on Python floats; the
+    certificate is the numpy-scalar reference's, bit for bit."""
+
+    def test_fig8_start_and_distributed_rows(self):
+        from ehic.iterative import build_subproblem, feasible_floor, joint_start
+        from ehic.online import distributed_policy
+
+        scens = [cli.gen_scenario(20, 1.0, 10.0, 5.0, s, 0.7, 5.0)
+                 for s in range(20)]
+        rms = [cli._rate_model_for(sc) for sc in scens]
+        starts, _ = joint_start(scens, rms[0])
+        accepted = 0
+        for scen, rm, start in zip(scens, rms, starts):
+            rows = np.vstack([feasible_floor(start[j], scen.users[j].harvest,
+                                             1.0) for j in range(2)])
+            for user in range(2):
+                harvest = scen.users[user].harvest
+                util = build_subproblem(scen, rm, user, rows[1 - user])
+                cert = _assert_same_certificate(rows[user], util, harvest,
+                                                scen.grid)
+                accepted += cert is not None
+                other = scen.users[1 - user].harvest.arrivals
+                util = build_subproblem(scen, rm, user,
+                                        np.full(20, np.sum(other) / 20.0))
+                row = distributed_policy(scen, rm, user)
+                assert _assert_same_certificate(row, util, harvest,
+                                                scen.grid) is not None
+        assert accepted == 40
+
+    def test_fig7(self):
+        from ehic.iterative import build_subproblem, iterate_offline
+
+        scen = cli.fig7_scenario()
+        rm = cli._rate_model_for(scen)
+        policy, _ = iterate_offline(scen, rm)
+        for user in range(2):
+            util = build_subproblem(scen, rm, user, policy[1 - user])
+            cert = _assert_same_certificate(policy[user], util,
+                                            scen.users[user].harvest, scen.grid)
+            assert cert.stationarity_residual <= 1e-7
+
+    @pytest.mark.parametrize("family", ["scaled_log", "interfered",
+                                        "piecewise_min", "linear", "generic"])
+    def test_random_rows(self, family):
+        from ehic.iterative import feasible_floor
+
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(12):
+            n = int(rng.integers(1, 16))
+            tau = float(rng.choice([0.5, 1.0, 2.0]))
+            emax = float(rng.uniform(1.0, 8.0))
+            e = np.where(rng.random(n) < 0.5, rng.uniform(0, emax, n), 0.0)
+            harvest = HarvestProfile(e, emax)
+            grid = TimeGrid(n, tau)
+            util = _family(family, rng, n)
+            solved, _ = solve_single_user(util, harvest, grid)
+            rows = [solved, feasible_floor(rng.uniform(0, 3, n), harvest, tau),
+                    feasible_floor(np.zeros(n), harvest, tau)]
+            if family == "piecewise_min":
+                # slots at the kink, where the derivative is an interval
+                rows.append(feasible_floor(
+                    np.where(rng.random(n) < 0.5, util.p_c, solved),
+                    harvest, tau))
+            for row in rows:
+                checked += _assert_same_certificate(row, util, harvest,
+                                                    grid) is not None
+        assert checked >= 36
+
+    @pytest.mark.parametrize("row", [
+        np.array([2.0, 0.0]),          # overspends slot 1
+        np.array([-0.5, 1.0]),         # negative power
+        np.array([np.nan, np.nan]),
+        np.array([1.0, np.inf]),
+        np.array([1.0]),               # wrong shape
+    ], ids=["overspend", "negative", "nan", "inf", "shape"])
+    def test_same_rejections(self, row):
+        harvest = HarvestProfile(np.array([1.0, 0.0]), 2.0)
+        assert _assert_same_certificate(row, log_utils(2), harvest,
+                                        TimeGrid(2, 1.0)) is None
 
 
 class TestWaterLevelStructure:
@@ -572,16 +676,13 @@ class TestLevelSearch:
 
 
 class TestEvenSplitProbe:
-    """The level search's first probe is the mean marginal at the even
-    split, exact for identical marginals."""
+    """The level search starts from the even split.  Where every slot's
+    marginal is the same there, the split is the window's allocation: the
+    families with a root-solved inverse return it without a probe, and the
+    others probe once, at the mean marginal."""
 
-    @pytest.mark.parametrize("util", [
-        ScaledLogUtilities(np.full(7, 0.6)),
-        InterferedUtilities(0.7, np.full(7, 1.9)),
-    ], ids=["scaled_log", "interfered"])
-    @pytest.mark.parametrize("target", [0.01, 3.0, 250.0])
-    def test_identical_marginals_take_one_probe(self, util, target,
-                                                monkeypatch):
+    @staticmethod
+    def _count_probes(util, monkeypatch):
         probes = []
         inverse = util.inv_deriv
 
@@ -590,10 +691,45 @@ class TestEvenSplitProbe:
             return inverse(level, idx)
 
         monkeypatch.setattr(util, "inv_deriv", counting)
+        return probes
+
+    @pytest.mark.parametrize("util, n_probes", [
+        (ScaledLogUtilities(np.full(7, 0.6)), 1),
+        (InterferedUtilities(0.7, np.full(7, 1.9)), 0),
+    ], ids=["scaled_log", "interfered"])
+    @pytest.mark.parametrize("target", [0.01, 3.0, 250.0])
+    def test_identical_marginals_take_one_probe(self, util, n_probes, target,
+                                                monkeypatch):
+        probes = self._count_probes(util, monkeypatch)
         got = _equalize(util, np.arange(7), target)
-        assert len(probes) == 1
+        assert len(probes) == n_probes
         assert np.allclose(got, target / 7, rtol=1e-12)
         assert np.sum(got) == pytest.approx(target, rel=1e-15)
+
+    # p_c = 2: per-slot powers 0.5 on the noise-treated branch, 5 on the
+    # decode-limited one, and exactly the threshold power
+    @pytest.mark.parametrize("target", [3.5, 35.0, 14.0],
+                             ids=["branch1", "branch2", "kink"])
+    def test_identical_min_form_marginals_take_no_probe(self, target,
+                                                        monkeypatch):
+        util = PiecewiseMinUtilities(0.5, 1.5, 2.0, np.full(7, 1.9))
+        probes = self._count_probes(util, monkeypatch)
+        got = _equalize(util, np.arange(7), target)
+        assert probes == []
+        assert np.allclose(got, target / 7, rtol=1e-12)
+        assert np.sum(got) == pytest.approx(target, rel=1e-15)
+
+    @pytest.mark.parametrize("util", [
+        InterferedUtilities(0.7, np.linspace(0.5, 3.0, 7)),
+        PiecewiseMinUtilities(0.5, 1.5, 2.0, np.linspace(0.5, 3.0, 7)),
+    ], ids=["interfered", "min_form"])
+    def test_unequal_marginals_still_probe(self, util, monkeypatch):
+        ref = bisect_equalize(util, np.arange(7), 10.0)
+        probes = self._count_probes(util, monkeypatch)
+        got = _equalize(util, np.arange(7), 10.0)
+        assert len(probes) >= 1
+        assert np.allclose(got, ref, rtol=1e-9, atol=1e-12)
+        assert np.sum(got) == pytest.approx(10.0, rel=1e-15)
 
 
 class TestNegativeLevels:
