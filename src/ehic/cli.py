@@ -41,7 +41,7 @@ from .errors import (ConvergenceError, InfeasiblePolicyError,
 from .iterative import (build_subproblem, iterate_offline,
                         iterate_offline_many, joint_objective)
 from .model import (DataProfile, HarvestProfile, Scenario, TimeGrid, User,
-                    cumulative_departure, feasibility_report,
+                    cumulative_departure, energy_bounds, feasibility_report,
                     scenario_from_dict, validate_scenario)
 from .rates import ChannelParams, build_rate_model
 from .single_user import verify_kkt
@@ -168,6 +168,20 @@ def _kkt_summary(policy, scenario, rate_model) -> dict:
     return out
 
 
+def _spend_overflow(row, harvest, tau):
+    """Add to each slot what the battery would lose at the next arrival.
+
+    Lattice policies never overspend the real battery, but a truncating
+    rollout or arrivals snapped down to the lattice can let it overflow.
+    The cumulative loss is the running maximum of the corridor floor's
+    excess over the consumption; spending it one slot early meets the
+    floor, only adds consumption and leaves later battery levels alone.
+    """
+    lower, _ = energy_bounds(harvest, tau)
+    loss = np.maximum.accumulate(np.maximum(lower - tau * np.cumsum(row), 0.0))
+    return row + np.diff(loss, prepend=0.0) / tau
+
+
 def _rate_model_for(scenario: Scenario):
     pmax = scenario.peak_powers
     return build_rate_model(scenario.channel.a, scenario.channel.b,
@@ -229,7 +243,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                        start_steps=report.start_steps,
                        certified_starts=report.certified_starts,
                        converged=report.converged,
-                       final_displacement=report.final_displacement)
+                       final_displacement=report.displacement_trace[-1])
         summary.update(_kkt_summary(policy, scenario, rate_model))
         if not report.converged:
             raise ConvergenceError("iterative solve did not converge",
@@ -268,6 +282,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
         summary.update(oracle_objective_nats=objective)
     else:
         raise InvalidInputError(f"unknown solver {solver}")
+    if (solver in ("online-dp", "oracle")
+            and all(u.data.is_infinite for u in scenario.users)):
+        # with data arrivals overflow is the waste the data-aware oracle
+        # relies on, so only infinite-backlog rows are topped up
+        policy = np.vstack([
+            _spend_overflow(policy[j], scenario.users[j].harvest,
+                            scenario.grid.tau) for j in range(2)])
 
     obj = joint_objective(policy, scenario, rate_model)
     data_tol = config.violation_tol if solver == "solve-data" else 0.0

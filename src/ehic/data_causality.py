@@ -225,8 +225,11 @@ def solve_with_data(scenario: Scenario, rate_model: RateModel,
     report.final_violation = vmax
     report.converged = vmax <= violation_tol
     if not report.converged:
+        worst = violation(policy, scen, rate_model)
+        user, slot = np.unravel_index(np.argmax(worst), worst.shape)
         raise ConvergenceError(
-            f"data-causality violation {vmax:.3g} above tolerance "
-            f"{violation_tol:.3g} after {_MAX_ROUNDS} rounds",
+            f"data-causality violation {vmax:.3g} of user {user + 1} at slot "
+            f"{slot + 1} above tolerance {violation_tol:.3g} after "
+            f"{_MAX_ROUNDS} rounds",
             best_policy=policy, residual=vmax)
     return policy, report

@@ -78,7 +78,6 @@ class SolveReport:
     start_steps: int = 0     # Newton steps of the joint start (0: not run)
     certified_starts: int = 0   # block solves that returned their start
     converged: bool = False
-    final_displacement: float = float("nan")
     # populated by the data-arrival solver only
     rounds_used: int = 0
     final_violation: float = 0.0
@@ -466,7 +465,6 @@ def _alternate(scen: Scenario, rate_model: RateModel, start, start_steps,
             if jumped_obj >= obj - 1e-12 * scale:
                 policy, obj = jumped, jumped_obj
         prev_disp = disp
-    report.final_displacement = report.displacement_trace[-1]
     return policy, report
 
 

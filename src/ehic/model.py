@@ -136,9 +136,7 @@ def validate_scenario(raw: Scenario) -> Scenario:
     """
     n = raw.grid.N
     # NaN passes the constructors' sign checks (nan < 0 is False), and inf
-    # breaks every solver
-    if not np.isfinite(raw.grid.tau):
-        raise InvalidInputError("slot duration must be finite")
+    # breaks every solver; TimeGrid already rejects a non-finite tau
     if not (np.isfinite(raw.channel.a) and np.isfinite(raw.channel.b)):
         raise InvalidInputError("cross gains must be finite")
     users = []
@@ -199,10 +197,6 @@ def _worst(violations: np.ndarray) -> WorstViolation:
     return WorstViolation(float(violations[user, slot]), int(user), int(slot))
 
 
-def cumulative_consumption(policy_row: np.ndarray, tau: float) -> np.ndarray:
-    return tau * np.cumsum(policy_row)
-
-
 def energy_bounds(harvest: HarvestProfile, tau: float):
     """Corridor for cumulative consumption S_n: lower L (battery) and upper U.
 
@@ -249,7 +243,7 @@ def feasibility_report(policy, scenario: Scenario, rate_model,
     data = violation(p, scenario, rate_model)
     for j, user in enumerate(scenario.users):
         cum_e = np.cumsum(user.harvest.arrivals)
-        s = cumulative_consumption(p[j], tau)
+        s = tau * np.cumsum(p[j])
         energy[j] = np.maximum(0.0, s - cum_e)
         # battery check only applies where a next arrival exists
         if n > 1:

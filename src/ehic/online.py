@@ -3,9 +3,15 @@
 The dynamic program discretizes battery levels (and data queues when
 arrivals are finite) on uniform grids and sweeps backward over slots,
 maximizing the per-slot throughput plus the expected value of the next
-state under the arrival distributions.  Next-state values between grid
-nodes are interpolated multilinearly; battery overflow at an arrival is
-truncated, exactly like the physical battery.
+state under the arrival distributions.  The state of a slot is each
+battery (and queue) after that slot's arrival, so the first slot's arrival
+is part of the initial state and the move from slot i to slot i + 1 adds
+the arrival of slot i + 1, as ``rollout_table`` does.  Next-state values
+between grid nodes are interpolated multilinearly; battery overflow at an
+arrival is truncated, exactly like the physical battery, so a rolled-out
+policy can waste energy; ``ehic online-dp`` (like ``ehic oracle``) spends
+what a battery would lose one slot earlier before it scores and writes
+the policy.
 
 Work that does not change between slots is done once.  Every action's
 throughput comes from one scalar rate-model call, and the states that can
@@ -130,6 +136,10 @@ def _joint_outcomes(dists):
 
 
 def _slot_outcomes(stats, i):
+    """Joint arrival outcomes that move slot i to slot i + 1: the law of
+    slot i + 1.  The last slot's successor value is zero, so its own law
+    stands in there."""
+    i = min(i + 1, stats.n_slots - 1)
     e = (stats.energy[0][i], stats.energy[1][i])
     energy_combos = _joint_outcomes(e)
     if stats.data is None:
@@ -157,12 +167,8 @@ def value_iteration(stats: ArrivalDistribution, rate_model: RateModel,
     shape = tuple(len(ax) for ax in axes)
     ndim = len(axes)
 
-    de1 = grid.e1[1] - grid.e1[0]
-    de2 = grid.e2[1] - grid.e2[0]
     acts1 = grid.e1 / tau
     acts2 = grid.e2 / tau
-    if de1 <= 0 or de2 <= 0:
-        raise InvalidInputError("battery grids must be increasing")
     spend1 = acts1 * tau
     spend2 = acts2 * tau
     g1, g2 = len(acts1), len(acts2)

@@ -54,6 +54,10 @@ class Region(enum.Enum):
     GENERIC = "generic-concave"
 
 
+_ASYMMETRIC = (Region.ASYMMETRIC_AB_ABOVE_ONE,
+               Region.ASYMMETRIC_AB_AT_MOST_ONE)
+
+
 @dataclass(frozen=True)
 class RegionTag:
     region: Region
@@ -133,7 +137,8 @@ def _asym_r1(p1, p2, a):
 class RateModel:
     """Region-tagged sum-rate, per-user rate and gradient kernels.
 
-    All public methods take powers in the caller's (public) user order; the
+    Every public kernel takes nonnegative powers in the caller's user order
+    and returns per-user results in it, as floats for scalar input; the
     mirrored swap is internal.  Rates are nats per channel use.
     """
 
@@ -180,16 +185,25 @@ class RateModel:
 
     # -- kernels ---------------------------------------------------------------
 
-    def _oriented(self, p1, p2):
+    def _canonical(self, p1, p2):
+        """Powers as float arrays, checked nonnegative, in canonical order."""
+        p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
+        if (p1 < 0).any() or (p2 < 0).any():
+            raise InvalidInputError("powers must be nonnegative")
         return (p2, p1) if self.mirrored else (p1, p2)
 
+    def _public_pair(self, x1, x2):
+        """A canonical per-user pair in the caller's order and one shape."""
+        if self.mirrored:
+            x1, x2 = x2, x1
+        if np.shape(x1) != np.shape(x2):
+            x1, x2 = np.broadcast_arrays(x1, x2)
+        if np.ndim(x1) == 0:
+            return float(x1), float(x2)
+        return x1, x2
+
     def sum_rate(self, p1, p2):
-        p1 = np.asarray(p1, dtype=float)
-        p2 = np.asarray(p2, dtype=float)
-        if np.any(p1 < 0) or np.any(p2 < 0):
-            raise InvalidInputError("powers must be nonnegative")
-        x1, x2 = self._oriented(p1, p2)
-        out = self._sum_rate_canonical(x1, x2)
+        out = self._sum_rate_canonical(*self._canonical(p1, p2))
         return out if out.ndim else float(out)
 
     def _sum_rate_canonical(self, p1, p2):
@@ -206,17 +220,8 @@ class RateModel:
 
     def user_rates(self, p1, p2):
         """Per-user achievable rates (r1, r2); they sum to ``sum_rate``."""
-        p1 = np.asarray(p1, dtype=float)
-        p2 = np.asarray(p2, dtype=float)
-        if np.any(p1 < 0) or np.any(p2 < 0):
-            raise InvalidInputError("powers must be nonnegative")
-        x1, x2 = self._oriented(p1, p2)
-        r1, r2 = self._user_rates_canonical(x1, x2)
-        if self.mirrored:
-            r1, r2 = r2, r1
-        if np.ndim(r1) == 0:
-            return float(r1), float(r2)
-        return r1, r2
+        return self._public_pair(
+            *self._user_rates_canonical(*self._canonical(p1, p2)))
 
     def _user_rates_canonical(self, p1, p2):
         a, b = self._a, self._b
@@ -238,39 +243,30 @@ class RateModel:
         selected by the p2 threshold (>= p_c picks the decode-limited branch),
         matching the branch rule used by the subproblem builders.
         """
-        p1 = np.asarray(p1, dtype=float)
-        p2 = np.asarray(p2, dtype=float)
-        if np.any(p1 < 0) or np.any(p2 < 0):
-            raise InvalidInputError("powers must be nonnegative")
-        x1, x2 = self._oriented(p1, p2)
-        d1, d2 = self._grad_canonical(x1, x2)
-        if self.mirrored:
-            d1, d2 = d2, d1
-        if np.ndim(d1) == 0 and np.ndim(d2) == 0:
-            return float(d1), float(d2)
-        return d1, d2
+        d1, d2 = self._grad_canonical(*self._canonical(p1, p2))
+        return self._public_pair(d1, d2)
+
+    def _tin_partials(self, p1, p2):
+        """(d11, d12) of the canonical user 1's noise-treated rate."""
+        a = self._a
+        base = 1.0 + a * p2
+        return (1.0 / (2.0 * (base + p1)),
+                -a * p1 / (2.0 * (1.0 + p1 + a * p2) * base))
 
     def _grad_canonical(self, p1, p2):
-        a, b = self._a, self._b
-        if self.region is Region.ASYMMETRIC_AB_ABOVE_ONE:
-            return self._grad_tin_branch(p1, p2)
-        if self.region is Region.ASYMMETRIC_AB_AT_MOST_ONE:
-            d1a, d2a = self._grad_tin_branch(p1, p2)
-            den = 2.0 * (1.0 + b * p1 + p2)
-            d1b, d2b = b / den, 1.0 / den
-            on_b = p2 >= self.p_c
-            return np.where(on_b, d1b, d1a), np.where(on_b, d2b, d2a)
+        if self.region in _ASYMMETRIC:
+            d1, d12 = self._tin_partials(p1, p2)
+            d2 = d12 + 1.0 / (2.0 * (1.0 + p2))
+            if self.region is Region.ASYMMETRIC_AB_AT_MOST_ONE:
+                den = 2.0 * (1.0 + self._b * p1 + p2)
+                on_b = p2 >= self.p_c
+                d1 = np.where(on_b, self._b / den, d1)
+                d2 = np.where(on_b, 1.0 / den, d2)
+            return d1, d2
         if self.region is Region.VERY_STRONG:
             return 0.5 / (1.0 + p1), 0.5 / (1.0 + p2)
         d1, d2 = self.kernel.grad(p1, p2)
         return np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
-
-    def _grad_tin_branch(self, p1, p2):
-        a = self._a
-        base = 1.0 + a * p2
-        d1 = 1.0 / (2.0 * (base + p1))
-        d2 = -a * p1 / (2.0 * (1.0 + p1 + a * p2) * base) + 1.0 / (2.0 * (1.0 + p2))
-        return np.broadcast_arrays(d1, d2)[0], d2
 
     def user_rate_partials(self, p1, p2):
         """Jacobian of (r1, r2) in (p1, p2): (d11, d12, d21, d22).
@@ -279,37 +275,25 @@ class RateModel:
         data-causality penalty gradients; zero cross terms encode per-user
         rates that do not depend on the other transmitter.
         """
-        p1 = np.asarray(p1, dtype=float)
-        p2 = np.asarray(p2, dtype=float)
-        x1, x2 = self._oriented(p1, p2)
-        d11, d12, d21, d22 = self._partials_canonical(x1, x2)
-        if self.mirrored:
-            d11, d12, d21, d22 = d22, d21, d12, d11
+        c11, c12, c21, c22 = self._partials_canonical(*self._canonical(p1, p2))
+        # mirroring swaps the users, so d11 <-> d22 and d12 <-> d21
+        d11, d22 = self._public_pair(c11, c22)
+        d12, d21 = self._public_pair(c12, c21)
         return d11, d12, d21, d22
 
     def _partials_canonical(self, p1, p2):
-        a, b = self._a, self._b
         zero = np.zeros(np.broadcast(p1, p2).shape)
-        if self.region is Region.ASYMMETRIC_AB_ABOVE_ONE:
-            base = 1.0 + a * p2
-            d11 = 1.0 / (2.0 * (base + p1))
-            d12 = -a * p1 / (2.0 * (1.0 + p1 + a * p2) * base)
-            d22 = 0.5 / (1.0 + p2)
-            return d11, d12, zero, zero + d22
-        if self.region is Region.ASYMMETRIC_AB_AT_MOST_ONE:
-            base = 1.0 + a * p2
-            d11a = 1.0 / (2.0 * (base + p1))
-            d12a = -a * p1 / (2.0 * (1.0 + p1 + a * p2) * base)
-            den = 2.0 * (1.0 + b * p1 + p2)
-            d11b = b / den
-            d12b = 1.0 / den - 0.5 / (1.0 + p2)
-            on_b = p2 >= self.p_c
-            d11 = np.where(on_b, d11b, d11a)
-            d12 = np.where(on_b, d12b, d12a)
-            d22 = 0.5 / (1.0 + p2)
-            return d11, d12, zero, zero + d22
+        d22 = 0.5 / (1.0 + p2)
+        if self.region in _ASYMMETRIC:
+            d11, d12 = self._tin_partials(p1, p2)
+            if self.region is Region.ASYMMETRIC_AB_AT_MOST_ONE:
+                den = 2.0 * (1.0 + self._b * p1 + p2)
+                on_b = p2 >= self.p_c
+                d11 = np.where(on_b, self._b / den, d11)
+                d12 = np.where(on_b, 1.0 / den - d22, d12)
+            return d11, d12, zero, d22
         if self.region is Region.VERY_STRONG:
-            return 0.5 / (1.0 + p1), zero, zero, 0.5 / (1.0 + p2)
+            return 0.5 / (1.0 + p1), zero, zero, d22
         step = 1e-6
         ur = self.kernel.user_rates
 
@@ -323,19 +307,6 @@ class RateModel:
         r1 = lambda x, y: ur(x, y)[0]
         r2 = lambda x, y: ur(x, y)[1]
         return diff(r1, 0), diff(r1, 1), diff(r2, 0), diff(r2, 1)
-
-    def max_gradient_bound(self, p_max: float = 10.0) -> float:
-        """Upper bound on |d sum_rate/d p_j| over [0, p_max]^2 (error budgets)."""
-        if self.region is Region.ASYMMETRIC_AB_ABOVE_ONE:
-            return 0.5
-        if self.region is Region.ASYMMETRIC_AB_AT_MOST_ONE:
-            return 0.5 * max(1.0, self._b)
-        if self.region is Region.VERY_STRONG:
-            return 0.5
-        grid = np.linspace(0.0, p_max, 21)
-        g1, g2 = np.meshgrid(grid, grid)
-        d1, d2 = self._grad_canonical(g1.ravel(), g2.ravel())
-        return 1.05 * float(max(np.max(np.abs(d1)), np.max(np.abs(d2))))
 
 
 def build_rate_model(a: float, b: float, p1_max: float, p2_max: float,

@@ -257,7 +257,7 @@ def test_c11_online_dp_consistency():
     _, dp_total = rollout_table(result, scen, rm)
     p_off, _ = iterate_offline(scen, rm)
     off = joint_objective(p_off, scen, rm)
-    bound = 2.0 * scen.grid.N * 1.0 * rm.max_gradient_bound() * de
+    bound = 2.0 * scen.grid.N * 1.0 * 0.5 * de
     assert abs(dp_total - off) <= bound + 1e-9
     _ok("c11 online DP consistency",
         f"|{dp_total:.4f} - {off:.4f}| <= {bound:.4f}")

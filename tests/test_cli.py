@@ -113,6 +113,21 @@ class TestRunExperiment:
         assert summary["objective_nats"] == \
             pytest.approx(summary["oracle_objective_nats"], abs=1e-12)
 
+    @pytest.mark.parametrize("solver", ["online-dp", "oracle"])
+    def test_lattice_policy_fits_the_real_battery(self, tmp_path, solver):
+        # on this seed the rollout truncates an overflow and the oracle
+        # snaps arrivals down, so both planned policies let a battery
+        # overflow
+        scen = gen_scenario(20, 1.0, 10.0, 5.0, 6, 0.7, 5.0)
+        scen_path = _write_scenario(tmp_path, scenario_to_dict(scen))
+        summary = run_experiment(ExperimentConfig(
+            solver=solver, scenario_path=scen_path,
+            out_dir=str(tmp_path / solver), grid_step=0.5))
+        assert summary["feasibility"]["feasible"]
+        lattice = summary.get("oracle_objective_nats",
+                              summary.get("dp_value_at_start"))
+        assert summary["objective_nats"] >= lattice - 1e-9
+
     def test_solve_data_reports_violation(self, tmp_path):
         scen_path = _write_scenario(tmp_path, DATA_SCEN)
         out = tmp_path / "data"

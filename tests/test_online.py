@@ -134,8 +134,22 @@ class TestValueIteration:
                               _grid(emax, 41), tau=1.0)
         _, total = rollout_table(res, scen, rm)
         p_off, _ = iterate_offline(scen, rm)
-        bound = 2 * scen.grid.N * 1.0 * rm.max_gradient_bound() * de
+        bound = 2 * scen.grid.N * 1.0 * 0.5 * de
         assert abs(total - joint_objective(p_off, scen, rm)) <= bound + 1e-9
+
+    @pytest.mark.parametrize("step", [0.5, 0.25])
+    def test_fig7_table_value_at_most_offline(self, step):
+        # slot 1's state holds its own arrival and each move adds the next
+        # slot's; fig7's arrivals lie on the lattice, so the table value at
+        # the start is the throughput of a real schedule
+        stats, rm, grid, tau = _fig7_case(step)
+        scen = fig7_scenario()
+        res = value_iteration(stats, rm, grid, tau=tau)
+        start = tuple(int(np.searchsorted(ax, u.harvest.arrivals[0]))
+                      for ax, u in zip((grid.e1, grid.e2), scen.users))
+        assert [grid.e1[start[0]], grid.e2[start[1]]] == [5.0, 10.0]
+        p_off, _ = iterate_offline(scen, rm)
+        assert res.values[0][start] <= joint_objective(p_off, scen, rm) + 1e-9
 
     def test_value_monotone_in_slot_and_energy(self):
         rng = np.random.default_rng(16)

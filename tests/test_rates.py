@@ -137,6 +137,64 @@ class TestGradient:
             assert np.max(np.abs(d2 - fd2)) <= 1e-6
 
 
+class TestKernelPath:
+    """The four public kernels share one input and output path."""
+
+    KERNELS = ("sum_rate", "user_rates", "grad", "user_rate_partials")
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_negative_power_rejected(self, kernel):
+        for model in _all_models() + _mirrored_models():
+            fun = getattr(model, kernel)
+            for p1, p2 in ((-0.5, 1.0), (1.0, -0.5),
+                           (np.array([1.0, -1e-3]), np.array([1.0, 2.0]))):
+                with pytest.raises(InvalidInputError):
+                    fun(p1, p2)
+
+    @pytest.mark.parametrize("kernel", KERNELS[1:])
+    def test_mirrored_scalar_and_array(self, kernel):
+        fwd = getattr(build_rate_model(0.9, 2.0, 10.0, 10.0), kernel)
+        mir = getattr(build_rate_model(2.0, 0.9, 10.0, 10.0), kernel)
+        p = np.array([0.5, 2.0])
+        # swapping the users reverses (r1, r2), (d1, d2) and
+        # (d11, d12, d21, d22) alike
+        for got, fwd_out in ((mir(1.0, p), fwd(p, 1.0)),
+                             (mir(p, 1.0), fwd(1.0, p))):
+            assert all(np.shape(x) == (2,) for x in got)
+            assert np.array_equal(np.array(got), np.array(fwd_out[::-1]))
+        scalar = mir(1.0, 0.5)
+        assert all(type(x) is float for x in scalar)
+
+    def test_partials_match_user_rate_differences(self):
+        rng = np.random.default_rng(4)
+        step = 1e-6
+        for model in _all_models() + _mirrored_models():
+            pts = rng.uniform(0.1, 10.0, (500, 2))
+            if model.p_c is not None:
+                # keep off the min-form kink in the canonical second power
+                kink = pts[:, 0] if model.mirrored else pts[:, 1]
+                pts = pts[np.abs(kink - model.p_c) > 1e-3]
+            p1, p2 = pts[:, 0], pts[:, 1]
+            d1 = np.subtract(model.user_rates(p1 + step, p2),
+                             model.user_rates(p1 - step, p2)) / (2 * step)
+            d2 = np.subtract(model.user_rates(p1, p2 + step),
+                             model.user_rates(p1, p2 - step)) / (2 * step)
+            # (d11, d12, d21, d22): user i's rate in user j's power
+            want = (d1[0], d2[0], d1[1], d2[1])
+            for got, w in zip(model.user_rate_partials(p1, p2), want):
+                assert np.max(np.abs(got - w)) <= 1e-6, model.region
+
+    def test_grad_is_column_sum_of_partials(self):
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(0.0, 10.0, (500, 2))
+        # the closed-form regions: all models but the generic one
+        for model in _all_models()[:3] + _mirrored_models():
+            d11, d12, d21, d22 = model.user_rate_partials(pts[:, 0], pts[:, 1])
+            d1, d2 = model.grad(pts[:, 0], pts[:, 1])
+            assert np.allclose(d1, d11 + d21, rtol=1e-13, atol=1e-15)
+            assert np.allclose(d2, d12 + d22, rtol=1e-13, atol=1e-15)
+
+
 class TestRegionBContinuity:
     def test_branches_agree_at_threshold(self):
         model = build_rate_model(0.5, 1.5, 10.0, 10.0)
@@ -224,3 +282,8 @@ def _all_models():
         build_rate_model(0.1, 0.2, 10.0, 10.0,
                          kernel=interference_as_noise_kernel(0.1, 0.2)),
     ]
+
+
+def _mirrored_models():
+    return [build_rate_model(2.0, 0.9, 10.0, 10.0),
+            build_rate_model(1.5, 0.5, 10.0, 10.0)]
