@@ -4,9 +4,9 @@ transmitters sharing a Gaussian interference channel.
 The central objects are a ``Scenario`` (time grid, per-user harvest/data
 profiles, channel) and a ``RateModel`` (region-tagged sum-rate kernels).
 ``iterate_offline`` computes the optimal offline schedule by alternating
-single-user directional water-filling, started from a joint barrier-Newton
-solution where a*b > 1; ``solve_with_data`` extends it to per-slot data
-arrivals via a quadratic penalty.  The solvers take three settings in all:
+single-user directional water-filling, started from a joint primal-dual
+interior-point solution where a*b > 1; ``solve_with_data`` extends it to
+per-slot data arrivals via a quadratic penalty.  The solvers take three settings in all:
 ``max_sweeps``, the KKT tolerance ``tol`` and the data ``violation_tol``.
 ``online`` hosts the DP, naive and distributed baselines and ``oracle`` a
 brute-force ground truth.

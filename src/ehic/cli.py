@@ -267,7 +267,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
         result = online.value_iteration(stats, rate_model, grid,
                                         tau=scenario.grid.tau)
         policy, total = online.rollout_table(result, scenario, rate_model)
-        summary.update(dp_value_at_start=total)
+        summary.update(dp_value_at_start=total,
+                       dp_table_value=online.table_value_at_start(result,
+                                                                  scenario))
         if config.write_tables:
             online.export_tables_csv(result, out_dir / "tables.csv")
     elif solver == "naive":

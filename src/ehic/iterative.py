@@ -9,26 +9,26 @@ improvement and the policy displacement fall below tolerance.
 
 Where to start: in the a*b > 1 region (either orientation) the sum rate is
 smooth and jointly concave, and the alternation starts from ``joint_start``,
-a log-barrier Newton method on both users at once whose Newton systems are
-bands of half-width 3, solved in O(N) by LAPACK's banded Cholesky.  It runs
-on a batch of scenarios that share N, tau and channel, one LAPACK call per
-Newton step for all of them, and gives each scenario the start it would get
-alone; ``iterate_offline_many`` batches its scenarios so, and
-``iterate_offline`` is its batch of one.  From the joint start the
-alternation certifies in one sweep on every fig8 seed (80 sweeps over seeds
-0-79, against 883 from zeros; fig7 1 against 38).  The start decides
-nothing: the same alternation runs from it, every block solve is checked by
-``verify_kkt``, and the same convergence tests end it.
+a primal-dual interior-point method (Mehrotra's predictor-corrector) on
+both users at once whose Newton systems are bands of half-width 3, solved
+in O(N) by LAPACK's banded Cholesky.  It runs on a batch of scenarios that
+share N, tau and channel, two LAPACK calls per iteration for all of them,
+and gives each scenario the start it would get alone;
+``iterate_offline_many`` batches its scenarios so, and ``iterate_offline``
+is its batch of one.  From the joint start the alternation certifies in
+one sweep on every fig8 seed (80 sweeps over seeds 0-79, against 883 from
+zeros; fig7 1 against 38).  The start decides nothing: the same
+alternation runs from it, every block solve is checked by ``verify_kkt``,
+and the same convergence tests end it.
 
 Each block solve is offered the block's current row as its start, and
 returns it unsolved when its certificate already meets the tolerance
 (counted in ``SolveReport.certified_starts``).  Each user's constraints
 involve only that user, so where the sum rate is smooth and jointly concave
-a point at which both blocks certify is the joint optimum.  At the barrier
-gap ``_GAP_TOL`` of 1e-10 the joint start itself certifies both blocks on
-77 of the 80 fig8 seeds, and the certifying sweep costs two certificates.
-A smaller gap certifies more (all 80 from 3e-11 down), but from 5e-11 down
-the N=400 start touches its corridor in floating point.
+a point at which both blocks certify is the joint optimum.  At the joint
+start's stopping gap ``_GAP_TOL`` of 1e-11 both blocks certify at the
+start on fig7 and on all 80 fig8 seeds, so the certifying sweep costs two
+certificates.
 
 Elsewhere (the min-form a*b <= 1 region with its kink, very strong,
 generic) the alternation starts from zeros, and a geometric
@@ -75,7 +75,8 @@ class SolveReport:
     objective_trace: list = field(default_factory=list)
     displacement_trace: list = field(default_factory=list)
     sweeps_used: int = 0
-    start_steps: int = 0     # Newton steps of the joint start (0: not run)
+    start_steps: int = 0     # interior-point iterations of the joint start
+                             # (0: not run)
     certified_starts: int = 0   # block solves that returned their start
     converged: bool = False
     # populated by the data-arrival solver only
@@ -181,53 +182,60 @@ def band_solve(band, rhs):
     return x, ok
 
 
-_GAP_TOL = 1e-10      # the joint start stops once the barrier gap m/t is below
-_MAX_NEWTON = 300     # Newton step cap of the joint start
-_T_GROWTH = 10.0      # barrier weight factor per centering
-_CENTERED = 1e-6      # Newton decrement^2 / 2 that counts as centered
-_FULL_STEP = 0.25     # Newton decrement^2 below which no line search is run
-_T_START = 1e4        # first barrier weight over m / (total harvest)
+_GAP_TOL = 1e-11      # the joint start stops once z^T lambda is at most this
+_DUAL_TOL = 1e-9      # and its dual residual is at most this
+_MAX_STEPS = 100      # interior-point iteration cap of the joint start
+_MU0 = 0.03           # z * lambda of every constraint at the start, in nats
+_SIGMA_MIN = 0.01     # least centering of the corrector
 
 
 def joint_start(scenarios, rate_model: RateModel):
-    """Both users' joint optimum in the a*b > 1 region, by barrier Newton,
-    for a batch of scenarios that share N, tau and channel.
+    """Both users' joint optimum in the a*b > 1 region, by a primal-dual
+    interior-point method, for a batch of scenarios that share N, tau and
+    channel.
 
     Maximizes tau * sum_n r(p_1n, p_2n) over the cumulative consumptions
     S_jn = tau * sum_{i<=n} p_ji, where the sum rate is smooth and jointly
-    concave (Boyd & Vandenberghe, Convex Optimization, ch. 11).  Log
-    barriers keep S above its floor (the battery corridor's lower bound made
-    monotone), below the cumulative harvest and increasing in n, which is
-    p > 0; barriers that another one implies are masked out.  Entries whose
-    corridor has zero width are pinned: slots before a user's first arrival,
-    slots followed by an arrival of a full battery, and the last slot (the
-    rate grows in each power, so all energy is spent).  The users couple
-    only within a slot, so with S ordered (S_1n, S_2n) slot by slot each
-    Newton system is a band of half-width 3, positive definite with the
-    pinned rows set to the identity; ``band_solve`` solves the systems of
-    every scenario still iterating in one LAPACK call.
+    concave.  The constraints z >= 0 keep S above its floor (the battery
+    corridor's lower bound made monotone), below the cumulative harvest and
+    increasing in n, which is p > 0; constraints that another one implies
+    are masked out.  Entries whose corridor has zero width are pinned:
+    slots before a user's first arrival, slots followed by an arrival of a
+    full battery, and the last slot (the rate grows in each power, so all
+    energy is spent).  The users couple only within a slot, so with S
+    ordered (S_1n, S_2n) slot by slot each Newton system is a band of
+    half-width 3, positive definite with the pinned rows set to the
+    identity; ``band_solve`` solves the systems of every scenario still
+    iterating in one LAPACK call.
 
-    Steps stop at the boundary fraction 0.99 and backtrack while the Newton
-    decrement is large.  The barrier weight t starts where the objective's
-    pull far outweighs that of barriers at their mean slack (a smaller start
-    spends its steps centering far from the optimum), and grows by
-    ``_T_GROWTH`` per centering until the duality gap m/t (m barriers) is at
-    most ``_GAP_TOL``; each new centering starts from a step along the central
-    path's tangent taken linear in 1/t, which is exact for the slack of an
-    active constraint (it shrinks as 1/t).  The barriers' arguments are
-    carried and updated by their own increments instead of being recomputed
-    from S: near the end they are around 1/t, far below the resolution of S
-    itself, and the line search compares merits through those relative
-    changes for the same reason.
+    Each constraint carries a multiplier lambda, and each iteration is
+    Mehrotra's predictor-corrector (Mehrotra, SIAM J. Optim. 2 (1992);
+    Boyd & Vandenberghe, Convex Optimization, sec. 11.7): an affine step
+    that drives every z * lambda to zero, then a corrector from the same
+    matrix that aims at sigma * mu with sigma = (mu_aff / mu)^3, at least
+    ``_SIGMA_MIN``, and the affine step's second-order term.  The
+    constraint curvature in the system is lambda / z.  The steps of S and
+    of lambda stop separately at the boundary fraction 0.99; there is no
+    centering phase and no line search.  A scenario stops once z^T lambda
+    is at most ``_GAP_TOL`` and its dual residual at most ``_DUAL_TOL``: at
+    that gap both blocks of the start certify on fig7 and on every fig8
+    seed 0-79.  The state is S itself and the slacks are computed from it,
+    so a step is taken only if the S it returns is strictly inside its
+    corridor in floating point.  Near the end the slacks of active
+    constraints shrink toward the resolution of S; the floor on sigma
+    keeps them near mu / lambda rather than far below it, and on long
+    horizons (N=2000) a scenario stops where they reach that resolution.
 
-    Every scenario keeps its own t, centering, line search and stop, and
-    every reduction runs over one scenario's entries, so a scenario's start
-    is bit-identical whatever else is in the batch.  Returns ``(starts,
-    newton_steps)``: arrays of shape (B, 2, N) in the callers' user order
-    and (B,).  Never raises: at the step cap, or on a numerical breakdown
-    (a system that is not positive definite, a non-finite decrement), a
-    scenario stops at its last strictly feasible iterate and the others go
-    on.  Nothing certifies these starts; the alternation that follows does.
+    Every scenario keeps its own iterate, step lengths and stop, and every
+    reduction runs over one scenario's entries, so a scenario's start is
+    bit-identical whatever else is in the batch.  Returns ``(starts,
+    steps)``: arrays of shape (B, 2, N) in the callers' user order and
+    (B,), the interior-point iterations taken.  Never raises: at the
+    iteration cap, or on a numerical breakdown (a system that is not
+    positive definite, a non-finite residual, a step that leaves the
+    interior), a scenario stops at its last strictly feasible iterate and
+    the others go on.  Nothing certifies these starts; the alternation that
+    follows does.
     """
     n, tau = scenarios[0].grid.N, scenarios[0].grid.tau
     if any((s.grid.N, s.grid.tau) != (n, tau) for s in scenarios):
@@ -251,7 +259,7 @@ def joint_start(scenarios, rate_model: RateModel):
     # positive between a nondecreasing floor and harvest
     w = (np.arange(1, n + 1) / (n + 1.0))[:, None]
     cum = np.where(pinned, upper, floor + w * (upper - floor))
-    # barriers: increments touching a free entry, floors that rise, and
+    # constraints: increments touching a free entry, floors that rise, and
     # cumulative harvests that grow in the next slot
     mono = free.copy()
     mono[:, 1:] |= free[:, :-1]
@@ -259,26 +267,28 @@ def joint_start(scenarios, rate_model: RateModel):
                                    axis=1)
     grows = np.zeros_like(free)
     grows[:, :-1] = upper[:, :-1] < upper[:, 1:]
-    # z stacks every increment tau*p (those without a barrier stay
-    # constant), the floor slacks and the harvest slacks; barriers act on
-    # z[act], and a slack without one is held at 1
+    # z stacks the increments tau*p, the floor slacks and the harvest
+    # slacks, all computed from S; constraints act on z[act], and an entry
+    # without one is held at 1 with lambda 0
     act = np.stack([mono, free & rises, free & grows], axis=1)
-    z = np.stack([np.diff(cum, axis=1, prepend=0.0), cum - floor,
-                  upper - cum], axis=1)
-    z[:, 1:][~act[:, 1:]] = 1.0
+
+    def slacks(cum):
+        z = np.stack([np.diff(cum, axis=1, prepend=0.0), cum - floor,
+                      upper - cum], axis=1)
+        return np.where(act, z, 1.0)
+
+    z = slacks(cum)
+    starts = np.diff(cum, axis=1, prepend=0.0)
     m = act.reshape(size, -1).sum(axis=1)
-    t = _T_START * m / np.maximum(1.0, upper[:, -1].sum(axis=1))
-    starts = z[:, 0].copy()
     steps = np.zeros(size, dtype=int)
-    live = np.flatnonzero((m > 0) & (np.where(act, z, 1.0).reshape(size, -1)
-                                     .min(axis=1) > 0.0))
+    live = np.flatnonzero((m > 0) & (z.reshape(size, -1).min(axis=1) > 0.0))
     # the working set holds the live scenarios' rows only
-    z, act, free, t, m = z[live], act[live], free[live], t[live], m[live]
-    mono = act[:, 0]
-    lo_f, up_f = act[:, 1].astype(float), act[:, 2].astype(float)
+    cum, z, act, free, m = cum[live], z[live], act[live], free[live], m[live]
+    floor, upper = floor[live], upper[live]
+    actf = act.astype(float)
+    lam = _MU0 * actf / z
     fw = free.astype(float)
     pin_f = 1.0 - fw
-    grow = (1.0 - 1.0 / _T_GROWTH) * fw
     # the band's entries that survive pinning (lower storage, columns
     # (S_1n, S_2n) slot by slot, row k of column j coupling it to j + k)
     nxt = np.concatenate([fw[:, 1:], np.zeros((live.size, 1, 2))], axis=1)
@@ -290,125 +300,106 @@ def joint_start(scenarios, rate_model: RateModel):
     bmask[3, ..., 0] = fw[..., 0] * nxt[..., 1]
     band = np.zeros((4, live.size, n, 2))
     hp = np.zeros((live.size, n + 1, 3))
-    taken = np.zeros(live.size, dtype=int)   # Newton steps of the live ones
+    taken = np.zeros(live.size, dtype=int)   # iterations of the live ones
+    broken = np.zeros(live.size, dtype=bool)
     nd = 2 * n
 
-    def direction(ds):
-        """Change of z along a change ``ds`` of S."""
-        dz = np.empty(z.shape)
-        dz[:, 0] = ds
-        dz[:, 0, 1:] -= ds[:, :-1]
-        np.multiply(ds, lo_f, out=dz[:, 1])
-        np.multiply(ds, up_f, out=dz[:, 2])
-        np.negative(dz[:, 2], out=dz[:, 2])
-        return dz
+    def rows_of(x):
+        return x.reshape(len(x), -1)
 
-    def boundary_step(dz):
-        """Largest step along dz, up to 1, keeping 1% of every argument."""
-        ratio = np.where(act, dz / z, 0.0).reshape(len(z), -1)
-        worst = -ratio.min(axis=1)
-        return np.where(worst <= 0.99, 1.0, 0.99 / worst)
+    def boundary_step(v, dv, frac):
+        """Largest step along dv, up to 1, that keeps 1 - frac of every v
+        (fmax skips the 0 / 0 of a multiplier without a constraint)."""
+        worst = np.fmax.reduce(rows_of(-dv / v), axis=1)
+        return np.where(worst <= frac, 1.0, frac / worst)[:, None, None, None]
 
-    def merit_change(rows, dz):
-        """Change of -t * objective - sum(log args) from z to z + dz for the
-        scenarios ``rows``, from the relative changes (the merit itself is
-        too large to difference once t is)."""
-        zr = z[rows]
-        p = zr[:, 0] / tau
-        dp = dz[:, 0] / tau
-        v = 1.0 + a * p[..., 1]
-        dv = a * dp[..., 1]
-        rate = (np.log1p((dv + dp[..., 0]) / (v + p[..., 0]))
-                - np.log1p(dv / v) + np.log1p(dp[..., 1] / (1.0 + p[..., 1])))
-        logs = np.where(act[rows], np.log1p(dz / zr), 0.0)
-        return (-0.5 * t[rows] * tau * rate.sum(axis=1)
-                - logs.reshape(len(rows), -1).sum(axis=1))
+    def newton(g, w, target):
+        """The Newton step whose complementarity rows move z * lambda to
+        ``target``: S from the band system, then z and lambda."""
+        u = actf * target / z
+        rhs = g + u[:, 0]
+        rhs[:, :-1] -= rhs[:, 1:].copy()
+        rhs += u[:, 1]
+        rhs -= u[:, 2]
+        rhs *= fw
+        x, ok = band_solve(band.reshape(4, -1, nd), rhs.reshape(-1, nd, 1))
+        ds = x.reshape(-1, n, 2)
+        dz = np.stack([np.diff(ds, axis=1, prepend=0.0), ds, -ds], axis=1)
+        dz *= actf
+        return ds, dz, u - lam - w * dz, ok
 
     with np.errstate(all="ignore"):
         while live.size:
-            d = z[:, 0]
-            p = d / tau
-            p1, p2 = p[..., 0], p[..., 1]
-            v = 1.0 + a * p2
+            p = np.diff(cum, axis=1, prepend=0.0) / tau
+            v = 1.0 + a * p[..., 1]
             # gradient and negated Hessian of the sum rate in (p_1, p_2)
-            g1 = 0.5 / (v + p1)
+            g = np.empty(p.shape)
+            g1 = 0.5 / (v + p[..., 0])
             av = 0.5 * a / v
-            hy = 0.5 / (1.0 + p2)
-            g2 = a * g1 - av + hy
-            k11 = 2.0 * g1 * g1
-            k12 = a * k11
-            k22 = a * k12 - 2.0 * av * av + 2.0 * hy * hy
-            # the same in the increments, times t, plus their barrier
-            inv_d = np.where(mono, 1.0 / d, 0.0)
-            tg = np.empty(d.shape)
-            tg[..., 0] = g1
-            tg[..., 1] = g2
-            tg *= t[:, None, None]
-            grad = -tg - inv_d
-            grad[:, :-1] -= grad[:, 1:].copy()
-            grad -= lo_f / z[:, 1]
-            grad += up_f / z[:, 2]
-            grad *= fw
-            c = (t / tau)[:, None]
-            hp[:, :n, 0] = c * k11 + inv_d[..., 0] * inv_d[..., 0]
-            hp[:, :n, 1] = c * k12
-            hp[:, :n, 2] = c * k22 + inv_d[..., 1] * inv_d[..., 1]
-            # S-space system: D^T blockdiag(H) D plus the slack curvature
+            hy = 0.5 / (1.0 + p[..., 1])
+            g[..., 0] = g1
+            g[..., 1] = a * g1 - av + hy
+            k = np.empty(p.shape[:2] + (3,))
+            k[..., 0] = 2.0 * g1 * g1
+            k[..., 1] = a * k[..., 0]
+            k[..., 2] = a * k[..., 1] - 2.0 * av * av + 2.0 * hy * hy
+            # the dual residual grad_S(-objective) - G^T lambda
+            rd = -g - lam[:, 0]
+            rd[:, :-1] -= rd[:, 1:].copy()
+            rd -= lam[:, 1]
+            rd += lam[:, 2]
+            rd *= fw
+            gap = rows_of(z * lam).sum(axis=1)
+            dual = rows_of(np.abs(rd)).max(axis=1)
+            stop = broken | ~(np.isfinite(gap) & np.isfinite(dual))
+            stop |= (gap <= _GAP_TOL) & (dual <= _DUAL_TOL)
+            stop |= taken >= _MAX_STEPS
+            if stop.any():
+                rows = live[stop]
+                starts[rows] = np.diff(cum[stop], axis=1, prepend=0.0)
+                steps[rows] = taken[stop]
+                keep = ~stop
+                live = live[keep]
+                if not live.size:
+                    break
+                (cum, z, lam, act, actf, fw, pin_f, m, floor, upper, hp,
+                 taken, broken, g, k, gap) = (
+                    arr[keep] for arr in (cum, z, lam, act, actf, fw, pin_f,
+                                          m, floor, upper, hp, taken, broken,
+                                          g, k, gap))
+                bmask, band = bmask[:, keep], band[:, keep]
+            # S-space system: D^T blockdiag(H / tau + lambda_0 / z_0) D plus
+            # the slacks' lambda / z on the diagonal
+            w = lam / z
+            hp[:, :n] = k / tau
+            hp[:, :n, ::2] += w[:, 0]
             hsum = hp[:, :n] + hp[:, 1:]
             hnext = hp[:, 1:]
-            band[0] = hsum[..., ::2] + (lo_f * z[:, 1] ** -2.0
-                                        + up_f * z[:, 2] ** -2.0)
+            band[0] = hsum[..., ::2] + w[:, 1] + w[:, 2]
             band[1, ..., 0] = hsum[..., 1]
             band[1, ..., 1] = -hnext[..., 1]
             band[2] = -hnext[..., ::2]
             band[3, ..., 0] = -hnext[..., 1]
             band *= bmask
             band[0] += pin_f
-            # predict the next center along the path's tangent in 1/t:
-            # dS/dt = H^-1 grad F, scaled by (1 - 1/growth) * t
-            tg[:, :-1] -= tg[:, 1:].copy()
-            rhs = np.empty(d.shape + (2,))
-            np.negative(grad, out=rhs[..., 0])
-            np.multiply(tg, grow, out=rhs[..., 1])
-            x, ok = band_solve(band.reshape(4, -1, nd), rhs.reshape(-1, nd, 2))
-            ds = x[..., 0].reshape(-1, n, 2)
-            decrement = -(grad * ds).reshape(-1, nd).sum(axis=1)
-            stop = ~(ok & np.isfinite(decrement) & (decrement >= 0.0))
-            centered = decrement <= 2.0 * _CENTERED
-            stop |= centered & (m / t <= _GAP_TOL)
-            dz = direction(np.where(centered[:, None, None],
-                                    x[..., 1].reshape(-1, n, 2), ds))
-            alpha = boundary_step(dz)
-            search = ~stop & ~centered & (decrement > _FULL_STEP)
-            while True:
-                search &= alpha > 1e-12
-                rows = np.flatnonzero(search)
-                if not rows.size:
-                    break
-                worse = (merit_change(rows, alpha[rows, None, None, None]
-                                      * dz[rows])
-                         > -0.25 * alpha[rows] * decrement[rows])
-                alpha[rows[worse]] *= 0.5
-                search[rows[~worse]] = False
-            cand = z + alpha[:, None, None, None] * dz
-            newton = ~stop & ~centered
-            taken += newton
-            stop |= newton & ((alpha <= 1e-12) | ~(
-                np.where(act, cand, 1.0).reshape(len(z), -1).min(axis=1)
-                > 0.0))
-            t = np.where(centered & ~stop, t * _T_GROWTH, t)
-            z = np.where(stop[:, None, None, None], z, cand)
-            stop |= taken >= _MAX_NEWTON
-            if stop.any():
-                starts[live[stop]] = z[stop, 0]
-                steps[live[stop]] = taken[stop]
-                keep = ~stop
-                live = live[keep]
-                z, act, fw, lo_f, up_f, pin_f, t, m, grow, hp, taken = (
-                    arr[keep] for arr in (z, act, fw, lo_f, up_f, pin_f, t, m,
-                                          grow, hp, taken))
-                mono = act[:, 0]
-                bmask, band = bmask[:, keep], band[:, keep]
+            # the affine predictor, then Mehrotra's corrector
+            _, dz, dl, ok = newton(g, w, 0.0)
+            alpha = np.minimum(boundary_step(z, dz, 1.0),
+                               boundary_step(lam, dl, 1.0))
+            mu = gap / m
+            mu_aff = rows_of((z + alpha * dz) * (lam + alpha * dl)).sum(
+                axis=1) / m
+            sigma = np.maximum((mu_aff / mu) ** 3, _SIGMA_MIN)
+            ds, dz, dl, solved = newton(g, w, (sigma * mu)[:, None, None, None]
+                                        - dz * dl)
+            c_cum = cum + boundary_step(z, dz, 0.99)[:, 0] * ds
+            cz = slacks(c_cum)
+            cl = lam + boundary_step(lam, dl, 0.99) * dl
+            broken = ~(ok & solved & (rows_of(cz).min(axis=1) > 0.0))
+            cum = np.where(broken[:, None, None], cum, c_cum)
+            z = np.where(broken[:, None, None, None], z, cz)
+            lam = np.where(broken[:, None, None, None], lam, cl)
+            taken += ~broken
     return starts.transpose(0, 2, 1)[:, order] / tau, steps
 
 

@@ -242,6 +242,31 @@ def value_iteration(stats: ArrivalDistribution, rate_model: RateModel,
     return DPResult(values=values, policies=policies, grid=grid)
 
 
+def _start_state(grid: StateGrid, scenario: Scenario):
+    """Battery levels and, in data mode, queues after slot 1's arrivals,
+    each truncated to its grid: ``(e, b)`` with ``b`` None without data."""
+    e = [min(u.harvest.arrivals[0], cap)
+         for u, cap in zip(scenario.users, (grid.e1[-1], grid.e2[-1]))]
+    b = None
+    if grid.with_data:
+        b = [0.0 if u.data.is_infinite else min(u.data.arrivals[0], cap)
+             for u, cap in zip(scenario.users, (grid.b1[-1], grid.b2[-1]))]
+    return e, b
+
+
+def table_value_at_start(result: DPResult, scenario: Scenario) -> float:
+    """The table value J_0 at the state ``rollout_table`` starts from.
+
+    The rollout's total differs from it where the rollout truncates a full
+    battery or interpolates the table's actions between lattice points."""
+    grid = result.grid
+    e, b = _start_state(grid, scenario)
+    axes = [grid.e1, grid.e2] + ([grid.b1, grid.b2] if grid.with_data else [])
+    interp = RegularGridInterpolator(axes, result.values[0],
+                                     bounds_error=False, fill_value=None)
+    return float(interp(np.array([e + (b or [])]))[0])
+
+
 def rollout_table(result: DPResult, scenario: Scenario,
                   rate_model: RateModel):
     """Drive the DP policy along a deterministic scenario; returns
@@ -250,14 +275,7 @@ def rollout_table(result: DPResult, scenario: Scenario,
     tau = scenario.grid.tau
     grid = result.grid
     caps = (grid.e1[-1], grid.e2[-1])
-    e = [min(scenario.users[j].harvest.arrivals[0], caps[j]) for j in range(2)]
-    b = None
-    if grid.with_data:
-        b = [0.0, 0.0]
-        b_grids = (grid.b1, grid.b2)
-        for j in range(2):
-            if not scenario.users[j].data.is_infinite:
-                b[j] = min(scenario.users[j].data.arrivals[0], b_grids[j][-1])
+    e, b = _start_state(grid, scenario)
     policy = np.zeros((2, n))
     total = 0.0
     axes = [grid.e1, grid.e2] + ([grid.b1, grid.b2] if grid.with_data else [])

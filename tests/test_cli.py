@@ -145,6 +145,23 @@ class TestRunExperiment:
         assert summary["dp_value_at_start"] > 0
         assert (out / "tables.csv").exists()
 
+    def test_online_dp_reports_the_table_value(self, tmp_path):
+        # J_0 at the start state, written next to the rollout's total, and
+        # at most the offline optimum
+        scen = fig7_scenario()
+        scen_path = _write_scenario(tmp_path, scenario_to_dict(scen))
+        summary = run_experiment(ExperimentConfig(
+            solver="online-dp", scenario_path=scen_path,
+            out_dir=str(tmp_path / "dp"), grid_step=0.5))
+        keys = list(summary)
+        assert keys.index("dp_table_value") == \
+            keys.index("dp_value_at_start") + 1
+        assert summary["dp_table_value"] == pytest.approx(15.081070, abs=1e-6)
+        rm = cli._rate_model_for(scen)
+        policy, _ = iterative.iterate_offline(scen, rm)
+        offline = iterative.joint_objective(policy, scen, rm)
+        assert summary["dp_table_value"] <= offline
+
 
 class TestBaselines:
     """``naive`` and ``distributed`` on the fig7 scenario, from a file."""
@@ -207,8 +224,8 @@ class TestPresets:
         p1 = np.array([float(r["p1"]) for r in rows])
         assert p1[0] <= 0.01 * p1.max() and p1[1] <= 0.01 * p1.max()
         assert summary["converged"]
-        # user 2's block returns the joint start it got (TestCertifiedStarts)
-        assert (summary["sweeps"], summary["certified_starts"]) == (1, 1)
+        # both blocks return the joint start they got (TestCertifiedStarts)
+        assert (summary["sweeps"], summary["certified_starts"]) == (1, 2)
         assert max(summary[f"{kind}_user{u}"] for kind in
                    ("stationarity", "complementarity") for u in (1, 2)) <= 1e-7
 

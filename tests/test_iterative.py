@@ -1,6 +1,6 @@
 """Two-user alternation: subproblem construction, monotone ascent,
 decoupled-region behavior, initialization independence, and the batched
-joint barrier start with its banded solve.
+joint interior-point start with its banded solve.
 
 ``iterative.joint_start`` is the one place a start enters the alternation;
 tests of other starts patch it with a stand-in of the same batch
@@ -416,8 +416,9 @@ class TestJointStart:
         calls = []
 
         def break_second(band, rhs):
-            # on the third solve, all three still live, the second
-            # scenario's system stops being positive definite
+            # on the third solve, the predictor of the second iteration with
+            # all three still live, the second scenario's system stops being
+            # positive definite
             calls.append(band.shape[1])
             if len(calls) == 3:
                 assert band.shape[1] == 3
@@ -431,8 +432,66 @@ class TestJointStart:
             alone, count = _start_of(scens[k], rm)
             assert np.array_equal(starts[k], alone) and steps[k] == count
         # the second stops at its last strictly feasible iterate
-        assert steps[1] == 2 and steps[1] < _start_of(scens[1], rm)[1]
+        assert steps[1] == 1 and steps[1] < _start_of(scens[1], rm)[1]
         _assert_strictly_feasible(starts[1], scens[1])
+
+    def test_fig8_batches_take_at_most_twelve_iterations(self):
+        # two band solves per iteration, at most 12 iterations per scenario
+        # (the barrier-Newton start took 32.75 solves per batch)
+        scens = [gen_scenario(20, 1.0, 10.0, 5.0, s, 0.7, 5.0)
+                 for s in range(80)]
+        rm = _rate_model_for(scens[0])
+        calls = []
+
+        def counted(band, rhs):
+            calls.append(band.shape[1])
+            return band_solve(band, rhs)
+
+        with mock.patch.object(iterative, "band_solve", counted):
+            for k in range(0, 80, 5):
+                calls.clear()
+                _, steps = joint_start(scens[k:k + 5], rm)
+                assert steps.max() <= 12
+                assert len(calls) == 2 * steps.max()
+
+    def test_powers_in_the_thousands(self):
+        scen = gen_scenario(20, 1.0, 1000.0, 0.5, 2, 0.3, 20.0)
+        rm = _rate_model_for(scen)
+        assert rm.region is Region.ASYMMETRIC_AB_ABOVE_ONE
+        start, steps = _start_of(scen, rm)
+        assert start.max() > 500.0
+        assert steps < iterative._MAX_STEPS
+        _assert_strictly_feasible(start, scen)
+        policy, report = iterate_offline(scen, rm)
+        assert report.converged
+        _assert_certified(policy, scen, rm)
+
+    def test_random_scenarios_match_the_zero_start(self):
+        # both orientations, tau 0.5 to 2, E_max 0.1 to 50 (log-uniform);
+        # horizons stay short so that the cold alternations stay cheap
+        rng = np.random.default_rng(2026)
+        for k in range(150):
+            n = int(rng.choice([5, 10, 15]))
+            tau = float(rng.choice([0.5, 1.0, 2.0]))
+            emax = float(np.exp(rng.uniform(np.log(0.1), np.log(50.0))))
+            a = float(rng.uniform(0.05, 0.99))
+            b = (1.0 + rng.uniform(0.02, 5.0)) / a
+            gains = (b, a) if k % 2 else (a, b)
+            scen = gen_scenario(n, tau, emax, rng.uniform(0.5, 5.0) * tau,
+                                int(rng.integers(10**6)), *gains)
+            rm = _rate_model_for(scen)
+            assert rm.region is Region.ASYMMETRIC_AB_ABOVE_ONE
+            start, steps = _start_of(scen, rm)
+            assert steps < iterative._MAX_STEPS
+            _assert_strictly_feasible(start, scen)
+            policy, report = iterate_offline(scen, rm)
+            assert report.converged
+            _assert_certified(policy, scen, rm)
+            p_zero, r_zero = _iterate_from(_zero_start, scen, rm)
+            assert r_zero.converged
+            o_joint = joint_objective(policy, scen, rm)
+            o_zero = joint_objective(p_zero, scen, rm)
+            assert abs(o_joint - o_zero) <= 1e-9 * max(1.0, abs(o_zero))
 
     def test_many_matches_one_at_a_time(self):
         # mixed regions, horizons and orientations: one batch per group
@@ -454,8 +513,7 @@ class TestCertifiedStarts:
     """Block solves that return the row they were offered, unsolved."""
 
     def test_fig8_seeds_certify_at_the_joint_start(self):
-        # both blocks pass verify_kkt at the joint start on 77 of the 80
-        # seeds at a barrier gap of 1e-10 (71 at 1e-9)
+        # both blocks pass verify_kkt at the joint start on every seed
         both = 0
         for s in range(80):
             scen = gen_scenario(20, 1.0, 10.0, 5.0, s, 0.7, 5.0)
@@ -463,18 +521,22 @@ class TestCertifiedStarts:
             assert report.sweeps_used == 1
             assert report.certified_starts >= 1
             both += report.certified_starts == 2
-        assert both >= 75
+        assert both == 80
 
     def test_fig7(self):
-        # the joint start gives user 1 about 1.2e-10 in two slots that the
-        # optimum leaves idle; the certificate counts powers above 1e-10 as
-        # transmitting, so that block is solved and user 2's is returned
+        # the optimum leaves user 1's slots 1, 2, 9 and 10 idle; the joint
+        # start gives them less than the power that the certificate counts
+        # as transmitting, so both blocks return their start
         scen = fig7_scenario()
         rm = _rate_model_for(scen)
         start, _ = _start_of(scen, rm)
-        assert 1e-10 < np.sort(start[0])[2] < 2e-10
+        harvest = scen.users[0].harvest
+        positive = 1e-11 * max(1.0, harvest.capacity / scen.grid.tau)
+        idle = [0, 1, 8, 9]
+        assert np.all(start[0, idle] < positive)
+        assert np.all(np.delete(start[0], idle) > 1.0)
         _, report = iterate_offline(scen, rm)
-        assert (report.sweeps_used, report.certified_starts) == (1, 1)
+        assert (report.sweeps_used, report.certified_starts) == (1, 2)
 
     def test_cold_alternation(self):
         # a*b <= 1 starts from zeros: the early sweeps move both blocks
