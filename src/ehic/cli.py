@@ -8,7 +8,7 @@ solve-offline  two-user iterative water-filling (infinite backlog)
 solve-data     penalty-method solve with data-causality constraints
 online-dp      finite-horizon DP on discretized battery states
 naive          constant-power baseline
-distributed    per-user single-link water-filling with assumed interference
+distributed    per-user single-link water-filling: each user's taut string
 oracle         brute-force quantized search (small instances only)
 preset         canned experiments: fig7 (deterministic 20-slot instance),
                fig8 (seeded batch comparing iterative/distributed/naive)
@@ -276,8 +276,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         policy = online.naive_policy(scenario)
     elif solver == "distributed":
         policy = np.vstack([
-            online.distributed_policy(scenario, rate_model, user)
-            for user in range(2)])
+            online.distributed_policy(scenario, user) for user in range(2)])
     elif solver == "oracle":
         opts_o = oracle.OracleOptions(power_grid_step=config.grid_step)
         policy, objective = oracle.brute_force(scenario, rate_model, opts_o)
@@ -327,7 +326,7 @@ def _run_fig8(config: ExperimentConfig, out_dir: Path) -> dict:
             raise ConvergenceError(
                 f"fig8 seed {seed}: iterative solve did not converge",
                 best_policy=p_iter)
-        p_dist = np.vstack([online.distributed_policy(scenario, rate_model, u)
+        p_dist = np.vstack([online.distributed_policy(scenario, u)
                             for u in range(2)])
         p_naive = online.naive_policy(scenario)
         to_bits = lambda p: joint_objective(p, scenario, rate_model) / LN2

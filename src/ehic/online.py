@@ -24,25 +24,28 @@ only when it is strictly better, so among equal values the first action in
 state-by-state loop would give it, so the tables are bit-identical to it.
 
 The naive baseline transmits at the mean harvest rate whenever the battery
-allows and drains the battery otherwise.  The distributed baseline runs the
-single-user water-filling solver against an assumed constant interference
-power (by default the other user's mean harvest rate), consuming no
-information about the other user's actual arrivals.
+allows and drains the battery otherwise.  The distributed baseline is
+single-link water-filling against an assumed constant interference power,
+which is each user's taut string through its own energy corridor whatever
+that power is; it consumes no information about the other user's arrivals.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .errors import InvalidInputError
-from .iterative import build_subproblem
-from .model import Scenario
+from .errors import ConvergenceError, InvalidInputError, ShapeError
+from .model import Scenario, energy_bounds
 from .rates import RateModel
-from .single_user import solve_single_user
+from .single_user import _BINDING_TOL, _FEAS_EPS
+# unused here; perfbench's tracer patches both names in this module
+from .iterative import build_subproblem  # noqa: F401
+from .single_user import solve_single_user  # noqa: F401
 
 # rounds of per-user clamping in ``_clamp_departures``: shrinking one user's
 # power raises the other's rate, which can then overshoot its queue again
@@ -66,6 +69,8 @@ class StateGrid:
             g = np.asarray(g, dtype=float)
             if g.ndim != 1 or g.shape[0] < 2:
                 raise InvalidInputError(f"grid {name} needs at least 2 points")
+            if not np.all(np.isfinite(g)):
+                raise InvalidInputError(f"grid {name} must be finite")
             if g[0] != 0.0 or np.any(np.diff(g) <= 0):
                 raise InvalidInputError(f"grid {name} must start at 0 and increase")
             object.__setattr__(self, name, g)
@@ -95,8 +100,19 @@ class ArrivalDistribution:
                 for values, probs in slots:
                     values = np.asarray(values, dtype=float)
                     probs = np.asarray(probs, dtype=float)
+                    # _joint_outcomes zips the two, so a longer side would
+                    # lose its extra outcomes silently
+                    if values.ndim != 1 or values.shape != probs.shape:
+                        raise InvalidInputError(
+                            "arrival values and probabilities must be "
+                            "vectors of one length")
+                    if not (np.all(np.isfinite(values))
+                            and np.all(np.isfinite(probs))):
+                        raise InvalidInputError("arrival laws must be finite")
                     if np.any(values < 0):
                         raise InvalidInputError("arrival values must be >= 0")
+                    if np.any(probs < 0):
+                        raise InvalidInputError("probabilities must be >= 0")
                     if abs(float(np.sum(probs)) - 1.0) > 1e-12:
                         raise InvalidInputError("probabilities must sum to 1")
 
@@ -350,25 +366,111 @@ def naive_policy(scenario: Scenario) -> np.ndarray:
     return policy
 
 
-def distributed_policy(scenario: Scenario, rate_model: RateModel, user: int,
-                       other_mean_power: Optional[float] = None) -> np.ndarray:
+def distributed_policy(scenario: Scenario, user: int) -> np.ndarray:
     """Single-link water-filling against an assumed constant interferer.
 
-    Uses only the user's own scenario slice; the other transmitter enters as
-    a fixed power in every slot (default: its mean harvest rate), so no actual
-    arrival information of the other user is consumed.
+    The paper's distributed transmitter treats the other one as a fixed
+    interference power in every slot, so its slot utility is one concave,
+    nondecreasing function of its own power, the same in every slot.  For
+    any such utility the optimal schedule is the taut string through the
+    user's energy corridor (Tutuncuoglu & Yener, IEEE TWC 2012; Yang &
+    Ulukus, IEEE Trans. Commun. 2012): the shortest path of cumulative
+    consumption from 0 to the total harvest U_N, which it spends because
+    every rate is nondecreasing.  The row therefore depends on neither the
+    channel nor the assumed interference level, and it uses only the user's
+    own arrivals.  ``_taut_fault`` is its certificate.
     """
-    n, tau = scenario.grid.N, scenario.grid.tau
-    if other_mean_power is None:
-        other = scenario.users[1 - user].harvest.arrivals
-        other_mean_power = float(np.sum(other)) / (n * tau)
-    if other_mean_power < 0:
-        raise InvalidInputError("assumed interference power must be >= 0")
-    utils = build_subproblem(scenario, rate_model, user,
-                             np.full(n, other_mean_power))
-    row, _cert = solve_single_user(utils, scenario.users[user].harvest,
-                                   scenario.grid)
+    if user not in (0, 1):
+        raise ShapeError("user index must be 0 or 1")
+    harvest = scenario.users[user].harvest
+    tau = scenario.grid.tau
+    lower, upper = energy_bounds(harvest, tau)
+    lower, upper = lower.tolist(), upper.tolist()
+    row = _taut_string(lower, upper, tau)
+    fault = _taut_fault(row, lower, upper, tau, harvest.capacity)
+    if fault is not None:
+        raise ConvergenceError(
+            f"distributed baseline of user {user + 1} is not a taut string: "
+            f"{fault}", best_policy=np.array(row))
+    return np.array(row)
+
+
+def _taut_string(lower, upper, tau):
+    """Powers of the shortest path of cumulative consumption from (0, 0) to
+    (N, U_N) through the gates [L_n, U_n], n = 1 .. N - 1.
+
+    A funnel sweep (Lee & Preparata, Networks 14, 1984): ``ceil`` is the
+    shortest path from the apex to the newest ceiling point, with rising
+    slopes, and ``floor`` the one to the newest floor point, with falling
+    slopes.  A new point removes the vertices it straightens on its own
+    side; once it sees past the apex, the vertices of the other side it
+    passes are knots of the string, and the last of them is the new apex.
+    Each window between knots gets the even split of its energy.
+    """
+    n = len(upper)
+    knots = [(0, 0.0)]
+    ceil = deque(knots)
+    floor = deque(knots)
+
+    def add(side, other, t, y, sign):
+        # sign 1 adds (t, y) to the ceiling, -1 to the floor; sign times the
+        # cross product is positive where the chain turns the way it may
+        while len(side) > 1:
+            (t1, y1), (t2, y2) = side[-2], side[-1]
+            if sign * ((t2 - t1) * (y - y1) - (y2 - y1) * (t - t1)) > 0.0:
+                break
+            side.pop()
+        if len(side) == 1:
+            while len(other) > 1:
+                (t1, y1), (t2, y2) = other[0], other[1]
+                if sign * ((t2 - t1) * (y - y1) - (y2 - y1) * (t - t1)) >= 0.0:
+                    break
+                other.popleft()
+                knots.append(other[0])
+            side[0] = other[0]
+        side.append((t, y))
+
+    for t in range(1, n + 1):
+        hi = upper[t - 1]
+        # a full-battery arrival can put L_t an ulp above U_t
+        lo = min(lower[t - 1], hi) if t < n else hi
+        add(ceil, floor, t, hi, 1)
+        add(floor, ceil, t, lo, -1)
+    # both sides end at (N, U_N); the floor's path there closes the string
+    knots.extend(list(floor)[1:])
+    row = []
+    for (t0, y0), (t1, y1) in zip(knots, knots[1:]):
+        row.extend([(y1 - y0) / tau / (t1 - t0)] * (t1 - t0))
     return row
+
+
+def _taut_fault(row, lower, upper, tau, capacity):
+    """Why ``row`` is not a taut string, or None when it is one.
+
+    The row must be nonnegative, meet the corridor and spend U_N within
+    ``_FEAS_EPS``, and its power may rise only where the battery is empty
+    (S_i on U_i) and fall only where it is full (S_i on L_i), within
+    ``verify_kkt``'s binding tolerance.  With the water level at f'(p_i),
+    these are the KKT conditions of every time-invariant concave,
+    nondecreasing slot utility f, so they certify the row for all of them.
+    """
+    eps = _FEAS_EPS * max(upper[-1], 1.0)
+    binding = _BINDING_TOL * max(1.0, capacity)
+    s = 0.0
+    for i, p in enumerate(row):
+        s += tau * p
+        nxt = row[i + 1] if i + 1 < len(row) else p
+        if p < 0.0:
+            return f"negative power in slot {i + 1}"
+        if s > upper[i] + eps or s < lower[i] - eps:
+            return f"leaves the corridor after slot {i + 1}"
+        if nxt > p and upper[i] - s > binding:
+            return f"rises after slot {i + 1} with energy left"
+        if nxt < p and s - lower[i] > binding:
+            return f"falls after slot {i + 1} with room left"
+    if abs(s - upper[-1]) > eps:
+        return "does not spend the total harvest"
+    return None
 
 
 def export_tables_csv(result: DPResult, path):

@@ -15,10 +15,10 @@ reconstructing multipliers from the active-constraint structure
 
 A window's common level is found by one bracketed root search on its total
 demand, from the even split.  Where every slot's marginal is the same there
-(every window of the distributed baseline, every one-slot window), the even
-split meets the window's KKT condition: the families whose derivative
-inverse is a root solve (interfered, min-form) return it without a probe,
-and ``verify_kkt`` gates the row as any other.  Otherwise the first probe is
+(every window of a utility that is the same in every slot, every one-slot
+window), the even split meets the window's KKT condition: the families
+whose derivative inverse is a root solve (interfered, min-form) return it
+without a probe, and ``verify_kkt`` gates the row as any other.  Otherwise the first probe is
 the mean marginal at the even split, exact when the marginals are
 identical.  After each probe the step is, in order: Newton in
 1/level (every family's demand is close to alpha + beta/level) from the

@@ -194,8 +194,7 @@ class TestBaselines:
         written = np.array([[float(r["p1"]) for r in rows],
                             [float(r["p2"]) for r in rows]])
         scen, _ = cli._load_scenario(fig7_path)
-        rm = cli._rate_model_for(scen)
-        expected = np.vstack([online.distributed_policy(scen, rm, user)
+        expected = np.vstack([online.distributed_policy(scen, user)
                               for user in range(2)])
         assert np.array_equal(written, expected)
 

@@ -1,18 +1,20 @@
 """Online DP, naive and distributed baselines."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.interpolate
 
 from ehic import online
-from ehic.cli import fig7_scenario
-from ehic.errors import InvalidInputError
-from ehic.iterative import iterate_offline, joint_objective
-from ehic.model import HarvestProfile, TimeGrid
+from ehic.cli import _rate_model_for, fig7_scenario, gen_scenario, main
+from ehic.errors import ConvergenceError, InvalidInputError, ShapeError
+from ehic.iterative import build_subproblem, iterate_offline, joint_objective
+from ehic.model import HarvestProfile, TimeGrid, energy_bounds, scenario_to_dict
 from ehic.online import (ArrivalDistribution, StateGrid, distributed_policy,
                          naive_policy, rollout_table, value_iteration)
-from ehic.rates import Region, build_rate_model
-from ehic.single_user import ScaledLogUtilities, solve_single_user
+from ehic.rates import Region, build_rate_model, interference_as_noise_kernel
+from ehic.single_user import ScaledLogUtilities, solve_single_user, verify_kkt
 
 from helpers import loop_value_iteration, two_user_scenario
 
@@ -213,6 +215,29 @@ class TestValueIteration:
             ArrivalDistribution(1, ((( np.array([1.0]), np.array([0.5])),),
                                     ((np.array([0.0]), np.array([1.0])),)))
 
+    @pytest.mark.parametrize("law", [
+        ([np.nan, 1.0], [0.5, 0.5]),
+        ([np.inf, 1.0], [0.5, 0.5]),
+        ([0.0, 1.0], [np.nan, 0.5]),
+        ([0.0, 1.0, 2.0], [-0.5, 0.5, 1.0]),
+        ([0.0, 1.0, 2.0], [0.5, 0.5]),
+        ([0.0, 1.0], [0.25, 0.25, 0.5]),
+    ], ids=["nan-value", "inf-value", "nan-probability",
+            "negative-probability", "more-values", "more-probabilities"])
+    def test_malformed_law_rejected(self, law):
+        good = (np.array([0.0]), np.array([1.0]))
+        with pytest.raises(InvalidInputError):
+            ArrivalDistribution(1, (((np.array(law[0]), np.array(law[1])),),
+                                    (good,)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            StateGrid(np.array([0.0, 1.0, bad]), np.linspace(0.0, 2.0, 3))
+        with pytest.raises(InvalidInputError):
+            StateGrid(np.linspace(0.0, 2.0, 3), np.linspace(0.0, 2.0, 3),
+                      b1=np.array([0.0, bad]), b2=np.linspace(0.0, 1.0, 3))
+
 
 class TestNaive:
     def test_hand_simulations(self):
@@ -239,12 +264,62 @@ class TestNaive:
                               + 1e-12)
 
 
+def _water_filling_row(scen, rm, user, level):
+    """The distributed baseline as the paper defines it: the single-user
+    water-filling solve against the constant interference ``level``."""
+    utils = build_subproblem(scen, rm, user, np.full(scen.grid.N, level))
+    row, _ = solve_single_user(utils, scen.users[user].harvest, scen.grid)
+    return row, utils
+
+
+def _own_objective(scen, rm, user, row, level):
+    other = np.full(scen.grid.N, level)
+    pair = (row, other) if user == 0 else (other, row)
+    return scen.grid.tau * float(np.sum(rm.sum_rate(*pair)))
+
+
+def _generated(a, b, n=20, tau=1.0, seed=3):
+    scen = gen_scenario(n, tau, 10.0, 5.0, seed, a, b)
+    return scen, _rate_model_for(scen)
+
+
+def _generic_case():
+    scen = gen_scenario(20, 1.0, 10.0, 5.0, 4, 0.1, 0.2)
+    rm = build_rate_model(0.1, 0.2, 10.0, 10.0,
+                          kernel=interference_as_noise_kernel(0.1, 0.2))
+    return scen, rm
+
+
+def _fixed(e1, e2, emax, a=0.7, b=5.0, tau=1.0):
+    scen = two_user_scenario(e1, e2, emax, a, b, tau=tau)
+    return scen, build_rate_model(a, b, emax / tau, emax / tau)
+
+
+DISTRIBUTED_CASES = {
+    "ab-above-one": lambda: _generated(0.7, 5.0),
+    "min-form": lambda: _generated(0.5, 1.5),
+    "mirrored": lambda: _generated(3.0, 0.6, tau=0.7),
+    "very-strong": lambda: _generated(20.0, 30.0),
+    "generic-kernel": _generic_case,
+    "tau-0.5-long": lambda: _generated(0.7, 5.0, n=60, tau=0.5, seed=8),
+    "one-slot": lambda: _generated(0.7, 5.0, n=1, seed=2),
+    "zero-harvest": lambda: _fixed(np.zeros(5), [1.0, 0.0, 2.0, 0.5, 1.0],
+                                   2.0),
+    # arrivals of 2 into a battery of 2: after slot 1 (and slot 4) the
+    # battery must make room, so the floor L binds and forces spending
+    "forced-spending": lambda: _fixed([2.0, 2.0, 0.0, 2.0, 2.0, 0.0],
+                                      [2.0, 2.0, 2.0, 2.0, 2.0, 2.0], 2.0,
+                                      tau=0.8),
+}
+
+
 class TestDistributed:
+    """The taut string against the water-filling definition it replaces."""
+
     def test_zero_interference_equals_single_link(self):
         scen = two_user_scenario([1.0, 0.0, 0.6, 0.2], [2.0, 0.0, 0.4, 0.0],
                                  2.0, 0.9, 2.0)
-        rm = build_rate_model(0.9, 2.0, 2.0, 2.0)
-        row = distributed_policy(scen, rm, 0, other_mean_power=0.0)
+        row = distributed_policy(scen, 0)
         ref, _ = solve_single_user(ScaledLogUtilities(np.ones(4)),
                                    scen.users[0].harvest, scen.grid)
         assert np.allclose(row, ref, atol=1e-9)
@@ -252,29 +327,103 @@ class TestDistributed:
     def test_constant_interference_is_static_fading(self):
         scen = two_user_scenario([1.0, 0.0, 0.6, 0.2], [2.0, 0.0, 0.4, 0.0],
                                  2.0, 0.9, 2.0)
-        rm = build_rate_model(0.9, 2.0, 2.0, 2.0)
         p_bar = 0.8
-        row = distributed_policy(scen, rm, 0, other_mean_power=p_bar)
+        row = distributed_policy(scen, 0)
         h = 1.0 / (1.0 + 0.9 * p_bar)
         ref, _ = solve_single_user(ScaledLogUtilities(np.full(4, h)),
                                    scen.users[0].harvest, scen.grid)
         assert np.allclose(row, ref, atol=1e-9)
 
     def test_reproduces_single_link_allocations_on_reference_vectors(self):
-        from ehic.cli import fig7_scenario
         scen = fig7_scenario()
         rm = build_rate_model(0.9, 2.0, 10.0, 10.0)
         for user in range(2):
-            row = distributed_policy(scen, rm, user, other_mean_power=0.0)
-            ref, _ = solve_single_user(ScaledLogUtilities(np.ones(20)),
-                                       scen.users[user].harvest, scen.grid)
+            row = distributed_policy(scen, user)
+            ref, _ = _water_filling_row(scen, rm, user, 0.0)
             assert np.allclose(row, ref, atol=1e-8)
             # identical support slots in particular
             assert np.array_equal(row > 1e-9, ref > 1e-9)
 
     def test_default_assumes_mean_harvest_rate(self):
+        # the paper's assumed interference is the other user's mean harvest
+        # rate; the taut string is that solve's row
         scen = two_user_scenario([1.0, 1.0], [2.0, 0.0], 2.0, 0.9, 2.0)
         rm = build_rate_model(0.9, 2.0, 2.0, 2.0)
-        row_default = distributed_policy(scen, rm, 0)
-        row_mean = distributed_policy(scen, rm, 0, other_mean_power=1.0)
-        assert np.allclose(row_default, row_mean, atol=1e-12)
+        ref, _ = _water_filling_row(scen, rm, 0, 1.0)
+        assert np.allclose(distributed_policy(scen, 0), ref, atol=1e-12)
+
+    def test_case_regions(self):
+        names = ("ab-above-one", "min-form", "mirrored", "very-strong",
+                 "generic-kernel")
+        tags = [(rm.region, rm.mirrored) for rm in
+                (DISTRIBUTED_CASES[name]()[1] for name in names)]
+        assert tags == [(Region.ASYMMETRIC_AB_ABOVE_ONE, False),
+                        (Region.ASYMMETRIC_AB_AT_MOST_ONE, False),
+                        (Region.ASYMMETRIC_AB_ABOVE_ONE, True),
+                        (Region.VERY_STRONG, False), (Region.GENERIC, False)]
+
+    @pytest.mark.parametrize("case", sorted(DISTRIBUTED_CASES))
+    def test_matches_the_water_filling_definition(self, case):
+        scen, rm = DISTRIBUTED_CASES[case]()
+        n, tau = scen.grid.N, scen.grid.tau
+        for user in range(2):
+            harvest = scen.users[user].harvest
+            row = distributed_policy(scen, user)
+            mean = float(np.sum(scen.users[1 - user].harvest.arrivals)) \
+                / (n * tau)
+            for level in (0.0, mean, 10.0 * mean):
+                ref, utils = _water_filling_row(scen, rm, user, level)
+                assert _own_objective(scen, rm, user, row, level) == \
+                    pytest.approx(_own_objective(scen, rm, user, ref, level),
+                                  rel=1e-12)
+                cert = verify_kkt(row, utils, harvest, scen.grid)
+                assert cert.stationarity_residual <= 1e-7
+                assert cert.complementarity_residual <= 1e-7
+
+    def test_forced_spending_follows_the_floor(self):
+        scen, _ = DISTRIBUTED_CASES["forced-spending"]()
+        tau = scen.grid.tau
+        row = distributed_policy(scen, 0)
+        lower, upper = energy_bounds(scen.users[0].harvest, tau)
+        s = tau * np.cumsum(row)
+        assert s[0] == pytest.approx(lower[0], abs=1e-12) and lower[0] > 0
+        assert s[-1] == pytest.approx(upper[-1], abs=1e-12)
+
+    def test_user_index_checked(self):
+        scen, _ = _generated(0.7, 5.0, n=3)
+        with pytest.raises(ShapeError):
+            distributed_policy(scen, 2)
+
+    @pytest.mark.parametrize("perturb, fault", [
+        ("negative", "negative power in slot 1"),
+        ("overshoot", "leaves the corridor after slot 10"),
+        ("rise-with-energy-left", "rises after slot 12 with energy left"),
+        ("fall-with-room-left", "falls after slot 12 with room left"),
+        ("underspend", "does not spend the total harvest"),
+    ])
+    def test_certificate_rejects_a_perturbed_row(self, perturb, fault,
+                                                 monkeypatch, tmp_path):
+        # fig7 user 1: 0.8 in slots 1-10, whose battery is empty after slot
+        # 10; 1.375 in slots 11-18, with no bound binding after slots 11-17;
+        # 3.0 in slots 19-20
+        scen = fig7_scenario()
+        row = list(distributed_policy(scen, 0))
+        assert row == [0.8] * 10 + [1.375] * 8 + [3.0] * 2
+        bad = list(row)
+        if perturb == "negative":
+            bad[0], bad[1] = -0.1, 0.9
+        elif perturb == "overshoot":
+            bad[:10] = [0.81] * 10
+        elif perturb == "rise-with-energy-left":
+            bad[12], bad[13] = 1.475, 1.275
+        elif perturb == "fall-with-room-left":
+            bad[12], bad[13] = 1.275, 1.475
+        else:
+            bad[18:] = [3.0 - 5e-7] * 2
+        monkeypatch.setattr(online, "_taut_string", lambda *args: bad)
+        with pytest.raises(ConvergenceError, match=fault):
+            distributed_policy(scen, 0)
+        scen_path = tmp_path / "fig7.json"
+        scen_path.write_text(json.dumps(scenario_to_dict(scen)))
+        assert main(["distributed", "--scenario", str(scen_path),
+                     "--out", str(tmp_path / "out")]) == 3

@@ -169,7 +169,7 @@ class TestCertificateReference:
                 other = scen.users[1 - user].harvest.arrivals
                 util = build_subproblem(scen, rm, user,
                                         np.full(20, np.sum(other) / 20.0))
-                row = distributed_policy(scen, rm, user)
+                row = distributed_policy(scen, user)
                 assert _assert_same_certificate(row, util, harvest,
                                                 scen.grid) is not None
         assert accepted == 40
@@ -641,10 +641,14 @@ class TestLevelSearch:
         got = self.assert_matches_reference(generic, 10.0)
         assert np.allclose(got, 5.0, rtol=1e-12)
 
-    def test_probe_budget_on_fig8(self, monkeypatch, tmp_path):
+    def test_probe_budget_on_fig8(self, monkeypatch):
         # inv_deriv calls made by _equalize itself, per utility family, on
-        # ten serial fig8 seeds; the bisection-first search made 14.8
-        # (ScaledLog) and 16.4 (Interfered) per call
+        # the water-filling solves against each fig8 user's assumed
+        # interference (the other user's mean harvest rate), seeds 0-9; the
+        # bisection-first search made 14.8 (ScaledLog) and 16.4
+        # (Interfered) per call
+        from ehic.iterative import build_subproblem
+
         calls = {}
         probes = {}
         inside = []
@@ -667,8 +671,14 @@ class TestLevelSearch:
                     probes[name] = probes.get(name, 0) + 1
                 return _inv(self, level, idx)
             monkeypatch.setattr(cls, "inv_deriv", counting_inv)
-        assert cli.main(["preset", "fig8", "--seed", "0", "--count", "10",
-                         "--jobs", "1", "--out", str(tmp_path / "f8")]) == 0
+        for seed in range(10):
+            scen = cli.gen_scenario(20, 1.0, 10.0, 5.0, seed, 0.7, 5.0)
+            rm = cli._rate_model_for(scen)
+            for user in range(2):
+                other = scen.users[1 - user].harvest.arrivals
+                utils = build_subproblem(scen, rm, user,
+                                         np.full(20, np.sum(other) / 20.0))
+                solve_single_user(utils, scen.users[user].harvest, scen.grid)
         mean = {name: probes.get(name, 0) / calls[name] for name in calls}
         assert set(mean) == {"ScaledLogUtilities", "InterferedUtilities"}
         assert mean["ScaledLogUtilities"] <= 3.5
