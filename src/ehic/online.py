@@ -1,23 +1,23 @@
 """Online and distributed baselines: finite-horizon DP, naive, single-link.
 
-The dynamic program discretizes battery levels (and data queues when
-arrivals are finite) on uniform grids and sweeps backward over slots,
-maximizing the per-slot throughput plus the expected value of the next
-state under the arrival distributions.  The state of a slot is each
-battery (and queue) after that slot's arrival, so the first slot's arrival
-is part of the initial state and the move from slot i to slot i + 1 adds
-the arrival of slot i + 1, as ``rollout_table`` does.  Next-state values
-between grid nodes are interpolated multilinearly; battery overflow at an
-arrival is truncated, exactly like the physical battery, so a rolled-out
+The dynamic program plans on the energy arrivals only, as the paper's
+online policy does: it discretizes both batteries on uniform grids and
+sweeps backward over slots, maximizing the per-slot throughput plus the
+expected value of the next state under the energy arrival laws.  The state
+of a slot is each battery after that slot's arrival, so the first slot's
+arrival is part of the initial state and the move from slot i to slot i + 1
+adds the arrival of slot i + 1, as ``rollout_table`` does.  Next-state
+values between grid nodes are interpolated bilinearly; battery overflow at
+an arrival is truncated, exactly like the physical battery, so a rolled-out
 policy can waste energy; ``ehic online-dp`` (like ``ehic oracle``) spends
-what a battery would lose one slot earlier before it scores and writes
-the policy.
+what a battery would lose one slot earlier before it scores and writes the
+policy.
 
 Work that does not change between slots is done once.  Every action's
 throughput comes from one scalar rate-model call, and the states that can
-afford it form a box (a suffix of every grid axis, since the axes start at
-0 and increase).  Each slot then makes one interpolator call per action and
-arrival outcome, over the next states of that action's box, read from
+afford it form a box (a suffix of both battery axes, since the axes start
+at 0 and increase).  Each slot then makes one interpolator call per action
+and arrival outcome, over the next states of that action's box, read from
 per-axis tables of shifted grid coordinates.  A state takes a later action
 only when it is strictly better, so among equal values the first action in
 (p1, p2) order wins.  The interpolator receives the same points as a
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -47,26 +46,19 @@ from .single_user import _BINDING_TOL, _FEAS_EPS
 from .iterative import build_subproblem  # noqa: F401
 from .single_user import solve_single_user  # noqa: F401
 
-# rounds of per-user clamping in ``_clamp_departures``: shrinking one user's
-# power raises the other's rate, which can then overshoot its queue again
-_CLAMP_PASSES = 3
-
 
 @dataclass(frozen=True)
 class StateGrid:
-    """Uniform battery (and optional data-queue) grids; all include 0."""
+    """Uniform battery grids of both users; both include 0."""
 
     e1: np.ndarray
     e2: np.ndarray
-    b1: Optional[np.ndarray] = None
-    b2: Optional[np.ndarray] = None
+    # the grid has no data-queue axes; perfbench's tracer reads this
+    with_data = False
 
     def __post_init__(self):
-        for name in ("e1", "e2", "b1", "b2"):
-            g = getattr(self, name)
-            if g is None:
-                continue
-            g = np.asarray(g, dtype=float)
+        for name in ("e1", "e2"):
+            g = np.asarray(getattr(self, name), dtype=float)
             if g.ndim != 1 or g.shape[0] < 2:
                 raise InvalidInputError(f"grid {name} needs at least 2 points")
             if not np.all(np.isfinite(g)):
@@ -75,199 +67,140 @@ class StateGrid:
                 raise InvalidInputError(f"grid {name} must start at 0 and increase")
             object.__setattr__(self, name, g)
 
-    @property
-    def with_data(self) -> bool:
-        return self.b1 is not None
-
 
 @dataclass(frozen=True)
 class ArrivalDistribution:
-    """Finite-support per-slot arrival laws for energy (and data) per user.
+    """Finite-support per-slot energy arrival laws of both users.
 
-    ``energy[j][i]`` is a (values, probabilities) pair for user j at slot i;
-    ``data`` is None in infinite-backlog mode.
+    ``energy[j][i]`` is a (values, probabilities) pair for user j at slot i.
     """
 
     n_slots: int
     energy: tuple
-    data: Optional[tuple] = None
+    # no data arrival laws; perfbench's tracer reads this
+    data = None
 
     def __post_init__(self):
-        for per_user in (self.energy,) + ((self.data,) if self.data else ()):
-            for slots in per_user:
-                if len(slots) != self.n_slots:
-                    raise InvalidInputError("distribution slot count mismatch")
-                for values, probs in slots:
-                    values = np.asarray(values, dtype=float)
-                    probs = np.asarray(probs, dtype=float)
-                    # _joint_outcomes zips the two, so a longer side would
-                    # lose its extra outcomes silently
-                    if values.ndim != 1 or values.shape != probs.shape:
-                        raise InvalidInputError(
-                            "arrival values and probabilities must be "
-                            "vectors of one length")
-                    if not (np.all(np.isfinite(values))
-                            and np.all(np.isfinite(probs))):
-                        raise InvalidInputError("arrival laws must be finite")
-                    if np.any(values < 0):
-                        raise InvalidInputError("arrival values must be >= 0")
-                    if np.any(probs < 0):
-                        raise InvalidInputError("probabilities must be >= 0")
-                    if abs(float(np.sum(probs)) - 1.0) > 1e-12:
-                        raise InvalidInputError("probabilities must sum to 1")
+        if len(self.energy) != 2:
+            raise ShapeError("arrival laws are for exactly two users")
+        for slots in self.energy:
+            if len(slots) != self.n_slots:
+                raise InvalidInputError("distribution slot count mismatch")
+            for values, probs in slots:
+                values = np.asarray(values, dtype=float)
+                probs = np.asarray(probs, dtype=float)
+                # _slot_outcomes zips the two, so a longer side would lose
+                # its extra outcomes silently
+                if values.ndim != 1 or values.shape != probs.shape:
+                    raise InvalidInputError(
+                        "arrival values and probabilities must be "
+                        "vectors of one length")
+                if not (np.all(np.isfinite(values))
+                        and np.all(np.isfinite(probs))):
+                    raise InvalidInputError("arrival laws must be finite")
+                if np.any(values < 0):
+                    raise InvalidInputError("arrival values must be >= 0")
+                if np.any(probs < 0):
+                    raise InvalidInputError("probabilities must be >= 0")
+                if abs(float(np.sum(probs)) - 1.0) > 1e-12:
+                    raise InvalidInputError("probabilities must sum to 1")
 
     @classmethod
     def deterministic(cls, scenario: Scenario) -> "ArrivalDistribution":
-        n = scenario.grid.N
         energy = tuple(
             tuple((np.array([e]), np.array([1.0]))
                   for e in u.harvest.arrivals)
             for u in scenario.users)
-        if all(u.data.is_infinite for u in scenario.users):
-            return cls(n, energy)
-        data = tuple(
-            tuple((np.array([b]), np.array([1.0]))
-                  for b in (u.data.arrivals if not u.data.is_infinite
-                            else np.zeros(n)))
-            for u in scenario.users)
-        return cls(n, energy, data)
+        return cls(scenario.grid.N, energy)
 
 
 @dataclass
 class DPResult:
     """Backward-induction output: J over states per slot, argmax actions."""
 
-    values: np.ndarray       # (N+1,) + state shape
-    policies: np.ndarray     # (N,) + state shape + (2,)
+    values: np.ndarray       # (N+1, G1, G2)
+    policies: np.ndarray     # (N, G1, G2, 2)
     grid: StateGrid
 
 
-def _joint_outcomes(dists):
-    """Cross product of per-user (values, probs) supports."""
-    combos = []
-    for v1, p1 in zip(*[np.asarray(x) for x in dists[0]]):
-        for v2, p2 in zip(*[np.asarray(x) for x in dists[1]]):
-            combos.append(((float(v1), float(v2)), float(p1) * float(p2)))
-    return combos
-
-
 def _slot_outcomes(stats, i):
-    """Joint arrival outcomes that move slot i to slot i + 1: the law of
-    slot i + 1.  The last slot's successor value is zero, so its own law
-    stands in there."""
+    """Joint energy arrival outcomes ``((e1, e2), prob)`` that move slot i
+    to slot i + 1: the law of slot i + 1.  The last slot's successor value
+    is zero, so its own law stands in there."""
     i = min(i + 1, stats.n_slots - 1)
-    e = (stats.energy[0][i], stats.energy[1][i])
-    energy_combos = _joint_outcomes(e)
-    if stats.data is None:
-        return [(ev, None, p) for ev, p in energy_combos]
-    d = (stats.data[0][i], stats.data[1][i])
-    data_combos = _joint_outcomes(d)
-    out = []
-    for ev, pe in energy_combos:
-        for dv, pd in data_combos:
-            out.append((ev, dv, pe * pd))
-    return out
+    (v1, q1), (v2, q2) = stats.energy[0][i], stats.energy[1][i]
+    return [((float(x1), float(x2)), float(p1) * float(p2))
+            for x1, p1 in zip(np.asarray(v1), np.asarray(q1))
+            for x2, p2 in zip(np.asarray(v2), np.asarray(q2))]
 
 
 def value_iteration(stats: ArrivalDistribution, rate_model: RateModel,
                     grid: StateGrid, tau: float = 1.0) -> DPResult:
     """Solve the finite-horizon control problem on the discretized state.
 
-    State: per-user battery level after the slot's arrival (and data queue
-    length in data mode).  Actions are powers on the battery-grid resolution,
-    restricted so consumption never exceeds the battery and departures never
-    exceed the queue.  The terminal value is zero.
+    State: each user's battery level after the slot's arrival.  Actions are
+    powers on the battery-grid resolution, restricted so consumption never
+    exceeds the battery.  The terminal value is zero.
     """
     n = stats.n_slots
-    axes = [grid.e1, grid.e2] + ([grid.b1, grid.b2] if grid.with_data else [])
-    shape = tuple(len(ax) for ax in axes)
-    ndim = len(axes)
-
+    axes = (grid.e1, grid.e2)
+    g1, g2 = shape = (len(grid.e1), len(grid.e2))
     acts1 = grid.e1 / tau
     acts2 = grid.e2 / tau
     spend1 = acts1 * tau
     spend2 = acts2 * tau
-    g1, g2 = len(acts1), len(acts2)
     # slot throughput of action a = j1 * g2 + j2, one scalar call each
     gain = tau * np.fromiter((rate_model.sum_rate(p1, p2)
                               for p1 in acts1 for p2 in acts2), float, g1 * g2)
-    # what an action removes from each axis: one row per battery level and,
-    # in data mode, one row per action for each queue
-    shifts = [spend1, spend2]
-    firsts = [[int(np.count_nonzero(grid.e1 + 1e-12 < c)) for c in spend1],
-              [int(np.count_nonzero(grid.e2 + 1e-12 < c)) for c in spend2]]
-    if grid.with_data:
-        own = tau * np.array([[float(r) for r in rate_model.user_rates(p1, p2)]
-                              for p1 in acts1 for p2 in acts2])
-        shifts += [own[:, 0], own[:, 1]]
-        firsts += [np.count_nonzero(sh[:, None] > ax[None, :] + 1e-9,
-                                    axis=1).tolist()
-                   for sh, ax in zip(shifts[2:], axes[2:])]
-    # per axis and row, the states that can afford the shift (a suffix of
-    # the axis) as an index and its length; the queue axes share one row
-    # per action
-    span = [[((slice(k, None),), (len(ax) - k,)) for k in ks]
-            for ax, ks in zip(axes, firsts)]
-    queue = [((), ())] * (g1 * g2)
-    if grid.with_data:
-        queue = [(b1[0] + b2[0], b1[1] + b2[1])
-                 for b1, b2 in zip(span[2], span[3])]
+    # index of the lowest battery level that affords each spend: the states
+    # that can afford an action are the box from these indices on
+    first1 = [int(np.count_nonzero(grid.e1 + 1e-12 < c)) for c in spend1]
+    first2 = [int(np.count_nonzero(grid.e2 + 1e-12 < c)) for c in spend2]
     # a state no action reaches keeps (0, 0), the extra last row
     powers = np.zeros((g1 * g2 + 1, 2))
     powers[:-1, 0] = np.repeat(acts1, g2)
     powers[:-1, 1] = np.tile(acts2, g1)
-    # axis d of a point block is a row reshaped along dimension d
-    along = [tuple(-1 if e == d else 1 for e in range(ndim))
-             for d in range(ndim)]
 
     values = np.zeros((n + 1,) + shape)
     policies = np.zeros((n,) + shape + (2,))
     for i in range(n - 1, -1, -1):
         interp = RegularGridInterpolator(axes, values[i + 1],
                                          bounds_error=False, fill_value=None)
-        # next coordinate on each axis for every shift, per outcome
-        moved = []
-        for ev, dv, prob in _slot_outcomes(stats, i):
-            arrivals = tuple(ev) + tuple(dv or ())
-            moved.append((prob, [
-                np.clip(ax[None, :] - sh[:, None] + arr, 0.0, ax[-1])
-                for ax, sh, arr in zip(axes, shifts, arrivals)]))
+        # per outcome, the next level of every battery level after every
+        # spend, one row per spend
+        moved = [(prob,
+                  np.clip(grid.e1[None, :] - spend1[:, None] + ev[0], 0.0,
+                          grid.e1[-1]),
+                  np.clip(grid.e2[None, :] - spend2[:, None] + ev[1], 0.0,
+                          grid.e2[-1]))
+                 for ev, prob in _slot_outcomes(stats, i)]
         best = np.full(shape, -np.inf)
         choice = np.full(shape, g1 * g2)
-        for j1, (box1, block1) in enumerate(span[0]):
-            for j2, (box2, block2) in enumerate(span[1]):
-                a = j1 * g2 + j2
-                box = box1 + box2 + queue[a][0]
-                block = block1 + block2 + queue[a][1]
-                if 0 in block:
+        for j1, k1 in enumerate(first1):
+            for j2, k2 in enumerate(first2):
+                if k1 == g1 or k2 == g2:   # (x / tau) * tau rounded up
                     continue
-                rows = (j1, j2, a, a)
+                a = j1 * g2 + j2
                 total = gain[a]
-                for prob, tables in moved:
-                    pts = np.empty((ndim,) + block)
-                    for d in range(ndim):
-                        pts[d] = tables[d][rows[d], box[d]].reshape(along[d])
-                    total = total + prob * interp(pts.reshape(ndim, -1).T)
-                total = total.reshape(block)
-                held = best[box]
+                for prob, next1, next2 in moved:
+                    pts = np.empty((2, g1 - k1, g2 - k2))
+                    pts[0] = next1[j1, k1:, None]
+                    pts[1] = next2[j2, None, k2:]
+                    total = total + prob * interp(pts.reshape(2, -1).T)
+                total = total.reshape(g1 - k1, g2 - k2)
+                held = best[k1:, k2:]
                 better = total > held
                 np.copyto(held, total, where=better)
-                np.copyto(choice[box], a, where=better)
+                np.copyto(choice[k1:, k2:], a, where=better)
         values[i] = best
         policies[i] = powers[choice]
     return DPResult(values=values, policies=policies, grid=grid)
 
 
 def _start_state(grid: StateGrid, scenario: Scenario):
-    """Battery levels and, in data mode, queues after slot 1's arrivals,
-    each truncated to its grid: ``(e, b)`` with ``b`` None without data."""
-    e = [min(u.harvest.arrivals[0], cap)
-         for u, cap in zip(scenario.users, (grid.e1[-1], grid.e2[-1]))]
-    b = None
-    if grid.with_data:
-        b = [0.0 if u.data.is_infinite else min(u.data.arrivals[0], cap)
-             for u, cap in zip(scenario.users, (grid.b1[-1], grid.b2[-1]))]
-    return e, b
+    """Battery levels after slot 1's arrivals, each truncated to its grid."""
+    return [min(u.harvest.arrivals[0], cap)
+            for u, cap in zip(scenario.users, (grid.e1[-1], grid.e2[-1]))]
 
 
 def table_value_at_start(result: DPResult, scenario: Scenario) -> float:
@@ -276,78 +209,36 @@ def table_value_at_start(result: DPResult, scenario: Scenario) -> float:
     The rollout's total differs from it where the rollout truncates a full
     battery or interpolates the table's actions between lattice points."""
     grid = result.grid
-    e, b = _start_state(grid, scenario)
-    axes = [grid.e1, grid.e2] + ([grid.b1, grid.b2] if grid.with_data else [])
-    interp = RegularGridInterpolator(axes, result.values[0],
+    interp = RegularGridInterpolator((grid.e1, grid.e2), result.values[0],
                                      bounds_error=False, fill_value=None)
-    return float(interp(np.array([e + (b or [])]))[0])
+    return float(interp(np.array([_start_state(grid, scenario)]))[0])
 
 
 def rollout_table(result: DPResult, scenario: Scenario,
                   rate_model: RateModel):
-    """Drive the DP policy along a deterministic scenario; returns
-    (policy, total throughput in nats)."""
+    """Drive the DP policy along a deterministic scenario's energy arrivals;
+    returns (policy, total throughput in nats)."""
     n = scenario.grid.N
     tau = scenario.grid.tau
     grid = result.grid
     caps = (grid.e1[-1], grid.e2[-1])
-    e, b = _start_state(grid, scenario)
+    e = _start_state(grid, scenario)
     policy = np.zeros((2, n))
     total = 0.0
-    axes = [grid.e1, grid.e2] + ([grid.b1, grid.b2] if grid.with_data else [])
     for i in range(n):
-        interp = RegularGridInterpolator(axes, result.policies[i],
+        interp = RegularGridInterpolator((grid.e1, grid.e2),
+                                         result.policies[i],
                                          bounds_error=False, fill_value=None)
-        state = [e[0], e[1]] + (b if b is not None else [])
-        act = np.asarray(interp(np.array(state)[np.newaxis, :]))[0]
+        act = np.asarray(interp(np.array([e])))[0]
         p1 = float(min(max(act[0], 0.0), e[0] / tau))
         p2 = float(min(max(act[1], 0.0), e[1] / tau))
-        if b is not None:
-            p1, p2 = _clamp_departures(rate_model, tau, p1, p2, b)
         policy[:, i] = (p1, p2)
         total += tau * float(rate_model.sum_rate(p1, p2))
         if i < n - 1:
             for j, p in enumerate((p1, p2)):
                 nxt = scenario.users[j].harvest.arrivals[i + 1]
                 e[j] = min(e[j] - p * tau + nxt, caps[j])
-            if b is not None:
-                r1, r2 = rate_model.user_rates(p1, p2)
-                for j, r in enumerate((r1, r2)):
-                    arr = (0.0 if scenario.users[j].data.is_infinite
-                           else scenario.users[j].data.arrivals[i + 1])
-                    b[j] = min(max(b[j] - tau * float(r), 0.0) + arr,
-                               axes[2 + j][-1])
     return policy, total
-
-
-def _clamp_departures(rate_model, tau, p1, p2, queues):
-    """Shrink powers until each user's departures fit its data queue.
-
-    Interpolated table actions can overshoot between queue grid nodes; own
-    rates increase in own power, so a per-user bisection restores the same
-    restriction the DP imposed on grid states.
-    """
-    p = [p1, p2]
-    for _ in range(_CLAMP_PASSES):
-        ok = True
-        for j in range(2):
-            r = rate_model.user_rates(p[0], p[1])[j]
-            if tau * r <= queues[j] + 1e-12:
-                continue
-            ok = False
-            lo, hi = 0.0, p[j]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                trial = [mid, p[1]] if j == 0 else [p[0], mid]
-                if tau * rate_model.user_rates(trial[0], trial[1])[j] \
-                        > queues[j]:
-                    hi = mid
-                else:
-                    lo = mid
-            p[j] = lo
-        if ok:
-            break
-    return p[0], p[1]
 
 
 def naive_policy(scenario: Scenario) -> np.ndarray:
@@ -474,25 +365,21 @@ def _taut_fault(row, lower, upper, tau, capacity):
 
 
 def export_tables_csv(result: DPResult, path):
-    """Dump state coordinates with the argmax action and value per slot."""
+    """Dump battery levels with the argmax action and value per slot."""
     import csv
     import os
 
     os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
     grid = result.grid
-    axes = [grid.e1, grid.e2] + ([grid.b1, grid.b2] if grid.with_data else [])
-    names = ["e1", "e2"] + (["b1", "b2"] if grid.with_data else [])
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = [m.ravel() for m in mesh]
+    e1, e2 = (m.ravel() for m in np.meshgrid(grid.e1, grid.e2, indexing="ij"))
     n = result.policies.shape[0]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["slot"] + names + ["p1", "p2", "value"])
+        writer.writerow(["slot", "e1", "e2", "p1", "p2", "value"])
         for i in range(n):
             acts = result.policies[i].reshape(-1, 2)
             vals = result.values[i].ravel()
-            for k in range(flat[0].shape[0]):
-                writer.writerow([i + 1]
-                                + [f"{c[k]:.12g}" for c in flat]
-                                + [f"{acts[k, 0]:.12g}", f"{acts[k, 1]:.12g}",
-                                   f"{vals[k]:.12g}"])
+            for k in range(e1.shape[0]):
+                writer.writerow([i + 1, f"{e1[k]:.12g}", f"{e2[k]:.12g}",
+                                 f"{acts[k, 0]:.12g}", f"{acts[k, 1]:.12g}",
+                                 f"{vals[k]:.12g}"])

@@ -59,17 +59,14 @@ def loop_value_iteration(stats, rate_model, grid, tau=1.0):
     from ehic.online import DPResult, _slot_outcomes
 
     n = stats.n_slots
-    axes = [grid.e1, grid.e2] + ([grid.b1, grid.b2] if grid.with_data else [])
-    shape = tuple(len(ax) for ax in axes)
-    flat = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
-    n_states = flat[0].shape[0]
+    axes = [grid.e1, grid.e2]
+    shape = (len(grid.e1), len(grid.e2))
+    e1f, e2f = (m.ravel() for m in np.meshgrid(*axes, indexing="ij"))
+    n_states = e1f.shape[0]
     acts1 = grid.e1 / tau
     acts2 = grid.e2 / tau
     values = np.zeros((n + 1,) + shape)
     policies = np.zeros((n,) + shape + (2,))
-    e1f, e2f = flat[0], flat[1]
-    b1f = flat[2] if grid.with_data else None
-    b2f = flat[3] if grid.with_data else None
     for i in range(n - 1, -1, -1):
         interp = RegularGridInterpolator(axes, values[i + 1],
                                          bounds_error=False, fill_value=None)
@@ -85,27 +82,14 @@ def loop_value_iteration(stats, rate_model, grid, tau=1.0):
                 if not np.any(feas):
                     continue
                 r_sum = float(rate_model.sum_rate(p1, p2))
-                if grid.with_data:
-                    r1, r2 = rate_model.user_rates(p1, p2)
-                    feas = feas & (tau * r1 <= b1f + 1e-9) \
-                                & (tau * r2 <= b2f + 1e-9)
-                    if not np.any(feas):
-                        continue
                 idx = np.nonzero(feas)[0]
                 total = np.full(idx.shape[0], tau * r_sum)
-                for ev, dv, prob in outcomes:
+                for ev, prob in outcomes:
                     ne1 = np.clip(e1f[idx] - p1 * tau + ev[0], 0.0,
                                   grid.e1[-1])
                     ne2 = np.clip(e2f[idx] - p2 * tau + ev[1], 0.0,
                                   grid.e2[-1])
-                    cols = [ne1, ne2]
-                    if grid.with_data:
-                        nb1 = np.clip(b1f[idx] - tau * r1 + dv[0],
-                                      0.0, grid.b1[-1])
-                        nb2 = np.clip(b2f[idx] - tau * r2 + dv[1],
-                                      0.0, grid.b2[-1])
-                        cols += [nb1, nb2]
-                    total += prob * interp(np.column_stack(cols))
+                    total += prob * interp(np.column_stack([ne1, ne2]))
                 better = total > best[idx]
                 sel = idx[better]
                 best[sel] = total[better]

@@ -143,7 +143,32 @@ class TestRunExperiment:
             solver="online-dp", scenario_path=scen_path, out_dir=str(out),
             grid_step=0.1, write_tables=True))
         assert summary["dp_value_at_start"] > 0
-        assert (out / "tables.csv").exists()
+        # one row per slot and battery state, on 21 levels per battery
+        with open(out / "tables.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["slot", "e1", "e2", "p1", "p2", "value"]
+        assert len(rows) == 1 + 3 * 21 * 21
+        assert {len(row) for row in rows} == {6}
+
+    def test_online_dp_ignores_data_arrivals(self, tmp_path):
+        # the DP plans on energy arrivals only, so the data arrivals B
+        # change neither its tables nor its values; policy.csv may differ,
+        # since only infinite-backlog rows get their overflow spent
+        backlogged = json.loads(json.dumps(DATA_SCEN))
+        for user in backlogged["users"]:
+            user["B"] = "infinite"
+        runs = []
+        for name, doc in (("data", DATA_SCEN), ("backlogged", backlogged)):
+            out = tmp_path / name
+            summary = run_experiment(ExperimentConfig(
+                solver="online-dp", out_dir=str(out), grid_step=0.5,
+                scenario_path=_write_scenario(tmp_path, doc, f"{name}.json"),
+                write_tables=True))
+            runs.append((summary, (out / "tables.csv").read_bytes()))
+        (data, data_tables), (backlog, backlog_tables) = runs
+        assert data_tables == backlog_tables
+        for key in ("dp_value_at_start", "dp_table_value"):
+            assert data[key] == backlog[key]
 
     def test_online_dp_reports_the_table_value(self, tmp_path):
         # J_0 at the start state, written next to the rollout's total, and

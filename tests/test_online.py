@@ -48,22 +48,12 @@ def _stochastic_case():
     return ArrivalDistribution(3, laws), rm, _grid(2.0, 15), 1.0
 
 
-def _data_case():
-    scen = two_user_scenario([2.0, 0.0, 1.0], [0.5, 1.5, 0.0], 2.0, 0.9, 2.0,
-                             b1=[0.1, 5.0, 0.3])
-    rm = build_rate_model(0.9, 2.0, 2.0, 2.0)
-    grid = StateGrid(np.linspace(0, 2, 7), np.linspace(0, 2, 6),
-                     np.linspace(0, 5.1, 6), np.linspace(0, 5.1, 5))
-    return ArrivalDistribution.deterministic(scen), rm, grid, 1.0
-
-
 DP_CASES = {
     "fig7-grid0.5": lambda: _fig7_case(0.5),
     "fig7-grid1.0": lambda: _fig7_case(1.0),
     "ab-at-most-one": lambda: _generated_case(0.5, 1.5),
     "mirrored": lambda: _generated_case(3.0, 0.6, tau=0.7),
     "stochastic": _stochastic_case,
-    "data-mode": _data_case,
 }
 
 
@@ -78,7 +68,7 @@ class TestBatchedValueIteration:
         assert np.array_equal(res.values, ref.values)
         assert np.array_equal(res.policies, ref.policies)
 
-    @pytest.mark.parametrize("case", ["stochastic", "data-mode"])
+    @pytest.mark.parametrize("case", ["stochastic", "mirrored"])
     def test_interpolator_gets_the_loop_points(self, case, monkeypatch):
         """One call per (slot, feasible action, outcome), with the points the
         per-action loop passes, in the same order."""
@@ -195,21 +185,6 @@ class TestValueIteration:
         hi_obj = joint_objective(p_hi, hi, rm)
         assert lo_obj - 1e-9 <= v <= hi_obj + 1e-9
 
-    def test_data_mode_queue_restricts_actions(self):
-        scen = two_user_scenario([2.0, 0.0], [0.0, 0.0], 2.0, 0.9, 2.0,
-                                 b1=[0.1, 5.0])
-        rm = build_rate_model(0.9, 2.0, 2.0, 2.0)
-        grid = StateGrid(np.linspace(0, 2, 11), np.linspace(0, 2, 11),
-                         np.linspace(0, 5.1, 18), np.linspace(0, 5.1, 18))
-        stats = ArrivalDistribution.deterministic(scen)
-        res = value_iteration(stats, rm, grid, tau=1.0)
-        policy, _ = rollout_table(res, scen, rm)
-        r1, _ = rm.user_rates(policy[0], policy[1])
-        assert np.atleast_1d(r1)[0] <= 0.1 + 1e-6
-        # a longer queue or fuller battery never lowers the value
-        for axis in range(4):
-            assert np.all(np.diff(res.values[0], axis=axis) >= -1e-12)
-
     def test_bad_distribution_rejected(self):
         with pytest.raises(InvalidInputError):
             ArrivalDistribution(1, ((( np.array([1.0]), np.array([0.5])),),
@@ -230,13 +205,18 @@ class TestValueIteration:
             ArrivalDistribution(1, (((np.array(law[0]), np.array(law[1])),),
                                     (good,)))
 
+    @pytest.mark.parametrize("users", [1, 3])
+    def test_law_for_other_than_two_users_rejected(self, users):
+        # like a Scenario, the laws are for exactly two users: one user's
+        # laws would fail inside value_iteration, a third's would be ignored
+        good = (np.array([0.0]), np.array([1.0]))
+        with pytest.raises(ShapeError, match="two users"):
+            ArrivalDistribution(1, ((good,),) * users)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_grid_rejected(self, bad):
         with pytest.raises(InvalidInputError):
             StateGrid(np.array([0.0, 1.0, bad]), np.linspace(0.0, 2.0, 3))
-        with pytest.raises(InvalidInputError):
-            StateGrid(np.linspace(0.0, 2.0, 3), np.linspace(0.0, 2.0, 3),
-                      b1=np.array([0.0, bad]), b2=np.linspace(0.0, 1.0, 3))
 
 
 class TestNaive:
