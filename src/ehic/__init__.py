@@ -2,7 +2,9 @@
 transmitters sharing a Gaussian interference channel.
 
 The central objects are a ``Scenario`` (time grid, per-user harvest/data
-profiles, channel) and a ``RateModel`` (region-tagged sum-rate kernels).
+profiles, channel) and a ``RateModel`` (the closed-form sum rate of the
+channel's region: a*b > 1, min-form a*b <= 1 or very strong, the regions
+with a known sum capacity; any other channel is rejected).
 ``iterate_offline`` computes the optimal offline schedule by alternating
 single-user directional water-filling, started from a joint primal-dual
 interior-point solution where a*b > 1; ``solve_with_data`` extends it to
@@ -18,11 +20,9 @@ from .errors import (ConvergenceError, InfeasiblePolicyError,
 from .model import (DataProfile, FeasibilityReport, HarvestProfile, Scenario,
                     TimeGrid, User, cumulative_departure, feasibility_report,
                     scenario_from_dict, scenario_to_dict, validate_scenario)
-from .rates import (ChannelParams, GenericKernel, RateModel, Region,
-                    RegionTag, build_rate_model, classify_region,
-                    interference_as_noise_kernel, normalize_channel)
-from .single_user import (GenericSlotUtilities, InterferedUtilities,
-                          KKTCertificate, LinearUtilities,
+from .rates import (ChannelParams, RateModel, Region, RegionTag,
+                    build_rate_model, classify_region, normalize_channel)
+from .single_user import (InterferedUtilities, KKTCertificate,
                           PiecewiseMinUtilities, ScaledLogUtilities,
                           SlotUtilities, solve_single_user, verify_kkt)
 from .iterative import (SolveReport, build_subproblem, iterate_offline,
@@ -37,16 +37,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrivalDistribution", "ChannelParams", "ConvergenceError",
-    "DataProfile", "DPResult", "FeasibilityReport", "GenericKernel",
-    "GenericSlotUtilities", "HarvestProfile", "InfeasiblePolicyError",
-    "InterferedUtilities", "InvalidInputError", "InvalidUtilityError",
-    "KKTCertificate", "LinearUtilities", "OracleOptions", "OracleSizeError",
+    "DataProfile", "DPResult", "FeasibilityReport", "HarvestProfile",
+    "InfeasiblePolicyError", "InterferedUtilities", "InvalidInputError",
+    "InvalidUtilityError", "KKTCertificate", "OracleOptions",
+    "OracleSizeError",
     "PiecewiseMinUtilities", "RateModel", "Region", "RegionTag",
     "ScaledLogUtilities", "Scenario", "ShapeError", "SlotUtilities",
     "SolveReport", "StateGrid", "TimeGrid", "User",
     "brute_force", "build_rate_model", "build_subproblem", "classify_region",
     "cumulative_departure", "distributed_policy", "feasibility_report",
-    "interference_as_noise_kernel", "iterate_offline",
+    "iterate_offline",
     "iterate_offline_many", "joint_objective",
     "naive_policy", "normalize_channel", "resolve_contradictions",
     "rollout_table", "scenario_from_dict", "scenario_to_dict",

@@ -10,7 +10,8 @@ class ShapeError(ValueError):
 
 
 class InvalidUtilityError(ValueError):
-    """Raised when a per-slot utility fails its concavity sampling check."""
+    """Raised for slot utilities outside the closed-form families, or with
+    parameters that would make them non-concave."""
 
 
 class ConvergenceError(RuntimeError):

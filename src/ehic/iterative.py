@@ -30,16 +30,13 @@ start's stopping gap ``_GAP_TOL`` of 1e-11 both blocks certify at the
 start on fig7 and on all 80 fig8 seeds, so the certifying sweep costs two
 certificates.
 
-Elsewhere (the min-form a*b <= 1 region with its kink, very strong,
-generic) the alternation starts from zeros, and a geometric
-extrapolation along the sweep direction shortens the cold alternation:
-without it, mean sweeps rise from 11.0 to 19.3 over fig8 seeds 0-79 from
+Elsewhere (the min-form a*b <= 1 region with its kink, very strong) the
+alternation starts from zeros, and a geometric extrapolation along the sweep
+direction shortens the cold alternation: without it, mean sweeps rise from 11.0 to 19.3 over fig8 seeds 0-79 from
 zeros and from 11.6 to 16.7 at a=0.5, b=1.5, N=50 (seeds 0-19).
 
 No proximal term is needed: in the regions with a known sum capacity the
-slot utilities are strictly concave, so each block optimum is unique, and
-the single-user solver breaks ties under flat marginals deterministically
-(consume late).
+slot utilities are strictly concave, so each block optimum is unique.
 
 A sweep counts as converged once its objective gain is at most
 ``_OBJECTIVE_TOL`` relative and its largest power change at most
@@ -59,9 +56,9 @@ from scipy.linalg.lapack import dpbsv as _dpbsv
 from .errors import InvalidInputError, ShapeError
 from .model import Scenario, energy_bounds, validate_scenario
 from .rates import RateModel, Region
-from .single_user import (GenericSlotUtilities, InterferedUtilities,
-                          PiecewiseMinUtilities, ScaledLogUtilities,
-                          SlotUtilities, solve_single_user)
+from .single_user import (InterferedUtilities, PiecewiseMinUtilities,
+                          ScaledLogUtilities, SlotUtilities,
+                          solve_single_user)
 
 _OBJECTIVE_TOL = 1e-9      # relative objective gain of a converged sweep
 _DISPLACEMENT_TOL = 1e-7   # largest power change of a converged sweep,
@@ -101,13 +98,6 @@ def build_subproblem(scenario: Scenario, rate_model: RateModel, user: int,
     if other.shape != (n,):
         raise ShapeError(f"other policy must have shape ({n},)")
     region = rate_model.region
-    if region is Region.GENERIC:
-        if user == 0:
-            deriv = lambda p: rate_model.grad(p, other)[0]
-        else:
-            deriv = lambda p: rate_model.grad(other, p)[1]
-        return GenericSlotUtilities(deriv, n=n)
-
     cu = (1 - user) if rate_model.mirrored else user
     a, b = rate_model.canonical_gains
     if region is Region.VERY_STRONG:

@@ -3,7 +3,8 @@
 Everything here works in normalized units: direct channel gains and receiver
 noise variances are 1, so a transmit power p produces a single-link rate of
 (1/2)ln(1+p) nats per channel use.  The two cross gains ``a`` (into receiver 1)
-and ``b`` (into receiver 2) select one of four sum-rate kernels:
+and ``b`` (into receiver 2) select one of the three regions with a known sum
+capacity, each with its closed-form sum rate:
 
 * ``ASYMMETRIC_AB_ABOVE_ONE``  (a <= 1 <= b, a*b > 1): receiver 2 decodes and
   removes the strong interferer, receiver 1 treats the weak one as noise.
@@ -12,7 +13,8 @@ and ``b`` (into receiver 2) select one of four sum-rate kernels:
   depends only on p2 through the threshold power ``p_c = (b-1)/(1-a*b)``.
 * ``VERY_STRONG``: both receivers remove the interference entirely, the links
   decouple into two single-user channels.
-* ``GENERIC``: a caller-supplied jointly concave kernel.
+
+Any other (a, b) has no known sum capacity and is rejected.
 
 When a >= 1 >= b the user indices are swapped internally (``mirrored``) so the
 canonical orientation a <= 1 <= b applies, and results are swapped back.
@@ -23,16 +25,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidInputError
-
-# a generic kernel must pass a midpoint-concavity check on this many random
-# point pairs in [0, _CONCAVITY_PMAX]^2
-_CONCAVITY_PMAX = 10.0
-_CONCAVITY_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -51,7 +47,6 @@ class Region(enum.Enum):
     ASYMMETRIC_AB_ABOVE_ONE = "asymmetric-ab>1"
     ASYMMETRIC_AB_AT_MOST_ONE = "asymmetric-ab<=1"
     VERY_STRONG = "very-strong"
-    GENERIC = "generic-concave"
 
 
 _ASYMMETRIC = (Region.ASYMMETRIC_AB_ABOVE_ONE,
@@ -64,57 +59,13 @@ class RegionTag:
     mirrored: bool = False
 
 
-@dataclass(frozen=True)
-class GenericKernel:
-    """Caller-supplied concave sum-rate kernel for regions without a closed form.
-
-    All three callables are required and take the two power arrays:
-    ``sum_rate(p1, p2)`` must be jointly concave, nondecreasing and zero at
-    the origin (checked by sampling at model construction);
-    ``user_rates(p1, p2)`` returns the per-user rates (r1, r2) that sum to it;
-    ``grad(p1, p2)`` returns its partials (d/dp1, d/dp2), which are the
-    alternation's slot marginals.
-    """
-
-    sum_rate: Callable
-    user_rates: Callable
-    grad: Callable
-
-
-def interference_as_noise_kernel(a: float, b: float) -> GenericKernel:
-    """Example generic kernel: both receivers treat interference as noise.
-
-    Concavity is NOT guaranteed for arbitrary (a, b); model construction
-    rejects parameter choices for which the sampled check fails.
-    """
-
-    def user_rates(p1, p2):
-        r1 = 0.5 * np.log1p(p1 / (1.0 + a * p2))
-        r2 = 0.5 * np.log1p(p2 / (1.0 + b * p1))
-        return r1, r2
-
-    def sum_rate(p1, p2):
-        r1, r2 = user_rates(p1, p2)
-        return r1 + r2
-
-    def grad(p1, p2):
-        d1 = 1.0 / (2.0 * (1.0 + a * p2 + p1)) - b * p2 / (
-            2.0 * (1.0 + p2 + b * p1) * (1.0 + b * p1)
-        )
-        d2 = 1.0 / (2.0 * (1.0 + b * p1 + p2)) - a * p1 / (
-            2.0 * (1.0 + p1 + a * p2) * (1.0 + a * p2)
-        )
-        return d1, d2
-
-    return GenericKernel(sum_rate=sum_rate, user_rates=user_rates, grad=grad)
-
-
 def classify_region(a: float, b: float, p1_max: float, p2_max: float) -> RegionTag:
     """Pick the sum-rate kernel for cross gains (a, b) and peak powers.
 
     The very-strong test compares each cross gain against 1 plus the largest
     single-slot power the interfering transmitter can produce, so the
-    decode-and-remove argument holds for every reachable power pair.
+    decode-and-remove argument holds for every reachable power pair.  Any
+    (a, b) outside the three regions raises ``InvalidInputError``.
     """
     if a < 0 or b < 0:
         raise InvalidInputError("cross gains must be nonnegative")
@@ -126,7 +77,10 @@ def classify_region(a: float, b: float, p1_max: float, p2_max: float) -> RegionT
         if ac * bc > 1.0:
             return RegionTag(Region.ASYMMETRIC_AB_ABOVE_ONE, mirrored)
         return RegionTag(Region.ASYMMETRIC_AB_AT_MOST_ONE, mirrored)
-    return RegionTag(Region.GENERIC, mirrored=False)
+    raise InvalidInputError(
+        f"cross gains a={a!r}, b={b!r} have no known sum capacity: the "
+        "model covers a*b > 1 and a*b <= 1 with a <= 1 <= b (either "
+        "orientation) and the very strong region")
 
 
 def _asym_r1(p1, p2, a):
@@ -142,8 +96,7 @@ class RateModel:
     mirrored swap is internal.  Rates are nats per channel use.
     """
 
-    def __init__(self, channel: ChannelParams, tag: RegionTag,
-                 kernel: Optional[GenericKernel] = None):
+    def __init__(self, channel: ChannelParams, tag: RegionTag):
         self.channel = channel
         self.region = tag.region
         self.mirrored = tag.mirrored
@@ -157,31 +110,11 @@ class RateModel:
             self.p_c = (self._b - 1.0) / (1.0 - ab) if ab < 1.0 else math.inf
         else:
             self.p_c = None
-        self.kernel = kernel
-        if self.region is Region.GENERIC:
-            if kernel is None:
-                raise InvalidInputError("generic region requires a kernel")
-            self._check_generic_kernel()
 
     @property
     def canonical_gains(self):
         """Cross gains in the canonical a <= 1 <= b orientation."""
         return self._a, self._b
-
-    # -- construction helpers -------------------------------------------------
-
-    def _check_generic_kernel(self):
-        rng = np.random.default_rng(0)
-        x = rng.uniform(0.0, _CONCAVITY_PMAX, size=(_CONCAVITY_SAMPLES, 2))
-        y = rng.uniform(0.0, _CONCAVITY_PMAX, size=(_CONCAVITY_SAMPLES, 2))
-        f = self.kernel.sum_rate
-        mid = f(0.5 * (x[:, 0] + y[:, 0]), 0.5 * (x[:, 1] + y[:, 1]))
-        avg = 0.5 * (f(x[:, 0], x[:, 1]) + f(y[:, 0], y[:, 1]))
-        if np.any(mid < avg - 1e-9):
-            raise InvalidInputError(
-                "generic kernel failed the sampled midpoint-concavity check")
-        if abs(float(f(0.0, 0.0))) > 1e-12:
-            raise InvalidInputError("generic kernel must vanish at zero power")
 
     # -- kernels ---------------------------------------------------------------
 
@@ -214,9 +147,7 @@ class RateModel:
             e1 = _asym_r1(p1, p2, a) + 0.5 * np.log1p(p2)
             e2 = 0.5 * np.log1p(b * p1 + p2)
             return np.minimum(e1, e2)
-        if self.region is Region.VERY_STRONG:
-            return 0.5 * np.log1p(p1) + 0.5 * np.log1p(p2)
-        return np.asarray(self.kernel.sum_rate(p1, p2), dtype=float)
+        return 0.5 * np.log1p(p1) + 0.5 * np.log1p(p2)
 
     def user_rates(self, p1, p2):
         """Per-user achievable rates (r1, r2); they sum to ``sum_rate``."""
@@ -231,10 +162,7 @@ class RateModel:
             r1 = np.minimum(_asym_r1(p1, p2, a),
                             0.5 * np.log1p(b * p1 / (1.0 + p2)))
             return r1, 0.5 * np.log1p(p2)
-        if self.region is Region.VERY_STRONG:
-            return 0.5 * np.log1p(p1), 0.5 * np.log1p(p2)
-        r1, r2 = self.kernel.user_rates(p1, p2)
-        return np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
+        return 0.5 * np.log1p(p1), 0.5 * np.log1p(p2)
 
     def grad(self, p1, p2):
         """Analytic partials (d sum_rate/d p1, d sum_rate/d p2).
@@ -263,10 +191,7 @@ class RateModel:
                 d1 = np.where(on_b, self._b / den, d1)
                 d2 = np.where(on_b, 1.0 / den, d2)
             return d1, d2
-        if self.region is Region.VERY_STRONG:
-            return 0.5 / (1.0 + p1), 0.5 / (1.0 + p2)
-        d1, d2 = self.kernel.grad(p1, p2)
-        return np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
+        return 0.5 / (1.0 + p1), 0.5 / (1.0 + p2)
 
     def user_rate_partials(self, p1, p2):
         """Jacobian of (r1, r2) in (p1, p2): (d11, d12, d21, d22).
@@ -292,32 +217,13 @@ class RateModel:
                 d11 = np.where(on_b, self._b / den, d11)
                 d12 = np.where(on_b, 1.0 / den - d22, d12)
             return d11, d12, zero, d22
-        if self.region is Region.VERY_STRONG:
-            return 0.5 / (1.0 + p1), zero, zero, d22
-        step = 1e-6
-        ur = self.kernel.user_rates
-
-        def diff(fun, i):
-            if i == 0:
-                lo = np.maximum(p1 - step, 0.0)
-                return (np.asarray(fun(p1 + step, p2)) - np.asarray(fun(lo, p2))) / (p1 + step - lo)
-            lo = np.maximum(p2 - step, 0.0)
-            return (np.asarray(fun(p1, p2 + step)) - np.asarray(fun(p1, lo))) / (p2 + step - lo)
-
-        r1 = lambda x, y: ur(x, y)[0]
-        r2 = lambda x, y: ur(x, y)[1]
-        return diff(r1, 0), diff(r1, 1), diff(r2, 0), diff(r2, 1)
+        return 0.5 / (1.0 + p1), zero, zero, d22
 
 
-def build_rate_model(a: float, b: float, p1_max: float, p2_max: float,
-                     kernel: Optional[GenericKernel] = None) -> RateModel:
-    """Classify (a, b) against the peak powers and assemble the rate model.
-
-    For the generic region a kernel must be supplied (or use
-    ``interference_as_noise_kernel`` for experimentation).
-    """
-    tag = classify_region(a, b, p1_max, p2_max)
-    return RateModel(ChannelParams(a, b), tag, kernel=kernel)
+def build_rate_model(a: float, b: float, p1_max: float,
+                     p2_max: float) -> RateModel:
+    """Classify (a, b) against the peak powers and assemble the rate model."""
+    return RateModel(ChannelParams(a, b), classify_region(a, b, p1_max, p2_max))
 
 
 @dataclass(frozen=True)

@@ -22,16 +22,13 @@ without a probe, and ``verify_kkt`` gates the row as any other.  Otherwise the f
 the mean marginal at the even split, exact when the marginals are
 identical.  After each probe the step is, in order: Newton in
 1/level (every family's demand is close to alpha + beta/level) from the
-analytic demand slope; a secant step across the bracket where the family
-has no slope; bisection once both ends exist; and while the bracket has no
-low end, a descent that halves a positive level, jumps to -1 where the
-window's demand at level 0 falls short of the target, and doubles a
-negative one.  A fast step outside the bracket is not taken, and while fast
-steps do not cut the error 4x per probe they take every other turn only.
-Per-slot powers at a given level come from inverting f_i', analytically
-where possible and by safeguarded Newton or bisection otherwise.  Ties under flat
-marginals (linear utilities) are broken by consuming as late as possible,
-which keeps the output deterministic and maximizes forward flexibility.
+analytic demand slope; bisection once both ends exist; and while the
+bracket has no low end, a descent that halves the level, down to level 0,
+where every family's demand is infinite.  A fast step outside the bracket
+is not taken, and while fast steps do not cut the error 4x per probe they
+take every other turn only.  Per-slot powers at a given level come from
+inverting f_i', analytically where possible and by safeguarded Newton or
+bisection otherwise.
 
 There is one solve path and ``verify_kkt`` is its only gate: a policy whose
 residuals miss the tolerance raises ``ConvergenceError`` carrying that policy
@@ -39,10 +36,11 @@ and its residual.  No second method is tried.  A caller may offer a start
 row; if its certificate already meets the tolerance it is returned without
 a solve, so the same gate decides both outcomes.
 
-The closed-form families (``_CHECKED_EXACTLY``) check in their constructors
-the parameters that make them concave; any other utilities, subclasses of
-those families included, go through ``check_utilities``' sampling on every
-solve.
+The three closed-form families (``_CLOSED_FORM``), one per region with a
+known sum capacity, check in their constructors the parameters that make
+them concave.  ``solve_single_user`` accepts exactly these types and raises
+``InvalidUtilityError`` for any other, subclasses included: a subclass could
+override the marginal unchecked.
 """
 
 from __future__ import annotations
@@ -71,13 +69,15 @@ _FEAS_EPS = 1e-10
 class SlotUtilities:
     """Per-slot concave utilities f_i, given by their marginals f_i' alone.
 
-    The solver and its certificate read only f_i' (``deriv`` or ``deriv_at``;
-    a subclass overrides either one), its inverse and, optionally, the
-    inverse's slope.  ``inv_deriv(level, idx)`` returns per-slot (qmin,
-    qmax): the smallest and largest powers at which f_i' equals ``level`` (a
-    range only where f_i' is flat at that value; qmax may be inf).  qmin/qmax
-    are nonincreasing in the level, which is what the bracketed level search
-    relies on.
+    The solver and its certificate read only f_i' (``deriv_at(idx, p)`` on
+    slots ``idx``), its inverse and the inverse's slope.  Every family has a
+    positive, strictly decreasing marginal, so ``inv_deriv(level, idx)``
+    returns the one per-slot power at which f_i' equals ``level``: 0 where
+    f_i'(0) is at most the level, inf at levels at or below 0.  It is
+    nonincreasing in the level, which is what the bracketed level search
+    relies on.  ``inv_deriv_slope(level, idx, q)`` is d(total demand)/
+    d(level) at the demand ``q``, or None where it is not available; it
+    speeds up the level search, and correctness never depends on it.
     """
 
     n = 0
@@ -102,29 +102,13 @@ class SlotUtilities:
         return cached
 
     def demand_at_zero(self):
-        """Per-slot largest power at level 0 (``inv_deriv``'s qmax), cached
-        like ``deriv_at_zero``; inf wherever the marginal never reaches 0."""
+        """Per-slot power at level 0, cached like ``deriv_at_zero``: inf in
+        every family, whose marginal never reaches 0."""
         cached = getattr(self, "_q0_cache", None)
         if cached is None:
-            cached = self.inv_deriv(0.0)[1]
+            cached = self.inv_deriv(0.0)
             self._q0_cache = cached
         return cached
-
-    def deriv_at(self, idx, p):
-        """f_i'(p) on slots ``idx`` only, for powers ``p`` of those slots."""
-        full = np.zeros(self.n)
-        full[idx] = p
-        return self.deriv(full)[idx]
-
-    def inv_deriv(self, level, idx=None):
-        raise NotImplementedError
-
-    def inv_deriv_slope(self, level, idx, qmin):
-        """d(total demand)/d(level) at this level, or None when unavailable.
-
-        Speeds up the level search; correctness never depends on it.
-        """
-        return None
 
     def _all_idx(self, idx):
         return np.arange(self.n) if idx is None else np.asarray(idx)
@@ -179,7 +163,7 @@ def _finite(values, name):
 
 
 def _bisect_inv(deriv_fn, level, n, hi_start=1.0):
-    """Generic monotone inverse of a vectorized nonincreasing derivative."""
+    """Monotone inverse of a vectorized nonincreasing derivative, by bisection."""
     lo = np.zeros(n)
     d0 = deriv_fn(lo)
     done_zero = d0 <= level
@@ -194,8 +178,7 @@ def _bisect_inv(deriv_fn, level, n, hi_start=1.0):
         above = deriv_fn(mid) > level
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
-    q = np.where(done_zero, 0.0, 0.5 * (lo + hi))
-    return q, q.copy()
+    return np.where(done_zero, 0.0, 0.5 * (lo + hi))
 
 
 class ScaledLogUtilities(SlotUtilities):
@@ -213,37 +196,14 @@ class ScaledLogUtilities(SlotUtilities):
 
     def inv_deriv(self, level, idx=None):
         idx = self._all_idx(idx)
-        h = self.h[idx]
         if level <= 0.0:
-            q = np.full(idx.shape, _INF)
-            return q, q
-        q = np.maximum(0.0, 1.0 / (2.0 * level) - 1.0 / h)
-        return q, q
+            return np.full(idx.shape, _INF)
+        return np.maximum(0.0, 1.0 / (2.0 * level) - 1.0 / self.h[idx])
 
-    def inv_deriv_slope(self, level, idx, qmin):
+    def inv_deriv_slope(self, level, idx, q):
         if level <= 0.0:
             return None
-        return -float(np.count_nonzero(qmin > 0.0)) / (2.0 * level * level)
-
-
-class LinearUtilities(SlotUtilities):
-    """f_i(p) = c_i p: flat marginal, used for linear power-rate curves."""
-
-    def __init__(self, slope):
-        self.slope = _finite(slope, "slopes")
-        self.n = self.slope.shape[0]
-        if np.any(self.slope < 0):
-            raise InvalidUtilityError("slopes must be nonnegative")
-
-    def deriv_at(self, idx, p):
-        return np.broadcast_to(self.slope[idx], np.shape(p)).copy()
-
-    def inv_deriv(self, level, idx=None):
-        idx = self._all_idx(idx)
-        c = self.slope[idx]
-        qmin = np.where(c > level, _INF, 0.0)
-        qmax = np.where(c >= level, _INF, 0.0)
-        return qmin, qmax
+        return -float(np.count_nonzero(q > 0.0)) / (2.0 * level * level)
 
 
 class InterferedUtilities(SlotUtilities):
@@ -288,13 +248,11 @@ class InterferedUtilities(SlotUtilities):
         po = self.p_other[idx]
         a = self.a
         if level <= 0.0:
-            q = np.full(idx.shape, _INF)
-            return q, q
+            return np.full(idx.shape, _INF)
         zero = self.deriv_at_zero()[idx] <= level
         hi = max(0.0, 1.0 / (2.0 * level) - 1.0)   # f' <= 1/(2(1+p))
         if a == 0.0 or hi == 0.0:
-            q = np.where(zero, 0.0, hi)
-            return q, q
+            return np.where(zero, 0.0, hi)
         # clearing denominators turns f'(x) = level into a cubic in x with a
         # single root on [0, hi]; two Newton polish steps absorb roundoff
         k2, k1, k0, m0 = self._cubic_terms()
@@ -320,12 +278,10 @@ class InterferedUtilities(SlotUtilities):
         bad &= ~zero
         if bad.any():
             sub = idx[bad]
-            x_bad, _ = _bisect_inv(
+            x[bad] = _bisect_inv(
                 lambda pp: self.deriv_at(sub, pp), level, sub.shape[0],
                 hi_start=max(hi, 1.0))
-            x[bad] = x_bad
-        q = np.where(zero, 0.0, x)
-        return q, q
+        return np.where(zero, 0.0, x)
 
     def _cubic_terms(self):
         """The parts of the cubic's coefficients that depend on p_other only.
@@ -349,13 +305,13 @@ class InterferedUtilities(SlotUtilities):
         return -a * po / (2.0 * (1.0 + po + a * p) * base) \
             + 1.0 / (2.0 * (1.0 + p))
 
-    def inv_deriv_slope(self, level, idx, qmin):
+    def inv_deriv_slope(self, level, idx, q):
         # d q / d level summed over slots with positive power
         po = self.p_other[idx]
-        active = qmin > 0.0
+        active = q > 0.0
         if not np.any(active):
             return 0.0
-        _, curv = self._deriv_curv(qmin[active], po[active])
+        _, curv = self._deriv_curv(q[active], po[active])
         return float(np.sum(1.0 / curv))
 
 
@@ -411,8 +367,7 @@ class PiecewiseMinUtilities(SlotUtilities):
         if not math.isfinite(self.p_c):
             return self._branch1.inv_deriv(level, idx)
         if level <= 0.0:
-            q = np.full(idx.shape, _INF)
-            return q, q.copy()
+            return np.full(idx.shape, _INF)
         # one-sided derivatives at the kink
         pc = self.p_c
         d_hi = self._branch1.deriv_at(idx, pc)
@@ -422,20 +377,19 @@ class PiecewiseMinUtilities(SlotUtilities):
         on2 = level < d_lo            # strictly inside branch 2, q > p_c
         at_kink = ~on1 & ~on2
         if np.any(on1):
-            q1, _ = self._branch1.inv_deriv(level, idx[on1])
-            q[on1] = np.minimum(q1, pc)
+            q[on1] = np.minimum(self._branch1.inv_deriv(level, idx[on1]), pc)
         if np.any(on2):
             q[on2] = np.maximum(pc, 1.0 / (2.0 * level) - 1.0 - self.b * po[on2])
         q[at_kink] = pc
-        return q, q
+        return q
 
-    def inv_deriv_slope(self, level, idx, qmin):
+    def inv_deriv_slope(self, level, idx, q):
         if level <= 0.0 or not math.isfinite(self.p_c):
-            return self._branch1.inv_deriv_slope(level, idx, qmin)
-        active = qmin > 0.0
+            return self._branch1.inv_deriv_slope(level, idx, q)
+        active = q > 0.0
         if not np.any(active):
             return 0.0
-        q = qmin[active]
+        q = q[active]
         po = self.p_other[idx][active]
         tol = 1e-9 * (1.0 + self.p_c)
         slope = np.zeros(q.shape)
@@ -447,49 +401,14 @@ class PiecewiseMinUtilities(SlotUtilities):
         return float(np.sum(slope))
 
 
-class GenericSlotUtilities(SlotUtilities):
-    """Utilities on ``n`` slots given by their derivative ``deriv_fn(p)``,
-    which maps a power vector to per-slot marginals; the derivative inverse
-    is by bisection."""
-
-    def __init__(self, deriv_fn, n):
-        self._deriv_fn = deriv_fn
-        self.n = n
-
-    def deriv(self, p):
-        return np.asarray(self._deriv_fn(p), dtype=float)
-
-    def inv_deriv(self, level, idx=None):
-        idx = self._all_idx(idx)
-        return _bisect_inv(lambda sub: self.deriv_at(idx, sub), level,
-                           idx.shape[0])
-
-
-def check_utilities(utilities: SlotUtilities, p_max: float):
-    """Sampled concavity check: f' must be nonincreasing on [0, p_max].
-
-    ``solve_single_user`` skips it for instances of exactly the closed-form
-    classes in ``_CHECKED_EXACTLY``: their constructors check the parameters
-    that make them concave, finite and differentiable, which is exact where
-    33 samples are not.  A subclass may override ``deriv`` or ``deriv_at``
-    and is sampled.
-    """
-    grid = np.linspace(0.0, max(p_max, 1e-6), 33)
-    derivs = np.stack([utilities.deriv(np.full(utilities.n, g)) for g in grid])
-    if not np.all(np.isfinite(derivs)):
-        raise InvalidUtilityError("utility derivative is not finite")
-    slack = 1e-9 * (1.0 + np.max(np.abs(derivs)))
-    if np.any(np.diff(derivs, axis=0) > slack):
-        raise InvalidUtilityError(
-            "utility derivative increases somewhere on the sampled grid")
-
-
-_CHECKED_EXACTLY = (ScaledLogUtilities, LinearUtilities, InterferedUtilities,
-                    PiecewiseMinUtilities)
+# the only types ``solve_single_user`` accepts: the slot utilities of the
+# three regions with a known sum capacity
+_CLOSED_FORM = (ScaledLogUtilities, InterferedUtilities,
+                PiecewiseMinUtilities)
 # the closed-form families whose derivative inverse is a root solve; for
 # these ``_equalize`` returns the even split of a window whose marginals are
 # all equal there without a probe.  ScaledLog's inverse costs no more than
-# that check, and Linear keeps its consume-late tie rule
+# that check
 _ROOT_SOLVED_INVERSE = (InterferedUtilities, PiecewiseMinUtilities)
 
 
@@ -498,31 +417,24 @@ _ROOT_SOLVED_INVERSE = (InterferedUtilities, PiecewiseMinUtilities)
 # ---------------------------------------------------------------------------
 
 def _equalize(utilities, idx, target):
-    """Common-level allocation of ``target`` total power over slots ``idx``.
-
-    Flat stretches of f' are resolved by assigning the slack to the latest
-    slots first.
-    """
+    """Common-level allocation of ``target`` total power over slots ``idx``."""
     m = idx.shape[0]
     if target <= 1e-15 * (1.0 + abs(target)):
         return np.zeros(m)
-    # the bracket: total demand (qmin side) is above the target at lo and at
-    # most the target at hi.  lo stays open until a probe's demand (qmax
-    # side) covers the target
+    # the bracket: total demand is above the target at lo and at most the
+    # target at hi.  lo stays open until a probe's demand exceeds the target
     lo, hi = -_INF, float(np.max(utilities.deriv_at_zero()[idx]))
-    t_lo, t_hi = None, 0.0   # total demand at lo and hi
-    at_lo = at_hi = None     # (qmin, qmax) probed at lo and hi
+    at_lo = at_hi = None     # demand probed at lo and hi
     exit_tol = 1e-12 * (1.0 + target)
     # root search on the monotone total-demand curve.  The first probe is
     # the mean marginal at the even split: exact when the window's marginals
     # are identical.  Every family's demand is close to alpha + beta/level
     # (exact for ScaledLog on a fixed active set), so the fast step is Newton
-    # in 1/level on the analytic slope, else a secant step across the
-    # bracket.  Without a fast step, and on the turn after any probe that
-    # did not cut the error 4x, bisection takes over, so a closed bracket
-    # provably halves every other probe; while lo is open the level descends
-    # instead, into negative levels where the window's demand at level 0
-    # falls short of the target
+    # in 1/level on the analytic slope.  Without a fast step, and on the
+    # turn after any probe that did not cut the error 4x, bisection takes
+    # over, so a closed bracket provably halves every other probe; while lo
+    # is open the level halves instead, down to 0, where every family's
+    # demand is infinite
     even = np.full(m, target / m)
     marg = utilities.deriv_at(idx, even)
     if type(utilities) in _ROOT_SOLVED_INVERSE and np.all(marg == marg[0]):
@@ -535,23 +447,23 @@ def _equalize(utilities, idx, target):
     fast_turn = False
     last_err = _INF
     for _ in range(200):
-        qmin, qmax = utilities.inv_deriv(mid, idx)
-        tmin = float(np.sum(qmin))
-        err = abs(tmin - target)
+        q = utilities.inv_deriv(mid, idx)
+        total = float(np.sum(q))
+        err = abs(total - target)
         # stay on Newton while it contracts quadratically, else alternate
         fast_turn = (err <= 0.25 * last_err) or not fast_turn
         last_err = err
-        if tmin > target:
-            lo, t_lo, at_lo = mid, tmin, (qmin, qmax)
+        if total > target:
+            lo, at_lo = mid, q
             if err <= exit_tol:
                 hi, at_hi = lo, at_lo   # overshoot is dust; trimmed below
                 break
-        elif np.sum(qmax) >= target:
+        elif total == target:
             lo = hi = mid
-            at_lo = at_hi = (qmin, qmax)
+            at_lo = at_hi = q
             break
         else:
-            hi, t_hi, at_hi = mid, tmin, (qmin, qmax)
+            hi, at_hi = mid, q
             if err <= exit_tol:
                 break
         if at_lo is not None and \
@@ -559,46 +471,40 @@ def _equalize(utilities, idx, target):
             break
         step = None
         if fast_turn:
-            slope = utilities.inv_deriv_slope(mid, idx, qmin)
+            slope = utilities.inv_deriv_slope(mid, idx, q)
             if slope is not None and np.isfinite(slope) and slope < 0.0:
-                # fit tmin = alpha + beta/mid with this slope
+                # fit total = alpha + beta/mid with this slope
                 beta = -slope * mid * mid
-                alpha = tmin + slope * mid
+                alpha = total + slope * mid
                 if mid > 0.0 and target > alpha:
                     step = beta / (target - alpha)
-            elif t_lo is not None and np.isfinite(t_lo) and t_lo > t_hi:
-                step = lo + (t_lo - target) * (hi - lo) / (t_lo - t_hi)
         if step is not None and lo < step < hi:
             mid = step
         elif at_lo is not None:
             mid = 0.5 * (lo + hi)
-        elif mid > 0.0 and \
-                float(np.sum(utilities.demand_at_zero()[idx])) >= target:
-            mid = 0.0 if mid < 1e-280 else 0.5 * mid
         else:
-            mid = 2.0 * mid if mid < 0.0 else -1.0
+            mid = 0.0 if mid < 1e-280 else 0.5 * mid
     else:
         if at_lo is None:
             raise ConvergenceError(
                 "forced consumption exceeds the range of the slot utilities")
     if at_hi is None:   # hi is still max f'(0), never probed
         at_hi = utilities.inv_deriv(hi, idx)
-    return _distribute_late(at_hi[0], None if at_lo is None else at_lo[1],
-                            target)
+    return _distribute_late(at_hi, at_lo, target)
 
 
-def _distribute_late(powers, qmax_lo, target):
+def _distribute_late(powers, q_lo, target):
     """Trim the demand ``powers`` at the bracket's high end to ``target``.
 
     What is missing goes to the latest slots first, each up to its demand
-    ``qmax_lo`` at the low end (None when no low end was probed: then any
-    slot with power can take more, as a hair lower level would give it);
-    what is over comes off the latest slots first.
+    ``q_lo`` at the low end (None when no low end was probed: then any slot
+    with power can take more, as a hair lower level would give it); what is
+    over comes off the latest slots first.
     """
     extra = target - float(np.sum(powers))
     if extra > 0.0:
-        room = (np.where(powers > 0.0, _INF, 0.0) if qmax_lo is None
-                else qmax_lo - powers).tolist()
+        room = (np.where(powers > 0.0, _INF, 0.0) if q_lo is None
+                else q_lo - powers).tolist()
     # the loops run on Python floats: the same IEEE operations as on numpy
     # scalars, at a fraction of the cost per slot
     m = powers.shape[0]
@@ -850,9 +756,12 @@ def solve_single_user(utilities: SlotUtilities, harvest: HarvestProfile,
     if utilities.n != n:
         raise InvalidUtilityError(
             f"{utilities.n} slot utilities for {n} slots")
+    if type(utilities) not in _CLOSED_FORM:
+        raise InvalidUtilityError(
+            f"{type(utilities).__name__} is not one of the closed-form slot "
+            "utility families "
+            f"({', '.join(cls.__name__ for cls in _CLOSED_FORM)})")
     tau = grid.tau
-    if type(utilities) not in _CHECKED_EXACTLY:
-        check_utilities(utilities, float(np.sum(harvest.arrivals)) / tau)
     lower, upper = energy_bounds(harvest, tau)
     z_total = _total_at_level_zero(utilities.demand_at_zero(), tau, lower,
                                    upper)

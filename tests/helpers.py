@@ -4,7 +4,7 @@ import numpy as np
 
 from ehic.model import (DataProfile, HarvestProfile, Scenario, TimeGrid, User,
                         validate_scenario)
-from ehic.rates import ChannelParams, GenericKernel
+from ehic.rates import ChannelParams
 
 
 def two_user_scenario(e1, e2, emax, a, b, tau=1.0, b1=None, b2=None,
@@ -29,19 +29,6 @@ def single_user_scenario(e, emax, b_arr=None, tau=1.0, a=0.5, b=2.0,
     return two_user_scenario(e, np.zeros_like(e), emax, a, b, tau=tau,
                              b1=b_arr,
                              emax2=partner_emax if partner_emax else emax)
-
-
-def linear_rate_kernel(tau=1.0):
-    """Sum rate (p1 + p2)/tau: the linear power-rate curve used in tap/pump
-    walkthroughs; concave and monotone, so it passes kernel validation."""
-    def as_arr(x):
-        return np.asarray(x, dtype=float)
-
-    return GenericKernel(
-        sum_rate=lambda p1, p2: (as_arr(p1) + as_arr(p2)) / tau,
-        user_rates=lambda p1, p2: (as_arr(p1) / tau, as_arr(p2) / tau),
-        grad=lambda p1, p2: (np.ones_like(as_arr(p1)) / tau,
-                             np.ones_like(as_arr(p2)) / tau))
 
 
 def lattice_arrivals(rng, n, emax, step=0.05):
@@ -169,8 +156,8 @@ def bisect_equalize(utilities, idx, target):
     if target <= 1e-15 * (1.0 + abs(target)):
         return np.zeros(m)
     hi = float(np.max(utilities.deriv_at_zero()[idx]))
-    # find lo with total demand at least target (qmax side): descend from hi
-    # through 0 and into negative levels if the utilities ever slope down
+    # find lo with total demand at least target: descend from hi through 0
+    # and into negative levels if the utilities ever slope down
     lo = None
     level = hi
     for _ in range(200):
@@ -180,8 +167,7 @@ def bisect_equalize(utilities, idx, target):
             level = -1.0
         else:
             level = 2.0 * level
-        _, qmax = utilities.inv_deriv(level, idx)
-        if np.sum(qmax) >= target:
+        if np.sum(utilities.inv_deriv(level, idx)) >= target:
             lo = level
             break
     if lo is None:
@@ -214,7 +200,7 @@ def bisect_equalize(utilities, idx, target):
                     mid = min(max(mid, lo + 0.02 * width), hi - 0.02 * width)
         if mid is None:
             mid = 0.5 * (lo + hi)
-        qmin, qmax = utilities.inv_deriv(mid, idx)
+        qmin = qmax = utilities.inv_deriv(mid, idx)
         tmin = float(np.sum(qmin))
         err = abs(tmin - target)
         # stay on Newton while it contracts quadratically, else alternate
@@ -235,8 +221,8 @@ def bisect_equalize(utilities, idx, target):
             hi, t_hi = mid, tmin
             if err <= exit_tol:
                 break
-    qmin, _ = utilities.inv_deriv(hi, idx)
-    _, qmax = utilities.inv_deriv(lo, idx)
+    qmin = utilities.inv_deriv(hi, idx)
+    qmax = utilities.inv_deriv(lo, idx)
     powers = qmin.copy()
     extra = target - float(np.sum(powers))
     if extra > 0.0:

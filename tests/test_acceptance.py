@@ -269,10 +269,6 @@ def test_c12_rate_property_suites():
         build_rate_model(0.5, 1.5, 10.0, 10.0),
         build_rate_model(50.0, 50.0, 2.0, 2.0),
     ]
-    from ehic.rates import interference_as_noise_kernel
-    models.append(build_rate_model(0.1, 0.2, 10.0, 10.0,
-                                   kernel=interference_as_noise_kernel(0.1,
-                                                                       0.2)))
     rng = np.random.default_rng(505)
     step = 1e-6
     for model in models:

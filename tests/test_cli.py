@@ -489,6 +489,26 @@ class TestMainExitCodes:
         assert err["error"] == "InvalidInputError" and flag in err["message"]
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["solve-offline", "solve-data",
+                                         "online-dp", "naive", "distributed",
+                                         "oracle"])
+    def test_channel_without_known_sum_capacity_is_2(self, tmp_path, capsys,
+                                                      command):
+        # a = b = 0.5 lies outside the three regions with a known sum
+        # capacity; the generator accepts it, every solver refuses it
+        scen_path = str(tmp_path / "weak.json")
+        assert main(["gen-scenario", "--n", "8", "--seed", "3", "--a", "0.5",
+                     "--b", "0.5", "--out", scen_path]) == 0
+        capsys.readouterr()
+        argv = [command, "--scenario", scen_path]
+        if command in ("online-dp", "oracle"):
+            argv += ["--grid", "0.5"]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InvalidInputError"
+        assert "no known sum capacity" in err["message"]
+        assert not (tmp_path / "x").exists()
+
     def test_missing_file_is_2(self, tmp_path):
         assert main(["solve-offline", "--scenario",
                      str(tmp_path / "nope.json"),

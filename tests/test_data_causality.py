@@ -1,6 +1,7 @@
 """Penalty-method data-causality solver: violation accounting, contradiction
 resolution and agreement with the exhaustive search."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +16,7 @@ from ehic.model import DataProfile, User, feasibility_report
 from ehic.oracle import OracleOptions, brute_force
 from ehic.rates import build_rate_model
 
-from helpers import (linear_rate_kernel, single_user_scenario,
-                     two_user_scenario)
+from helpers import single_user_scenario, two_user_scenario
 
 
 class TestViolation:
@@ -27,13 +27,15 @@ class TestViolation:
                               np.zeros((2, 2)))
 
     def test_departure_before_arrival(self):
-        # user 1 sends 0.3 bits in slot 1 against an empty queue
-        kernel = linear_rate_kernel()
-        scen = two_user_scenario([1.0, 1.0], [0.0, 0.0], 2.0, 0.0, 0.0,
+        # user 1 sends (1/2)ln(1.3) nats in slot 1 against an empty queue
+        # (very strong region, decoupled rates)
+        scen = two_user_scenario([1.0, 1.0], [0.0, 0.0], 2.0, 50.0, 50.0,
                                  b1=[0.0, 10.0])
-        rm = build_rate_model(0.0, 0.0, 2.0, 2.0, kernel=kernel)
+        rm = build_rate_model(50.0, 50.0, 2.0, 2.0)
         c = violation([[0.3, 0.0], [0.0, 0.0]], scen, rm)
-        assert c[0, 0] == pytest.approx(0.3)
+        assert c[0, 0] == pytest.approx(0.5 * math.log(1.3), rel=1e-12)
+        assert c[0, 0] == pytest.approx(0.13118, abs=5e-6)
+        assert c[0, 1] == 0.0
         assert c[1].max() == 0.0
 
     def test_matches_feasibility_report(self):
@@ -119,15 +121,24 @@ class TestSolveWithData:
         assert np.array_equal(p_data, p_off)
 
     def test_linear_walkthrough_matches_oracle(self):
-        kernel = linear_rate_kernel()
+        # the walkthrough's arrivals in the very strong region, whose
+        # decoupled rates (1/2)ln(1 + p) make it a single-user problem.  No
+        # data arrives before slot 2, and slot 3's arrival fills the battery
+        # of 1, so slot 2 spends slot 1's unit; the last 1.5 units spread
+        # evenly over slots 3-5, which the data allow.  The best policy is
+        # [0, 1, 0.5, 0.5, 0.5], worth ln 2/2 + 3 ln 1.5/2 nats.
+        # It lies on the oracle's lattice of step 0.05, where the
+        # incommensurable log rates keep the bit states few enough
         scen = single_user_scenario([1, 0, 1, 0.5, 0], 1.0,
                                     b_arr=[0, 1.5, 0, 0.2, 1],
-                                    partner_emax=0.01)
-        rm = build_rate_model(0.0, 0.0, 1.0, 1.0, kernel=kernel)
+                                    a=50.0, b=50.0, partner_emax=0.01)
+        rm = build_rate_model(50.0, 50.0, 1.0, 1.0)
         policy, report = solve_with_data(scen, rm)
         obj = joint_objective(policy, scen, rm)
-        _, obj_oracle = brute_force(
-            scen, rm, OracleOptions(0.01, max_enumeration=30_000_000))
+        oracle_policy, obj_oracle = brute_force(scen, rm, OracleOptions(0.05))
+        assert np.array_equal(oracle_policy[0], [0.0, 1.0, 0.5, 0.5, 0.5])
+        assert obj_oracle == pytest.approx(
+            0.5 * math.log(2.0) + 1.5 * math.log(1.5), rel=1e-12)
         assert report.final_violation <= 1e-4
         assert abs(obj - obj_oracle) <= 0.01 * abs(obj_oracle)
 

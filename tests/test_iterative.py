@@ -21,7 +21,7 @@ from ehic.iterative import (band_solve, build_subproblem, feasible_floor,
                             joint_objective, joint_start)
 from ehic.model import HarvestProfile, TimeGrid, energy_bounds
 from ehic.online import naive_policy
-from ehic.rates import Region, build_rate_model, interference_as_noise_kernel
+from ehic.rates import Region, build_rate_model
 from ehic.single_user import ScaledLogUtilities, solve_single_user, verify_kkt
 
 from helpers import lattice_arrivals, two_user_scenario
@@ -47,11 +47,11 @@ def _iterate_from(start, scen, rm):
         return iterate_offline(scen, rm)
 
 
-def _assert_marginals_are_partials(a, b, p_max, kernel=None):
+def _assert_marginals_are_partials(a, b, p_max):
     """Each user's subproblem marginal equals the joint rate's partial in that
     user's power at 200 random power pairs: the one property of the slot
     utilities that the single-user solver and its certificate read."""
-    rm = build_rate_model(a, b, p_max, p_max, kernel=kernel)
+    rm = build_rate_model(a, b, p_max, p_max)
     n = 200
     scen = two_user_scenario(np.ones(n), np.ones(n), p_max, a, b)
     policy = np.random.default_rng(12).uniform(0.0, p_max, (2, n))
@@ -84,14 +84,12 @@ class TestBuildSubproblem:
         assert utils.deriv(np.zeros(1))[0] == pytest.approx(0.5 / (10.0 / 3.0))
 
     def test_objectives_comparable_across_users(self):
-        # a*b > 1, min-form (p_c = 2, so both branches), very strong, generic
-        for a, b, p_max, kernel, region in [
-                (0.9, 2.0, 10.0, None, Region.ASYMMETRIC_AB_ABOVE_ONE),
-                (0.5, 1.5, 10.0, None, Region.ASYMMETRIC_AB_AT_MOST_ONE),
-                (50.0, 50.0, 2.0, None, Region.VERY_STRONG),
-                (0.1, 0.2, 10.0, interference_as_noise_kernel(0.1, 0.2),
-                 Region.GENERIC)]:
-            rm = _assert_marginals_are_partials(a, b, p_max, kernel)
+        # a*b > 1, min-form (p_c = 2, so both branches), very strong
+        for a, b, p_max, region in [
+                (0.9, 2.0, 10.0, Region.ASYMMETRIC_AB_ABOVE_ONE),
+                (0.5, 1.5, 10.0, Region.ASYMMETRIC_AB_AT_MOST_ONE),
+                (50.0, 50.0, 2.0, Region.VERY_STRONG)]:
+            rm = _assert_marginals_are_partials(a, b, p_max)
             assert rm.region is region and not rm.mirrored
 
     def test_mirrored_dispatch(self):
@@ -103,9 +101,9 @@ class TestBuildSubproblem:
 
 class TestIterateOffline:
     def test_decoupled_kernel_converges_in_one_sweep(self):
-        kernel = interference_as_noise_kernel(0.0, 0.0)
-        rm = build_rate_model(0.0, 0.0, 2.0, 2.0, kernel=kernel)
-        scen = two_user_scenario([2.0, 0.0], [0.0, 2.0], 2.0, 0.0, 0.0)
+        # the very strong region: each receiver removes the interference
+        rm = build_rate_model(50.0, 50.0, 2.0, 2.0)
+        scen = two_user_scenario([2.0, 0.0], [0.0, 2.0], 2.0, 50.0, 50.0)
         policy, report = iterate_offline(scen, rm)
         # each user's block equals the independent single-user solution
         for j in range(2):

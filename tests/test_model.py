@@ -12,9 +12,9 @@ from ehic.model import (DataProfile, HarvestProfile, Scenario, TimeGrid, User,
                         cumulative_departure, feasibility_report,
                         scenario_from_dict, scenario_to_dict,
                         validate_scenario)
-from ehic.rates import ChannelParams, build_rate_model
+from ehic.rates import ChannelParams, Region, build_rate_model
 
-from helpers import linear_rate_kernel, two_user_scenario
+from helpers import two_user_scenario
 
 
 def _raw(e1, e2, emax, n=None, tau=1.0):
@@ -84,17 +84,19 @@ class TestFeasibilityReport:
 
     def test_data_violation_on_linear_walkthrough(self):
         # placing the harvests directly as powers sends bits before any data
-        # has arrived in slot 1
-        kernel = linear_rate_kernel()
-        scen = two_user_scenario([1, 0, 1, 0.5, 0], np.zeros(5), 1.0, 0.0, 0.0,
-                                 b1=[0, 1.5, 0, 0.2, 1])
-        rm = build_rate_model(0.0, 0.0, 1.0, 1.0, kernel=kernel)
+        # has arrived in slot 1.  Very strong region: user 1's rate is
+        # (1/2)ln(1 + p), so the bits sent through slots 1-5 are
+        # ln 2/2, ln 2/2, ln 2, ln 2 + ln 1.5/2, the same, against data
+        # 0, 1.5, 1.5, 1.7, 2.7: only slot 1 violates, by ln 2/2
+        scen = two_user_scenario([1, 0, 1, 0.5, 0], np.zeros(5), 1.0, 50.0,
+                                 50.0, b1=[0, 1.5, 0, 0.2, 1])
+        rm = build_rate_model(50.0, 50.0, 1.0, 1.0)
+        assert rm.region is Region.VERY_STRONG
         policy = np.vstack([scen.users[0].harvest.arrivals, np.zeros(5)])
         rep = feasibility_report(policy, scen, rm)
-        data = np.maximum(0.0, np.cumsum(policy[0])
-                          - np.cumsum([0, 1.5, 0, 0.2, 1]))
-        assert data[0] > 0
-        assert rep.data_causality.magnitude == pytest.approx(np.max(data))
+        assert rep.data_causality.magnitude == pytest.approx(0.5 * math.log(2),
+                                                             rel=1e-12)
+        assert rep.data_causality.slot == 0 and rep.data_causality.user == 0
         assert rep.energy_causality.magnitude == 0.0
 
     def test_shape_mismatch(self):

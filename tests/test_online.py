@@ -13,7 +13,7 @@ from ehic.iterative import build_subproblem, iterate_offline, joint_objective
 from ehic.model import HarvestProfile, TimeGrid, energy_bounds, scenario_to_dict
 from ehic.online import (ArrivalDistribution, StateGrid, distributed_policy,
                          naive_policy, rollout_table, value_iteration)
-from ehic.rates import Region, build_rate_model, interference_as_noise_kernel
+from ehic.rates import Region, build_rate_model
 from ehic.single_user import ScaledLogUtilities, solve_single_user, verify_kkt
 
 from helpers import loop_value_iteration, two_user_scenario
@@ -263,13 +263,6 @@ def _generated(a, b, n=20, tau=1.0, seed=3):
     return scen, _rate_model_for(scen)
 
 
-def _generic_case():
-    scen = gen_scenario(20, 1.0, 10.0, 5.0, 4, 0.1, 0.2)
-    rm = build_rate_model(0.1, 0.2, 10.0, 10.0,
-                          kernel=interference_as_noise_kernel(0.1, 0.2))
-    return scen, rm
-
-
 def _fixed(e1, e2, emax, a=0.7, b=5.0, tau=1.0):
     scen = two_user_scenario(e1, e2, emax, a, b, tau=tau)
     return scen, build_rate_model(a, b, emax / tau, emax / tau)
@@ -280,7 +273,6 @@ DISTRIBUTED_CASES = {
     "min-form": lambda: _generated(0.5, 1.5),
     "mirrored": lambda: _generated(3.0, 0.6, tau=0.7),
     "very-strong": lambda: _generated(20.0, 30.0),
-    "generic-kernel": _generic_case,
     "tau-0.5-long": lambda: _generated(0.7, 5.0, n=60, tau=0.5, seed=8),
     "one-slot": lambda: _generated(0.7, 5.0, n=1, seed=2),
     "zero-harvest": lambda: _fixed(np.zeros(5), [1.0, 0.0, 2.0, 0.5, 1.0],
@@ -333,14 +325,13 @@ class TestDistributed:
         assert np.allclose(distributed_policy(scen, 0), ref, atol=1e-12)
 
     def test_case_regions(self):
-        names = ("ab-above-one", "min-form", "mirrored", "very-strong",
-                 "generic-kernel")
+        names = ("ab-above-one", "min-form", "mirrored", "very-strong")
         tags = [(rm.region, rm.mirrored) for rm in
                 (DISTRIBUTED_CASES[name]()[1] for name in names)]
         assert tags == [(Region.ASYMMETRIC_AB_ABOVE_ONE, False),
                         (Region.ASYMMETRIC_AB_AT_MOST_ONE, False),
                         (Region.ASYMMETRIC_AB_ABOVE_ONE, True),
-                        (Region.VERY_STRONG, False), (Region.GENERIC, False)]
+                        (Region.VERY_STRONG, False)]
 
     @pytest.mark.parametrize("case", sorted(DISTRIBUTED_CASES))
     def test_matches_the_water_filling_definition(self, case):

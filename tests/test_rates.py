@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from ehic.errors import InvalidInputError
-from ehic.rates import (ChannelParams, GenericKernel, RateModel, Region,
-                        build_rate_model, classify_region,
-                        interference_as_noise_kernel, normalize_channel)
+from ehic.rates import (Region, build_rate_model, classify_region,
+                        normalize_channel)
 
 LN = math.log
 
@@ -27,16 +26,23 @@ class TestClassify:
 
     def test_very_strong_requires_power_bounds(self):
         assert classify_region(4.0, 4.0, 2.0, 2.0).region is Region.VERY_STRONG
-        # with larger peak powers the decode argument fails
-        assert classify_region(4.0, 4.0, 5.0, 5.0).region is not Region.VERY_STRONG
+        # with larger peak powers the decode argument fails, and two strong
+        # cross gains outside it have no known sum capacity
+        with pytest.raises(InvalidInputError, match="no known sum capacity"):
+            classify_region(4.0, 4.0, 5.0, 5.0)
 
     def test_mirrored_orientation(self):
         tag = classify_region(2.0, 0.9, 10.0, 10.0)
         assert tag.mirrored
         assert tag.region is Region.ASYMMETRIC_AB_ABOVE_ONE
 
-    def test_weak_pair_is_generic(self):
-        assert classify_region(0.5, 0.5, 5.0, 5.0).region is Region.GENERIC
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.0, 0.0), (0.9, 0.99),
+                                      (1.5, 1.2)])
+    def test_other_gains_have_no_known_sum_capacity(self, a, b):
+        with pytest.raises(InvalidInputError, match="no known sum capacity"):
+            classify_region(a, b, 5.0, 5.0)
+        with pytest.raises(InvalidInputError, match="no known sum capacity"):
+            build_rate_model(a, b, 5.0, 5.0)
 
     def test_negative_gain_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -187,8 +193,7 @@ class TestKernelPath:
     def test_grad_is_column_sum_of_partials(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(0.0, 10.0, (500, 2))
-        # the closed-form regions: all models but the generic one
-        for model in _all_models()[:3] + _mirrored_models():
+        for model in _all_models() + _mirrored_models():
             d11, d12, d21, d22 = model.user_rate_partials(pts[:, 0], pts[:, 1])
             d1, d2 = model.grad(pts[:, 0], pts[:, 1])
             assert np.allclose(d1, d11 + d21, rtol=1e-13, atol=1e-15)
@@ -228,32 +233,6 @@ class TestMonotoneConcave:
             assert np.min(mid - avg) >= -1e-12
 
 
-class TestGenericKernel:
-    def test_missing_kernel_rejected(self):
-        with pytest.raises(InvalidInputError):
-            build_rate_model(0.5, 0.5, 5.0, 5.0)
-
-    def test_nonconcave_kernel_rejected(self):
-        # treating strong interference as noise is not jointly concave
-        with pytest.raises(InvalidInputError):
-            build_rate_model(0.3, 0.3, 5.0, 5.0,
-                             kernel=interference_as_noise_kernel(6.0, 6.0))
-
-    def test_kernel_requires_rates_and_gradient(self):
-        f = lambda p1, p2: (p1, p2)
-        with pytest.raises(TypeError):
-            GenericKernel(sum_rate=f, user_rates=f)
-        with pytest.raises(TypeError):
-            GenericKernel(sum_rate=f, grad=f)
-
-    def test_noise_kernel_small_gains_accepted(self):
-        model = build_rate_model(0.1, 0.2, 5.0, 5.0,
-                                 kernel=interference_as_noise_kernel(0.1, 0.2))
-        assert model.region is Region.GENERIC
-        r1, r2 = model.user_rates(1.0, 2.0)
-        assert r1 + r2 == pytest.approx(model.sum_rate(1.0, 2.0))
-
-
 class TestNormalizeChannel:
     def test_reference_link_budget(self):
         norm = normalize_channel(h11_db=-100.0, h22_db=-100.0,
@@ -279,8 +258,6 @@ def _all_models():
         build_rate_model(0.9, 2.0, 10.0, 10.0),
         build_rate_model(0.5, 1.5, 10.0, 10.0),
         build_rate_model(50.0, 50.0, 2.0, 2.0),
-        build_rate_model(0.1, 0.2, 10.0, 10.0,
-                         kernel=interference_as_noise_kernel(0.1, 0.2)),
     ]
 
 

@@ -11,9 +11,8 @@ from ehic import cli, single_user
 from ehic.errors import (ConvergenceError, InfeasiblePolicyError,
                          InvalidUtilityError)
 from ehic.model import HarvestProfile, TimeGrid
-from ehic.single_user import (GenericSlotUtilities, InterferedUtilities,
-                              LinearUtilities, PiecewiseMinUtilities,
-                              ScaledLogUtilities, SlotUtilities, _equalize,
+from ehic.single_user import (InterferedUtilities, PiecewiseMinUtilities,
+                              ScaledLogUtilities, _equalize,
                               _real_cubic_roots, solve_single_user,
                               verify_kkt)
 
@@ -22,6 +21,19 @@ from helpers import bisect_equalize, reference_verify_kkt
 
 def log_utils(n, h=None):
     return ScaledLogUtilities(np.ones(n) if h is None else np.asarray(h))
+
+
+def skewed_inverse(util):
+    """``util`` with a wrong inverse, patched on the instance: it sends
+    twice the power to the second slot at every level."""
+    inverse = util.inv_deriv
+
+    def skewed(level, idx=None):
+        return inverse(level, idx) * np.where(util._all_idx(idx) == 1,
+                                              2.0, 1.0)
+
+    util.inv_deriv = skewed
+    return util
 
 
 class TestWorkedExamples:
@@ -53,12 +65,6 @@ class TestWorkedExamples:
                                     TimeGrid(1, 1.0))
         assert np.allclose(p, [1.0])
         assert cert.stationarity_residual <= 1e-8
-
-    def test_flat_marginal_prefers_late_consumption(self):
-        p, _ = solve_single_user(LinearUtilities(np.ones(2)),
-                                 HarvestProfile(np.array([1.0, 1.0]), 2.0),
-                                 TimeGrid(2, 1.0))
-        assert np.allclose(p, [0.0, 2.0], atol=1e-12)
 
 
 class TestVerifyKkt:
@@ -187,7 +193,7 @@ class TestCertificateReference:
             assert cert.stationarity_residual <= 1e-7
 
     @pytest.mark.parametrize("family", ["scaled_log", "interfered",
-                                        "piecewise_min", "linear", "generic"])
+                                        "piecewise_min"])
     def test_random_rows(self, family):
         from ehic.iterative import feasible_floor
 
@@ -277,7 +283,7 @@ class TestUtilityFamilies:
     def test_interfered_inverse_is_exact(self):
         util = InterferedUtilities(0.9, np.array([0.0, 0.4, 2.0, 8.0]))
         for level in (0.49, 0.3, 0.1, 0.02, 0.004):
-            q, _ = util.inv_deriv(level)
+            q = util.inv_deriv(level)
             err = np.abs(np.where(q > 0, util.deriv(q) - level, 0.0))
             assert np.max(err) <= 1e-10
 
@@ -285,9 +291,8 @@ class TestUtilityFamilies:
         # a = 0 leaves f'(p) = 1/(2(1 + p)), inverted in closed form
         util = InterferedUtilities(0.0, np.array([0.0, 0.4, 2.0, 8.0]))
         for level in (0.7, 0.5, 0.49, 0.3, 0.1, 0.02, 0.004):
-            q, qmax = util.inv_deriv(level)
+            q = util.inv_deriv(level)
             assert np.array_equal(q, np.full(4, max(0.0, 1 / (2 * level) - 1)))
-            assert np.array_equal(qmax, q)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_solve_offline_without_cross_gain(self, seed, tmp_path):
@@ -326,22 +331,8 @@ class TestUtilityFamilies:
         assert np.all(lo <= hi)
         # inside the kink interval the inverse sits exactly at the threshold
         level = 0.5 * (lo[0] + hi[0])
-        q, _ = util.inv_deriv(float(level), np.array([0]))
+        q = util.inv_deriv(float(level), np.array([0]))
         assert q[0] == pytest.approx(2.0)
-
-    def test_concavity_sampling_rejects_convex_utility(self):
-        bad = GenericSlotUtilities(lambda p: 2 * p, n=3)
-        with pytest.raises(InvalidUtilityError):
-            solve_single_user(bad, HarvestProfile(np.ones(3), 2.0),
-                              TimeGrid(3, 1.0))
-
-    def test_generic_bisection_path(self):
-        util = GenericSlotUtilities(lambda p: 0.5 / np.sqrt(1.0 + p), n=2)
-        p, cert = solve_single_user(util, HarvestProfile(np.array([1.0, 1.0]),
-                                                         2.0),
-                                    TimeGrid(2, 1.0))
-        assert cert.stationarity_residual <= 1e-7
-        assert np.sum(p) == pytest.approx(2.0, abs=1e-8)
 
 
 class TestSingleGate:
@@ -350,15 +341,9 @@ class TestSingleGate:
         # level: the window equalizes to unequal marginals with no constraint
         # binding between them, so the certificate fails and the solve raises
         # (an optimizer that ignores inv_deriv would find [2/3, 2/3, 2/3])
-        class SkewedInverse(ScaledLogUtilities):
-            def inv_deriv(self, level, idx=None):
-                qmin, qmax = super().inv_deriv(level, idx)
-                skew = np.where(self._all_idx(idx) == 1, 2.0, 1.0)
-                return qmin * skew, qmax * skew
-
         harvest = HarvestProfile(np.array([2.0, 0.0, 0.0]), 2.0)
         grid = TimeGrid(3, 1.0)
-        util = SkewedInverse(np.ones(3))
+        util = skewed_inverse(log_utils(3))
         with pytest.raises(ConvergenceError) as info:
             solve_single_user(util, harvest, grid)
         best = info.value.best_policy
@@ -408,14 +393,8 @@ class TestStart:
     def test_uncertifiable_start_keeps_the_gate(self):
         # the wrong inverse of TestSingleGate: a start that does not certify
         # sends the solve down the same path, which still raises
-        class SkewedInverse(ScaledLogUtilities):
-            def inv_deriv(self, level, idx=None):
-                qmin, qmax = super().inv_deriv(level, idx)
-                skew = np.where(self._all_idx(idx) == 1, 2.0, 1.0)
-                return qmin * skew, qmax * skew
-
         harvest = HarvestProfile(np.array([2.0, 0.0, 0.0]), 2.0)
-        util = SkewedInverse(np.ones(3))
+        util = skewed_inverse(log_utils(3))
         with pytest.raises(ConvergenceError) as info:
             solve_single_user(util, harvest, TimeGrid(3, 1.0),
                               start=np.array([2.0, 0.0, 0.0]))
@@ -438,14 +417,13 @@ class TestStart:
 
 
 class TestExactChecks:
-    """The closed-form families check their parameters when built; every
-    other utility, subclasses included, is sampled on each solve."""
+    """The closed-form families check their parameters when built; the
+    solver accepts exactly those types, so no other utility, subclasses
+    included, reaches it."""
 
     @pytest.mark.parametrize("build", [
         lambda: ScaledLogUtilities(np.array([1.0, np.nan])),
         lambda: ScaledLogUtilities(np.array([1.0, 0.0])),
-        lambda: LinearUtilities(np.array([1.0, np.nan])),
-        lambda: LinearUtilities(np.array([1.0, -1.0])),
         lambda: InterferedUtilities(1.5, np.ones(2)),
         lambda: InterferedUtilities(-0.1, np.ones(2)),
         lambda: InterferedUtilities(np.nan, np.ones(2)),
@@ -459,8 +437,8 @@ class TestExactChecks:
         # with b < 1 the decode branch's marginal at p_c = 1 is the larger
         # one where P_i > 0, so f' jumps up there
         lambda: PiecewiseMinUtilities(0.5, 0.5, 1.0, np.array([0.0, 2.0])),
-    ], ids=["log-nan-h", "log-zero-h", "linear-nan",
-            "linear-negative", "interfered-a-1.5", "interfered-a-negative",
+    ], ids=["log-nan-h", "log-zero-h", "interfered-a-1.5",
+            "interfered-a-negative",
             "interfered-a-nan", "interfered-p-nan", "interfered-p-negative",
             "piecewise-a-1.5", "piecewise-b-negative", "piecewise-b-nan",
             "piecewise-pc-nan", "piecewise-pc-negative",
@@ -485,17 +463,19 @@ class TestExactChecks:
                               HarvestProfile(np.ones(3), 2.0),
                               TimeGrid(3, 1.0))
 
-    def test_closed_form_skips_sampling(self, monkeypatch):
-        def refuse(utilities, p_max):
-            raise AssertionError("sampled a closed-form utility")
+    def test_subclass_overriding_deriv_is_refused(self):
+        # a concave override that a sampled check would pass: the solver
+        # refuses it by type, since it cannot check an overridden marginal
+        class HalvedLog(ScaledLogUtilities):
+            def deriv(self, p):
+                return 0.5 * super().deriv(p)
 
-        monkeypatch.setattr(single_user, "check_utilities", refuse)
-        solve_single_user(log_utils(3), HarvestProfile(np.ones(3), 2.0),
-                          TimeGrid(3, 1.0))
-        with pytest.raises(AssertionError):
-            solve_single_user(
-                GenericSlotUtilities(lambda p: 1.0 / (1.0 + p), n=3),
-                HarvestProfile(np.ones(3), 2.0), TimeGrid(3, 1.0))
+        with pytest.raises(InvalidUtilityError,
+                           match="not one of the closed-form"):
+            solve_single_user(HalvedLog(np.ones(3)),
+                              HarvestProfile(np.ones(3), 2.0),
+                              TimeGrid(3, 1.0))
+
 
 
 class TestRandomStress:
@@ -517,19 +497,17 @@ class TestRandomStress:
             tau = taus[(trial // 4) % len(taus)]
             harvest = HarvestProfile(e, emax)
             grid = TimeGrid(n, tau)
-            fam = trial % 4
+            fam = trial % 3
             if fam == 0:
                 util = ScaledLogUtilities(rng.uniform(0.3, 2.0, n))
             elif fam == 1:
                 util = InterferedUtilities(rng.uniform(0.1, 1.0),
                                            rng.uniform(0, 3, n))
-            elif fam == 2:
+            else:
                 a = rng.uniform(0.1, 0.9)
                 b = rng.uniform(1.0, 0.99 / a)
                 util = PiecewiseMinUtilities(a, b, (b - 1) / (1 - a * b),
                                              rng.uniform(0, 3, n))
-            else:
-                util = LinearUtilities(rng.uniform(0.0, 2.0, n))
             p, cert = solve_single_user(util, harvest, grid)
             assert cert.stationarity_residual <= 1e-7
             assert cert.complementarity_residual <= 1e-7
@@ -545,22 +523,10 @@ def _family(name, rng, n):
         return ScaledLogUtilities(rng.uniform(0.3, 2.0, n))
     if name == "interfered":
         return InterferedUtilities(rng.uniform(0.1, 1.0), rng.uniform(0, 3, n))
-    if name == "piecewise_min":
-        a = rng.uniform(0.1, 0.9)
-        b = rng.uniform(1.0, 0.99 / a)
-        return PiecewiseMinUtilities(a, b, (b - 1) / (1 - a * b),
-                                     rng.uniform(0, 3, n))
-    if name == "linear":
-        # few distinct slopes, so most windows hold a tied plateau
-        return LinearUtilities(rng.integers(0, 3, n).astype(float))
-    if name == "generic":
-        return GenericSlotUtilities(lambda p: 0.5 / np.sqrt(1.0 + p), n=n)
-    # "proximal": a log utility minus 1e-2 (p - anchor)^2, whose marginal
-    # turns negative past the anchor
-    h = rng.uniform(0.3, 2.0, n)
-    anchor = rng.uniform(0.0, 2.0, n)
-    return GenericSlotUtilities(
-        lambda p: h / (2.0 * (1.0 + h * p)) - 2e-2 * (p - anchor), n=n)
+    a = rng.uniform(0.1, 0.9)
+    b = rng.uniform(1.0, 0.99 / a)
+    return PiecewiseMinUtilities(a, b, (b - 1) / (1 - a * b),
+                                 rng.uniform(0, 3, n))
 
 
 class TestLevelSearch:
@@ -580,8 +546,7 @@ class TestLevelSearch:
         return got
 
     @pytest.mark.parametrize("family", ["scaled_log", "interfered",
-                                        "piecewise_min", "linear", "generic",
-                                        "proximal"])
+                                        "piecewise_min"])
     def test_matches_bisection_search(self, family):
         rng = np.random.default_rng(11)
         for _ in range(30):
@@ -589,12 +554,6 @@ class TestLevelSearch:
             util = _family(family, rng, n)
             target = float(rng.choice([rng.uniform(0, 1), rng.uniform(0, 10),
                                        rng.uniform(0, 40)]))
-            if family == "proximal":
-                # past the level-0 demand the level is negative; from a
-                # positive max f'(0) the solver's search gets there
-                # (TestNegativeLevels), but the reference's halving does not
-                at_zero = float(np.sum(util.inv_deriv(0.0)[1]))
-                target = min(target, 0.9 * at_zero)
             self.assert_matches_reference(util, target)
 
     def test_piecewise_min_across_the_kink(self):
@@ -610,12 +569,8 @@ class TestLevelSearch:
         assert np.all(self.assert_matches_reference(util, 1.5) < 2.0)
         assert np.all(self.assert_matches_reference(util, 20.0) > 2.0)
 
-    def test_linear_plateau_goes_to_the_latest_slots(self):
-        util = LinearUtilities(np.array([1.0, 2.0, 0.5, 2.0, 2.0, 1.0]))
-        got = self.assert_matches_reference(util, 3.5)
-        assert np.array_equal(got, [0.0, 0.0, 0.0, 0.0, 3.5, 0.0])
-
-    @pytest.mark.parametrize("family", ["scaled_log", "linear", "generic"])
+    @pytest.mark.parametrize("family", ["scaled_log", "interfered",
+                                        "piecewise_min"])
     def test_zero_target(self, family):
         util = _family(family, np.random.default_rng(3), 5)
         assert np.array_equal(_equalize(util, np.arange(5), 0.0), np.zeros(5))
@@ -629,17 +584,6 @@ class TestLevelSearch:
         assert np.array_equal(got, np.ones(4))
         # a target within the stopping tolerance below that total
         self.assert_matches_reference(util, 4.0 - 1e-13)
-
-    def test_descent_into_negative_levels(self):
-        # f'(p) = -p (and -p/2): max f'(0) = 0, so every level is negative;
-        # the marginals are identical and linear, so the even-split probe
-        # lands on the level (-2.5 in both windows) at once
-        prox = GenericSlotUtilities(lambda p: -p, n=3)
-        got = self.assert_matches_reference(prox, 7.5)
-        assert np.allclose(got, 2.5, rtol=1e-12)
-        generic = GenericSlotUtilities(lambda p: -0.5 * p, n=2)
-        got = self.assert_matches_reference(generic, 10.0)
-        assert np.allclose(got, 5.0, rtol=1e-12)
 
     def test_probe_budget_on_fig8(self, monkeypatch):
         # inv_deriv calls made by _equalize itself, per utility family, on
@@ -740,96 +684,3 @@ class TestEvenSplitProbe:
         assert len(probes) >= 1
         assert np.allclose(got, ref, rtol=1e-9, atol=1e-12)
         assert np.sum(got) == pytest.approx(10.0, rel=1e-15)
-
-
-class TestNegativeLevels:
-    """Levels below zero reached from a positive max f'(0)."""
-
-    def test_forced_consumption_past_the_level_zero_demand(self):
-        # f'(p) = 1 - p: the battery forces 2 units into slot 1 (level -1),
-        # and slot 2 then takes its level-0 demand of 1
-        util = GenericSlotUtilities(lambda p: 1.0 - p, n=2)
-        harvest = HarvestProfile(np.array([2.0, 2.0]), 2.0)
-        p, cert = solve_single_user(util, harvest, TimeGrid(2, 1.0))
-        assert np.allclose(p, [2.0, 1.0], rtol=1e-12)
-        assert max(cert.stationarity_residual,
-                   cert.complementarity_residual) <= 1e-7
-        assert np.allclose(cert.water_levels, [-1.0, 0.0], atol=1e-9)
-
-    def test_equalize_descends_past_zero(self):
-        # three slots with f'(p) = 1 - p demand 3 at level 0; 7.5 needs -1.5
-        util = GenericSlotUtilities(lambda p: 1.0 - p, n=3)
-        got = _equalize(util, np.arange(3), 7.5)
-        assert np.allclose(got, 2.5, rtol=1e-12)
-
-    @pytest.mark.parametrize("scale", [1.2, 2.0, 5.0, 20.0])
-    def test_equalize_unequal_marginals_past_zero(self, scale):
-        # proximal log utilities: unequal, nonlinear marginals with
-        # max f'(0) > 0.  Past their level-0 demand the common level is
-        # negative; at 1.2 and 2.0 the 8-slot window's even-split probe
-        # falls short and the search doubles it before it brackets the level
-        rng = np.random.default_rng(0)
-        for n in (3, 8):
-            util = _family("proximal", rng, n)
-            assert np.max(util.deriv_at_zero()) > 0.0
-            target = scale * float(np.sum(util.demand_at_zero()))
-            got = _equalize(util, np.arange(n), target)
-            assert np.sum(got) == pytest.approx(target, rel=1e-12, abs=1e-12)
-            marginals = util.deriv(got)[got > 0.0]
-            assert np.ptp(marginals) <= 1e-9
-            assert np.max(marginals) < 0.0
-
-    def test_forced_consumption_on_unequal_marginals(self):
-        # the second arrival fills the battery only if slots 1-3 spend the
-        # first 30 units, about twice their level-0 demand: their common
-        # level is negative, and slot 4 takes its level-0 demand
-        util = _family("proximal", np.random.default_rng(5), 4)
-        harvest = HarvestProfile(np.array([30.0, 0.0, 0.0, 30.0]), 30.0)
-        p, cert = solve_single_user(util, harvest, TimeGrid(4, 1.0))
-        assert np.sum(p[:3]) == pytest.approx(30.0, rel=1e-12)
-        assert max(cert.stationarity_residual,
-                   cert.complementarity_residual) <= 1e-7
-        assert np.all(cert.water_levels[:3] < 0.0)
-        assert np.ptp(cert.water_levels[:3]) <= 1e-9
-        assert cert.water_levels[3] == pytest.approx(0.0, abs=1e-9)
-
-    def test_demand_short_of_target_at_every_level_raises(self):
-        # each slot's demand stops at 1, so 3 slots never reach 10
-        class CappedDemand(SlotUtilities):
-            n = 3
-
-            def deriv(self, p):
-                return 1.0 - np.asarray(p, dtype=float)
-
-            def inv_deriv(self, level, idx=None):
-                q = np.full(self._all_idx(idx).shape,
-                            min(max(1.0 - level, 0.0), 1.0))
-                return q, q.copy()
-
-        with pytest.raises(ConvergenceError,
-                           match="forced consumption exceeds the range of "
-                                 "the slot utilities"):
-            _equalize(CappedDemand(), np.arange(3), 10.0)
-
-    def test_positive_short_probe_jumps_below_zero(self):
-        # f'(p) = 10 - p and exp(-p) - 1/2: the even-split probe is level
-        # 2 + exp(-5.5)/2, short of the target 11, and so is the demand
-        # 10 + ln 2 at level 0, so the next probe is -1, not half the level
-        util = GenericSlotUtilities(
-            lambda p: np.array([10.0 - p[0], np.exp(-p[1]) - 0.5]), n=2)
-        util.demand_at_zero()   # cached before the probes are recorded
-        probes = []
-        inverse = util.inv_deriv
-
-        def recording(level, idx=None):
-            probes.append(level)
-            return inverse(level, idx)
-
-        util.inv_deriv = recording
-        got = _equalize(util, np.arange(2), 11.0)
-        assert probes[0] == pytest.approx(2.0 + 0.5 * np.exp(-5.5), rel=1e-15)
-        assert probes[1] == -1.0
-        assert np.sum(got) == pytest.approx(11.0, rel=1e-12)
-        marginals = util.deriv(got)
-        assert np.ptp(marginals) <= 1e-9
-        assert np.max(marginals) < 0.0
