@@ -202,13 +202,16 @@ def energy_bounds(harvest: HarvestProfile, tau: float):
 
     U_n is the cumulative harvest through slot n.  L_n keeps room for the
     next arrival (capacity constraint); there is no lower bound after the
-    final slot, so L[-1] = 0.
+    final slot, so L[-1] = 0.  L_n is clipped to U_n: where slot n+1's
+    arrival fills the battery, cum_e[n+1] - capacity can round an ulp above
+    cum_e[n], which would leave an empty corridor in floating point.
     """
     cum_e = np.cumsum(harvest.arrivals)
     upper = cum_e.copy()
     lower = np.zeros_like(cum_e)
     if cum_e.shape[0] > 1:
-        lower[:-1] = np.maximum(0.0, cum_e[1:] - harvest.capacity)
+        lower[:-1] = np.minimum(np.maximum(0.0, cum_e[1:] - harvest.capacity),
+                                upper[:-1])
     return lower, upper
 
 

@@ -323,8 +323,7 @@ def _taut_string(lower, upper, tau):
 
     for t in range(1, n + 1):
         hi = upper[t - 1]
-        # a full-battery arrival can put L_t an ulp above U_t
-        lo = min(lower[t - 1], hi) if t < n else hi
+        lo = lower[t - 1] if t < n else hi
         add(ceil, floor, t, hi, 1)
         add(floor, ceil, t, lo, -1)
     # both sides end at (N, U_N); the floor's path there closes the string

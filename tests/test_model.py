@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from ehic.errors import InvalidInputError, ShapeError
 from ehic.model import (DataProfile, HarvestProfile, Scenario, TimeGrid, User,
-                        cumulative_departure, feasibility_report,
-                        scenario_from_dict, scenario_to_dict,
-                        validate_scenario)
+                        cumulative_departure, energy_bounds,
+                        feasibility_report, scenario_from_dict,
+                        scenario_to_dict, validate_scenario)
 from ehic.rates import ChannelParams, Region, build_rate_model
 
 from helpers import two_user_scenario
@@ -64,6 +64,35 @@ class TestValidate:
         for j in range(2):
             assert np.array_equal(again.users[j].harvest.arrivals,
                                   scen.users[j].harvest.arrivals)
+
+
+class TestEnergyBounds:
+    def test_floor_never_above_ceiling_on_fig8(self):
+        # a full-battery arrival puts cum_e[n+1] - capacity an ulp above
+        # cum_e[n] unless the floor is clipped: fig8 seeds 11, 14 and 24
+        # (users 1, 2 and 2; slots 7, 11 and 17) did so
+        from ehic.cli import (FIG8_CHANNEL, FIG8_EMAX, FIG8_MEAN_INTERARRIVAL,
+                              FIG8_SLOTS, gen_scenario)
+
+        full = 0
+        for seed in range(80):
+            scen = gen_scenario(FIG8_SLOTS, 1.0, FIG8_EMAX,
+                                FIG8_MEAN_INTERARRIVAL, seed, *FIG8_CHANNEL)
+            for user in scen.users:
+                lower, upper = energy_bounds(user.harvest, 1.0)
+                assert np.all(lower <= upper)
+                full += int(np.sum(lower == upper))
+        assert full >= 3
+
+    def test_clipped_floor_meets_the_ceiling(self):
+        # the arrival of slot 2 fills the battery of 0.2, so slot 1 must
+        # spend its whole arrival: the floor there is the ceiling, 0.1,
+        # where the unclipped (0.1 + 0.2) - 0.2 rounds above it
+        harvest = HarvestProfile(np.array([0.1, 0.2, 0.0]), 0.2)
+        lower, upper = energy_bounds(harvest, 1.0)
+        assert (0.1 + 0.2) - 0.2 > 0.1
+        assert lower.tolist() == [0.1, (0.1 + 0.2) - 0.2, 0.0]
+        assert upper.tolist() == [0.1, 0.1 + 0.2, 0.1 + 0.2]
 
 
 class TestFeasibilityReport:
