@@ -14,6 +14,9 @@ never fabricates energy.  Two search modes:
   with exact floating-point bit accounting, since cumulative bits are not
   lattice-valued.  Battery overflow is allowed here and simply loses energy
   (truncation), which is what makes blocked-harvest instances well-posed.
+  Each slot's rows are counted before they are gathered, and the search
+  refuses a slot whose rows would pass ``max_enumeration`` or hold more
+  than ``_SLOT_BYTES`` (128 MiB) before duplicates merge.
 
 Both modes are deterministic: among ties the lexicographically smallest
 action sequence wins.  In the battery DP that is the first maximum over s2,
@@ -33,6 +36,13 @@ from .model import Scenario
 _NEG = -math.inf
 # candidate entries scored per block of the battery DP
 _BLOCK = 1 << 14
+# bytes of one state row that the data-mode search holds while it builds a
+# slot's layer: battery (2 int32), banked bits (2 float64), objective
+# (float64), parent (int64) and action (2 int32)
+_ROW_BYTES = 48
+# the most state rows' bytes that one slot of the data-mode search may hold
+# before it merges duplicates; merging copies them about twice more
+_SLOT_BYTES = 128 << 20
 
 
 @dataclass(frozen=True)
@@ -202,8 +212,20 @@ def _search_with_data(scenario, rate_model, opts):
                     mask &= bits[:, 0] + db1 <= cum_b[0][i] + bits_eps
                 if db2 > 0:
                     mask &= bits[:, 1] + db2 <= cum_b[1][i] + bits_eps
-                if not np.any(mask):
+                count = int(np.count_nonzero(mask))
+                if not count:
                     continue
+                # refuse before gathering the rows that would pass a limit
+                pending += count
+                if pending > opts.max_enumeration:
+                    raise OracleSizeError(
+                        f"data-mode enumeration exceeded {opts.max_enumeration} "
+                        f"states at slot {i + 1}", size_estimate=pending)
+                if pending * _ROW_BYTES > _SLOT_BYTES:
+                    raise OracleSizeError(
+                        f"data-mode enumeration would hold more than "
+                        f"{_SLOT_BYTES >> 20} MiB of states at slot {i + 1}",
+                        size_estimate=pending)
                 sel = np.nonzero(mask)[0]
                 nb = bat[sel].copy()
                 nb[:, 0] -= s1
@@ -219,11 +241,6 @@ def _search_with_data(scenario, rate_model, opts):
                 rows_parent.append(sel)
                 rows_act.append(np.full((sel.shape[0], 2), (s1, s2),
                                         dtype=np.int32))
-                pending += sel.shape[0]
-                if pending > opts.max_enumeration:
-                    raise OracleSizeError(
-                        f"data-mode enumeration exceeded {opts.max_enumeration} "
-                        f"states at slot {i + 1}", size_estimate=pending)
         if not rows_b:
             raise OracleSizeError("no feasible quantized policy", 0)
         bat = np.concatenate(rows_b)

@@ -1,16 +1,17 @@
 """Brute-force search: closed-form agreement, determinism, refusal, and
 grid-refinement monotonicity."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from ehic import oracle
-from ehic.cli import fig7_scenario
+from ehic.cli import fig7_scenario, main
 from ehic.errors import InvalidInputError, OracleSizeError
 from ehic.iterative import iterate_offline, joint_objective
-from ehic.model import feasibility_report
+from ehic.model import feasibility_report, scenario_to_dict
 from ehic.oracle import OracleOptions, brute_force
 from ehic.rates import build_rate_model
 
@@ -129,6 +130,28 @@ class TestRefusal:
         rm = build_rate_model(0.5, 2.0, 12.0, 0.01)
         with pytest.raises(OracleSizeError):
             brute_force(scen, rm, OracleOptions(0.01, max_enumeration=5_000))
+
+
+    def test_data_rows_past_the_byte_budget(self, monkeypatch, tmp_path,
+                                            capsys):
+        # a budget of 100 rows: the slot is refused from the rows' count,
+        # before they are gathered, and the CLI exits 2 writing nothing
+        scen = single_user_scenario(np.full(4, 1.0), 2.0,
+                                    b_arr=np.full(4, 10.0), partner_emax=0.05)
+        rm = build_rate_model(0.5, 2.0, 2.0, 0.05)
+        brute_force(scen, rm, OracleOptions(0.05))   # fits the real budget
+        monkeypatch.setattr(oracle, "_SLOT_BYTES", 100 * oracle._ROW_BYTES)
+        with pytest.raises(OracleSizeError, match="MiB of states") as err:
+            brute_force(scen, rm, OracleOptions(0.05))
+        assert err.value.size_estimate > 100
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(scenario_to_dict(scen)))
+        capsys.readouterr()
+        assert main(["oracle", "--scenario", str(path), "--grid", "0.05",
+                     "--out", str(tmp_path / "x")]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"] == "OracleSizeError"
+        assert not (tmp_path / "x").exists()
 
 
 class TestDataMode:
