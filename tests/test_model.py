@@ -68,9 +68,9 @@ class TestValidate:
 
 class TestEnergyBounds:
     def test_floor_never_above_ceiling_on_fig8(self):
-        # a full-battery arrival puts cum_e[n+1] - capacity an ulp above
-        # cum_e[n] unless the floor is clipped: fig8 seeds 11, 14 and 24
-        # (users 1, 2 and 2; slots 7, 11 and 17) did so
+        # a full-battery arrival can round cum_e[n+1] - capacity an ulp
+        # above cum_e[n]: unclipped, fig8 seeds 11, 14 and 24 (users 1, 2
+        # and 2; slots 7, 11 and 17) get a floor above the ceiling
         from ehic.cli import (FIG8_CHANNEL, FIG8_EMAX, FIG8_MEAN_INTERARRIVAL,
                               FIG8_SLOTS, gen_scenario)
 
