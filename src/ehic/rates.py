@@ -69,7 +69,8 @@ def classify_region(a: float, b: float, p1_max: float, p2_max: float) -> RegionT
     """
     if a < 0 or b < 0:
         raise InvalidInputError("cross gains must be nonnegative")
-    mirrored = a > 1.0 and b < 1.0
+    # swap the users where only the swapped order has a <= 1 <= b
+    mirrored = b <= 1.0 <= a and not a <= 1.0 <= b
     ac, bc, pm1, pm2 = (b, a, p2_max, p1_max) if mirrored else (a, b, p1_max, p2_max)
     if ac > 1.0 + pm1 and bc > 1.0 + pm2:
         return RegionTag(Region.VERY_STRONG, mirrored)

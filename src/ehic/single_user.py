@@ -487,7 +487,8 @@ def _equalize(utilities, idx, target):
     else:
         if at_lo is None:
             raise ConvergenceError(
-                "forced consumption exceeds the range of the slot utilities")
+                "level search did not bracket the window's total in 200 "
+                "probes")
     if at_hi is None:   # hi is still max f'(0), never probed
         at_hi = utilities.inv_deriv(hi, idx)
     return _distribute_late(at_hi, at_lo, target)

@@ -36,6 +36,20 @@ class TestClassify:
         assert tag.mirrored
         assert tag.region is Region.ASYMMETRIC_AB_ABOVE_ONE
 
+    @pytest.mark.parametrize("a, b, region", [
+        (1.0, 2.0, Region.ASYMMETRIC_AB_ABOVE_ONE),
+        (0.5, 1.0, Region.ASYMMETRIC_AB_AT_MOST_ONE),
+    ])
+    def test_unit_gain_classifies_in_both_orientations(self, a, b, region):
+        # a unit gain lies on the boundary a <= 1 <= b of the canonical
+        # orientation, so the swapped channel is the same one mirrored, not
+        # a channel without a region
+        fwd = build_rate_model(a, b, 10.0, 10.0)
+        mir = build_rate_model(b, a, 10.0, 10.0)
+        assert (fwd.region, mir.region) == (region, region)
+        assert not fwd.mirrored and mir.mirrored
+        assert mir.sum_rate(3.0, 0.5) == fwd.sum_rate(0.5, 3.0)
+
     @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.0, 0.0), (0.9, 0.99),
                                       (1.5, 1.2)])
     def test_other_gains_have_no_known_sum_capacity(self, a, b):
