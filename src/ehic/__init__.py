@@ -40,14 +40,12 @@ __all__ = [
     "DataProfile", "DPResult", "FeasibilityReport", "HarvestProfile",
     "InfeasiblePolicyError", "InterferedUtilities", "InvalidInputError",
     "InvalidUtilityError", "KKTCertificate", "OracleOptions",
-    "OracleSizeError",
-    "PiecewiseMinUtilities", "RateModel", "Region", "RegionTag",
-    "ScaledLogUtilities", "Scenario", "ShapeError", "SlotUtilities",
-    "SolveReport", "StateGrid", "TimeGrid", "User",
+    "OracleSizeError", "PiecewiseMinUtilities", "RateModel", "Region",
+    "RegionTag", "ScaledLogUtilities", "Scenario", "ShapeError",
+    "SlotUtilities", "SolveReport", "StateGrid", "TimeGrid", "User",
     "brute_force", "build_rate_model", "build_subproblem", "classify_region",
     "cumulative_departure", "distributed_policy", "feasibility_report",
-    "iterate_offline",
-    "iterate_offline_many", "joint_objective",
+    "iterate_offline", "iterate_offline_many", "joint_objective",
     "naive_policy", "normalize_channel", "resolve_contradictions",
     "rollout_table", "scenario_from_dict", "scenario_to_dict",
     "solve_single_user", "solve_with_data", "validate_scenario",

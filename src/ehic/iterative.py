@@ -32,8 +32,9 @@ certificates.
 
 Elsewhere (the min-form a*b <= 1 region with its kink, very strong) the
 alternation starts from zeros, and a geometric extrapolation along the sweep
-direction shortens the cold alternation: without it, mean sweeps rise from 11.0 to 19.3 over fig8 seeds 0-79 from
-zeros and from 11.6 to 16.7 at a=0.5, b=1.5, N=50 (seeds 0-19).
+direction shortens the cold alternation: without it, mean sweeps rise from
+11.0 to 19.3 over fig8 seeds 0-79 from zeros and from 11.6 to 16.7 at
+a=0.5, b=1.5, N=50 (seeds 0-19).
 
 No proximal term is needed: in the regions with a known sum capacity the
 slot utilities are strictly concave, so each block optimum is unique.
