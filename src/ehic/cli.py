@@ -13,10 +13,11 @@ oracle         brute-force quantized search (small instances only)
 preset         canned experiments: fig7 (deterministic 20-slot instance),
                fig8 (seeded batch comparing iterative/distributed/naive)
 
-Each run writes ``policy.csv`` (slot, p1, p2, water_level_1, water_level_2,
+Each subcommand takes only the flags it reads (``SOLVER_FLAGS``).  Each run
+writes ``policy.csv`` (slot, p1, p2, water_level_1, water_level_2,
 cumulative_bits) and ``summary.json`` into --out.  Outputs are byte-identical
-for identical (config, seed).  Exit status: 0 on success, 2 on validation
-errors, 3 on solver non-convergence.
+for identical settings; only gen-scenario and preset fig8 read a seed.  Exit
+status: 0 on success, 2 on validation errors, 3 on solver non-convergence.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -73,23 +74,24 @@ class ExperimentConfig:
     write_tables: bool = False
 
 
-def gen_scenario(n: int, tau: float, emax, mean_interarrival: float,
+def gen_scenario(n: int, tau: float, emax: float, mean_interarrival: float,
                  seed: int, a: float, b: float) -> Scenario:
     """Random scenario: exponential interarrival times quantized to slots,
     amounts uniform on [0, E_max]; deterministic per seed."""
-    if n < 1 or tau <= 0 or mean_interarrival <= 0:
-        raise InvalidInputError("generator parameters must be positive")
-    caps = (float(emax[0]), float(emax[1])) if np.ndim(emax) else \
-        (float(emax), float(emax))
+    if n < 1 or not all(math.isfinite(v) and v > 0.0
+                        for v in (tau, emax, mean_interarrival)):
+        raise InvalidInputError(
+            "generator parameters must be positive and finite")
     rng = np.random.default_rng(seed)
     users = []
-    for j in range(2):
+    for _ in range(2):
         e = np.zeros(n)
         t = rng.exponential(mean_interarrival)
         while t < n * tau:
-            e[int(t // tau)] += rng.uniform(0.0, caps[j])
+            e[int(t // tau)] += rng.uniform(0.0, emax)
             t += rng.exponential(mean_interarrival)
-        users.append(User(HarvestProfile(e, caps[j]), DataProfile.infinite()))
+        users.append(User(HarvestProfile(e, float(emax)),
+                          DataProfile.infinite()))
     scen = Scenario(TimeGrid(n, tau), tuple(users), ChannelParams(a, b))
     return validate_scenario(scen)
 
@@ -198,22 +200,8 @@ def _load_scenario(path: str):
 # experiment runner
 # ---------------------------------------------------------------------------
 
-def _check_settings(config: ExperimentConfig):
-    """Reject solver settings that no run can use, whichever solver runs: a
-    NaN tolerance would pass every ``residual > tol`` gate."""
-    for flag, value in (("--tol", config.tol), ("--grid", config.grid_step),
-                        ("--violation-tol", config.violation_tol)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise InvalidInputError(
-                f"{flag} must be positive and finite, got {value!r}")
-    if config.max_sweeps < 1:
-        raise InvalidInputError(
-            f"--max-sweeps must be at least 1, got {config.max_sweeps}")
-
-
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the configured solver and emit policy.csv + summary.json."""
-    _check_settings(config)
     out_dir = Path(config.out_dir)
     if config.solver == "preset-fig8":
         return _run_fig8(config, out_dir)
@@ -257,6 +245,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
                        converged=report.converged,
                        unusable_energy=report.unusable_energy.tolist())
     elif solver == "online-dp":
+        if not (math.isfinite(config.grid_step) and config.grid_step > 0.0):
+            raise InvalidInputError("grid step must be positive and finite, "
+                                    f"got {config.grid_step!r}")
         stats = online.ArrivalDistribution.deterministic(scenario)
         de = config.grid_step * scenario.grid.tau
         grids = []
@@ -366,14 +357,37 @@ def _run_fig8(config: ExperimentConfig, out_dir: Path) -> dict:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--scenario", help="scenario JSON file")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default="out", help="output directory")
-    sp.add_argument("--tol", type=float, default=1e-7)
-    sp.add_argument("--max-sweeps", type=int, default=200)
-    sp.add_argument("--grid", type=float, default=0.05,
-                    help="power grid step (oracle) / battery resolution (DP)")
+# every flag a solver can read, as keywords of ``add_argument``; ``dest`` is
+# the ExperimentConfig field it sets
+_FLAGS = {
+    "--scenario": dict(dest="scenario_path", metavar="FILE",
+                       help="scenario JSON file"),
+    "--tol": dict(type=float),
+    "--max-sweeps": dict(type=int),
+    "--violation-tol": dict(type=float),
+    "--grid": dict(dest="grid_step", metavar="STEP", type=float,
+                   help="power grid step (oracle) / battery resolution (DP)"),
+    "--tables": dict(dest="write_tables", action="store_true",
+                     help="also export policy/value tables"),
+    "--seed": dict(type=int),
+    "--count": dict(dest="preset_count", metavar="N", type=int,
+                    help="number of seeded scenarios"),
+    "--jobs": dict(type=int, help="accepted and validated; no effect"),
+}
+
+# the flags each solver reads besides --out; a flag that is not given
+# keeps the ExperimentConfig default, and the code that reads a setting
+# validates it
+SOLVER_FLAGS = {
+    "solve-offline": ("--scenario", "--tol", "--max-sweeps"),
+    "solve-data": ("--scenario", "--tol", "--max-sweeps", "--violation-tol"),
+    "online-dp": ("--scenario", "--grid", "--tables"),
+    "naive": ("--scenario",),
+    "distributed": ("--scenario",),
+    "oracle": ("--scenario", "--grid"),
+    "preset-fig7": ("--tol", "--max-sweeps"),
+    "preset-fig8": ("--seed", "--count", "--jobs", "--tol", "--max-sweeps"),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -396,28 +410,24 @@ def _build_parser():
     gen.add_argument("--out", default="scenario.json",
                      help="output scenario file")
 
-    for name in ("solve-offline", "solve-data", "online-dp", "naive",
-                 "distributed", "oracle"):
-        sp = sub.add_parser(name)
-        _add_common(sp)
-        if name == "solve-data":
-            sp.add_argument("--violation-tol", type=float, default=1e-4)
-        if name == "online-dp":
-            sp.add_argument("--tables", action="store_true",
-                            help="also export policy/value tables")
-
-    pre = sub.add_parser("preset", help="canned experiments")
-    pre.add_argument("name", choices=["fig7", "fig8"])
-    _add_common(pre)
-    pre.add_argument("--count", type=int, default=100,
-                     help="number of seeded scenarios (fig8)")
-    pre.add_argument("--jobs", type=int, default=1)
+    # the preset-* solvers follow the others, as subcommands of ``preset``
+    group = sub
+    for solver, flags in SOLVER_FLAGS.items():
+        name = solver.removeprefix("preset-")
+        if name != solver and group is sub:
+            group = sub.add_parser("preset", help="canned experiments") \
+                .add_subparsers(dest="figure", required=True)
+        sp = group.add_parser(name, argument_default=argparse.SUPPRESS)
+        sp.set_defaults(solver=solver)
+        sp.add_argument("--out", dest="out_dir", metavar="DIR",
+                        help="output directory")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "gen-scenario":
             scen = gen_scenario(args.n, args.tau, args.emax,
@@ -429,20 +439,9 @@ def main(argv=None) -> int:
                                      indent=2) + "\n")
             print(f"wrote {args.out}")
             return 0
-        if args.command == "preset":
-            solver = f"preset-{args.name}"
-            config = ExperimentConfig(
-                solver=solver, out_dir=args.out, seed=args.seed,
-                tol=args.tol, max_sweeps=args.max_sweeps,
-                grid_step=args.grid, preset_count=args.count, jobs=args.jobs)
-        else:
-            config = ExperimentConfig(
-                solver=args.command, scenario_path=args.scenario,
-                out_dir=args.out, seed=args.seed, tol=args.tol,
-                max_sweeps=args.max_sweeps, grid_step=args.grid,
-                violation_tol=getattr(args, "violation_tol", 1e-4),
-                write_tables=getattr(args, "tables", False))
-        summary = run_experiment(config)
+        names = {f.name for f in fields(ExperimentConfig)}
+        summary = run_experiment(ExperimentConfig(
+            **{k: v for k, v in vars(args).items() if k in names}))
         obj = summary.get("objective_nats",
                           summary.get("mean_total_bits"))
         print(f"{args.command}: done ({obj})")

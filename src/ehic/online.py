@@ -135,12 +135,13 @@ def _slot_outcomes(stats, i):
 
 
 def value_iteration(stats: ArrivalDistribution, rate_model: RateModel,
-                    grid: StateGrid, tau: float = 1.0) -> DPResult:
+                    grid: StateGrid, tau: float) -> DPResult:
     """Solve the finite-horizon control problem on the discretized state.
 
     State: each user's battery level after the slot's arrival.  Actions are
     powers on the battery-grid resolution, restricted so consumption never
-    exceeds the battery.  The terminal value is zero.
+    exceeds the battery.  The terminal value is zero.  ``tau`` is the
+    scenario's slot length: tables built for another one are wrong.
     """
     n = stats.n_slots
     axes = (grid.e1, grid.e2)

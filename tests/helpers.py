@@ -37,7 +37,7 @@ def lattice_arrivals(rng, n, emax, step=0.05):
     return np.minimum(rng.integers(0, k + 1, n) * step, emax)
 
 
-def loop_value_iteration(stats, rate_model, grid, tau=1.0):
+def loop_value_iteration(stats, rate_model, grid, tau):
     """Reference for ``online.value_iteration``: the per-action loop it
     replaced.  One interpolator call per (p1, p2) pair; the first maximum in
     (p1, p2) order wins."""

@@ -1,5 +1,6 @@
 """CLI surface: generation determinism, solver runs, presets, exit codes."""
 
+import argparse
 import csv
 import json
 
@@ -396,6 +397,44 @@ class TestParserReuse:
         assert len(outputs) == 1
 
 
+def _choices(parser):
+    """The subcommand parsers of ``parser``, by name."""
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+class TestSolverFlags:
+    """Each solver subcommand offers ``--out`` and the flags it reads."""
+
+    READS = {
+        "solve-offline": {"--scenario", "--tol", "--max-sweeps"},
+        "solve-data": {"--scenario", "--tol", "--max-sweeps",
+                       "--violation-tol"},
+        "online-dp": {"--scenario", "--grid", "--tables"},
+        "naive": {"--scenario"},
+        "distributed": {"--scenario"},
+        "oracle": {"--scenario", "--grid"},
+        "preset-fig7": {"--tol", "--max-sweeps"},
+        "preset-fig8": {"--seed", "--count", "--jobs", "--tol",
+                        "--max-sweeps"},
+    }
+
+    def test_option_strings_match_the_table(self):
+        commands = _choices(cli._build_parser())
+        figures = _choices(commands["preset"])
+        assert set(commands) == {"gen-scenario", "preset"} | {
+            s for s in self.READS if not s.startswith("preset-")}
+        assert {f"preset-{name}" for name in figures} == {
+            s for s in self.READS if s.startswith("preset-")}
+        assert {s: set(f) for s, f in cli.SOLVER_FLAGS.items()} == self.READS
+        for solver, flags in cli.SOLVER_FLAGS.items():
+            name = solver.removeprefix("preset-")
+            sp = commands[name] if name == solver else figures[name]
+            offered = {s for a in sp._actions for s in a.option_strings}
+            assert offered - {"-h", "--help"} == {"--out", *flags}
+        assert sum(1 + len(f) for f in self.READS.values()) == 29
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
         scen_path = _write_scenario(tmp_path, SCEN)
@@ -474,19 +513,38 @@ class TestMainExitCodes:
         ("oracle", "--grid", "0"),
         ("online-dp", "--grid", "0"),
         ("online-dp", "--grid", "nan"),
-        ("online-dp", "--tol", "nan"),
+        ("online-dp", "--grid", "-1"),
         ("preset fig7", "--max-sweeps", "0"),
         ("preset fig8", "--tol", "inf"),
     ])
     def test_bad_solver_setting_is_2(self, tmp_path, capsys, command, flag,
                                      value):
+        # the code that reads a setting rejects it, under its own name
         argv = command.split()
         if argv[0] != "preset":
             doc = DATA_SCEN if command == "solve-data" else SCEN
             argv += ["--scenario", _write_scenario(tmp_path, doc)]
         assert main(argv + [flag, value, "--out", str(tmp_path / "x")]) == 2
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "InvalidInputError" and flag in err["message"]
+        name = flag.lstrip("-").replace("-", "_")
+        assert err["error"] == "InvalidInputError" and name in err["message"]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("preset fig7", "--scenario", "f.json"),
+        ("solve-offline", "--seed", "9"),
+        ("naive", "--grid", "0.5"),
+        ("online-dp", "--tol", "nan"),
+        ("preset fig8", "--grid", "0.5"),
+    ])
+    def test_unread_flag_is_2(self, tmp_path, capsys, command, flag, value):
+        argv = command.split()
+        if argv[0] != "preset":
+            argv += ["--scenario", _write_scenario(tmp_path, SCEN)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["solve-offline", "solve-data",
@@ -522,6 +580,16 @@ class TestMainExitCodes:
             "channel": {"a": 0.9, "b": 2.0}})
         assert main(["oracle", "--scenario", scen_path, "--grid", "0.005",
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("flag", ["--emax", "--mean-interarrival"])
+    def test_bad_generator_parameter_is_2(self, tmp_path, capsys, flag,
+                                          value):
+        out = tmp_path / "gen.json"
+        assert main(["gen-scenario", flag, value, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InvalidInputError"
+        assert not out.exists()
 
     def test_gen_scenario_writes_file(self, tmp_path):
         out = tmp_path / "gen.json"
