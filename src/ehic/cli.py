@@ -241,20 +241,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
             scenario, rate_model, max_sweeps=config.max_sweeps,
             tol=config.tol, violation_tol=config.violation_tol)
         summary.update(rounds=report.rounds_used,
+                       inner_failures=report.inner_failures,
                        final_violation=report.final_violation,
                        converged=report.converged,
                        unusable_energy=report.unusable_energy.tolist())
     elif solver == "online-dp":
-        if not (math.isfinite(config.grid_step) and config.grid_step > 0.0):
-            raise InvalidInputError("grid step must be positive and finite, "
-                                    f"got {config.grid_step!r}")
+        grid = online.battery_grid(scenario, config.grid_step)
         stats = online.ArrivalDistribution.deterministic(scenario)
-        de = config.grid_step * scenario.grid.tau
-        grids = []
-        for cap in (u.harvest.capacity for u in scenario.users):
-            pts = max(2, int(round(cap / de)) + 1)
-            grids.append(np.linspace(0.0, cap, pts))
-        grid = online.StateGrid(grids[0], grids[1])
         result = online.value_iteration(stats, rate_model, grid,
                                         tau=scenario.grid.tau)
         policy, total = online.rollout_table(result, scenario, rate_model)

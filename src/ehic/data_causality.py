@@ -14,6 +14,19 @@ forward past a violated boundary of the same user, or backward when the
 other user's constraint is violated (that term vanishes identically in
 regions where the other user's rate does not depend on this user's power).
 
+Each block is one SLSQP solve under p >= 0 and the user's energy corridor
+L_n <= S_n <= U_n on the cumulative consumption S_n.  SLSQP sees only the
+corridor rows that p >= 0 leaves open (``model.open_rows``): S_n <= U_n
+where the harvest grows in slot n+1 or n = N, and S_n >= L_n where the
+floor is positive and rises.  With S nondecreasing, a ceiling that slot
+n+1 does not raise is met by S_n <= S_{n+1} <= U_{n+1}, and a floor that
+does not rise by S_n >= S_k >= L_k at the last kept k < n, so the feasible
+set is the one of all 2N - 1 rows.  On the benchmark's N=50 data scenarios
+3-21 of the 99 rows stay.  SLSQP reads each point's value and gradient from
+one evaluation, and it reports its status: a block solve whose status is a
+failure is counted in ``SolveReport.inner_failures``, and its row is still
+kept if it does not lower the penalized objective.
+
 Blocked-harvest contradictions (energy that data causality forbids spending
 before the battery must make room for the next arrival) are resolved by
 removing the provably unusable energy up front, which leaves the optimal
@@ -28,10 +41,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConvergenceError, InvalidInputError
-from .iterative import (_DISPLACEMENT_TOL, _OBJECTIVE_TOL, feasible_floor,
-                        iterate_offline, joint_objective)
+from .iterative import (_OBJECTIVE_TOL, feasible_floor, iterate_offline,
+                        joint_objective)
 from .model import (HarvestProfile, Scenario, User, energy_bounds,
-                    validate_scenario, violation)
+                    open_rows, validate_scenario, violation)
 from .rates import RateModel
 
 
@@ -93,37 +106,50 @@ def _penalized_objective(policy, scenario, rate_model, eps):
 
 
 def _block_fun_and_grad(scenario, rate_model, policy, user, eps):
-    """Objective/gradient of the penalized problem in user ``user``'s block."""
+    """Negated penalized objective and its gradient in user ``user``'s
+    block, the other user's row fixed.
+
+    Both read one evaluation per point: SLSQP asks for the gradient at the
+    point whose value it has just taken, so the rates and violations of the
+    last point are kept for it.  A point's value is
+    ``-_penalized_objective`` of the policy with its row floored at 0, bit
+    for bit.
+    """
     tau = scenario.grid.tau
     n = scenario.grid.N
-    other = policy[1 - user]
-    cum_b = []
-    for u in scenario.users:
-        cum_b.append(None if u.data.is_infinite
-                     else np.cumsum(u.data.arrivals))
+    full = np.empty((2, n))
+    full[1 - user] = policy[1 - user]
+    cum_b = [None if u.data.is_infinite else np.cumsum(u.data.arrivals)
+             for u in scenario.users]
+    last = {}
 
-    def assemble(x):
-        full = np.empty((2, n))
+    def evaluate(x):
+        if "x" in last and np.array_equal(x, last["x"]):
+            return
         full[user] = np.maximum(x, 0.0)
-        full[1 - user] = other
-        return full
+        r1, r2 = rate_model.user_rates(full[0], full[1])
+        bits = np.vstack([np.atleast_1d(r1), np.atleast_1d(r2)]) * tau
+        c = np.zeros((2, n))
+        for j in range(2):
+            if cum_b[j] is not None:
+                c[j] = np.maximum(0.0, np.cumsum(bits[j]) - cum_b[j])
+        rate = np.atleast_1d(rate_model.sum_rate(full[0], full[1]))
+        last.update(x=np.array(x, dtype=float), c=c,
+                    value=tau * float(np.sum(rate))
+                    - eps * float(np.sum(c * c)))
 
     def fun(x):
-        return -_penalized_objective(assemble(x), scenario, rate_model, eps)
+        evaluate(x)
+        return -last["value"]
 
     def grad(x):
-        full = assemble(x)
-        p1, p2 = full[0], full[1]
+        evaluate(x)
+        p1, p2 = full
         d_sum = rate_model.grad(p1, p2)[user]
         d11, d12, d21, d22 = rate_model.user_rate_partials(p1, p2)
         partials = ((d11, d21) if user == 0 else (d12, d22))
         g = tau * np.atleast_1d(d_sum).astype(float).copy()
-        r1, r2 = rate_model.user_rates(p1, p2)
-        bits = np.vstack([np.atleast_1d(r1), np.atleast_1d(r2)]) * tau
-        for j in range(2):
-            if cum_b[j] is None:
-                continue
-            c = np.maximum(0.0, np.cumsum(bits[j]) - cum_b[j])
+        for j, c in enumerate(last["c"]):
             if not np.any(c > 0.0):
                 continue
             w = np.cumsum(c[::-1])[::-1]     # sum_{m >= i} C_m
@@ -134,56 +160,63 @@ def _block_fun_and_grad(scenario, rate_model, policy, user, eps):
 
 
 def _solve_block(scenario, rate_model, policy, user, eps, start_obj):
+    """One SLSQP solve of a block: ``(policy, objective, success)``.
+
+    The block's row is kept only if it does not lower the penalized
+    objective; ``success`` is SLSQP's own status either way.
+    """
     tau = scenario.grid.tau
     n = scenario.grid.N
-    lower, upper = energy_bounds(scenario.users[user].harvest, tau)
+    harvest = scenario.users[user].harvest
+    lower, upper = energy_bounds(harvest, tau)
     fun, grad = _block_fun_and_grad(scenario, rate_model, policy, user, eps)
-    # the cumulative constraints are linear: their Jacobians are constant
-    cum = np.tril(np.ones((n, n)))
-    jac_upper = -tau * cum
-    jac_lower = tau * cum[:-1]
-    cons = [{
-        "type": "ineq",
-        "fun": lambda x: upper - tau * np.cumsum(x),
-        "jac": lambda x: jac_upper,
-    }]
-    if n > 1:
-        cons.append({
-            "type": "ineq",
-            "fun": lambda x: tau * np.cumsum(x)[:-1] - lower[:-1],
-            "jac": lambda x: jac_lower,
-        })
+    # the corridor rows that p >= 0 leaves open, as sign * (S_n - bound)
+    # >= 0; they are linear, so their Jacobian is constant
+    upper_rows, lower_rows = open_rows(lower, upper)
+    rows = np.concatenate([np.flatnonzero(upper_rows),
+                           np.flatnonzero(lower_rows)])
+    sign = np.repeat([-1.0, 1.0], [np.count_nonzero(upper_rows),
+                                   np.count_nonzero(lower_rows)])
+    bound = np.concatenate([upper[upper_rows], lower[lower_rows]])
+    jac = (sign * tau)[:, None] * np.tril(np.ones((n, n)))[rows]
+    cons = {"type": "ineq",
+            "fun": lambda x: sign * (tau * np.cumsum(x)[rows] - bound),
+            "jac": lambda x: jac}
     res = minimize(fun, policy[user], jac=grad, method="SLSQP",
                    bounds=[(0.0, None)] * n, constraints=cons,
                    options={"ftol": 1e-12, "maxiter": 400})
-    row = feasible_floor(np.maximum(res.x, 0.0),
-                         scenario.users[user].harvest, tau)
-    candidate = policy.copy()
-    candidate[user] = row
-    cand_obj = _penalized_objective(candidate, scenario, rate_model, eps)
+    row = feasible_floor(np.maximum(res.x, 0.0), harvest, tau)
+    # the floored row is nonnegative, so this is its _penalized_objective
+    cand_obj = -fun(row)
     if cand_obj >= start_obj:
-        return candidate, cand_obj
-    return policy, start_obj
+        candidate = policy.copy()
+        candidate[user] = row
+        return candidate, cand_obj, res.success
+    return policy, start_obj, res.success
 
 
 def _penalized_descent(scenario, rate_model, policy, eps, inner_sweeps):
+    """Block sweeps on the penalized objective: ``(policy, solves,
+    failures)``, with the block solves run and those SLSQP did not report
+    successful."""
     obj = _penalized_objective(policy, scenario, rate_model, eps)
+    solves = failures = 0
     for _ in range(inner_sweeps):
-        prev = policy.copy()
         start = obj
         for user in (0, 1):
             if float(np.sum(scenario.users[user].harvest.arrivals)) <= 0.0:
                 continue
-            policy, obj = _solve_block(scenario, rate_model, policy, user,
-                                       eps, obj)
-        # the displacement bound stays absolute here: SLSQP stops short of
-        # the block optima, so where this loop stops moves the answer, and
-        # the relative bound of iterate_offline would move it
-        disp = float(np.max(np.abs(policy - prev)))
-        if (obj - start <= _OBJECTIVE_TOL * max(1.0, abs(obj))
-                and disp <= _DISPLACEMENT_TOL):
+            policy, obj, success = _solve_block(scenario, rate_model, policy,
+                                                user, eps, obj)
+            solves += 1
+            failures += not success
+        # the objective alone ends a round: late in a round the two blocks
+        # can trade gains of about 1e-10 relative per sweep while the powers
+        # still move by 1e-6, a crawl that a displacement bound would keep
+        # going to the sweep cap
+        if obj - start <= _OBJECTIVE_TOL * max(1.0, abs(obj)):
             break
-    return policy
+    return policy, solves, failures
 
 
 def solve_with_data(scenario: Scenario, rate_model: RateModel,
@@ -194,9 +227,11 @@ def solve_with_data(scenario: Scenario, rate_model: RateModel,
     Outer rounds grow the penalty coefficient (1, 4, 16, ...); each round
     runs coordinate descent on the penalized objective warm-started from the
     previous round (round zero is ``iterate_offline`` with ``max_sweeps`` and
-    ``tol``).  Terminates once the largest violation is at or below
-    ``violation_tol``; after ``_MAX_ROUNDS`` rounds it raises
-    ``ConvergenceError`` with the last policy attached.
+    ``tol``), until a sweep gains at most ``_OBJECTIVE_TOL`` relative or for
+    at most ``_INNER_SWEEPS`` sweeps.  Terminates once the largest violation
+    is at or below ``violation_tol``; after ``_MAX_ROUNDS`` rounds it raises
+    ``ConvergenceError`` with the last policy attached, whose message counts
+    the block solves that SLSQP reported as failed.
     """
     if not (np.isfinite(violation_tol) and violation_tol > 0.0):
         raise InvalidInputError("violation_tol must be positive and finite")
@@ -214,11 +249,14 @@ def solve_with_data(scenario: Scenario, rate_model: RateModel,
     report.unusable_energy = original - scen.harvest_matrix()
     report.violation_trace = [vmax]
     inner_sweeps = min(max_sweeps, _INNER_SWEEPS)
+    solves = 0
     for k in range(1, _MAX_ROUNDS + 1):
         if vmax <= violation_tol:
             break
-        policy = _penalized_descent(scen, rate_model, policy,
-                                    _GROWTH ** (k - 1), inner_sweeps)
+        policy, round_solves, failures = _penalized_descent(
+            scen, rate_model, policy, _GROWTH ** (k - 1), inner_sweeps)
+        solves += round_solves
+        report.inner_failures += failures
         vmax = float(np.max(violation(policy, scen, rate_model)))
         report.violation_trace.append(vmax)
         report.rounds_used = k
@@ -230,6 +268,7 @@ def solve_with_data(scenario: Scenario, rate_model: RateModel,
         raise ConvergenceError(
             f"data-causality violation {vmax:.3g} of user {user + 1} at slot "
             f"{slot + 1} above tolerance {violation_tol:.3g} after "
-            f"{_MAX_ROUNDS} rounds",
+            f"{_MAX_ROUNDS} rounds; SLSQP failed {report.inner_failures} of "
+            f"{solves} block solves",
             best_policy=policy, residual=vmax)
     return policy, report

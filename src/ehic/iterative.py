@@ -55,7 +55,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv as _dpbsv
 
 from .errors import InvalidInputError, ShapeError
-from .model import Scenario, energy_bounds, validate_scenario
+from .model import Scenario, energy_bounds, open_rows, validate_scenario
 from .rates import RateModel, Region
 from .single_user import (InterferedUtilities, PiecewiseMinUtilities,
                           ScaledLogUtilities, SlotUtilities,
@@ -79,6 +79,7 @@ class SolveReport:
     converged: bool = False
     # populated by the data-arrival solver only
     rounds_used: int = 0
+    inner_failures: int = 0  # block solves whose SLSQP status is a failure
     final_violation: float = 0.0
     violation_trace: list = field(default_factory=list)
     unusable_energy: Optional[np.ndarray] = None
@@ -238,10 +239,16 @@ def joint_start(scenarios, rate_model: RateModel):
     # one contiguous run of its band system's unknowns
     floor = np.empty((size, n, 2))
     upper = np.empty((size, n, 2))
+    # the corridor rows that p >= 0 leaves open: harvests that grow in the
+    # next slot and floors that rise
+    grows = np.empty((size, n, 2), dtype=bool)
+    rises = np.empty((size, n, 2), dtype=bool)
     for k, scen in enumerate(scenarios):
         for col, j in enumerate(order):
             lower, upper[k, :, col] = energy_bounds(scen.users[j].harvest, tau)
             floor[k, :, col] = np.maximum.accumulate(lower)
+            grows[k, :, col], rises[k, :, col] = open_rows(lower,
+                                                           upper[k, :, col])
     floor[:, -1] = upper[:, -1]
     scale = np.maximum(1.0, upper[:, -1].max(axis=1))
     pinned = upper - floor <= 1e-12 * scale[:, None, None]
@@ -250,14 +257,10 @@ def joint_start(scenarios, rate_model: RateModel):
     # positive between a nondecreasing floor and harvest
     w = (np.arange(1, n + 1) / (n + 1.0))[:, None]
     cum = np.where(pinned, upper, floor + w * (upper - floor))
-    # constraints: increments touching a free entry, floors that rise, and
-    # cumulative harvests that grow in the next slot
+    # constraints: increments touching a free entry and the open rows of
+    # free entries (the last entry is pinned)
     mono = free.copy()
     mono[:, 1:] |= free[:, :-1]
-    rises = floor > np.concatenate([np.zeros((size, 1, 2)), floor[:, :-1]],
-                                   axis=1)
-    grows = np.zeros_like(free)
-    grows[:, :-1] = upper[:, :-1] < upper[:, 1:]
     # z stacks the increments tau*p, the floor slacks and the harvest
     # slacks, all computed from S; constraints act on z[act], and an entry
     # without one is held at 1 with lambda 0

@@ -215,6 +215,24 @@ def energy_bounds(harvest: HarvestProfile, tau: float):
     return lower, upper
 
 
+def open_rows(lower, upper):
+    """Masks of the corridor rows of ``energy_bounds`` that p >= 0 leaves
+    open: ``(upper_rows, lower_rows)``, one entry per slot.
+
+    S_n <= U_n is kept where U_{n+1} > U_n, and at n = N; where U_{n+1} =
+    U_n it follows from S_n <= S_{n+1} <= U_{n+1}.  S_n >= L_n is kept
+    where L_n > 0 and L_n > L_{n-1}, before the last slot: L_n = 0 holds
+    for any S >= 0, and where L_n <= L_{n-1} the rows before n hold a kept
+    k < n with L_k >= L_n (or L_n = 0), so S_n >= S_k >= L_k >= L_n.
+    Dropping the others leaves the feasible set of p >= 0 unchanged.
+    """
+    upper_rows = np.ones(upper.shape, dtype=bool)
+    upper_rows[:-1] = upper[:-1] < upper[1:]
+    lower_rows = np.zeros(lower.shape, dtype=bool)
+    lower_rows[:-1] = lower[:-1] > np.concatenate([[0.0], lower[:-2]])
+    return upper_rows, lower_rows
+
+
 def violation(policy, scenario: Scenario,
               rate_model: _rates.RateModel) -> np.ndarray:
     """Per-user, per-slot cumulative data-causality violation (2, N).

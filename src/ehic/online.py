@@ -32,19 +32,25 @@ that power is; it consumes no information about the other user's arrivals.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .errors import ConvergenceError, InvalidInputError, ShapeError
+from .errors import (ConvergenceError, InvalidInputError, OracleSizeError,
+                     ShapeError)
 from .model import Scenario, energy_bounds
 from .rates import RateModel
 from .single_user import _BINDING_TOL, _FEAS_EPS
 # unused here; perfbench's tracer patches both names in this module
 from .iterative import build_subproblem  # noqa: F401
 from .single_user import solve_single_user  # noqa: F401
+
+# the most bytes the DP's tables may hold: values (N + 1) * G1 * G2 and
+# policies N * G1 * G2 * 2, as float64
+_TABLE_BYTES = 128 << 20
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,32 @@ class StateGrid:
             if g[0] != 0.0 or np.any(np.diff(g) <= 0):
                 raise InvalidInputError(f"grid {name} must start at 0 and increase")
             object.__setattr__(self, name, g)
+
+
+def battery_grid(scenario: Scenario, grid_step: float) -> StateGrid:
+    """Each user's battery grid for a power step of ``grid_step``: uniform
+    from 0 to the capacity, about grid_step * tau apart.
+
+    Refuses with ``OracleSizeError``, before it builds anything, grids on
+    which the DP's tables would hold more than ``_TABLE_BYTES``.
+    """
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise InvalidInputError("grid step must be positive and finite, "
+                                f"got {grid_step!r}")
+    de = grid_step * scenario.grid.tau
+    caps = [u.harvest.capacity for u in scenario.users]
+    ratios = [cap / de if de > 0.0 else math.inf for cap in caps]
+    size = math.inf
+    if all(math.isfinite(r) for r in ratios):
+        points = [max(2, int(round(r)) + 1) for r in ratios]
+        size = 8.0 * (3 * scenario.grid.N + 1) * points[0] * float(points[1])
+    if size > _TABLE_BYTES:
+        count = f" ({size:.2e} bytes)" if math.isfinite(size) else ""
+        raise OracleSizeError(
+            f"DP tables at grid step {grid_step!r} would pass "
+            f"{_TABLE_BYTES >> 20} MiB{count}", size_estimate=size)
+    return StateGrid(*(np.linspace(0.0, cap, k)
+                       for cap, k in zip(caps, points)))
 
 
 @dataclass(frozen=True)

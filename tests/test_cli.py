@@ -137,6 +137,25 @@ class TestRunExperiment:
         assert summary["final_violation"] <= 1e-4
         assert summary["feasibility"]["feasible"]
 
+    def test_solve_data_reports_inner_failures(self, tmp_path, monkeypatch):
+        # every block solve's SLSQP status is read as a failure here
+        from ehic import data_causality
+        real, calls = data_causality.minimize, []
+
+        def failing(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.success = False
+            calls.append(res)
+            return res
+
+        monkeypatch.setattr(data_causality, "minimize", failing)
+        summary = run_experiment(ExperimentConfig(
+            solver="solve-data", out_dir=str(tmp_path / "data"),
+            scenario_path=_write_scenario(tmp_path, DATA_SCEN)))
+        written = json.loads((tmp_path / "data" / "summary.json").read_text())
+        assert written["inner_failures"] == summary["inner_failures"]
+        assert summary["inner_failures"] == len(calls) > 0
+
     def test_online_dp_and_tables(self, tmp_path):
         scen_path = _write_scenario(tmp_path, SCEN)
         out = tmp_path / "dp"
@@ -580,6 +599,29 @@ class TestMainExitCodes:
             "channel": {"a": 0.9, "b": 2.0}})
         assert main(["oracle", "--scenario", scen_path, "--grid", "0.005",
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("grid", ["1e-300", "1e-320", "0.002"])
+    def test_online_dp_refuses_tables_past_the_budget(self, tmp_path, capsys,
+                                                      grid):
+        # 8 slots at Emax 10: 1e-300 and 1e-320 (whose 10 / grid overflows)
+        # are the lattices that used to end in a traceback, and 0.002
+        # needs 5001^2 levels, 5.0e9 bytes of tables
+        scen_path = str(tmp_path / "n8.json")
+        assert main(["gen-scenario", "--n", "8", "--seed", "3",
+                     "--out", scen_path]) == 0
+        capsys.readouterr()
+        assert main(["online-dp", "--scenario", scen_path, "--grid", grid,
+                     "--out", str(tmp_path / "x")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "OracleSizeError"
+        assert not (tmp_path / "x").exists()
+
+    def test_online_dp_budget_admits_fig7(self):
+        # the default grid and --grid 0.5 on fig7: 201 and 21 levels
+        for step, points in ((0.05, 201), (0.5, 21)):
+            grid = online.battery_grid(fig7_scenario(), step)
+            assert len(grid.e1) == len(grid.e2) == points
+            assert grid.e1[-1] == 10.0
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("flag", ["--emax", "--mean-interarrival"])

@@ -2,15 +2,18 @@
 resolution and agreement with the exhaustive search."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ehic import data_causality
 from ehic.cli import gen_scenario
-from ehic.data_causality import (_block_fun_and_grad, resolve_contradictions,
-                                 solve_with_data, violation)
-from ehic.errors import InvalidInputError
+from ehic.data_causality import (_block_fun_and_grad, _penalized_objective,
+                                 resolve_contradictions, solve_with_data,
+                                 violation)
+from ehic.errors import ConvergenceError, InvalidInputError
 from ehic.iterative import iterate_offline, joint_objective
 from ehic.model import DataProfile, User, feasibility_report
 from ehic.oracle import OracleOptions, brute_force
@@ -220,3 +223,111 @@ class TestScheduleValidation:
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(InvalidInputError):
                 solve_with_data(scen, rm, violation_tol=bad)
+
+
+def _data_scenario(a, b, seed, high=0.6, n=12):
+    """A generated scenario with both users' data uniform on [0, high]."""
+    base = gen_scenario(n, 1.0, 10.0, 3.0, seed, a, b)
+    data = np.random.default_rng(seed).uniform(0.0, high, (2, n))
+    users = tuple(User(u.harvest, DataProfile(d))
+                  for u, d in zip(base.users, data))
+    return replace(base, users=users)
+
+
+class TestBlockEvaluator:
+    # a*b > 1, min-form (p_c = 2 at a=0.5, b=1.5), very strong, and both
+    # asymmetric families mirrored
+    CHANNELS = [(0.7, 5.0), (0.5, 1.5), (20.0, 30.0), (5.0, 0.7), (1.5, 0.5)]
+
+    @pytest.mark.parametrize("a, b", CHANNELS)
+    @pytest.mark.parametrize("user", [0, 1])
+    def test_value_is_the_penalized_objective(self, a, b, user):
+        scen = _data_scenario(a, b, 3)
+        rm = build_rate_model(a, b, *scen.peak_powers)
+        rng = np.random.default_rng(7)
+        policy = rng.uniform(0.0, 3.0, (2, 12))
+        fun, _ = _block_fun_and_grad(scen, rm, policy, user, 16.0)
+        points = [rng.uniform(-1.0, 3.0, 12) for _ in range(4)]
+        # repeated and interleaved points read the kept evaluation
+        for x in points + points[::-1]:
+            full = policy.copy()
+            full[user] = np.maximum(x, 0.0)
+            assert -fun(x) == _penalized_objective(full, scen, rm, 16.0)
+
+    @pytest.mark.parametrize("a, b", CHANNELS)
+    @pytest.mark.parametrize("user", [0, 1])
+    def test_gradient_matches_central_differences(self, a, b, user):
+        # data on [0, 0.2] leave both users' penalties active
+        scen = _data_scenario(a, b, 4, high=0.2)
+        rm = build_rate_model(a, b, *scen.peak_powers)
+        rng = np.random.default_rng(8)
+        # powers in [0.1, 1.8] keep every slot off the min-form kink at 2
+        policy = rng.uniform(0.1, 1.8, (2, 12))
+        fun, grad = _block_fun_and_grad(scen, rm, policy, user, 16.0)
+        h = 1e-6
+        for _ in range(3):
+            x = rng.uniform(0.1, 1.8, 12)
+            full = policy.copy()
+            full[user] = x
+            assert np.all(np.any(violation(full, scen, rm) > 0.0, axis=1))
+            g = grad(x)
+            fd = np.array([(fun(x + h * e) - fun(x - h * e)) / (2.0 * h)
+                           for e in np.eye(12)])
+            assert np.max(np.abs(g - fd)) <= 1e-6 * np.max(np.abs(g))
+
+
+class TestInnerStatus:
+    @staticmethod
+    def _late_data():
+        # test_penalty_rounds_engage_on_late_data's instance
+        scen = single_user_scenario([2.0, 0.0, 0.0], 3.0,
+                                    b_arr=[0.1, 0.1, 5.0],
+                                    a=0.3, partner_emax=0.05)
+        return scen, build_rate_model(0.3, 2.0, 3.0, 3.0)
+
+    @staticmethod
+    def _recording(monkeypatch, fail):
+        statuses = []
+        real = data_causality.minimize
+
+        def record(*args, **kwargs):
+            res = real(*args, **kwargs)
+            if fail:
+                res.success = False
+            statuses.append(bool(res.success))
+            return res
+
+        monkeypatch.setattr(data_causality, "minimize", record)
+        return statuses
+
+    def test_failed_statuses_are_counted(self, monkeypatch):
+        statuses = self._recording(monkeypatch, fail=False)
+        _, report = solve_with_data(*self._late_data())
+        assert report.rounds_used > 0 and statuses
+        assert report.inner_failures == statuses.count(False)
+
+    def test_every_failure_is_counted(self, monkeypatch):
+        statuses = self._recording(monkeypatch, fail=True)
+        _, report = solve_with_data(*self._late_data())
+        assert report.converged
+        assert report.inner_failures == len(statuses) > 0
+
+    def test_convergence_error_counts_the_failures(self, monkeypatch):
+        # slot 1 must spend its 5 units to make room for slot 2's, which
+        # sends (1/2)ln 6 nats of the 0.1 that have arrived
+        scen = single_user_scenario([5.0, 5.0], 5.0, b_arr=[0.1, 0.1])
+        rm = build_rate_model(0.5, 2.0, 5.0, 5.0)
+        statuses = self._recording(monkeypatch, fail=False)
+        with pytest.raises(ConvergenceError) as exc:
+            solve_with_data(scen, rm)
+        match = re.search(r"SLSQP failed (\d+) of (\d+) block solves",
+                          str(exc.value))
+        assert match is not None
+        assert int(match.group(1)) == statuses.count(False)
+        assert int(match.group(2)) == len(statuses) > 0
+
+    def test_infinite_backlog_has_no_inner_solves(self):
+        scen = single_user_scenario([1.0, 0.0, 1.0], 2.0)
+        rm = build_rate_model(0.5, 2.0, 2.0, 2.0)
+        _, report = solve_with_data(scen, rm)
+        assert report.inner_failures == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ehic.errors import InvalidInputError, ShapeError
 from ehic.model import (DataProfile, HarvestProfile, Scenario, TimeGrid, User,
                         cumulative_departure, energy_bounds,
-                        feasibility_report, scenario_from_dict,
+                        feasibility_report, open_rows, scenario_from_dict,
                         scenario_to_dict, validate_scenario)
 from ehic.rates import ChannelParams, Region, build_rate_model
 
@@ -288,3 +288,50 @@ class TestScenarioDocumentProperty:
                 b = user.data.arrivals
                 assert b.shape == (n,) and np.all(np.isfinite(b))
                 assert np.all(b >= 0)
+
+
+@st.composite
+def _harvests(draw):
+    """Harvest profiles of 1-12 slots whose arrivals mix zeros, arrivals
+    that fill the battery and anything in between."""
+    n = draw(st.integers(1, 12))
+    cap = draw(st.floats(0.1, 10.0))
+    amount = st.one_of(st.just(0.0), st.just(cap), st.floats(0.0, cap))
+    arrivals = draw(st.lists(amount, min_size=n, max_size=n))
+    return HarvestProfile(np.array(arrivals), cap)
+
+
+class TestOpenRows:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_harvests())
+    def test_every_dropped_row_is_implied_by_a_kept_one(self, harvest):
+        lower, upper = energy_bounds(harvest, 1.0)
+        up, low = open_rows(lower, upper)
+        n = len(upper)
+        assert up[-1] and not low[-1]
+        for i in np.flatnonzero(~up):
+            assert any(up[m] and upper[m] == upper[i]
+                       for m in range(i + 1, n))
+        for i in np.flatnonzero(~low):
+            assert lower[i] == 0.0 or any(low[k] and lower[k] >= lower[i]
+                                          for k in range(i))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_harvests(), st.integers(0, 2**32 - 1))
+    def test_rows_that_meet_the_kept_rows_meet_all(self, harvest, seed):
+        # rows near the corridor: feasible cumulative consumptions whose
+        # increments are perturbed in a few slots, floored at 0
+        lower, upper = energy_bounds(harvest, 1.0)
+        up, low = open_rows(lower, upper)
+        rng = np.random.default_rng(seed)
+        n = len(upper)
+        floor = np.maximum.accumulate(lower)
+        for _ in range(50):
+            s = floor + rng.uniform(0.0, 1.0, n) * (upper - floor)
+            p = np.diff(np.maximum.accumulate(s), prepend=0.0)
+            noise = rng.normal(0.0, harvest.capacity / 4.0, n)
+            p = np.maximum(p + noise * (rng.random(n) < 0.3), 0.0)
+            s = np.cumsum(p)
+            if np.all(s[up] <= upper[up]) and np.all(s[low] >= lower[low]):
+                assert np.all(s <= upper)
+                assert np.all(s[:-1] >= lower[:-1])
