@@ -212,8 +212,8 @@ def _penalized_descent(scenario, rate_model, policy, eps, inner_sweeps):
             failures += not success
         # the objective alone ends a round: late in a round the two blocks
         # can trade gains of about 1e-10 relative per sweep while the powers
-        # still move by 1e-6, a crawl that a displacement bound would keep
-        # going to the sweep cap
+        # still move by about 4e-6, a crawl that a displacement bound would
+        # keep going to the sweep cap
         if obj - start <= _OBJECTIVE_TOL * max(1.0, abs(obj)):
             break
     return policy, solves, failures
