@@ -79,7 +79,7 @@ class SolveReport:
     converged: bool = False
     # populated by the data-arrival solver only
     rounds_used: int = 0
-    inner_failures: int = 0  # block solves whose SLSQP status is a failure
+    inner_failures: int = 0  # round solves whose SLSQP status is a failure
     final_violation: float = 0.0
     violation_trace: list = field(default_factory=list)
     unusable_energy: Optional[np.ndarray] = None

@@ -138,7 +138,7 @@ class TestRunExperiment:
         assert summary["feasibility"]["feasible"]
 
     def test_solve_data_reports_inner_failures(self, tmp_path, monkeypatch):
-        # every block solve's SLSQP status is read as a failure here
+        # every round solve's SLSQP status is read as a failure here
         from ehic import data_causality
         real, calls = data_causality.minimize, []
 

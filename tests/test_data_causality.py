@@ -10,12 +10,12 @@ import pytest
 
 from ehic import data_causality
 from ehic.cli import gen_scenario
-from ehic.data_causality import (_block_fun_and_grad, _penalized_objective,
+from ehic.data_causality import (_joint_fun_and_grad, _penalized_objective,
                                  resolve_contradictions, solve_with_data,
                                  violation)
 from ehic.errors import ConvergenceError, InvalidInputError
-from ehic.iterative import iterate_offline, joint_objective
-from ehic.model import DataProfile, User, feasibility_report
+from ehic.iterative import feasible_floor, iterate_offline, joint_objective
+from ehic.model import DataProfile, HarvestProfile, User, feasibility_report
 from ehic.oracle import OracleOptions, brute_force
 from ehic.rates import build_rate_model
 
@@ -161,18 +161,17 @@ class TestSolveWithData:
             <= 0.01 * obj_oracle
 
     def test_penalty_gradient_continuous_at_violation_boundary(self):
-        # the squared hinge is C1, so the pump offset in the block gradient
-        # must not jump as the cumulative departures cross the data cap
+        # the squared hinge is C1, so the pump offset in the gradient must
+        # not jump as the cumulative departures cross the data cap
         scen = single_user_scenario([2.0, 0.0], 3.0, b_arr=[0.4, 5.0],
                                     a=0.3, partner_emax=0.05)
         rm = build_rate_model(0.3, 2.0, 3.0, 3.0)
-        policy = np.zeros((2, 2))
-        _, grad = _block_fun_and_grad(scen, rm, policy, 0, 10.0)
+        _, grad = _joint_fun_and_grad(scen, rm, 10.0)
         # p with tau*r1(p) == 0.4 exactly: the violation switches on here
         p_star = np.exp(2 * 0.4) - 1.0
         eps = 1e-7
-        g_lo = grad(np.array([p_star - eps, 0.0]))
-        g_hi = grad(np.array([p_star + eps, 0.0]))
+        g_lo = grad(np.array([p_star - eps, 0.0, 0.0, 0.0]))
+        g_hi = grad(np.array([p_star + eps, 0.0, 0.0, 0.0]))
         assert np.max(np.abs(g_hi - g_lo)) <= 1e-4
 
     def test_penalized_objective_monotone_in_coefficient(self):
@@ -199,11 +198,11 @@ class TestCrossCoupling:
                                      b1=[0.05, 5.0], b2=[0.05, 5.0])
         scen_one = two_user_scenario([1.0, 1.0], [1.0, 1.0], 2.0, 0.9, 2.0,
                                      b1=[0.05, 5.0])
-        policy = np.full((2, 2), 0.5)
         for x in (np.array([0.5, 0.5]), np.array([0.9, 0.1])):
-            _, g_two = _block_fun_and_grad(scen_two, rm, policy, 0, 3.0)
-            _, g_one = _block_fun_and_grad(scen_one, rm, policy, 0, 3.0)
-            assert np.allclose(g_two(x), g_one(x), atol=1e-14)
+            x = np.concatenate([x, [0.5, 0.5]])
+            _, g_two = _joint_fun_and_grad(scen_two, rm, 3.0)
+            _, g_one = _joint_fun_and_grad(scen_one, rm, 3.0)
+            assert np.allclose(g_two(x)[:2], g_one(x)[:2], atol=1e-14)
 
     def test_two_user_data_instance_converges(self):
         scen = two_user_scenario([1.0, 0.0], [0.5, 0.5], 1.0, 0.9, 2.0,
@@ -235,6 +234,8 @@ def _data_scenario(a, b, seed, high=0.6, n=12):
 
 
 class TestBlockEvaluator:
+    """The joint evaluator, read one user's block of x = (p_1, p_2) at a
+    time; the two cases of a channel cover all 2N coordinates."""
     # a*b > 1, min-form (p_c = 2 at a=0.5, b=1.5), very strong, and both
     # asymmetric families mirrored
     CHANNELS = [(0.7, 5.0), (0.5, 1.5), (20.0, 30.0), (5.0, 0.7), (1.5, 0.5)]
@@ -246,34 +247,123 @@ class TestBlockEvaluator:
         rm = build_rate_model(a, b, *scen.peak_powers)
         rng = np.random.default_rng(7)
         policy = rng.uniform(0.0, 3.0, (2, 12))
-        fun, _ = _block_fun_and_grad(scen, rm, policy, user, 16.0)
-        points = [rng.uniform(-1.0, 3.0, 12) for _ in range(4)]
+        fun, _ = _joint_fun_and_grad(scen, rm, 16.0)
+        # points that move only this user's block, then both blocks
+        points = []
+        for _ in range(4):
+            x = policy.copy()
+            x[user] = rng.uniform(-1.0, 3.0, 12)
+            points.append(x.ravel())
+        points += [rng.uniform(-1.0, 3.0, 24) for _ in range(2)]
         # repeated and interleaved points read the kept evaluation
         for x in points + points[::-1]:
-            full = policy.copy()
-            full[user] = np.maximum(x, 0.0)
-            assert -fun(x) == _penalized_objective(full, scen, rm, 16.0)
+            floored = np.maximum(x, 0.0).reshape(2, 12)
+            assert -fun(x) == _penalized_objective(floored, scen, rm, 16.0)
 
     @pytest.mark.parametrize("a, b", CHANNELS)
     @pytest.mark.parametrize("user", [0, 1])
     def test_gradient_matches_central_differences(self, a, b, user):
-        # data on [0, 0.2] leave both users' penalties active
+        # data on [0, 0.2] leave both users' penalties active, so this
+        # user's coordinates carry its own and the cross-user pump terms
         scen = _data_scenario(a, b, 4, high=0.2)
         rm = build_rate_model(a, b, *scen.peak_powers)
         rng = np.random.default_rng(8)
-        # powers in [0.1, 1.8] keep every slot off the min-form kink at 2
-        policy = rng.uniform(0.1, 1.8, (2, 12))
-        fun, grad = _block_fun_and_grad(scen, rm, policy, user, 16.0)
+        fun, grad = _joint_fun_and_grad(scen, rm, 16.0)
         h = 1e-6
+        block = slice(12 * user, 12 * (user + 1))
         for _ in range(3):
-            x = rng.uniform(0.1, 1.8, 12)
-            full = policy.copy()
-            full[user] = x
-            assert np.all(np.any(violation(full, scen, rm) > 0.0, axis=1))
+            # powers in [0.1, 1.8] keep every slot off the min-form kink at 2
+            x = rng.uniform(0.1, 1.8, 24)
+            assert np.all(np.any(violation(x.reshape(2, 12), scen, rm) > 0.0,
+                                 axis=1))
             g = grad(x)
             fd = np.array([(fun(x + h * e) - fun(x - h * e)) / (2.0 * h)
-                           for e in np.eye(12)])
-            assert np.max(np.abs(g - fd)) <= 1e-6 * np.max(np.abs(g))
+                           for e in np.eye(24)[block]])
+            assert (np.max(np.abs(g[block] - fd))
+                    <= 1e-6 * np.max(np.abs(g[block])))
+
+
+class TestPenaltyRounds:
+    @staticmethod
+    def _recording(monkeypatch):
+        """Record every round's (policy in, coefficient, policy out)."""
+        rounds = []
+        real = data_causality._penalty_round
+
+        def record(scen, rm, policy, eps, corridor):
+            out, success = real(scen, rm, policy, eps, corridor)
+            rounds.append((policy, eps, out))
+            return out, success
+
+        monkeypatch.setattr(data_causality, "_penalty_round", record)
+        return rounds
+
+    @staticmethod
+    def _instances():
+        late, late_rm = TestInnerStatus._late_data()
+        # no feasible policy: the rounds run to the cap, many of them with
+        # a failed SLSQP status
+        stuck = single_user_scenario([5.0, 5.0], 5.0, b_arr=[0.1, 0.1])
+        out = [(late, late_rm), (stuck, build_rate_model(0.5, 2.0, 5.0, 5.0))]
+        for a, b in ((0.7, 5.0), (0.5, 1.5)):
+            scen = _data_scenario(a, b, 5, high=0.2)
+            out.append((scen, build_rate_model(a, b, *scen.peak_powers)))
+        return out
+
+    def test_zero_harvest_user_keeps_a_zero_row(self, monkeypatch):
+        # user 2 harvests nothing: its row S_N <= 0 holds SLSQP's powers
+        # at 0 and the corridor floor makes them exact zeros; its data are
+        # finite in the second instance, so its penalty is live there
+        base = _data_scenario(0.7, 5.0, 5, high=0.2)
+        dormant = replace(base, users=(base.users[0], User(
+            HarvestProfile(np.zeros(12), 10.0), base.users[1].data)))
+        for scen, rm in (self._instances()[0],
+                         (dormant, build_rate_model(
+                             0.7, 5.0, *dormant.peak_powers))):
+            rounds = self._recording(monkeypatch)
+            try:
+                solve_with_data(scen, rm)
+            except ConvergenceError:
+                pass
+            assert rounds
+            for _, _, out in rounds:
+                assert np.array_equal(out[1], np.zeros(scen.grid.N))
+
+    def test_a_round_never_lowers_the_penalized_objective(self, monkeypatch):
+        for scen, rm in self._instances():
+            rounds = self._recording(monkeypatch)
+            try:
+                solve_with_data(scen, rm)
+            except ConvergenceError:
+                pass
+            assert rounds
+            for before, eps, after in rounds:
+                assert (_penalized_objective(after, scen, rm, eps)
+                        >= _penalized_objective(before, scen, rm, eps))
+
+    def test_a_lowering_answer_is_discarded(self, monkeypatch):
+        # SLSQP's answer is replaced by one that spends each arrival as it
+        # comes, which on the late-data instance sends more bits too early
+        # and fewer in all: every round must keep its start
+        scen, rm = self._instances()[0]
+        real = data_causality.minimize
+
+        def greedy(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.x = np.full_like(res.x, 1e3)
+            return res
+
+        monkeypatch.setattr(data_causality, "minimize", greedy)
+        rounds = self._recording(monkeypatch)
+        with pytest.raises(ConvergenceError):
+            solve_with_data(scen, rm)
+        spent = np.array([feasible_floor(np.full(3, 1e3), u.harvest, 1.0)
+                          for u in scen.users])
+        assert len(rounds) == 40
+        for before, eps, after in rounds:
+            assert (_penalized_objective(spent, scen, rm, eps)
+                    < _penalized_objective(before, scen, rm, eps))
+            assert after is before
 
 
 class TestInnerStatus:
@@ -320,7 +410,7 @@ class TestInnerStatus:
         statuses = self._recording(monkeypatch, fail=False)
         with pytest.raises(ConvergenceError) as exc:
             solve_with_data(scen, rm)
-        match = re.search(r"SLSQP failed (\d+) of (\d+) block solves",
+        match = re.search(r"SLSQP failed (\d+) of (\d+) round solves",
                           str(exc.value))
         assert match is not None
         assert int(match.group(1)) == statuses.count(False)

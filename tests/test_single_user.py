@@ -287,6 +287,26 @@ class TestUtilityFamilies:
             err = np.abs(np.where(q > 0, util.deriv(q) - level, 0.0))
             assert np.max(err) <= 1e-10
 
+    @pytest.mark.parametrize("a, p_other, level", [
+        (1e-4, 1e6, 0.1), (1e-5, 1e5, 0.05), (1e-6, 1e4, 0.3)])
+    def test_interfered_inverse_falls_back_to_bisection(self, monkeypatch, a,
+                                                        p_other, level):
+        # a weak cross gain against a strong interferer: the cubic's
+        # coefficients cancel, its Newton-polished root misses by more than
+        # 1e-9, and only that slot is inverted by bisection
+        real, calls = single_user._bisect_inv, []
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(single_user, "_bisect_inv", spy)
+        util = InterferedUtilities(a, np.array([p_other, 1.0]))
+        q = util.inv_deriv(level)
+        assert calls == [1]
+        assert np.all(q > 0.0)
+        assert np.max(np.abs(util.deriv(q) - level)) <= 1e-12
+
     def test_interfered_without_cross_gain(self):
         # a = 0 leaves f'(p) = 1/(2(1 + p)), inverted in closed form
         util = InterferedUtilities(0.0, np.array([0.0, 0.4, 2.0, 8.0]))
