@@ -42,7 +42,7 @@ from .errors import (ConvergenceError, InfeasiblePolicyError,
 from .iterative import (build_subproblem, iterate_offline,
                         iterate_offline_many, joint_objective)
 from .model import (DataProfile, HarvestProfile, Scenario, TimeGrid, User,
-                    cumulative_departure, energy_bounds, feasibility_report,
+                    cumulative_departure, feasibility_report,
                     scenario_from_dict, validate_scenario)
 from .rates import ChannelParams, build_rate_model
 from .single_user import verify_kkt
@@ -179,8 +179,8 @@ def _spend_overflow(row, harvest, tau):
     excess over the consumption; spending it one slot early meets the
     floor, only adds consumption and leaves later battery levels alone.
     """
-    lower, _ = energy_bounds(harvest, tau)
-    loss = np.maximum.accumulate(np.maximum(lower - tau * np.cumsum(row), 0.0))
+    loss = np.maximum.accumulate(
+        np.maximum(harvest.corridor.lower - tau * np.cumsum(row), 0.0))
     return row + np.diff(loss, prepend=0.0) / tau
 
 

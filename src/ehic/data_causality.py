@@ -17,7 +17,7 @@ regions where the other user's rate does not depend on this user's power).
 Each round is one SLSQP solve over both users' powers x = (p_1, p_2),
 warm-started from the last round, under p >= 0 and each user's energy
 corridor L_n <= S_n <= U_n on its cumulative consumption S_n.  SLSQP sees
-only the corridor rows that p >= 0 leaves open (``model.open_rows``):
+only the corridor rows that p >= 0 leaves open (``model.Corridor``):
 S_n <= U_n where the harvest grows in slot n+1 or n = N, and S_n >= L_n
 where the floor is positive and rises.  With S nondecreasing, a ceiling
 that slot n+1 does not raise is met by S_n <= S_{n+1} <= U_{n+1}, and a
@@ -48,8 +48,8 @@ from scipy.optimize import minimize
 
 from .errors import ConvergenceError, InvalidInputError
 from .iterative import feasible_floor, iterate_offline, joint_objective
-from .model import (HarvestProfile, Scenario, User, energy_bounds,
-                    open_rows, validate_scenario, violation)
+from .model import (HarvestProfile, Scenario, User, validate_scenario,
+                    violation)
 from .rates import RateModel
 
 
@@ -170,13 +170,12 @@ def _corridor_constraint(scenario):
     n = scenario.grid.N
     rows, sign, bound = [], [], []
     for j, user in enumerate(scenario.users):
-        lower, upper = energy_bounds(user.harvest, tau)
-        upper_rows, lower_rows = open_rows(lower, upper)
-        rows += [j * n + np.flatnonzero(upper_rows),
-                 j * n + np.flatnonzero(lower_rows)]
-        sign += [np.full(np.count_nonzero(upper_rows), -1.0),
-                 np.ones(np.count_nonzero(lower_rows))]
-        bound += [upper[upper_rows], lower[lower_rows]]
+        c = user.harvest.corridor
+        rows += [j * n + np.flatnonzero(c.upper_rows),
+                 j * n + np.flatnonzero(c.lower_rows)]
+        sign += [np.full(np.count_nonzero(c.upper_rows), -1.0),
+                 np.ones(np.count_nonzero(c.lower_rows))]
+        bound += [c.upper[c.upper_rows], c.lower[c.lower_rows]]
     rows, sign, bound = (np.concatenate(v) for v in (rows, sign, bound))
     jac = (sign * tau)[:, None] * np.kron(np.eye(2),
                                           np.tril(np.ones((n, n))))[rows]

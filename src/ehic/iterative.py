@@ -55,7 +55,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv as _dpbsv
 
 from .errors import InvalidInputError, ShapeError
-from .model import Scenario, energy_bounds, open_rows, validate_scenario
+from .model import Scenario, validate_scenario
 from .rates import RateModel, Region
 from .single_user import (InterferedUtilities, PiecewiseMinUtilities,
                           ScaledLogUtilities, SlotUtilities,
@@ -125,10 +125,9 @@ def joint_objective(policy, scenario: Scenario, rate_model: RateModel) -> float:
 
 def feasible_floor(policy_row, harvest, tau: float) -> np.ndarray:
     """Project a row onto the energy corridor (keeps it monotone in S-space)."""
-    lower, upper = energy_bounds(harvest, tau)
-    floor = np.maximum.accumulate(lower)
+    corridor = harvest.corridor
     s = tau * np.cumsum(np.maximum(policy_row, 0.0))
-    s = np.minimum(np.maximum(s, floor), upper)
+    s = np.minimum(np.maximum(s, corridor.floor), corridor.upper)
     return np.diff(np.concatenate([[0.0], s])) / tau
 
 
@@ -245,10 +244,9 @@ def joint_start(scenarios, rate_model: RateModel):
     rises = np.empty((size, n, 2), dtype=bool)
     for k, scen in enumerate(scenarios):
         for col, j in enumerate(order):
-            lower, upper[k, :, col] = energy_bounds(scen.users[j].harvest, tau)
-            floor[k, :, col] = np.maximum.accumulate(lower)
-            grows[k, :, col], rises[k, :, col] = open_rows(lower,
-                                                           upper[k, :, col])
+            c = scen.users[j].harvest.corridor
+            floor[k, :, col], upper[k, :, col] = c.floor, c.upper
+            grows[k, :, col], rises[k, :, col] = c.upper_rows, c.lower_rows
     floor[:, -1] = upper[:, -1]
     scale = np.maximum(1.0, upper[:, -1].max(axis=1))
     pinned = upper - floor <= 1e-12 * scale[:, None, None]

@@ -12,6 +12,12 @@ policy p[user][slot]:
 * data causality: cumulative departed bits never exceed cumulative arrivals
   (skipped for infinite-backlog users).
 
+The first two bound each user's cumulative consumption S_n to an energy
+corridor L_n <= S_n <= U_n.  ``HarvestProfile.corridor`` builds it once per
+profile as a read-only ``Corridor``: the bounds with their clip rule, the
+running floor, the unclipped battery floor, the rows that p >= 0 leaves
+open and the two tolerance scales that every solver and certificate reads.
+
 All energies/powers are in normalized units and all rates in nats; physical
 unit conversion lives in ``rates.normalize_channel`` and the CLI.  Types are
 immutable after construction and all operations are pure functions.
@@ -22,6 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -29,11 +36,19 @@ import numpy as np
 from . import rates as _rates
 from .errors import InvalidInputError, ShapeError
 
+# the corridor's tolerance scales (see ``Corridor``)
+_FEAS_EPS = 1e-10
+_BINDING_TOL = 1e-7
+
 
 def _frozen_array(values, name):
     arr = np.asarray(values, dtype=float).copy()
     if arr.ndim != 1:
         raise ShapeError(f"{name} must be a 1-D vector")
+    # NaN passes every sign check (nan < 0 is False), and inf breaks every
+    # solver
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -72,10 +87,59 @@ class HarvestProfile:
     def __post_init__(self):
         object.__setattr__(self, "arrivals",
                            _frozen_array(self.arrivals, "energy arrivals"))
-        if self.capacity <= 0:
-            raise InvalidInputError("battery capacity must be positive")
+        if not (math.isfinite(self.capacity) and self.capacity > 0):
+            raise InvalidInputError(
+                "battery capacity must be positive and finite")
         if np.any(self.arrivals < 0):
             raise InvalidInputError("energy arrivals must be nonnegative")
+
+    @cached_property
+    def corridor(self) -> "Corridor":
+        """The energy corridor of these arrivals, built on first use."""
+        cum_e = np.cumsum(self.arrivals)
+        raw_floor = np.full(cum_e.shape, -np.inf)
+        raw_floor[:-1] = cum_e[1:] - self.capacity
+        lower = np.minimum(np.maximum(0.0, raw_floor), cum_e)
+        return Corridor(
+            lower=lower, upper=cum_e, floor=np.maximum.accumulate(lower),
+            raw_floor=raw_floor,
+            upper_rows=np.append(cum_e[:-1] < cum_e[1:], True),
+            lower_rows=lower > np.concatenate([[0.0], lower[:-1]]),
+            feas_eps=_FEAS_EPS * max(float(cum_e[-1]), 1.0),
+            binding_tol=_BINDING_TOL * max(1.0, self.capacity))
+
+
+@dataclass(frozen=True)
+class Corridor:
+    """A user's corridor L_n <= S_n <= U_n for its cumulative consumption
+    S_n: read-only arrays, one entry per slot n = 1 .. N.
+
+    ``upper`` is the cumulative harvest U_n.  ``raw_floor`` is cum_e[n+1] -
+    capacity, which leaves room for the next arrival, and -inf after the
+    last slot; certificates judge against it.  ``lower`` clips it to [0,
+    U_n], since a full-battery arrival can round it an ulp above cum_e[n];
+    ``floor`` is its running maximum.  ``upper_rows`` and ``lower_rows``
+    mask the rows that p >= 0 leaves open: S_n <= U_n where U_{n+1} > U_n
+    or n = N (else S_n <= S_{n+1} <= U_{n+1}), and S_n >= L_n where L_n >
+    L_{n-1}, with L_0 = 0 (else L_n = 0, or a kept k < n has L_k >= L_n).
+    ``feas_eps`` = 1e-10 * max(1, U_N) is the slack of a solved row on the
+    corridor, ``binding_tol`` = 1e-7 * max(1, capacity) the slack within
+    which a certificate counts a bound as binding.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+    floor: np.ndarray
+    raw_floor: np.ndarray
+    upper_rows: np.ndarray
+    lower_rows: np.ndarray
+    feas_eps: float
+    binding_tol: float
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -129,14 +193,13 @@ class Scenario:
 
 
 def validate_scenario(raw: Scenario) -> Scenario:
-    """Check shapes and finiteness, truncate harvests at the battery capacity.
+    """Check shapes and the channel, truncate harvests at the battery capacity.
 
     An arrival larger than the battery is lost on arrival, so it is clipped
-    here once; the operation is idempotent.
+    here once; the operation is idempotent.  The grid and the profiles
+    reject non-finite values when they are built.
     """
     n = raw.grid.N
-    # NaN passes the constructors' sign checks (nan < 0 is False), and inf
-    # breaks every solver; TimeGrid already rejects a non-finite tau
     if not (np.isfinite(raw.channel.a) and np.isfinite(raw.channel.b)):
         raise InvalidInputError("cross gains must be finite")
     users = []
@@ -149,17 +212,11 @@ def validate_scenario(raw: Scenario) -> Scenario:
             raise ShapeError(
                 f"user {j + 1}: {user.data.arrivals.shape[0]} data arrivals "
                 f"for {n} slots")
-        if not (np.all(np.isfinite(e))
-                and np.isfinite(user.harvest.capacity)):
-            raise InvalidInputError(
-                f"user {j + 1}: energy arrivals and capacity must be finite")
-        if not (user.data.is_infinite
-                or np.all(np.isfinite(user.data.arrivals))):
-            raise InvalidInputError(
-                f"user {j + 1}: data arrivals must be finite")
         clipped = np.minimum(e, user.harvest.capacity)
-        users.append(User(HarvestProfile(clipped, user.harvest.capacity),
-                          user.data))
+        if not np.array_equal(clipped, e):   # else keep the built corridor
+            user = User(HarvestProfile(clipped, user.harvest.capacity),
+                        user.data)
+        users.append(user)
     return replace(raw, users=tuple(users))
 
 
@@ -197,42 +254,6 @@ def _worst(violations: np.ndarray) -> WorstViolation:
     return WorstViolation(float(violations[user, slot]), int(user), int(slot))
 
 
-def energy_bounds(harvest: HarvestProfile, tau: float):
-    """Corridor for cumulative consumption S_n: lower L (battery) and upper U.
-
-    U_n is the cumulative harvest through slot n.  L_n keeps room for the
-    next arrival (capacity constraint); there is no lower bound after the
-    final slot, so L[-1] = 0.  L_n is clipped to U_n: where slot n+1's
-    arrival fills the battery, cum_e[n+1] - capacity can round an ulp above
-    cum_e[n], which would leave an empty corridor in floating point.
-    """
-    cum_e = np.cumsum(harvest.arrivals)
-    upper = cum_e.copy()
-    lower = np.zeros_like(cum_e)
-    if cum_e.shape[0] > 1:
-        lower[:-1] = np.minimum(np.maximum(0.0, cum_e[1:] - harvest.capacity),
-                                upper[:-1])
-    return lower, upper
-
-
-def open_rows(lower, upper):
-    """Masks of the corridor rows of ``energy_bounds`` that p >= 0 leaves
-    open: ``(upper_rows, lower_rows)``, one entry per slot.
-
-    S_n <= U_n is kept where U_{n+1} > U_n, and at n = N; where U_{n+1} =
-    U_n it follows from S_n <= S_{n+1} <= U_{n+1}.  S_n >= L_n is kept
-    where L_n > 0 and L_n > L_{n-1}, before the last slot: L_n = 0 holds
-    for any S >= 0, and where L_n <= L_{n-1} the rows before n hold a kept
-    k < n with L_k >= L_n (or L_n = 0), so S_n >= S_k >= L_k >= L_n.
-    Dropping the others leaves the feasible set of p >= 0 unchanged.
-    """
-    upper_rows = np.ones(upper.shape, dtype=bool)
-    upper_rows[:-1] = upper[:-1] < upper[1:]
-    lower_rows = np.zeros(lower.shape, dtype=bool)
-    lower_rows[:-1] = lower[:-1] > np.concatenate([[0.0], lower[:-2]])
-    return upper_rows, lower_rows
-
-
 def violation(policy, scenario: Scenario,
               rate_model: _rates.RateModel) -> np.ndarray:
     """Per-user, per-slot cumulative data-causality violation (2, N).
@@ -256,20 +277,13 @@ def violation(policy, scenario: Scenario,
 def feasibility_report(policy, scenario: Scenario, rate_model,
                        tol: float = 1e-9) -> FeasibilityReport:
     """Evaluate all three constraint families for a candidate policy."""
-    n = scenario.grid.N
-    tau = scenario.grid.tau
-    p = as_policy(policy, n)
-    energy = np.zeros((2, n))
-    battery = np.zeros((2, n))
+    p = as_policy(policy, scenario.grid.N)
+    s = scenario.grid.tau * np.cumsum(p, axis=1)
+    corridors = [user.harvest.corridor for user in scenario.users]
+    energy = np.maximum(0.0, s - [c.upper for c in corridors])
+    # the unclipped floor, -inf where no next arrival exists
+    battery = np.maximum(0.0, [c.raw_floor for c in corridors] - s)
     data = violation(p, scenario, rate_model)
-    for j, user in enumerate(scenario.users):
-        cum_e = np.cumsum(user.harvest.arrivals)
-        s = tau * np.cumsum(p[j])
-        energy[j] = np.maximum(0.0, s - cum_e)
-        # battery check only applies where a next arrival exists
-        if n > 1:
-            battery[j, :-1] = np.maximum(
-                0.0, cum_e[1:] - user.harvest.capacity - s[:-1])
     worst_e, worst_b, worst_d = _worst(energy), _worst(battery), _worst(data)
     feasible = max(worst_e.magnitude, worst_b.magnitude,
                    worst_d.magnitude) <= tol

@@ -41,9 +41,8 @@ from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (ConvergenceError, InvalidInputError, OracleSizeError,
                      ShapeError)
-from .model import Scenario, energy_bounds
+from .model import Scenario
 from .rates import RateModel
-from .single_user import _BINDING_TOL, _FEAS_EPS
 # unused here; perfbench's tracer patches both names in this module
 from .iterative import build_subproblem  # noqa: F401
 from .single_user import solve_single_user  # noqa: F401
@@ -306,12 +305,9 @@ def distributed_policy(scenario: Scenario, user: int) -> np.ndarray:
     """
     if user not in (0, 1):
         raise ShapeError("user index must be 0 or 1")
-    harvest = scenario.users[user].harvest
-    tau = scenario.grid.tau
-    lower, upper = energy_bounds(harvest, tau)
-    lower, upper = lower.tolist(), upper.tolist()
-    row = _taut_string(lower, upper, tau)
-    fault = _taut_fault(row, lower, upper, tau, harvest.capacity)
+    corridor = scenario.users[user].harvest.corridor
+    row = _taut_string(corridor, scenario.grid.tau)
+    fault = _taut_fault(row, corridor, scenario.grid.tau)
     if fault is not None:
         raise ConvergenceError(
             f"distributed baseline of user {user + 1} is not a taut string: "
@@ -319,7 +315,7 @@ def distributed_policy(scenario: Scenario, user: int) -> np.ndarray:
     return np.array(row)
 
 
-def _taut_string(lower, upper, tau):
+def _taut_string(corridor, tau):
     """Powers of the shortest path of cumulative consumption from (0, 0) to
     (N, U_N) through the gates [L_n, U_n], n = 1 .. N - 1.
 
@@ -331,6 +327,7 @@ def _taut_string(lower, upper, tau):
     passes are knots of the string, and the last of them is the new apex.
     Each window between knots gets the even split of its energy.
     """
+    lower, upper = corridor.lower.tolist(), corridor.upper.tolist()
     n = len(upper)
     knots = [(0, 0.0)]
     ceil = deque(knots)
@@ -367,18 +364,18 @@ def _taut_string(lower, upper, tau):
     return row
 
 
-def _taut_fault(row, lower, upper, tau, capacity):
+def _taut_fault(row, corridor, tau):
     """Why ``row`` is not a taut string, or None when it is one.
 
     The row must be nonnegative, meet the corridor and spend U_N within
-    ``_FEAS_EPS``, and its power may rise only where the battery is empty
+    ``feas_eps``, and its power may rise only where the battery is empty
     (S_i on U_i) and fall only where it is full (S_i on L_i), within
-    ``verify_kkt``'s binding tolerance.  With the water level at f'(p_i),
+    ``binding_tol``, as in ``verify_kkt``.  With the water level at f'(p_i),
     these are the KKT conditions of every time-invariant concave,
     nondecreasing slot utility f, so they certify the row for all of them.
     """
-    eps = _FEAS_EPS * max(upper[-1], 1.0)
-    binding = _BINDING_TOL * max(1.0, capacity)
+    lower, upper = corridor.lower.tolist(), corridor.upper.tolist()
+    eps, binding = corridor.feas_eps, corridor.binding_tol
     s = 0.0
     for i, p in enumerate(row):
         s += tau * p

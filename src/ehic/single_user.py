@@ -52,14 +52,9 @@ import numpy as np
 
 from .errors import (ConvergenceError, InfeasiblePolicyError,
                      InvalidUtilityError)
-from .model import HarvestProfile, TimeGrid, energy_bounds
+from .model import HarvestProfile, TimeGrid
 
 _INF = math.inf
-# slack, relative to max(1, battery capacity), within which verify_kkt counts
-# a cumulative bound as binding
-_BINDING_TOL = 1e-7
-# slack of a solved row on its corridor, relative to max(1, total harvest)
-_FEAS_EPS = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +529,10 @@ def _distribute_late(powers, q_lo, target):
 # corridor decomposition
 # ---------------------------------------------------------------------------
 
-def _solve_corridor(utilities, tau, lower, upper, z_total):
+def _solve_corridor(utilities, tau, corridor, z_total):
     """Equalize the whole horizon; where that breaks the corridor, pin the
     worst boundary to the bound it violates and solve both halves alike."""
-    n = lower.shape[0]
-    feas_eps = _FEAS_EPS * max(float(upper[-1]), 1.0)
+    lower, upper, feas_eps = corridor.lower, corridor.upper, corridor.feas_eps
 
     def solve(lo, hi, a_val, b_val):
         powers = _equalize(utilities, np.arange(lo, hi + 1),
@@ -558,33 +552,33 @@ def _solve_corridor(utilities, tau, lower, upper, z_total):
         return np.concatenate([solve(lo, lo + k, a_val, pin),
                                solve(lo + k + 1, hi, pin, b_val)])
 
-    return solve(0, n - 1, 0.0, z_total)
+    return solve(0, lower.shape[0] - 1, 0.0, z_total)
 
 
-def _as_tight_as_solved(row, tau, lower, upper, z_total):
+def _as_tight_as_solved(row, tau, corridor, z_total):
     """Whether ``row`` meets the corridor as tightly as ``_solve_corridor``'s
-    rows do: nonnegative, within ``_FEAS_EPS`` of both bounds, and spending
+    rows do: nonnegative, within ``feas_eps`` of both bounds, and spending
     the optimal total ``z_total``.  ``verify_kkt`` allows 1e-6 of the
     capacity on the corridor and counts a bound within 1e-7 of it as
     binding; this keeps a returned start as exact as a solved row."""
     row = np.asarray(row, dtype=float)
+    lower, upper, eps = corridor.lower, corridor.upper, corridor.feas_eps
     if row.shape != lower.shape or not np.all(row >= 0.0):
         return False
     s = tau * np.cumsum(row)
-    eps = _FEAS_EPS * max(float(upper[-1]), 1.0)
     return bool(np.all(s <= upper + eps) and np.all(s >= lower - eps)
                 and abs(s[-1] - z_total) <= eps)
 
 
-def _total_at_level_zero(q0, tau, lower, upper):
+def _total_at_level_zero(q0, tau, corridor):
     """Total consumption at the optimum: every slot takes its demand at
     level 0, where its marginal reaches zero, unless the corridor forces
     more (a full battery) or allows less (an empty one)."""
     if np.all(np.isinf(q0)):
-        return float(upper[-1])     # spend everything
-    floor = np.maximum.accumulate(lower).tolist()
+        return float(corridor.upper[-1])     # spend everything
     s = 0.0
-    for u, f, q in zip(upper.tolist(), floor, (tau * q0).tolist()):
+    for u, f, q in zip(corridor.upper.tolist(), corridor.floor.tolist(),
+                       (tau * q0).tolist()):
         s = min(u, max(f, s + q))
     return s
 
@@ -631,16 +625,12 @@ def verify_kkt(policy_row, utilities: SlotUtilities, harvest: HarvestProfile,
         raise InfeasiblePolicyError("policy row must be finite")
     tau = grid.tau
     scale_e = max(1.0, harvest.capacity)
-    binding_tol = _BINDING_TOL * scale_e
-    lower, upper = energy_bounds(harvest, tau)
-    cum_e = np.cumsum(harvest.arrivals)
-    l_raw = np.empty(n)
-    l_raw[:-1] = cum_e[1:] - harvest.capacity if n > 1 else 0.0
-    l_raw[-1] = -_INF                      # no capacity bound after the end
+    c = harvest.corridor
+    # the unclipped floor, -inf after the last slot, where no arrival follows
+    upper, l_raw, binding_tol = c.upper, c.raw_floor, c.binding_tol
     s = tau * np.cumsum(p)
     feas_tol = 1e-6 * scale_e
-    worst = max(float(np.max(s - upper)),
-                float(np.max(l_raw[:-1] - s[:-1])) if n > 1 else 0.0,
+    worst = max(float(np.max(s - upper)), float(np.max(l_raw - s)),
                 float(np.max(-p)) * tau)
     if worst > feas_tol:
         raise InfeasiblePolicyError(
@@ -654,9 +644,7 @@ def verify_kkt(policy_row, utilities: SlotUtilities, harvest: HarvestProfile,
     g_hi = np.atleast_1d(g_hi).tolist()
     pos = (p > 1e-11 * max(1.0, scale_e / tau)).tolist()
     empty = ((upper - s) <= binding_tol).tolist()
-    full = [False] * n
-    if n > 1:
-        full[:-1] = ((s[:-1] - l_raw[:-1]) <= binding_tol).tolist()
+    full = ((s - l_raw) <= binding_tol).tolist()
 
     # backward pass: propagate the interval of admissible levels.  The level
     # may rise across boundary k only while the battery is empty there, and
@@ -763,10 +751,9 @@ def solve_single_user(utilities: SlotUtilities, harvest: HarvestProfile,
             "utility families "
             f"({', '.join(cls.__name__ for cls in _CLOSED_FORM)})")
     tau = grid.tau
-    lower, upper = energy_bounds(harvest, tau)
-    z_total = _total_at_level_zero(utilities.demand_at_zero(), tau, lower,
-                                   upper)
-    if start is not None and _as_tight_as_solved(start, tau, lower, upper,
+    corridor = harvest.corridor
+    z_total = _total_at_level_zero(utilities.demand_at_zero(), tau, corridor)
+    if start is not None and _as_tight_as_solved(start, tau, corridor,
                                                  z_total):
         try:
             cert = verify_kkt(start, utilities, harvest, grid)
@@ -775,7 +762,7 @@ def solve_single_user(utilities: SlotUtilities, harvest: HarvestProfile,
         if (cert is not None and cert.stationarity_residual <= tol
                 and cert.complementarity_residual <= tol):
             return np.array(start, dtype=float), cert
-    powers = _solve_corridor(utilities, tau, lower, upper, z_total)
+    powers = _solve_corridor(utilities, tau, corridor, z_total)
     cert = verify_kkt(powers, utilities, harvest, grid)
     residual = max(cert.stationarity_residual, cert.complementarity_residual)
     if residual > tol:

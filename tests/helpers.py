@@ -253,8 +253,7 @@ def reference_verify_kkt(policy_row, utilities, harvest, grid):
     import math
 
     from ehic.errors import InfeasiblePolicyError
-    from ehic.model import energy_bounds
-    from ehic.single_user import _BINDING_TOL, KKTCertificate
+    from ehic.single_user import KKTCertificate
 
     _INF = np.inf
     p = np.asarray(policy_row, dtype=float)
@@ -265,10 +264,12 @@ def reference_verify_kkt(policy_row, utilities, harvest, grid):
         # NaN compares false everywhere below and would certify as optimal
         raise InfeasiblePolicyError("policy row must be finite")
     tau = grid.tau
+    # the corridor and the binding scale from the arrivals, independent of
+    # the program's Corridor record
     scale_e = max(1.0, harvest.capacity)
-    binding_tol = _BINDING_TOL * scale_e
-    lower, upper = energy_bounds(harvest, tau)
+    binding_tol = 1e-7 * scale_e
     cum_e = np.cumsum(harvest.arrivals)
+    upper = cum_e
     l_raw = np.empty(n)
     l_raw[:-1] = cum_e[1:] - harvest.capacity if n > 1 else 0.0
     l_raw[-1] = -_INF                      # no capacity bound after the end

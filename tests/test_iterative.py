@@ -19,7 +19,7 @@ from ehic.errors import InvalidInputError
 from ehic.iterative import (band_solve, build_subproblem, feasible_floor,
                             iterate_offline, iterate_offline_many,
                             joint_objective, joint_start)
-from ehic.model import HarvestProfile, TimeGrid, energy_bounds
+from ehic.model import HarvestProfile, TimeGrid
 from ehic.online import naive_policy
 from ehic.rates import Region, build_rate_model
 from ehic.single_user import ScaledLogUtilities, solve_single_user, verify_kkt
@@ -285,7 +285,7 @@ def _assert_strictly_feasible(policy, scen):
     scale = max([1.0] + [float(np.sum(u.harvest.arrivals))
                          for u in scen.users])
     for j, user in enumerate(scen.users):
-        lower, upper = energy_bounds(user.harvest, tau)
+        lower, upper = user.harvest.corridor.lower, user.harvest.corridor.upper
         floor = np.maximum.accumulate(lower)
         s = tau * np.cumsum(policy[j])
         assert s[-1] == pytest.approx(upper[-1], rel=1e-12, abs=1e-12)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from ehic.errors import InvalidInputError, ShapeError
 from ehic.model import (DataProfile, HarvestProfile, Scenario, TimeGrid, User,
-                        cumulative_departure, energy_bounds,
-                        feasibility_report, open_rows, scenario_from_dict,
-                        scenario_to_dict, validate_scenario)
+                        cumulative_departure, feasibility_report,
+                        scenario_from_dict, scenario_to_dict,
+                        validate_scenario)
 from ehic.rates import ChannelParams, Region, build_rate_model
 
 from helpers import two_user_scenario
@@ -46,6 +46,21 @@ class TestValidate:
         with pytest.raises(InvalidInputError):
             HarvestProfile(np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: HarvestProfile([1.0, math.nan, 1.0], 2.0),
+        lambda: HarvestProfile([1.0, 1.0, 1.0], math.nan),
+        lambda: HarvestProfile([1.0, math.inf, 1.0], math.inf),
+        lambda: HarvestProfile([1.0, 1.0, 1.0], math.inf),
+        lambda: HarvestProfile([1.0, -math.inf], 2.0),
+        lambda: DataProfile([0.5, math.nan]),
+        lambda: DataProfile([0.5, math.inf]),
+    ], ids=["arrival-nan", "capacity-nan", "arrival-and-capacity-inf",
+            "capacity-inf", "arrival-minus-inf", "data-nan", "data-inf"])
+    def test_non_finite_profile_rejected(self, make):
+        # a NaN passes a plain sign check (nan < 0 is False)
+        with pytest.raises(InvalidInputError):
+            make()
+
     @pytest.mark.parametrize("n", [float("nan"), float("inf"),
                                    float("-inf"), "x", "3", None, 2.5, -1])
     def test_bad_slot_count_rejected(self, n):
@@ -79,9 +94,9 @@ class TestEnergyBounds:
             scen = gen_scenario(FIG8_SLOTS, 1.0, FIG8_EMAX,
                                 FIG8_MEAN_INTERARRIVAL, seed, *FIG8_CHANNEL)
             for user in scen.users:
-                lower, upper = energy_bounds(user.harvest, 1.0)
-                assert np.all(lower <= upper)
-                full += int(np.sum(lower == upper))
+                c = user.harvest.corridor
+                assert np.all(c.lower <= c.upper)
+                full += int(np.sum(c.lower == c.upper))
         assert full >= 3
 
     def test_clipped_floor_meets_the_ceiling(self):
@@ -89,10 +104,26 @@ class TestEnergyBounds:
         # spend its whole arrival: the floor there is the ceiling, 0.1,
         # where the unclipped (0.1 + 0.2) - 0.2 rounds above it
         harvest = HarvestProfile(np.array([0.1, 0.2, 0.0]), 0.2)
-        lower, upper = energy_bounds(harvest, 1.0)
+        lower, upper = harvest.corridor.lower, harvest.corridor.upper
         assert (0.1 + 0.2) - 0.2 > 0.1
         assert lower.tolist() == [0.1, (0.1 + 0.2) - 0.2, 0.0]
         assert upper.tolist() == [0.1, 0.1 + 0.2, 0.1 + 0.2]
+
+    def test_record_is_built_once_and_read_only(self):
+        harvest = HarvestProfile(np.array([3.0, 0.0, 2.0, 1.0]), 4.0)
+        c = harvest.corridor
+        assert harvest.corridor is c
+        arrays = [name for name, value in vars(c).items()
+                  if isinstance(value, np.ndarray)]
+        assert sorted(arrays) == ["floor", "lower", "lower_rows",
+                                  "raw_floor", "upper", "upper_rows"]
+        for name in arrays:
+            with pytest.raises(ValueError):
+                getattr(c, name)[0] = 0
+        assert c.raw_floor[-1] == -math.inf
+        assert c.raw_floor[:-1].tolist() == [-1.0, 1.0, 2.0]
+        assert c.lower.tolist() == [0.0, 1.0, 2.0, 0.0]
+        assert c.floor.tolist() == [0.0, 1.0, 2.0, 2.0]
 
 
 class TestFeasibilityReport:
@@ -305,8 +336,8 @@ class TestOpenRows:
     @settings(max_examples=300, deadline=None, database=None)
     @given(_harvests())
     def test_every_dropped_row_is_implied_by_a_kept_one(self, harvest):
-        lower, upper = energy_bounds(harvest, 1.0)
-        up, low = open_rows(lower, upper)
+        c = harvest.corridor
+        lower, upper, up, low = c.lower, c.upper, c.upper_rows, c.lower_rows
         n = len(upper)
         assert up[-1] and not low[-1]
         for i in np.flatnonzero(~up):
@@ -321,8 +352,8 @@ class TestOpenRows:
     def test_rows_that_meet_the_kept_rows_meet_all(self, harvest, seed):
         # rows near the corridor: feasible cumulative consumptions whose
         # increments are perturbed in a few slots, floored at 0
-        lower, upper = energy_bounds(harvest, 1.0)
-        up, low = open_rows(lower, upper)
+        c = harvest.corridor
+        lower, upper, up, low = c.lower, c.upper, c.upper_rows, c.lower_rows
         rng = np.random.default_rng(seed)
         n = len(upper)
         floor = np.maximum.accumulate(lower)

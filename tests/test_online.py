@@ -10,7 +10,7 @@ from ehic import online
 from ehic.cli import _rate_model_for, fig7_scenario, gen_scenario, main
 from ehic.errors import ConvergenceError, InvalidInputError, ShapeError
 from ehic.iterative import build_subproblem, iterate_offline, joint_objective
-from ehic.model import HarvestProfile, TimeGrid, energy_bounds, scenario_to_dict
+from ehic.model import HarvestProfile, TimeGrid, scenario_to_dict
 from ehic.online import (ArrivalDistribution, StateGrid, distributed_policy,
                          naive_policy, rollout_table, value_iteration)
 from ehic.rates import Region, build_rate_model
@@ -355,7 +355,8 @@ class TestDistributed:
         scen, _ = DISTRIBUTED_CASES["forced-spending"]()
         tau = scen.grid.tau
         row = distributed_policy(scen, 0)
-        lower, upper = energy_bounds(scen.users[0].harvest, tau)
+        lower, upper = (scen.users[0].harvest.corridor.lower,
+                        scen.users[0].harvest.corridor.upper)
         s = tau * np.cumsum(row)
         assert s[0] == pytest.approx(lower[0], abs=1e-12) and lower[0] > 0
         assert s[-1] == pytest.approx(upper[-1], abs=1e-12)
