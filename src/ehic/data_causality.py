@@ -37,6 +37,19 @@ Blocked-harvest contradictions (energy that data causality forbids spending
 before the battery must make room for the next arrival) are resolved by
 removing the provably unusable energy up front, which leaves the optimal
 value unchanged.
+
+Some instances have no feasible policy at all: a user's battery forces it to
+spend energy, and so to send data, faster than its data arrive.  Before
+round zero ``forced_departures`` bounds each user's departures from below:
+the fewest nats the user can send through slot n anywhere in its own
+corridor, with the partner at its largest single-slot power, which lowers
+the user's rate in every region.  That rate is concave and nondecreasing in
+the user's own power, so the sum over slots is concave in S and smallest at
+a vertex of the corridor polytope (Rockafellar, Convex Analysis, Cor.
+32.3.2), where every S_k lies in {0} u {L_j} u {U_j}; a forward DP over
+those levels finds it exactly.  Where the bound exceeds the arrived data by
+more than ``violation_tol`` no policy can pass, and the solver refuses the
+instance with ``InvalidInputError`` instead of running its rounds.
 """
 
 from __future__ import annotations
@@ -98,6 +111,73 @@ def resolve_contradictions(scenario: Scenario) -> Scenario:
     if not changed:
         return scenario
     return replace(scenario, users=tuple(users))
+
+
+def forced_departures(scenario: Scenario, rate_model: RateModel,
+                      user: int) -> np.ndarray:
+    """The fewest nats ``user`` can send through each slot n, over every S
+    in its corridor L_k <= S_k <= U_k, with the partner at its largest
+    single-slot power min(capacity, U_N) / tau.
+
+    Exact for rates that do not depend on the partner (the canonical user 2
+    and the very strong region).  The DP keeps, after slot k, the least
+    departures that reach each level of {0} u {L_j} u {U_j} inside [L_k,
+    U_k]; a slot either stays at its level (p = 0) or jumps up.
+    """
+    tau = scenario.grid.tau
+    corridor = scenario.users[user].harvest.corridor
+    partner = scenario.users[1 - user].harvest
+    p_partner = min(partner.capacity, float(partner.corridor.upper[-1])) / tau
+
+    def nats(energy):
+        p = energy / tau
+        pair = (p, p_partner) if user == 0 else (p_partner, p)
+        return tau * rate_model.user_rates(*pair)[user]
+
+    levels = np.unique(np.concatenate([[0.0], corridor.lower,
+                                       corridor.upper]))
+    first = np.searchsorted(levels, corridor.lower, side="left")
+    last = np.searchsorted(levels, corridor.upper, side="right")
+    forced = np.empty(scenario.grid.N)
+    start, cost = 0, np.zeros(1)            # S_0 = 0 is levels[0]
+    for k in range(scenario.grid.N):
+        step = (levels[first[k]:last[k]][None, :]
+                - levels[start:start + cost.size][:, None])
+        cost = np.min(np.where(step >= 0.0,
+                               cost[:, None] + nats(np.maximum(step, 0.0)),
+                               np.inf), axis=0)
+        start = first[k]
+        forced[k] = np.min(cost)
+    return forced
+
+
+def _refuse_forced_violations(scenario, rate_model, violation_tol):
+    """Raise ``InvalidInputError`` if some user's corridor forces it to send
+    more than ``violation_tol`` nats beyond its arrived data.
+
+    A solved row may pass each of its corridor bounds by ``feas_eps``, so
+    its energy in a slot may move by twice that, and the partner's may pass
+    its peak by as much.  Each rate moves by at most 1/2 nat per unit of
+    either user's energy in a slot, so through slot n the departures may
+    fall below the bound by n times the sum of the two users' ``feas_eps``,
+    which the test allows for.
+    """
+    n = scenario.grid.N
+    slack = np.arange(1, n + 1) * sum(u.harvest.corridor.feas_eps
+                                      for u in scenario.users)
+    for j, user in enumerate(scenario.users):
+        if user.data.is_infinite:
+            continue
+        forced = forced_departures(scenario, rate_model, j)
+        arrived = np.cumsum(user.data.arrivals)
+        excess = forced - arrived - slack
+        slot = int(np.argmax(excess))
+        if excess[slot] > violation_tol:
+            raise InvalidInputError(
+                f"no policy meets data causality: user {j + 1}'s battery "
+                f"forces it to send at least {forced[slot]:.6g} nats "
+                f"through slot {slot + 1}, and only {arrived[slot]:.6g} "
+                f"have arrived")
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +291,16 @@ def solve_with_data(scenario: Scenario, rate_model: RateModel,
                     violation_tol: float = 1e-4):
     """Best-effort schedule under energy AND data causality.
 
-    Outer rounds grow the penalty coefficient (1, 4, 16, ...); each round
-    is one SLSQP solve of the penalized objective over both users' powers,
-    warm-started from the previous round (round zero is ``iterate_offline``
-    with ``max_sweeps`` and ``tol``).  Terminates once the largest violation
-    is at or below ``violation_tol``; after ``_MAX_ROUNDS`` rounds it raises
+    After ``resolve_contradictions``, an instance where some user's battery
+    forces it to send more than ``violation_tol`` nats beyond its arrived
+    data (``forced_departures``) has no policy that can pass: it raises
+    ``InvalidInputError`` naming the user, the slot, the forced and the
+    arrived nats, before round zero.  Otherwise outer rounds grow the
+    penalty coefficient (1, 4, 16, ...); each round is one SLSQP solve of
+    the penalized objective over both users' powers, warm-started from the
+    previous round (round zero is ``iterate_offline`` with ``max_sweeps``
+    and ``tol``).  Terminates once the largest violation is at or below
+    ``violation_tol``; after ``_MAX_ROUNDS`` rounds it raises
     ``ConvergenceError`` with the last policy attached, whose message counts
     the round solves that SLSQP reported as failed.
     """
@@ -229,6 +314,7 @@ def solve_with_data(scenario: Scenario, rate_model: RateModel,
 
     original = scen.harvest_matrix()
     scen = resolve_contradictions(scen)
+    _refuse_forced_violations(scen, rate_model, violation_tol)
 
     policy, report = iterate_offline(scen, rate_model, max_sweeps, tol)
     vmax = float(np.max(violation(policy, scen, rate_model)))

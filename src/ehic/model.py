@@ -87,7 +87,12 @@ class HarvestProfile:
     def __post_init__(self):
         object.__setattr__(self, "arrivals",
                            _frozen_array(self.arrivals, "energy arrivals"))
-        if not (math.isfinite(self.capacity) and self.capacity > 0):
+        # isfinite() raises on None and strings, which are invalid input too
+        try:
+            capacity_ok = math.isfinite(self.capacity) and self.capacity > 0
+        except TypeError:
+            capacity_ok = False
+        if not capacity_ok:
             raise InvalidInputError(
                 "battery capacity must be positive and finite")
         if np.any(self.arrivals < 0):

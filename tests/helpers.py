@@ -362,3 +362,35 @@ def reference_verify_kkt(policy_row, utilities, harvest, grid):
     return KKTCertificate(lam=lam, mu=mu, eta=eta, water_levels=levels,
                           stationarity_residual=float(stat_resid),
                           complementarity_residual=float(comp))
+
+
+def enumerate_forced_departures(scenario, rate_model, user, step):
+    """Reference for ``data_causality.forced_departures``: the least nats
+    ``user`` sends through each slot over every lattice path S of step
+    ``step`` through its corridor, with the partner at min(capacity, total
+    harvest) / tau.  The corridor comes from the arrivals here, not from the
+    program's ``Corridor``.  With arrivals and capacity on the lattice every
+    vertex of the corridor lies on it, so for a concave rate the lattice
+    minimum is the exact one."""
+    tau = scenario.grid.tau
+    n = scenario.grid.N
+    harvest = scenario.users[user].harvest
+    partner = scenario.users[1 - user].harvest
+    p_partner = min(partner.capacity, float(np.sum(partner.arrivals))) / tau
+    cum_e = np.cumsum(harvest.arrivals)
+    floor = np.zeros(n)
+    floor[:-1] = np.maximum(0.0, cum_e[1:] - harvest.capacity)
+    ticks = np.round(cum_e / step).astype(int)
+    floor_ticks = np.round(floor / step).astype(int)
+    # every nondecreasing path, one slot at a time, in lattice ticks
+    paths = np.zeros((1, 0), dtype=int)
+    for k in range(n):
+        last = paths[:, -1] if k else np.zeros(paths.shape[0], dtype=int)
+        grown = [np.column_stack([paths[last <= t],
+                                  np.full(np.count_nonzero(last <= t), t)])
+                 for t in range(floor_ticks[k], ticks[k] + 1)]
+        paths = np.vstack(grown)
+    powers = np.diff(paths * step, axis=1, prepend=0.0) / tau
+    pair = (powers, p_partner) if user == 0 else (p_partner, powers)
+    nats = tau * np.asarray(rate_model.user_rates(*pair)[user])
+    return np.min(np.cumsum(nats, axis=1), axis=0)

@@ -491,6 +491,22 @@ class TestMainExitCodes:
         assert err["error"] == "InvalidInputError"
         assert not (tmp_path / "x").exists()
 
+    def test_data_infeasible_instance_is_2(self, tmp_path, capsys):
+        # slot 1 must spend its 5 units to make room for slot 2's, which
+        # sends (1/2)ln 6 = 0.896 nats of the 0.1 that have arrived
+        doc = {"tau": 1.0, "N": 2,
+               "users": [{"E": [5.0, 5.0], "Emax": 5.0, "B": [0.1, 0.1]},
+                         {"E": [0.0, 0.0], "Emax": 5.0, "B": "infinite"}],
+               "channel": {"a": 0.5, "b": 2.0}}
+        path = _write_scenario(tmp_path, doc)
+        assert main(["solve-data", "--scenario", path,
+                     "--out", str(tmp_path / "x")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InvalidInputError"
+        assert ("user 1's battery forces it to send at least 0.89588 nats "
+                "through slot 1, and only 0.1 have arrived") in err["message"]
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("where, bad", [
         ("N", float("nan")), ("N", "x"), ("N", 2.5), ("N", True),
         ("tau", "x"), ("a", "x"), ("b", None), ("E", "x"),

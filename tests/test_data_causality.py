@@ -11,15 +11,16 @@ import pytest
 from ehic import data_causality
 from ehic.cli import gen_scenario
 from ehic.data_causality import (_joint_fun_and_grad, _penalized_objective,
-                                 resolve_contradictions, solve_with_data,
-                                 violation)
+                                 forced_departures, resolve_contradictions,
+                                 solve_with_data, violation)
 from ehic.errors import ConvergenceError, InvalidInputError
 from ehic.iterative import feasible_floor, iterate_offline, joint_objective
 from ehic.model import DataProfile, HarvestProfile, User, feasibility_report
 from ehic.oracle import OracleOptions, brute_force
 from ehic.rates import build_rate_model
 
-from helpers import single_user_scenario, two_user_scenario
+from helpers import (enumerate_forced_departures, single_user_scenario,
+                     two_user_scenario)
 
 
 class TestViolation:
@@ -300,11 +301,10 @@ class TestPenaltyRounds:
 
     @staticmethod
     def _instances():
-        late, late_rm = TestInnerStatus._late_data()
-        # no feasible policy: the rounds run to the cap, many of them with
-        # a failed SLSQP status
-        stuck = single_user_scenario([5.0, 5.0], 5.0, b_arr=[0.1, 0.1])
-        out = [(late, late_rm), (stuck, build_rate_model(0.5, 2.0, 5.0, 5.0))]
+        # the second has no feasible policy, though no user's corridor
+        # alone proves it: the rounds run to the cap, many of them with a
+        # failed SLSQP status
+        out =[TestInnerStatus._late_data(), TestInnerStatus._coupled()]
         for a, b in ((0.7, 5.0), (0.5, 1.5)):
             scen = _data_scenario(a, b, 5, high=0.2)
             out.append((scen, build_rate_model(a, b, *scen.peak_powers)))
@@ -313,8 +313,10 @@ class TestPenaltyRounds:
     def test_zero_harvest_user_keeps_a_zero_row(self, monkeypatch):
         # user 2 harvests nothing: its row S_N <= 0 holds SLSQP's powers
         # at 0 and the corridor floor makes them exact zeros; its data are
-        # finite in the second instance, so its penalty is live there
-        base = _data_scenario(0.7, 5.0, 5, high=0.2)
+        # finite in the second instance, so its penalty is live there.
+        # Both instances are feasible and need rounds (at high=0.2 user 1's
+        # battery alone is infeasible, see TestForcedDepartures)
+        base = _data_scenario(0.7, 5.0, 5, high=0.3)
         dormant = replace(base, users=(base.users[0], User(
             HarvestProfile(np.zeros(12), 10.0), base.users[1].data)))
         for scen, rm in (self._instances()[0],
@@ -376,6 +378,17 @@ class TestInnerStatus:
         return scen, build_rate_model(0.3, 2.0, 3.0, 3.0)
 
     @staticmethod
+    def _coupled():
+        # infeasible only through the coupling of the users: user 1 must
+        # spend 5 in slot 1, which sends at most its 0.3 arrived nats only
+        # while user 2 sends at p2 >= 10.2, that is ½ln 11.2 = 1.2 nats of
+        # user 2's 0.05.  Alone each user can meet its data: user 1 sends
+        # 0.19 nats against user 2's peak power of 20, and user 2 can wait
+        scen = two_user_scenario([5.0, 5.0], [20.0, 0.0], 5.0, 0.5, 2.0,
+                                 b1=[0.3, 10.0], b2=[0.05, 10.0], emax2=20.0)
+        return scen, build_rate_model(0.5, 2.0, *scen.peak_powers)
+
+    @staticmethod
     def _recording(monkeypatch, fail):
         statuses = []
         real = data_causality.minimize
@@ -403,10 +416,7 @@ class TestInnerStatus:
         assert report.inner_failures == len(statuses) > 0
 
     def test_convergence_error_counts_the_failures(self, monkeypatch):
-        # slot 1 must spend its 5 units to make room for slot 2's, which
-        # sends (1/2)ln 6 nats of the 0.1 that have arrived
-        scen = single_user_scenario([5.0, 5.0], 5.0, b_arr=[0.1, 0.1])
-        rm = build_rate_model(0.5, 2.0, 5.0, 5.0)
+        scen, rm = self._coupled()
         statuses = self._recording(monkeypatch, fail=False)
         with pytest.raises(ConvergenceError) as exc:
             solve_with_data(scen, rm)
@@ -421,3 +431,90 @@ class TestInnerStatus:
         rm = build_rate_model(0.5, 2.0, 2.0, 2.0)
         _, report = solve_with_data(scen, rm)
         assert report.inner_failures == 0
+
+
+def _full_battery():
+    # slot 1 must spend its 5 units to make room for slot 2's, which sends
+    # (1/2)ln 6 nats of the 0.1 that have arrived
+    scen = single_user_scenario([5.0, 5.0], 5.0, b_arr=[0.1, 0.1])
+    return scen, build_rate_model(0.5, 2.0, 5.0, 5.0)
+
+
+def _dormant_partner():
+    # user 2 harvests nothing, so user 1's bound is its exact rate; its
+    # battery forces 0.876 nats through slot 9, where 0.671 have arrived
+    base = _data_scenario(0.7, 5.0, 5, high=0.2)
+    scen = replace(base, users=(base.users[0], User(
+        HarvestProfile(np.zeros(12), 10.0), base.users[1].data)))
+    return scen, build_rate_model(0.7, 5.0, *scen.peak_powers)
+
+
+_REFUSAL = re.compile(r"user (\d)'s battery forces it to send at least (\S+) "
+                      r"nats through slot (\d+), and only (\S+) have arrived")
+
+
+class TestForcedDepartures:
+    CHANNELS = TestBlockEvaluator.CHANNELS
+
+    @pytest.mark.parametrize("a, b", CHANNELS)
+    @pytest.mark.parametrize("user", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_lattice_enumeration(self, a, b, user, seed):
+        # arrivals and capacity on the 0.5 lattice, so every vertex of the
+        # corridor lies on it
+        rng = np.random.default_rng(seed)
+        e = rng.integers(0, 5, (2, 6)) * 0.5
+        scen = two_user_scenario(e[0], e[1], 2.0, a, b, b1=np.ones(6),
+                                 b2=np.ones(6))
+        rm = build_rate_model(a, b, *scen.peak_powers)
+        forced = forced_departures(scen, rm, user)
+        reference = enumerate_forced_departures(scen, rm, user, 0.5)
+        assert np.max(forced) > 0.0
+        assert np.max(np.abs(forced - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("a, b", CHANNELS)
+    def test_no_corridor_policy_sends_less(self, a, b):
+        scen = _data_scenario(a, b, 6)
+        rm = build_rate_model(a, b, *scen.peak_powers)
+        forced = [forced_departures(scen, rm, j) for j in range(2)]
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            rows = rng.uniform(0.0, 6.0, (2, 12)) * (rng.random((2, 12)) < 0.5)
+            policy = np.array([feasible_floor(row, u.harvest, 1.0)
+                               for row, u in zip(rows, scen.users)])
+            nats = rm.user_rates(policy[0], policy[1])
+            for j in range(2):
+                assert np.all(np.cumsum(nats[j]) >= forced[j] - 1e-12)
+
+    @pytest.mark.parametrize("make, user, slot, forced_nats", [
+        (_full_battery, 1, 1, 0.5 * math.log(6.0)),
+        (_dormant_partner, 1, 9, None),
+    ], ids=["full-battery", "dormant-partner"])
+    def test_refused_before_round_zero(self, monkeypatch, make, user, slot,
+                                       forced_nats):
+        scen, rm = make()
+        starts = []
+        monkeypatch.setattr(data_causality, "iterate_offline",
+                            lambda *args, **kwargs: starts.append(args))
+        with pytest.raises(InvalidInputError) as exc:
+            solve_with_data(scen, rm)
+        assert not starts
+        match = _REFUSAL.search(str(exc.value))
+        assert match is not None
+        assert (int(match.group(1)), int(match.group(3))) == (user, slot)
+        forced = forced_departures(scen, rm, user - 1)[slot - 1]
+        arrived = np.cumsum(scen.users[user - 1].data.arrivals)[slot - 1]
+        assert float(match.group(2)) == pytest.approx(forced, rel=1e-5)
+        assert float(match.group(4)) == pytest.approx(arrived, rel=1e-5)
+        if forced_nats is not None:
+            assert forced == pytest.approx(forced_nats, rel=1e-15)
+
+    def test_the_bound_is_met_when_the_tolerance_allows_it(self):
+        # the bound is exact here: with violation_tol above its excess the
+        # rounds reach it, and just below it the solver refuses
+        scen, rm = _full_battery()
+        excess = 0.5 * math.log(6.0) - 0.1
+        _, report = solve_with_data(scen, rm, violation_tol=excess + 1e-6)
+        assert report.final_violation == pytest.approx(excess, rel=1e-12)
+        with pytest.raises(InvalidInputError):
+            solve_with_data(scen, rm, violation_tol=excess - 1e-6)

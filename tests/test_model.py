@@ -61,6 +61,12 @@ class TestValidate:
         with pytest.raises(InvalidInputError):
             make()
 
+    @pytest.mark.parametrize("capacity", [None, "5", "x", [2.0]])
+    def test_non_numeric_capacity_rejected(self, capacity):
+        # as TimeGrid does, not with the TypeError of math.isfinite
+        with pytest.raises(InvalidInputError):
+            HarvestProfile(np.array([1.0]), capacity)
+
     @pytest.mark.parametrize("n", [float("nan"), float("inf"),
                                    float("-inf"), "x", "3", None, 2.5, -1])
     def test_bad_slot_count_rejected(self, n):
