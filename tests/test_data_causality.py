@@ -10,9 +10,10 @@ import pytest
 
 from ehic import data_causality
 from ehic.cli import gen_scenario
-from ehic.data_causality import (_joint_fun_and_grad, _penalized_objective,
-                                 forced_departures, resolve_contradictions,
-                                 solve_with_data, violation)
+from ehic.data_causality import (_corridor_constraint, _joint_fun_and_grad,
+                                 _penalized_objective, forced_departures,
+                                 resolve_contradictions, solve_with_data,
+                                 violation)
 from ehic.errors import ConvergenceError, InvalidInputError
 from ehic.iterative import feasible_floor, iterate_offline, joint_objective
 from ehic.model import DataProfile, HarvestProfile, User, feasibility_report
@@ -167,7 +168,7 @@ class TestSolveWithData:
         scen = single_user_scenario([2.0, 0.0], 3.0, b_arr=[0.4, 5.0],
                                     a=0.3, partner_emax=0.05)
         rm = build_rate_model(0.3, 2.0, 3.0, 3.0)
-        _, grad = _joint_fun_and_grad(scen, rm, 10.0)
+        _, grad = _joint_fun_and_grad(scen, rm, 10.0, np.zeros((2, 2)))
         # p with tau*r1(p) == 0.4 exactly: the violation switches on here
         p_star = np.exp(2 * 0.4) - 1.0
         eps = 1e-7
@@ -175,15 +176,65 @@ class TestSolveWithData:
         g_hi = grad(np.array([p_star + eps, 0.0, 0.0, 0.0]))
         assert np.max(np.abs(g_hi - g_lo)) <= 1e-4
 
+    def test_penalty_gradient_continuous_at_shifted_switch_point(self):
+        # a multiplier of 2 at coefficient 10 shifts slot 1's hinge by 0.1,
+        # so it switches on 0.1 nats below the data cap, at g = -0.1
+        scen = single_user_scenario([2.0, 0.0], 3.0, b_arr=[0.4, 5.0],
+                                    a=0.3, partner_emax=0.05)
+        rm = build_rate_model(0.3, 2.0, 3.0, 3.0)
+        lam = np.array([[2.0, 0.0], [0.0, 0.0]])
+        _, grad = _joint_fun_and_grad(scen, rm, 10.0, lam)
+        # p with tau*r1(p) == 0.3 exactly
+        p_star = np.exp(2 * 0.3) - 1.0
+        eps = 1e-7
+        g_lo = grad(np.array([p_star - eps, 0.0, 0.0, 0.0]))
+        g_hi = grad(np.array([p_star + eps, 0.0, 0.0, 0.0]))
+        assert np.max(np.abs(g_hi - g_lo)) <= 1e-4
+        # the shifted hinge is live above the switch point only, where the
+        # unshifted one is still off
+        _, grad_zero = _joint_fun_and_grad(scen, rm, 10.0, np.zeros((2, 2)))
+        below = np.array([p_star - 0.05, 0.0, 0.0, 0.0])
+        above = np.array([p_star + 0.05, 0.0, 0.0, 0.0])
+        assert np.array_equal(grad(below), grad_zero(below))
+        assert grad(above)[0] > grad_zero(above)[0]
+
     def test_penalized_objective_monotone_in_coefficient(self):
+        # eps * (max(0, lam/2eps + g)^2 - (lam/2eps)^2) is lam g + eps g^2
+        # where the hinge is live and -lam^2/(4 eps) where it is not: both
+        # are nondecreasing in eps for fixed lam
         scen = single_user_scenario([2.0, 0.0], 3.0, b_arr=[0.1, 5.0],
                                     a=0.3, partner_emax=0.05)
         rm = build_rate_model(0.3, 2.0, 3.0, 3.0)
         policy, _ = iterate_offline(scen, rm)
         c = violation(policy, scen, rm)
-        base = joint_objective(policy, scen, rm)
-        values = [base - eps * float(np.sum(c * c)) for eps in (1, 4, 16)]
-        assert all(v2 <= v1 + 1e-12 for v1, v2 in zip(values, values[1:]))
+        assert c[0, 0] > 0.0
+        # with lam = 0 the penalty is eps * sum C^2, bit for bit
+        for eps in (1.0, 4.0, 16.0):
+            assert (_penalized_objective(policy, scen, rm, eps,
+                                         np.zeros((2, 2)))
+                    == joint_objective(policy, scen, rm)
+                    - eps * float(np.sum(c * c)))
+        # slot 1 violated, slot 2 below its cap by about 4 nats: the largest
+        # multiplier keeps slot 2's hinge live up to eps = 16
+        for lam2 in (0.0, 3.0, 200.0):
+            lam = np.array([[1.5, lam2], [0.0, 0.0]])
+            values = [_penalized_objective(policy, scen, rm, eps, lam)
+                      for eps in (1.0, 4.0, 16.0, 64.0)]
+            assert all(v2 <= v1 for v1, v2 in zip(values, values[1:]))
+            assert values[-1] < values[0]
+
+    def test_data_limited_instance_meets_its_optimum(self):
+        # every arrival is 0.2 nats, so the two users send at most 1.6 nats
+        # in all, and the batteries let them send that much: the optimum is
+        # 1.6.  A growing penalty alone stops above it by about its
+        # leftover violation; the multipliers bring the answer within 1e-6
+        scen = two_user_scenario([3.0, 0.0, 2.0, 1.0], [2.0, 1.0, 0.0, 2.0],
+                                 4.0, 0.7, 5.0, b1=[0.2] * 4, b2=[0.2] * 4)
+        rm = build_rate_model(0.7, 5.0, *scen.peak_powers)
+        policy, report = solve_with_data(scen, rm)
+        assert report.rounds_used >= 1
+        assert report.final_violation <= 1e-4
+        assert abs(joint_objective(policy, scen, rm) - 1.6) <= 1e-6
 
 
 class TestCrossCoupling:
@@ -201,8 +252,10 @@ class TestCrossCoupling:
                                      b1=[0.05, 5.0])
         for x in (np.array([0.5, 0.5]), np.array([0.9, 0.1])):
             x = np.concatenate([x, [0.5, 0.5]])
-            _, g_two = _joint_fun_and_grad(scen_two, rm, 3.0)
-            _, g_one = _joint_fun_and_grad(scen_one, rm, 3.0)
+            _, g_two = _joint_fun_and_grad(scen_two, rm, 3.0,
+                                           np.zeros((2, 2)))
+            _, g_one = _joint_fun_and_grad(scen_one, rm, 3.0,
+                                           np.zeros((2, 2)))
             assert np.allclose(g_two(x)[:2], g_one(x)[:2], atol=1e-14)
 
     def test_two_user_data_instance_converges(self):
@@ -234,9 +287,27 @@ def _data_scenario(a, b, seed, high=0.6, n=12):
     return replace(base, users=users)
 
 
+def _excess(x, scen, rm):
+    """The unclipped cumulative excess g = sum_{i<=n} tau r_j,i - cumB_j,n."""
+    p = np.maximum(x, 0.0).reshape(2, scen.grid.N)
+    nats = np.vstack(rm.user_rates(p[0], p[1])) * scen.grid.tau
+    return np.cumsum(nats, axis=1) - np.cumsum(
+        [u.data.arrivals for u in scen.users], axis=1)
+
+
+def _multipliers(seed, eps, n=12):
+    """Multipliers >= 0, a third of them 0, the rest shifting their hinge
+    by up to 3 nats (lam / 2 eps)."""
+    rng = np.random.default_rng(seed)
+    return (2.0 * eps * rng.uniform(0.0, 3.0, (2, n))
+            * (rng.random((2, n)) < 2.0 / 3.0))
+
+
 class TestBlockEvaluator:
     """The joint evaluator, read one user's block of x = (p_1, p_2) at a
-    time; the two cases of a channel cover all 2N coordinates."""
+    time; the two cases of a channel cover all 2N coordinates, at zero
+    multipliers and at multipliers that make the shifted hinge live where
+    the data constraint holds (g < 0)."""
     # a*b > 1, min-form (p_c = 2 at a=0.5, b=1.5), very strong, and both
     # asymmetric families mirrored
     CHANNELS = [(0.7, 5.0), (0.5, 1.5), (20.0, 30.0), (5.0, 0.7), (1.5, 0.5)]
@@ -244,11 +315,33 @@ class TestBlockEvaluator:
     @pytest.mark.parametrize("a, b", CHANNELS)
     @pytest.mark.parametrize("user", [0, 1])
     def test_value_is_the_penalized_objective(self, a, b, user):
+        self._check_value(a, b, user, shifted=False)
+
+    @pytest.mark.parametrize("a, b", CHANNELS)
+    @pytest.mark.parametrize("user", [0, 1])
+    def test_value_at_multipliers_is_the_penalized_objective(self, a, b,
+                                                             user):
+        self._check_value(a, b, user, shifted=True)
+
+    @pytest.mark.parametrize("a, b", CHANNELS)
+    @pytest.mark.parametrize("user", [0, 1])
+    def test_gradient_matches_central_differences(self, a, b, user):
+        self._check_gradient(a, b, user, shifted=False)
+
+    @pytest.mark.parametrize("a, b", CHANNELS)
+    @pytest.mark.parametrize("user", [0, 1])
+    def test_gradient_at_multipliers_matches_central_differences(self, a, b,
+                                                                 user):
+        self._check_gradient(a, b, user, shifted=True)
+
+    @staticmethod
+    def _check_value(a, b, user, shifted):
         scen = _data_scenario(a, b, 3)
         rm = build_rate_model(a, b, *scen.peak_powers)
         rng = np.random.default_rng(7)
         policy = rng.uniform(0.0, 3.0, (2, 12))
-        fun, _ = _joint_fun_and_grad(scen, rm, 16.0)
+        lam = _multipliers(10, 16.0) if shifted else np.zeros((2, 12))
+        fun, _ = _joint_fun_and_grad(scen, rm, 16.0, lam)
         # points that move only this user's block, then both blocks
         points = []
         for _ in range(4):
@@ -256,27 +349,35 @@ class TestBlockEvaluator:
             x[user] = rng.uniform(-1.0, 3.0, 12)
             points.append(x.ravel())
         points += [rng.uniform(-1.0, 3.0, 24) for _ in range(2)]
+        if shifted:
+            g = _excess(points[0], scen, rm)
+            assert np.any((g < 0.0) & (lam / 32.0 + g > 0.0))
         # repeated and interleaved points read the kept evaluation
         for x in points + points[::-1]:
             floored = np.maximum(x, 0.0).reshape(2, 12)
-            assert -fun(x) == _penalized_objective(floored, scen, rm, 16.0)
+            assert -fun(x) == _penalized_objective(floored, scen, rm, 16.0,
+                                                   lam)
 
-    @pytest.mark.parametrize("a, b", CHANNELS)
-    @pytest.mark.parametrize("user", [0, 1])
-    def test_gradient_matches_central_differences(self, a, b, user):
-        # data on [0, 0.2] leave both users' penalties active, so this
-        # user's coordinates carry its own and the cross-user pump terms
-        scen = _data_scenario(a, b, 4, high=0.2)
+    @staticmethod
+    def _check_gradient(a, b, user, shifted):
+        # both users' hinges are live, so this user's coordinates carry
+        # its own and the cross-user pump terms: data on [0, 0.2] violate
+        # every user's constraint, and with multipliers data on [0, 0.6]
+        # leave some of the live hinges where the constraint holds
+        scen = _data_scenario(a, b, 4, high=0.6 if shifted else 0.2)
         rm = build_rate_model(a, b, *scen.peak_powers)
         rng = np.random.default_rng(8)
-        fun, grad = _joint_fun_and_grad(scen, rm, 16.0)
+        lam = _multipliers(11, 16.0) if shifted else np.zeros((2, 12))
+        fun, grad = _joint_fun_and_grad(scen, rm, 16.0, lam)
         h = 1e-6
         block = slice(12 * user, 12 * (user + 1))
         for _ in range(3):
             # powers in [0.1, 1.8] keep every slot off the min-form kink at 2
             x = rng.uniform(0.1, 1.8, 24)
-            assert np.all(np.any(violation(x.reshape(2, 12), scen, rm) > 0.0,
-                                 axis=1))
+            g = _excess(x, scen, rm)
+            assert np.all(np.any(lam / 32.0 + g > 0.0, axis=1))
+            if shifted:
+                assert np.any((g < 0.0) & (lam / 32.0 + g > 0.0))
             g = grad(x)
             fd = np.array([(fun(x + h * e) - fun(x - h * e)) / (2.0 * h)
                            for e in np.eye(24)[block]])
@@ -284,16 +385,51 @@ class TestBlockEvaluator:
                     <= 1e-6 * np.max(np.abs(g[block])))
 
 
+class TestCorridorConstraint:
+    @staticmethod
+    def _dense_jacobian(scen):
+        """The open rows of sign * tau * kron(I_2, tril(1_N)), the dense
+        construction over all 2N rows."""
+        n, tau = scen.grid.N, scen.grid.tau
+        rows, sign = [], []
+        for j, user in enumerate(scen.users):
+            c = user.harvest.corridor
+            rows += [j * n + np.flatnonzero(c.upper_rows),
+                     j * n + np.flatnonzero(c.lower_rows)]
+            sign += [np.full(np.count_nonzero(c.upper_rows), -1.0),
+                     np.ones(np.count_nonzero(c.lower_rows))]
+        rows, sign = np.concatenate(rows), np.concatenate(sign)
+        return (sign * tau)[:, None] * np.kron(
+            np.eye(2), np.tril(np.ones((n, n))))[rows]
+
+    def test_open_rows_match_the_dense_construction(self):
+        scens = [_data_scenario(a, b, seed, n=n)
+                 for a, b in ((0.7, 5.0), (0.5, 1.5))
+                 for seed, n in ((1, 1), (2, 5), (3, 12), (4, 30))]
+        rng = np.random.default_rng(12)
+        scens.append(two_user_scenario(rng.uniform(0, 4, 9),
+                                       np.zeros(9), 4.0, 0.7, 5.0, tau=0.3,
+                                       b1=np.ones(9), b2=np.ones(9)))
+        for scen in scens:
+            x = np.zeros(2 * scen.grid.N)
+            jac = _corridor_constraint(scen)["jac"](x)
+            dense = self._dense_jacobian(scen)
+            assert jac.shape == dense.shape and jac.shape[0] > 0
+            assert jac.dtype == dense.dtype
+            assert jac.tobytes() == dense.tobytes()
+
+
 class TestPenaltyRounds:
     @staticmethod
     def _recording(monkeypatch):
-        """Record every round's (policy in, coefficient, policy out)."""
+        """Record every round's (policy in, coefficient, multipliers,
+        policy out)."""
         rounds = []
         real = data_causality._penalty_round
 
-        def record(scen, rm, policy, eps, corridor):
-            out, success = real(scen, rm, policy, eps, corridor)
-            rounds.append((policy, eps, out))
+        def record(scen, rm, policy, eps, lam, corridor):
+            out, success = real(scen, rm, policy, eps, lam, corridor)
+            rounds.append((policy, eps, lam, out))
             return out, success
 
         monkeypatch.setattr(data_causality, "_penalty_round", record)
@@ -328,7 +464,7 @@ class TestPenaltyRounds:
             except ConvergenceError:
                 pass
             assert rounds
-            for _, _, out in rounds:
+            for _, _, _, out in rounds:
                 assert np.array_equal(out[1], np.zeros(scen.grid.N))
 
     def test_a_round_never_lowers_the_penalized_objective(self, monkeypatch):
@@ -339,9 +475,9 @@ class TestPenaltyRounds:
             except ConvergenceError:
                 pass
             assert rounds
-            for before, eps, after in rounds:
-                assert (_penalized_objective(after, scen, rm, eps)
-                        >= _penalized_objective(before, scen, rm, eps))
+            for before, eps, lam, after in rounds:
+                assert (_penalized_objective(after, scen, rm, eps, lam)
+                        >= _penalized_objective(before, scen, rm, eps, lam))
 
     def test_a_lowering_answer_is_discarded(self, monkeypatch):
         # SLSQP's answer is replaced by one that spends each arrival as it
@@ -362,9 +498,9 @@ class TestPenaltyRounds:
         spent = np.array([feasible_floor(np.full(3, 1e3), u.harvest, 1.0)
                           for u in scen.users])
         assert len(rounds) == 40
-        for before, eps, after in rounds:
-            assert (_penalized_objective(spent, scen, rm, eps)
-                    < _penalized_objective(before, scen, rm, eps))
+        for before, eps, lam, after in rounds:
+            assert (_penalized_objective(spent, scen, rm, eps, lam)
+                    < _penalized_objective(before, scen, rm, eps, lam))
             assert after is before
 
 
