@@ -242,6 +242,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             tol=config.tol, violation_tol=config.violation_tol)
         summary.update(rounds=report.rounds_used,
                        inner_failures=report.inner_failures,
+                       inner_steps=report.inner_steps,
                        final_violation=report.final_violation,
                        converged=report.converged,
                        unusable_energy=report.unusable_energy.tolist())

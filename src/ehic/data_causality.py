@@ -29,23 +29,26 @@ user's rate does not depend on this user's power).
 
 Each round is one SLSQP solve over both users' powers x = (p_1, p_2),
 warm-started from the last round, under p >= 0 and each user's energy
-corridor L_n <= S_n <= U_n on its cumulative consumption S_n.  SLSQP sees
-only the corridor rows that p >= 0 leaves open (``model.Corridor``):
-S_n <= U_n where the harvest grows in slot n+1 or n = N, and S_n >= L_n
-where the floor is positive and rises.  With S nondecreasing, a ceiling
-that slot n+1 does not raise is met by S_n <= S_{n+1} <= U_{n+1}, and a
-floor that does not rise by S_n >= S_k >= L_k at the last kept k < n, so
-the feasible set is the one of all 2N - 1 rows.  Each row reads one user's
-powers, so the two users' rows form one constraint with a block-diagonal
-Jacobian; a user without harvest keeps p = 0 through its row S_N <= 0.  On
-the benchmark's N=50 data scenarios 3-21 of each user's 99 rows stay.
+corridor L_n <= S_n <= U_n on its cumulative consumption S_n.  Before a
+user's first harvest U_n = 0 pins its powers to 0 in every policy, so
+SLSQP sees only the powers after it, with their bounds and start: 90 of
+the 100 on the benchmark's feasible N=50 data scenarios; a user without
+harvest has no variables.  SLSQP sees only the corridor rows that p >= 0
+leaves open (``model.Corridor``) and that read a free power: S_n <= U_n
+where the harvest grows in slot n+1 or n = N, and S_n >= L_n where the
+floor is positive and rises.  With S nondecreasing, a ceiling that slot
+n+1 does not raise is met by S_n <= S_{n+1} <= U_{n+1}, and a floor that
+does not rise by S_n >= S_k >= L_k at the last kept k < n, so the feasible
+set is the one of all 2N - 1 rows.  Each row reads one user's powers, so
+the two users' rows form one constraint with a block-diagonal Jacobian.
+On the benchmark's N=50 data scenarios 3-21 of each user's 99 rows stay.
 SLSQP reads each point's value and gradient from one evaluation, and it
 reports its status: a round solve whose status is a failure is counted in
-``SolveReport.inner_failures``, and its answer is still kept if it does not
-lower the penalized objective at the round's own (eps, lam).  A sweep of
-the two users' blocks converges only linearly under a growing penalty
-(Tseng, JOTA 2001); a joint SQP solve does not crawl that way (Nocedal &
-Wright, Numerical Optimization, ch. 18).
+``SolveReport.inner_failures`` (its iterations in ``inner_steps``), and its
+answer is still kept if it does not lower the penalized objective at the
+round's own (eps, lam).  A sweep of the two users' blocks converges only
+linearly under a growing penalty (Tseng, JOTA 2001); a joint SQP solve does
+not crawl that way (Nocedal & Wright, Numerical Optimization, ch. 18).
 
 Blocked-harvest contradictions (energy that data causality forbids spending
 before the battery must make room for the next arrival) are resolved by
@@ -61,9 +64,10 @@ the user's rate in every region.  That rate is concave and nondecreasing in
 the user's own power, so the sum over slots is concave in S and smallest at
 a vertex of the corridor polytope (Rockafellar, Convex Analysis, Cor.
 32.3.2), where every S_k lies in {0} u {L_j} u {U_j}; a forward DP over
-those levels finds it exactly.  Where the bound exceeds the arrived data by
-more than ``violation_tol`` no policy can pass, and the solver refuses the
-instance with ``InvalidInputError`` instead of running its rounds.
+those levels finds it exactly, and slots with the same level ranges share
+one block of nats.  Where the bound exceeds the arrived data by more than
+``violation_tol`` no policy can pass, and the solver refuses the instance
+with ``InvalidInputError`` instead of running its rounds.
 """
 
 from __future__ import annotations
@@ -136,7 +140,11 @@ def forced_departures(scenario: Scenario, rate_model: RateModel,
     Exact for rates that do not depend on the partner (the canonical user 2
     and the very strong region).  The DP keeps, after slot k, the least
     departures that reach each level of {0} u {L_j} u {U_j} inside [L_k,
-    U_k]; a slot either stays at its level (p = 0) or jumps up.
+    U_k]; a slot either stays at its level (p = 0) or jumps up.  A slot's
+    nats for each (from, to) pair of levels depend only on the level ranges
+    of this slot and the last, so while those repeat (slots without harvest
+    whose floor holds) the last slot's block is reused; memory stays one
+    block per slot, never a levels x levels table.
     """
     tau = scenario.grid.tau
     corridor = scenario.users[user].harvest.corridor
@@ -154,12 +162,15 @@ def forced_departures(scenario: Scenario, rate_model: RateModel,
     last = np.searchsorted(levels, corridor.upper, side="right")
     forced = np.empty(scenario.grid.N)
     start, cost = 0, np.zeros(1)            # S_0 = 0 is levels[0]
+    key = None
     for k in range(scenario.grid.N):
-        step = (levels[first[k]:last[k]][None, :]
-                - levels[start:start + cost.size][:, None])
-        cost = np.min(np.where(step >= 0.0,
-                               cost[:, None] + nats(np.maximum(step, 0.0)),
-                               np.inf), axis=0)
+        if key != (start, cost.size, first[k], last[k]):
+            key = (start, cost.size, first[k], last[k])
+            step = (levels[first[k]:last[k]][None, :]
+                    - levels[start:start + cost.size][:, None])
+            block = np.where(step >= 0.0, nats(np.maximum(step, 0.0)),
+                             np.inf)
+        cost = np.min(cost[:, None] + block, axis=0)
         start = first[k]
         forced[k] = np.min(cost)
     return forced
@@ -206,9 +217,9 @@ def _cumulative_data(scenario):
 
 def _hinges(bits, cum_b, shift):
     """The shifted hinges max(0, shift + g) of the cumulative excess g_n =
-    sum_{i<=n} bits_i - cumB_n, (2, N); rows of infinite-backlog users are
-    zero."""
-    h = np.zeros_like(bits)
+    sum_{i<=n} bits_i - cumB_n, (2, N), from each user's row of bits; rows
+    of infinite-backlog users are zero and not computed."""
+    h = np.zeros(np.shape(shift))
     for j in range(2):
         if cum_b[j] is not None:
             h[j] = np.maximum(0.0, shift[j] + (np.cumsum(bits[j]) - cum_b[j]))
@@ -234,31 +245,36 @@ def _penalized_objective(policy, scenario, rate_model, eps, lam):
             - eps * float(np.sum(h * h - shift * shift)))
 
 
-def _joint_fun_and_grad(scenario, rate_model, eps, lam):
-    """Negated penalized objective and its gradient over x = (p_1, p_2).
+def _joint_fun_and_grad(scenario, rate_model, eps, lam, free):
+    """Negated penalized objective and its gradient over the powers x that
+    the mask ``free`` (2, N) marks; the other powers are 0.
 
     Both read one evaluation per point: SLSQP asks for the gradient at the
     point whose value it has just taken, so the rates and hinges of the
     last point are kept for it.  A point's value is
-    ``-_penalized_objective`` of the policy with its rows floored at 0, bit
-    for bit.  User k's gradient is tau * d(sum rate)/dp_k minus
-    2 eps tau sum_j (dr_j/dp_k) w_j, where w_j,i = sum_{m >= i} h_j,m.
+    ``-_penalized_objective`` of the policy with its free entries floored at
+    0, bit for bit.  User k's gradient is tau * d(sum rate)/dp_k minus
+    2 eps tau sum_j (dr_j/dp_k) w_j, where w_j,i = sum_{m >= i} h_j,m; the
+    rate partials are computed only at points where a hinge is live.
     """
     tau = scenario.grid.tau
     n = scenario.grid.N
     cum_b = _cumulative_data(scenario)
     shift = lam / (2.0 * eps)
+    shift_sq = shift * shift
     last = {}
 
     def evaluate(x):
         if "x" in last and np.array_equal(x, last["x"]):
             return
-        p = np.maximum(x, 0.0).reshape(2, n)
-        h = _hinges(_departures(p, scenario, rate_model), cum_b, shift)
-        rate = np.atleast_1d(rate_model.sum_rate(p[0], p[1]))
+        p = np.zeros((2, n))
+        p[free] = np.maximum(x, 0.0)
+        h = _hinges([r * tau for r in rate_model.user_rates(p[0], p[1])],
+                    cum_b, shift)
+        rate = rate_model.sum_rate(p[0], p[1])
         last.update(x=np.array(x, dtype=float), p=p, h=h,
                     value=tau * float(np.sum(rate))
-                    - eps * float(np.sum(h * h - shift * shift)))
+                    - eps * float(np.sum(h * h - shift_sq)))
 
     def fun(x):
         evaluate(x)
@@ -267,65 +283,84 @@ def _joint_fun_and_grad(scenario, rate_model, eps, lam):
     def grad(x):
         evaluate(x)
         p1, p2 = last["p"]
-        g = tau * np.vstack([np.atleast_1d(d)
-                             for d in rate_model.grad(p1, p2)])
-        d11, d12, d21, d22 = rate_model.user_rate_partials(p1, p2)
-        for partials, h in zip(((d11, d12), (d21, d22)), last["h"]):
-            if not np.any(h > 0.0):
-                continue
-            w = np.cumsum(h[::-1])[::-1]     # sum_{m >= i} h_j,m
-            for k in (0, 1):
-                g[k] -= eps * 2.0 * tau * np.atleast_1d(partials[k]) * w
-        return -g.ravel()
+        g = np.empty((2, n))
+        g[0], g[1] = rate_model.grad(p1, p2)
+        g *= tau
+        live = [j for j in (0, 1) if np.any(last["h"][j] > 0.0)]
+        if live:
+            d11, d12, d21, d22 = rate_model.user_rate_partials(p1, p2)
+            partials = ((d11, d12), (d21, d22))
+            for j in live:
+                w = np.cumsum(last["h"][j][::-1])[::-1]   # sum_{m >= i} h_j,m
+                for k in (0, 1):
+                    g[k] -= eps * 2.0 * tau * partials[j][k] * w
+        return -g[free]
 
     return fun, grad
 
 
 def _corridor_constraint(scenario):
-    """Both users' open corridor rows as one SLSQP ``ineq`` constraint on
-    x = (p_1, p_2), as sign * (S_n - bound) >= 0.  The rows are linear and
-    each reads one user's powers, so the Jacobian is constant and block
-    diagonal."""
+    """The powers that can move and both users' open corridor rows on them,
+    as ``(free, constraint)``.
+
+    ``free`` (2, N) marks the slots with U_n > 0, a suffix of each user's
+    slots; before it S_n <= U_n = 0 pins every power to 0, and a user
+    without harvest has no free slot.  ``constraint`` is one SLSQP ``ineq``
+    constraint on the free powers x, sign * (S_n - bound) >= 0, over the
+    open rows that read a free power: those at free slots.  The rows are
+    linear and each reads one user's powers, so the Jacobian is constant and
+    block diagonal."""
     tau = scenario.grid.tau
     n = scenario.grid.N
+    free = np.array([u.harvest.corridor.upper > 0.0 for u in scenario.users])
     rows, sign, bound = [], [], []
     for j, user in enumerate(scenario.users):
         c = user.harvest.corridor
-        rows += [j * n + np.flatnonzero(c.upper_rows),
-                 j * n + np.flatnonzero(c.lower_rows)]
-        sign += [np.full(np.count_nonzero(c.upper_rows), -1.0),
-                 np.ones(np.count_nonzero(c.lower_rows))]
-        bound += [c.upper[c.upper_rows], c.lower[c.lower_rows]]
+        upper, lower = c.upper_rows & free[j], c.lower_rows & free[j]
+        rows += [j * n + np.flatnonzero(upper), j * n + np.flatnonzero(lower)]
+        sign += [np.full(np.count_nonzero(upper), -1.0),
+                 np.ones(np.count_nonzero(lower))]
+        bound += [c.upper[upper], c.lower[lower]]
     rows, sign, bound = (np.concatenate(v) for v in (rows, sign, bound))
-    # row j*n + m reads user j's powers through slot m
-    cols = np.arange(2 * n)
+    # row j*n + m reads user j's free powers through slot m; the free
+    # column of flat index j*n + i holds user j's power in slot i
+    cols = np.flatnonzero(free)
     jac = (sign * tau)[:, None] * ((cols >= rows[:, None] // n * n)
                                    & (cols <= rows[:, None]))
-    return {"type": "ineq",
-            "fun": lambda x: sign * (tau * np.cumsum(x.reshape(2, n), axis=1)
-                                     .ravel()[rows] - bound),
-            "jac": lambda x: jac}
+
+    def fun(x):
+        p = np.zeros((2, n))
+        p[free] = x
+        return sign * (tau * np.cumsum(p, axis=1).ravel()[rows] - bound)
+
+    return free, {"type": "ineq", "fun": fun, "jac": lambda x: jac}
 
 
 def _penalty_round(scenario, rate_model, policy, eps, lam, corridor):
-    """One SLSQP solve over both users' powers: ``(policy, success)``.
+    """One SLSQP solve over both users' free powers, ``corridor`` being
+    ``_corridor_constraint``'s pair: ``(policy, result)``.
 
     The answer, floored onto each user's corridor, is kept only if it does
     not lower the penalized objective at this round's (eps, lam);
-    ``success`` is SLSQP's own status either way.
+    ``result`` is SLSQP's own, with its status and iterations, either way.
     """
-    fun, grad = _joint_fun_and_grad(scenario, rate_model, eps, lam)
-    res = minimize(fun, policy.ravel(), jac=grad, method="SLSQP",
-                   bounds=[(0.0, None)] * policy.size, constraints=corridor,
+    free, constraint = corridor
+    fun, grad = _joint_fun_and_grad(scenario, rate_model, eps, lam, free)
+    x0 = policy[free]
+    res = minimize(fun, x0, jac=grad, method="SLSQP",
+                   bounds=[(0.0, None)] * x0.size, constraints=constraint,
                    options={"ftol": 1e-12, "maxiter": 400})
+    full = np.zeros_like(policy)
+    full[free] = res.x
     candidate = np.array([
         feasible_floor(row, user.harvest, scenario.grid.tau)
-        for row, user in zip(res.x.reshape(policy.shape), scenario.users)])
-    # the floored rows are nonnegative, so this is their _penalized_objective
-    if -fun(candidate.ravel()) >= _penalized_objective(policy, scenario,
-                                                       rate_model, eps, lam):
-        return candidate, res.success
-    return policy, res.success
+        for row, user in zip(full, scenario.users)])
+    # the floored rows are nonnegative and 0 where pinned, so this is their
+    # _penalized_objective
+    if -fun(candidate[free]) >= _penalized_objective(policy, scenario,
+                                                     rate_model, eps, lam):
+        return candidate, res
+    return policy, res
 
 
 def solve_with_data(scenario: Scenario, rate_model: RateModel,
@@ -370,12 +405,13 @@ def solve_with_data(scenario: Scenario, rate_model: RateModel,
         if vmax <= violation_tol:
             break
         eps = _GROWTH ** (k - 1)
-        policy, success = _penalty_round(scen, rate_model, policy, eps, lam,
-                                         corridor)
+        policy, res = _penalty_round(scen, rate_model, policy, eps, lam,
+                                     corridor)
         # lam <- max(0, lam + 2 eps g), which is 2 eps times the hinges
         lam = 2.0 * eps * _hinges(_departures(policy, scen, rate_model),
                                   cum_b, lam / (2.0 * eps))
-        report.inner_failures += not success
+        report.inner_failures += not res.success
+        report.inner_steps += res.nit
         vmax = float(np.max(violation(policy, scen, rate_model)))
         report.violation_trace.append(vmax)
         report.rounds_used = k

@@ -80,6 +80,7 @@ class SolveReport:
     # populated by the data-arrival solver only
     rounds_used: int = 0
     inner_failures: int = 0  # round solves whose SLSQP status is a failure
+    inner_steps: int = 0     # SLSQP iterations (nit) over the round solves
     final_violation: float = 0.0
     violation_trace: list = field(default_factory=list)
     unusable_energy: Optional[np.ndarray] = None

@@ -394,3 +394,77 @@ def enumerate_forced_departures(scenario, rate_model, user, step):
     pair = (powers, p_partner) if user == 0 else (p_partner, powers)
     nats = tau * np.asarray(rate_model.user_rates(*pair)[user])
     return np.min(np.cumsum(nats, axis=1), axis=0)
+
+
+def loop_forced_departures(scenario, rate_model, user):
+    """Reference for ``data_causality.forced_departures``: the same DP with
+    a fresh block of nats in every slot, as it was written before slots with
+    the same level ranges shared one.  Both must agree bit for bit."""
+    tau = scenario.grid.tau
+    corridor = scenario.users[user].harvest.corridor
+    partner = scenario.users[1 - user].harvest
+    p_partner = min(partner.capacity, float(partner.corridor.upper[-1])) / tau
+
+    def nats(energy):
+        p = energy / tau
+        pair = (p, p_partner) if user == 0 else (p_partner, p)
+        return tau * rate_model.user_rates(*pair)[user]
+
+    levels = np.unique(np.concatenate([[0.0], corridor.lower,
+                                       corridor.upper]))
+    first = np.searchsorted(levels, corridor.lower, side="left")
+    last = np.searchsorted(levels, corridor.upper, side="right")
+    forced = np.empty(scenario.grid.N)
+    start, cost = 0, np.zeros(1)
+    for k in range(scenario.grid.N):
+        step = (levels[first[k]:last[k]][None, :]
+                - levels[start:start + cost.size][:, None])
+        cost = np.min(np.where(step >= 0.0,
+                               cost[:, None] + nats(np.maximum(step, 0.0)),
+                               np.inf), axis=0)
+        start = first[k]
+        forced[k] = np.min(cost)
+    return forced
+
+
+def full_coordinate_round(scenario, rate_model, policy, eps, lam, corridor):
+    """Reference for ``data_causality._penalty_round``: one SLSQP solve over
+    all 2N powers, with every open corridor row of both users, as it was
+    written before the powers pinned at 0 (U_n = 0) left the solve.
+    ``corridor`` is ignored; the rows are built here."""
+    from scipy.optimize import minimize
+
+    from ehic.data_causality import _joint_fun_and_grad, _penalized_objective
+    from ehic.iterative import feasible_floor
+
+    tau = scenario.grid.tau
+    n = scenario.grid.N
+    rows, sign, bound = [], [], []
+    for j, user in enumerate(scenario.users):
+        c = user.harvest.corridor
+        rows += [j * n + np.flatnonzero(c.upper_rows),
+                 j * n + np.flatnonzero(c.lower_rows)]
+        sign += [np.full(np.count_nonzero(c.upper_rows), -1.0),
+                 np.ones(np.count_nonzero(c.lower_rows))]
+        bound += [c.upper[c.upper_rows], c.lower[c.lower_rows]]
+    rows, sign, bound = (np.concatenate(v) for v in (rows, sign, bound))
+    cols = np.arange(2 * n)
+    jac = (sign * tau)[:, None] * ((cols >= rows[:, None] // n * n)
+                                   & (cols <= rows[:, None]))
+    constraint = {"type": "ineq",
+                  "fun": lambda x: sign * (tau * np.cumsum(x.reshape(2, n),
+                                                           axis=1)
+                                           .ravel()[rows] - bound),
+                  "jac": lambda x: jac}
+    fun, grad = _joint_fun_and_grad(scenario, rate_model, eps, lam,
+                                    np.ones((2, n), dtype=bool))
+    res = minimize(fun, policy.ravel(), jac=grad, method="SLSQP",
+                   bounds=[(0.0, None)] * policy.size, constraints=constraint,
+                   options={"ftol": 1e-12, "maxiter": 400})
+    candidate = np.array([
+        feasible_floor(row, user.harvest, tau)
+        for row, user in zip(res.x.reshape(policy.shape), scenario.users)])
+    if -fun(candidate.ravel()) >= _penalized_objective(policy, scenario,
+                                                       rate_model, eps, lam):
+        return candidate, res
+    return policy, res

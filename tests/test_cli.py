@@ -155,6 +155,10 @@ class TestRunExperiment:
         written = json.loads((tmp_path / "data" / "summary.json").read_text())
         assert written["inner_failures"] == summary["inner_failures"]
         assert summary["inner_failures"] == len(calls) > 0
+        # the SLSQP iterations of the round solves, beside the rounds
+        assert written["inner_steps"] == summary["inner_steps"]
+        assert summary["inner_steps"] == sum(res.nit for res in calls) > 0
+        assert summary["rounds"] >= 1
 
     def test_online_dp_and_tables(self, tmp_path):
         scen_path = _write_scenario(tmp_path, SCEN)

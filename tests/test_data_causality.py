@@ -1,15 +1,17 @@
 """Penalty-method data-causality solver: violation accounting, contradiction
 resolution and agreement with the exhaustive search."""
 
+import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ehic import data_causality
-from ehic.cli import gen_scenario
+from ehic.cli import gen_scenario, main
 from ehic.data_causality import (_corridor_constraint, _joint_fun_and_grad,
                                  _penalized_objective, forced_departures,
                                  resolve_contradictions, solve_with_data,
@@ -20,8 +22,14 @@ from ehic.model import DataProfile, HarvestProfile, User, feasibility_report
 from ehic.oracle import OracleOptions, brute_force
 from ehic.rates import build_rate_model
 
-from helpers import (enumerate_forced_departures, single_user_scenario,
+from helpers import (enumerate_forced_departures, full_coordinate_round,
+                     loop_forced_departures, single_user_scenario,
                      two_user_scenario)
+
+
+def _all_free(scen):
+    """The mask that lets the evaluator read all 2N powers."""
+    return np.ones((2, scen.grid.N), dtype=bool)
 
 
 class TestViolation:
@@ -168,7 +176,8 @@ class TestSolveWithData:
         scen = single_user_scenario([2.0, 0.0], 3.0, b_arr=[0.4, 5.0],
                                     a=0.3, partner_emax=0.05)
         rm = build_rate_model(0.3, 2.0, 3.0, 3.0)
-        _, grad = _joint_fun_and_grad(scen, rm, 10.0, np.zeros((2, 2)))
+        _, grad = _joint_fun_and_grad(scen, rm, 10.0, np.zeros((2, 2)),
+                                      _all_free(scen))
         # p with tau*r1(p) == 0.4 exactly: the violation switches on here
         p_star = np.exp(2 * 0.4) - 1.0
         eps = 1e-7
@@ -183,7 +192,7 @@ class TestSolveWithData:
                                     a=0.3, partner_emax=0.05)
         rm = build_rate_model(0.3, 2.0, 3.0, 3.0)
         lam = np.array([[2.0, 0.0], [0.0, 0.0]])
-        _, grad = _joint_fun_and_grad(scen, rm, 10.0, lam)
+        _, grad = _joint_fun_and_grad(scen, rm, 10.0, lam, _all_free(scen))
         # p with tau*r1(p) == 0.3 exactly
         p_star = np.exp(2 * 0.3) - 1.0
         eps = 1e-7
@@ -192,7 +201,8 @@ class TestSolveWithData:
         assert np.max(np.abs(g_hi - g_lo)) <= 1e-4
         # the shifted hinge is live above the switch point only, where the
         # unshifted one is still off
-        _, grad_zero = _joint_fun_and_grad(scen, rm, 10.0, np.zeros((2, 2)))
+        _, grad_zero = _joint_fun_and_grad(scen, rm, 10.0, np.zeros((2, 2)),
+                                           _all_free(scen))
         below = np.array([p_star - 0.05, 0.0, 0.0, 0.0])
         above = np.array([p_star + 0.05, 0.0, 0.0, 0.0])
         assert np.array_equal(grad(below), grad_zero(below))
@@ -253,9 +263,11 @@ class TestCrossCoupling:
         for x in (np.array([0.5, 0.5]), np.array([0.9, 0.1])):
             x = np.concatenate([x, [0.5, 0.5]])
             _, g_two = _joint_fun_and_grad(scen_two, rm, 3.0,
-                                           np.zeros((2, 2)))
+                                           np.zeros((2, 2)),
+                                           _all_free(scen_two))
             _, g_one = _joint_fun_and_grad(scen_one, rm, 3.0,
-                                           np.zeros((2, 2)))
+                                           np.zeros((2, 2)),
+                                           _all_free(scen_one))
             assert np.allclose(g_two(x)[:2], g_one(x)[:2], atol=1e-14)
 
     def test_two_user_data_instance_converges(self):
@@ -341,7 +353,7 @@ class TestBlockEvaluator:
         rng = np.random.default_rng(7)
         policy = rng.uniform(0.0, 3.0, (2, 12))
         lam = _multipliers(10, 16.0) if shifted else np.zeros((2, 12))
-        fun, _ = _joint_fun_and_grad(scen, rm, 16.0, lam)
+        fun, _ = _joint_fun_and_grad(scen, rm, 16.0, lam, _all_free(scen))
         # points that move only this user's block, then both blocks
         points = []
         for _ in range(4):
@@ -368,7 +380,8 @@ class TestBlockEvaluator:
         rm = build_rate_model(a, b, *scen.peak_powers)
         rng = np.random.default_rng(8)
         lam = _multipliers(11, 16.0) if shifted else np.zeros((2, 12))
-        fun, grad = _joint_fun_and_grad(scen, rm, 16.0, lam)
+        fun, grad = _joint_fun_and_grad(scen, rm, 16.0, lam,
+                                        _all_free(scen))
         h = 1e-6
         block = slice(12 * user, 12 * (user + 1))
         for _ in range(3):
@@ -387,9 +400,10 @@ class TestBlockEvaluator:
 
 class TestCorridorConstraint:
     @staticmethod
-    def _dense_jacobian(scen):
+    def _dense_jacobian(scen, free):
         """The open rows of sign * tau * kron(I_2, tril(1_N)), the dense
-        construction over all 2N rows."""
+        construction over all 2N rows, restricted to the free columns and
+        to the rows that read one."""
         n, tau = scen.grid.N, scen.grid.tau
         rows, sign = [], []
         for j, user in enumerate(scen.users):
@@ -399,24 +413,48 @@ class TestCorridorConstraint:
             sign += [np.full(np.count_nonzero(c.upper_rows), -1.0),
                      np.ones(np.count_nonzero(c.lower_rows))]
         rows, sign = np.concatenate(rows), np.concatenate(sign)
-        return (sign * tau)[:, None] * np.kron(
-            np.eye(2), np.tril(np.ones((n, n))))[rows]
+        dense = (sign * tau)[:, None] * np.kron(
+            np.eye(2), np.tril(np.ones((n, n))))[rows][:, free.ravel()]
+        return dense[np.any(dense != 0.0, axis=1)]
 
-    def test_open_rows_match_the_dense_construction(self):
+    @staticmethod
+    def _scenarios():
         scens = [_data_scenario(a, b, seed, n=n)
                  for a, b in ((0.7, 5.0), (0.5, 1.5))
                  for seed, n in ((1, 1), (2, 5), (3, 12), (4, 30))]
         rng = np.random.default_rng(12)
+        # user 2 harvests nothing
         scens.append(two_user_scenario(rng.uniform(0, 4, 9),
                                        np.zeros(9), 4.0, 0.7, 5.0, tau=0.3,
                                        b1=np.ones(9), b2=np.ones(9)))
-        for scen in scens:
-            x = np.zeros(2 * scen.grid.N)
-            jac = _corridor_constraint(scen)["jac"](x)
-            dense = self._dense_jacobian(scen)
+        # both users start with slots that harvest nothing
+        scens.append(two_user_scenario([0, 0, 3, 0, 1], [0, 2, 0, 1, 0], 4.0,
+                                       0.7, 5.0, b1=np.ones(5),
+                                       b2=np.ones(5)))
+        return scens
+
+    def test_open_rows_match_the_dense_construction(self):
+        pinned = 0
+        for scen in self._scenarios():
+            free, constraint = _corridor_constraint(scen)
+            # the free powers are the slots with U_n > 0, a suffix of each
+            # user's slots
+            for j, user in enumerate(scen.users):
+                assert np.array_equal(free[j],
+                                      user.harvest.corridor.upper > 0.0)
+                assert np.all(np.diff(free[j].astype(int)) >= 0)
+            pinned += np.count_nonzero(~free)
+            x = np.zeros(np.count_nonzero(free))
+            jac = constraint["jac"](x)
+            dense = self._dense_jacobian(scen, free)
             assert jac.shape == dense.shape and jac.shape[0] > 0
             assert jac.dtype == dense.dtype
             assert jac.tobytes() == dense.tobytes()
+            # the rows are linear in the free powers with this Jacobian
+            y = np.random.default_rng(3).uniform(0.0, 1.0, x.size)
+            assert np.allclose(constraint["fun"](y) - constraint["fun"](x),
+                               jac @ y, rtol=1e-12, atol=1e-12)
+        assert pinned >= 12
 
 
 class TestPenaltyRounds:
@@ -428,9 +466,9 @@ class TestPenaltyRounds:
         real = data_causality._penalty_round
 
         def record(scen, rm, policy, eps, lam, corridor):
-            out, success = real(scen, rm, policy, eps, lam, corridor)
+            out, res = real(scen, rm, policy, eps, lam, corridor)
             rounds.append((policy, eps, lam, out))
-            return out, success
+            return out, res
 
         monkeypatch.setattr(data_causality, "_penalty_round", record)
         return rounds
@@ -447,8 +485,8 @@ class TestPenaltyRounds:
         return out
 
     def test_zero_harvest_user_keeps_a_zero_row(self, monkeypatch):
-        # user 2 harvests nothing: its row S_N <= 0 holds SLSQP's powers
-        # at 0 and the corridor floor makes them exact zeros; its data are
+        # user 2 harvests nothing, so none of its powers is free: SLSQP
+        # never sees them and the round writes exact zeros; its data are
         # finite in the second instance, so its penalty is live there.
         # Both instances are feasible and need rounds (at high=0.2 user 1's
         # battery alone is infeasible, see TestForcedDepartures)
@@ -502,6 +540,119 @@ class TestPenaltyRounds:
             assert (_penalized_objective(spent, scen, rm, eps, lam)
                     < _penalized_objective(before, scen, rm, eps, lam))
             assert after is before
+
+
+def _zero_prefix_scenario(a, b, seed, zero):
+    """``_data_scenario`` at high=0.3 with user j's first ``zero[j]``
+    arrivals of harvest removed."""
+    base = _data_scenario(a, b, seed, high=0.3)
+    users = []
+    for u, m in zip(base.users, zero):
+        e = u.harvest.arrivals.copy()
+        e[:m] = 0.0
+        users.append(User(HarvestProfile(e, u.harvest.capacity), u.data))
+    scen = replace(base, users=tuple(users))
+    return scen, build_rate_model(a, b, *scen.peak_powers)
+
+
+class TestFreePowers:
+    """SLSQP sees only the powers after each user's first harvest; the
+    rounds over all 2N powers are the reference."""
+
+    def _both(self, monkeypatch, scen, rm):
+        policy, report = solve_with_data(scen, rm)
+        monkeypatch.setattr(data_causality, "_penalty_round",
+                            full_coordinate_round)
+        ref_policy, ref_report = solve_with_data(scen, rm)
+        monkeypatch.undo()
+        assert report.rounds_used >= 1 and ref_report.rounds_used >= 1
+        return (joint_objective(policy, scen, rm),
+                joint_objective(ref_policy, scen, rm))
+
+    @pytest.mark.parametrize("a, b", [(0.7, 5.0), (0.5, 1.5)])
+    @pytest.mark.parametrize("seed, zero", [
+        (1, (2, 3)), (2, (2, 3)), (3, (2, 3)), (4, (2, 3)), (5, (2, 3)),
+        (5, (3, 12)),   # user 2 harvests nothing and has finite data
+    ])
+    def test_matches_the_full_coordinate_rounds(self, monkeypatch, a, b,
+                                                seed, zero):
+        # the reference alone moves by up to 6e-9 relative between one and
+        # two BLAS threads on these instances (the penalized problem is not
+        # concave, and SLSQP's steps round differently), so the bound sits
+        # above that spread; a power lost or a row misplaced moves the
+        # objective by far more
+        obj, ref = self._both(monkeypatch,
+                              *_zero_prefix_scenario(a, b, seed, zero))
+        assert abs(obj - ref) <= 1e-7 * abs(ref)
+
+    def test_the_ci_instance(self, monkeypatch):
+        # both users start without harvest; every arrival is 0.2 nats after
+        # user 1's first two of 0.1, so the users send at most 1.8 nats
+        scen = two_user_scenario([0, 0, 3, 0, 1], [0, 2, 0, 1, 0], 4.0, 0.7,
+                                 5.0, b1=[0.1, 0.1, 0.2, 0.2, 0.2],
+                                 b2=[0.2] * 5)
+        rm = build_rate_model(0.7, 5.0, *scen.peak_powers)
+        obj, ref = self._both(monkeypatch, scen, rm)
+        assert abs(obj - ref) <= 1e-7 * abs(ref)
+        assert abs(obj - 1.8) <= 1e-6
+
+    def test_evaluator_reads_the_free_powers(self):
+        scen, rm = _zero_prefix_scenario(0.7, 5.0, 2, (2, 3))
+        free, _ = _corridor_constraint(scen)
+        assert not free.all()
+        lam = _multipliers(10, 16.0)
+        fun, grad = _joint_fun_and_grad(scen, rm, 16.0, lam, free)
+        fun_all, grad_all = _joint_fun_and_grad(scen, rm, 16.0, lam,
+                                                _all_free(scen))
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            policy = rng.uniform(-0.5, 3.0, (2, 12)) * free
+            x = policy[free]
+            assert fun(x) == fun_all(policy.ravel())
+            assert grad(x).tobytes() == grad_all(policy.ravel())[
+                free.ravel()].tobytes()
+
+    def test_no_harvest_no_slsqp(self, tmp_path, monkeypatch):
+        # neither user harvests, both have finite data: every power is
+        # pinned at 0, which sends nothing and so meets the data
+        calls = []
+        real = data_causality.minimize
+        monkeypatch.setattr(data_causality, "minimize",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        doc = {"tau": 1.0, "N": 3, "channel": {"a": 0.7, "b": 5.0},
+               "users": [{"E": [0, 0, 0], "Emax": 4, "B": [0.1, 0.1, 0.2]},
+                         {"E": [0, 0, 0], "Emax": 4, "B": [0.2] * 3}]}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["solve-data", "--scenario", str(path), "--out",
+                     str(out)]) == 0
+        assert not calls
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rounds"] == 0 and summary["inner_steps"] == 0
+        assert summary["objective_nats"] == 0.0
+        rows = (out / "policy.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1:3] for r in rows] == [["0", "0"]] * 3
+
+    def test_inner_steps_count_slsqp_iterations(self, monkeypatch):
+        iterations = []
+        real = data_causality.minimize
+
+        def record(*args, **kwargs):
+            res = real(*args, **kwargs)
+            iterations.append(res.nit)
+            return res
+
+        monkeypatch.setattr(data_causality, "minimize", record)
+        cases = [_zero_prefix_scenario(a, b, seed, zero)
+                 for a, b in ((0.7, 5.0), (0.5, 1.5))
+                 for seed, zero in ((2, (2, 3)), (5, (3, 12)), (4, (3, 12)))]
+        cases.append(TestInnerStatus._late_data())
+        for scen, rm in cases:
+            iterations.clear()
+            _, report = solve_with_data(scen, rm)
+            assert report.inner_steps == sum(iterations)
+            assert (report.inner_steps > 0) == (report.rounds_used >= 1)
 
 
 class TestInnerStatus:
@@ -654,3 +805,37 @@ class TestForcedDepartures:
         assert report.final_violation == pytest.approx(excess, rel=1e-12)
         with pytest.raises(InvalidInputError):
             solve_with_data(scen, rm, violation_tol=excess - 1e-6)
+
+    @pytest.mark.parametrize("a, b", CHANNELS)
+    def test_matches_the_per_slot_loop(self, a, b):
+        # sparse arrivals leave runs of slots with the same level ranges,
+        # which share one block of nats; the values stay bit-identical
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            n = int(rng.integers(1, 40))
+            e = rng.uniform(0.0, 6.0, (2, n)) * (rng.random((2, n)) < 0.3)
+            scen = two_user_scenario(e[0], e[1], rng.uniform(1.0, 8.0), a,
+                                     b, tau=rng.uniform(0.5, 2.0),
+                                     b1=np.ones(n), b2=np.ones(n),
+                                     emax2=rng.uniform(1.0, 8.0))
+            rm = build_rate_model(a, b, *scen.peak_powers)
+            for user in (0, 1):
+                assert (forced_departures(scen, rm, user).tobytes()
+                        == loop_forced_departures(scen, rm, user).tobytes())
+
+    def test_memory_stays_per_slot_at_long_horizons(self):
+        # an arrival in every slot changes the level ranges in every slot;
+        # the per-slot loop peaked at about 1.3 MB here, where one levels x
+        # levels table would take hundreds
+        n = 2000
+        e = np.random.default_rng(0).uniform(0.1, 2.0, (2, n))
+        scen = two_user_scenario(e[0], e[1], 5.0, 0.7, 5.0, b1=np.ones(n),
+                                 b2=np.ones(n))
+        rm = build_rate_model(0.7, 5.0, *scen.peak_powers)
+        tracemalloc.start()
+        try:
+            forced_departures(scen, rm, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * 1.3e6
