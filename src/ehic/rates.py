@@ -194,6 +194,38 @@ class RateModel:
             return d1, d2
         return 0.5 / (1.0 + p1), 0.5 / (1.0 + p2)
 
+    def curvature(self, p1, p2):
+        """Analytic diagonal of the sum rate's Hessian (d²sum_rate/d p1²,
+        d²sum_rate/d p2²), with ``grad``'s branch rule on the min-form kink.
+
+        Both entries are <= 0 in exact arithmetic in every region: in p2,
+        the positive term from user 1's noise-treated rate is at most the
+        canonical user 2's own term because a <= 1.  Each entry is formed
+        from reciprocals, so a power too large for its square underflows to
+        0 instead of overflowing.
+        """
+        h1, h2 = self._curvature_canonical(*self._canonical(p1, p2))
+        return self._public_pair(h1, h2)
+
+    def _curvature_canonical(self, p1, p2):
+        r1, r2 = 1.0 / (1.0 + p1), 1.0 / (1.0 + p2)
+        if self.region not in _ASYMMETRIC:
+            return -0.5 * r1 * r1, -0.5 * r2 * r2
+        a = self._a
+        base = 1.0 + a * p2
+        rs, rb = 1.0 / (base + p1), 1.0 / base
+        h1 = -0.5 * rs * rs
+        # a^2/2 (1/base^2 - 1/s^2) with s = base + p1, written without the
+        # cancellation: (s - base)(s + base) / (base^2 s^2)
+        h2 = (0.5 * a * a * (p1 * rs) * ((2.0 * base + p1) * rs) * rb * rb
+              - 0.5 * r2 * r2)
+        if self.region is Region.ASYMMETRIC_AB_AT_MOST_ONE:
+            rd = 1.0 / (1.0 + self._b * p1 + p2)
+            on_b = p2 >= self.p_c
+            h1 = np.where(on_b, -0.5 * self._b * self._b * rd * rd, h1)
+            h2 = np.where(on_b, -0.5 * rd * rd, h2)
+        return h1, h2
+
     def user_rate_partials(self, p1, p2):
         """Jacobian of (r1, r2) in (p1, p2): (d11, d12, d21, d22).
 

@@ -430,11 +430,14 @@ def loop_forced_departures(scenario, rate_model, user):
 def full_coordinate_round(scenario, rate_model, policy, eps, lam, corridor):
     """Reference for ``data_causality._penalty_round``: one SLSQP solve over
     all 2N powers, with every open corridor row of both users, as it was
-    written before the powers pinned at 0 (U_n = 0) left the solve.
+    written before the powers pinned at 0 (U_n = 0) left the solve.  It is
+    preconditioned as the round is: SLSQP works in y = x / d, with the free
+    powers' scales from ``_round_scales`` and scale 1 on the pinned ones.
     ``corridor`` is ignored; the rows are built here."""
     from scipy.optimize import minimize
 
-    from ehic.data_causality import _joint_fun_and_grad, _penalized_objective
+    from ehic.data_causality import (_joint_fun_and_grad,
+                                     _penalized_objective, _round_scales)
     from ehic.iterative import feasible_floor
 
     tau = scenario.grid.tau
@@ -448,22 +451,26 @@ def full_coordinate_round(scenario, rate_model, policy, eps, lam, corridor):
                  np.ones(np.count_nonzero(c.lower_rows))]
         bound += [c.upper[c.upper_rows], c.lower[c.lower_rows]]
     rows, sign, bound = (np.concatenate(v) for v in (rows, sign, bound))
+    free = np.array([u.harvest.corridor.upper > 0.0 for u in scenario.users])
+    d = np.ones(2 * n)
+    d[free.ravel()] = _round_scales(scenario, rate_model, policy, free)
     cols = np.arange(2 * n)
     jac = (sign * tau)[:, None] * ((cols >= rows[:, None] // n * n)
-                                   & (cols <= rows[:, None]))
+                                   & (cols <= rows[:, None])) * d
     constraint = {"type": "ineq",
-                  "fun": lambda x: sign * (tau * np.cumsum(x.reshape(2, n),
-                                                           axis=1)
-                                           .ravel()[rows] - bound),
-                  "jac": lambda x: jac}
+                  "fun": lambda y: sign * (tau * np.cumsum(
+                      (d * y).reshape(2, n), axis=1).ravel()[rows] - bound),
+                  "jac": lambda y: jac}
     fun, grad = _joint_fun_and_grad(scenario, rate_model, eps, lam,
                                     np.ones((2, n), dtype=bool))
-    res = minimize(fun, policy.ravel(), jac=grad, method="SLSQP",
+    res = minimize(lambda y: fun(d * y), policy.ravel() / d,
+                   jac=lambda y: d * grad(d * y), method="SLSQP",
                    bounds=[(0.0, None)] * policy.size, constraints=constraint,
                    options={"ftol": 1e-12, "maxiter": 400})
     candidate = np.array([
         feasible_floor(row, user.harvest, tau)
-        for row, user in zip(res.x.reshape(policy.shape), scenario.users)])
+        for row, user in zip((d * res.x).reshape(policy.shape),
+                             scenario.users)])
     if -fun(candidate.ravel()) >= _penalized_objective(policy, scenario,
                                                        rate_model, eps, lam):
         return candidate, res

@@ -13,9 +13,9 @@ import pytest
 from ehic import data_causality
 from ehic.cli import gen_scenario, main
 from ehic.data_causality import (_corridor_constraint, _joint_fun_and_grad,
-                                 _penalized_objective, forced_departures,
-                                 resolve_contradictions, solve_with_data,
-                                 violation)
+                                 _penalized_objective, _round_scales,
+                                 forced_departures, resolve_contradictions,
+                                 solve_with_data, violation)
 from ehic.errors import ConvergenceError, InvalidInputError
 from ehic.iterative import feasible_floor, iterate_offline, joint_objective
 from ehic.model import DataProfile, HarvestProfile, User, feasibility_report
@@ -653,6 +653,84 @@ class TestFreePowers:
             _, report = solve_with_data(scen, rm)
             assert report.inner_steps == sum(iterations)
             assert (report.inner_steps > 0) == (report.rounds_used >= 1)
+
+
+class TestPreconditioning:
+    """A round's SLSQP works in y = x / d, with d from the sum rate's
+    diagonal curvature at the round's start."""
+
+    @staticmethod
+    def _round_inputs():
+        scen, rm = _zero_prefix_scenario(0.7, 5.0, 2, (2, 3))
+        policy, _ = iterate_offline(scen, rm)
+        return scen, rm, policy, 16.0, _multipliers(10, 16.0)
+
+    def test_slsqp_sees_the_scaled_problem(self, monkeypatch):
+        scen, rm, policy, eps, lam = self._round_inputs()
+        free, constraint = corridor = _corridor_constraint(scen)
+        fun, grad = _joint_fun_and_grad(scen, rm, eps, lam, free)
+        d = _round_scales(scen, rm, policy, free)
+        calls = []
+        real = data_causality.minimize
+
+        def record(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append((args, kwargs, res))
+            return res
+
+        monkeypatch.setattr(data_causality, "minimize", record)
+        out, res = data_causality._penalty_round(scen, rm, policy, eps, lam,
+                                                 corridor)
+        [((fun_y, y0), kwargs, res_y)] = calls
+        assert res_y is res
+        assert y0.tobytes() == (policy[free] / d).tobytes()
+        assert kwargs["bounds"] == [(0.0, None)] * d.size
+        rows = kwargs["constraints"]
+        jac_x = constraint["jac"](y0)
+        rng = np.random.default_rng(8)
+        for y in (y0, res.x, rng.uniform(0.0, 2.0, d.size)):
+            x = d * y
+            assert fun_y(y) == fun(x)
+            # the gradient in y is d times the gradient in x at x = d y
+            assert kwargs["jac"](y).tobytes() == (d * grad(x)).tobytes()
+            assert rows["fun"](y).tobytes() == constraint["fun"](x).tobytes()
+            assert (rows["jac"](y).tobytes()
+                    == (jac_x * d[None, :]).tobytes())
+        # the answer is x = d y, floored onto each corridor, or the start
+        full = np.zeros_like(policy)
+        full[free] = d * res.x
+        floored = np.array([feasible_floor(row, u.harvest, scen.grid.tau)
+                            for row, u in zip(full, scen.users)])
+        assert out is policy or np.array_equal(out, floored)
+
+    def test_scales_follow_the_curvature_above_the_floor(self):
+        scen, rm, policy, _, _ = self._round_inputs()
+        free, _ = _corridor_constraint(scen)
+        d = _round_scales(scen, rm, policy, free)
+        c = -scen.grid.tau * np.array(rm.curvature(*policy))[free]
+        kept = c >= data_causality._CURVATURE_FLOOR * c.max()
+        assert kept.any() and d.shape == c.shape
+        assert np.array_equal(d[kept], 1.0 / np.sqrt(c[kept]))
+        assert np.all(d <= 1.0 / np.sqrt(data_causality._CURVATURE_FLOOR
+                                         * c.max()))
+
+    def test_scales_stay_finite_where_the_curvature_vanishes(self):
+        scen, rm, policy, _, _ = self._round_inputs()
+        free, _ = _corridor_constraint(scen)
+        # powers too large for their square: the curvature underflows to 0
+        huge = policy.copy()
+        huge[0, -4:] = 1e170
+        huge[1, -2:] = 1e170
+        c = -np.array(rm.curvature(*huge))[free]
+        assert np.count_nonzero(c == 0.0) >= 4 and c.max() > 0.0
+        d = _round_scales(scen, rm, huge, free)
+        assert np.all(np.isfinite(d)) and np.all(d > 0.0)
+        ratio = 1.0 / math.sqrt(data_causality._CURVATURE_FLOOR)
+        assert d.max() <= ratio * d.min() * (1.0 + 1e-12)
+        # no free curvature at all: every scale is 1
+        every = np.where(free, 1e170, 0.0)
+        assert np.array_equal(_round_scales(scen, rm, every, free),
+                              np.ones(np.count_nonzero(free)))
 
 
 class TestInnerStatus:

@@ -157,10 +157,73 @@ class TestGradient:
             assert np.max(np.abs(d2 - fd2)) <= 1e-6
 
 
-class TestKernelPath:
-    """The four public kernels share one input and output path."""
+class TestCurvature:
+    """``curvature`` is the diagonal of the sum rate's Hessian: each entry
+    is the difference quotient of the same entry of ``grad``."""
 
-    KERNELS = ("sum_rate", "user_rates", "grad", "user_rate_partials")
+    # 0, small, moderate and large powers, and both sides of the min-form
+    # threshold p_c = 2 of (0.5, 1.5) and its mirror, never on it
+    POWERS = (0.0, 0.05, 0.7, 1.98, 2.02, 6.0, 1e3, 1e5)
+
+    @staticmethod
+    def _grad_differences(model, p1, p2):
+        """Central differences of ``grad`` with a step relative to the
+        power; at p = 0, where no negative power may be read, the one-sided
+        second-order difference."""
+        out = []
+        for k in (0, 1):
+            p = [p1, p2]
+            h = 1e-4 * (1.0 + p[k])
+
+            def g(t):
+                q = list(p)
+                q[k] = t
+                return model.grad(*q)[k]
+
+            central = (g(p[k] + h) - g(np.maximum(p[k] - h, 0.0))) / (2 * h)
+            forward = (4.0 * g(p[k] + h) - 3.0 * g(p[k])
+                       - g(p[k] + 2 * h)) / (2 * h)
+            out.append(np.where(p[k] > 0.0, central, forward))
+        return out
+
+    def test_matches_differences_of_the_gradient(self):
+        p1, p2 = (g.ravel() for g in np.meshgrid(self.POWERS, self.POWERS))
+        for model in _all_models() + _mirrored_models():
+            got = model.curvature(p1, p2)
+            for h, fd in zip(got, self._grad_differences(model, p1, p2)):
+                assert np.all(h <= 0.0), model.region
+                assert np.all(np.abs(h - fd) <= 1e-6 * np.abs(fd) + 1e-15), \
+                    (model.region, model.mirrored)
+
+    def test_min_form_branches(self):
+        # p2 >= p_c picks the decode-limited branch, as grad does
+        model = build_rate_model(0.5, 1.5, 10.0, 10.0)
+        den = 1.0 + 1.5 * 1.0 + 2.0
+        assert model.curvature(1.0, 2.0) == pytest.approx(
+            (-0.5 * 1.5 ** 2 / den ** 2, -0.5 / den ** 2), rel=1e-14)
+        assert model.curvature(0.0, 1.0) == pytest.approx(
+            (-0.5 / 1.5 ** 2, -0.125), rel=1e-14)
+
+    def test_very_strong_hand_values(self):
+        model = build_rate_model(50.0, 50.0, 2.0, 2.0)
+        assert model.curvature(1.0, 3.0) == pytest.approx(
+            (-0.125, -1.0 / 32.0), rel=1e-14)
+
+    def test_huge_powers_underflow_to_zero(self):
+        # every entry is formed from reciprocals, so no square overflows
+        # (a RuntimeWarning fails the suite)
+        for model in _all_models() + _mirrored_models():
+            h1, h2 = model.curvature(np.array([1e170, 1.0]),
+                                     np.array([1.0, 1e170]))
+            assert h1[0] == 0.0 and h2[1] == 0.0
+            assert np.all(np.isfinite(h1)) and np.all(np.isfinite(h2))
+
+
+class TestKernelPath:
+    """The public kernels share one input and output path."""
+
+    KERNELS = ("sum_rate", "user_rates", "grad", "user_rate_partials",
+               "curvature")
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_negative_power_rejected(self, kernel):
