@@ -6,9 +6,11 @@ profiles, channel) and a ``RateModel`` (the closed-form sum rate of the
 channel's region: a*b > 1, min-form a*b <= 1 or very strong, the regions
 with a known sum capacity; any other channel is rejected).
 ``iterate_offline`` computes the optimal offline schedule by alternating
-single-user directional water-filling, started from a joint primal-dual
-interior-point solution where a*b > 1; ``solve_with_data`` extends it to
-per-slot data arrivals via a quadratic penalty.  The solvers take three settings in all:
+single-user directional water-filling, started where a*b > 1 from a joint
+primal-dual interior-point solution finished by Newton steps on its active
+set; ``solve_with_data`` extends it to per-slot data arrivals by
+augmented-Lagrangian (method of multipliers) rounds.  The solvers take three
+settings in all:
 ``max_sweeps``, the KKT tolerance ``tol`` and the data ``violation_tol``.
 ``online`` hosts the DP, naive and distributed baselines and ``oracle`` a
 brute-force ground truth.

@@ -229,6 +229,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                                          tol=config.tol)
         summary.update(sweeps=report.sweeps_used,
                        start_steps=report.start_steps,
+                       polish_steps=report.polish_steps,
                        certified_starts=report.certified_starts,
                        converged=report.converged,
                        final_displacement=report.displacement_trace[-1])

@@ -272,8 +272,12 @@ class TestPresets:
         p1 = np.array([float(r["p1"]) for r in rows])
         assert p1[0] <= 0.01 * p1.max() and p1[1] <= 0.01 * p1.max()
         assert summary["converged"]
-        # both blocks return the joint start they got (TestCertifiedStarts)
+        # both blocks return the polished joint start they got
+        # (TestCertifiedStarts); the summary counts the polish's solves
         assert (summary["sweeps"], summary["certified_starts"]) == (1, 2)
+        assert summary["polish_steps"] > 0
+        assert list(summary).index("polish_steps") == \
+            list(summary).index("start_steps") + 1
         assert max(summary[f"{kind}_user{u}"] for kind in
                    ("stationarity", "complementarity") for u in (1, 2)) <= 1e-7
 
@@ -369,8 +373,8 @@ class TestFig8Pool:
         # solve-offline does for one scenario; the default sweep budget
         # settles the same seeds from zeros
         def zero_start(scenarios, rate_model):
-            n = scenarios[0].grid.N
-            return np.zeros((len(scenarios), 2, n)), np.zeros(len(scenarios))
+            n, zeros = scenarios[0].grid.N, np.zeros(len(scenarios))
+            return np.zeros((len(scenarios), 2, n)), zeros, zeros
 
         monkeypatch.setattr(iterative, "joint_start", zero_start)
         assert main(["preset", "fig8", "--seed", "4", "--count", "3",

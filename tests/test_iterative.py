@@ -28,17 +28,19 @@ from helpers import lattice_arrivals, two_user_scenario
 
 
 def _zero_start(scens, rate_model):
-    return np.zeros((len(scens), 2, scens[0].grid.N)), np.zeros(len(scens))
+    zeros = np.zeros(len(scens))
+    return np.zeros((len(scens), 2, scens[0].grid.N)), zeros, zeros
 
 
 def _naive_start(scens, rate_model):
-    return np.array([naive_policy(s) for s in scens]), np.zeros(len(scens))
+    zeros = np.zeros(len(scens))
+    return np.array([naive_policy(s) for s in scens]), zeros, zeros
 
 
 def _start_of(scen, rm):
-    """``joint_start`` on a batch of one."""
-    starts, steps = joint_start([scen], rm)
-    return starts[0], int(steps[0])
+    """``joint_start`` on a batch of one: (start, steps, polish_steps)."""
+    starts, steps, polish = joint_start([scen], rm)
+    return starts[0], int(steps[0]), int(polish[0])
 
 
 def _iterate_from(start, scen, rm):
@@ -300,6 +302,34 @@ def _assert_strictly_feasible(policy, scen):
         assert np.all(policy[j] >= 0.0)
 
 
+def _assert_on_active_set(policy, scen):
+    """A polished start: in its corridor within ``feas_eps``, p >= 0, and
+    on the constraints it meets: each power is exactly 0 or above the
+    certificate's positive-power threshold, and each S entry within
+    ``binding_tol`` of a bound lies on it within ``feas_eps``."""
+    tau = scen.grid.tau
+    for j, user in enumerate(scen.users):
+        c = user.harvest.corridor
+        s = tau * np.cumsum(policy[j])
+        assert s[-1] == pytest.approx(c.upper[-1], rel=1e-12, abs=1e-12)
+        assert np.all(s >= c.floor - c.feas_eps)
+        assert np.all(s <= c.upper + c.feas_eps)
+        assert np.all(policy[j] >= 0.0)
+        positive = 1e-11 * max(1.0, user.harvest.capacity / tau)
+        assert np.all((policy[j] == 0.0) | (policy[j] > positive))
+        slack = np.minimum(s - c.floor, c.upper - s)
+        assert np.all((slack > c.binding_tol) | (slack <= c.feas_eps))
+
+
+def _assert_start(policy, polish_steps, scen):
+    """On its active set where the polish was taken, else strictly
+    feasible."""
+    if polish_steps:
+        _assert_on_active_set(policy, scen)
+    else:
+        _assert_strictly_feasible(policy, scen)
+
+
 def _assert_certified(policy, scen, rm, tol=1e-7):
     for user in range(2):
         utils = build_subproblem(scen, rm, user, policy[1 - user])
@@ -316,11 +346,11 @@ class TestJointStart:
                                                       max_sweeps):
         rm = _rate_model_for(scen)
         assert rm.region is Region.ASYMMETRIC_AB_ABOVE_ONE
-        start, steps = _start_of(scen, rm)
-        _assert_strictly_feasible(start, scen)
+        start, steps, polish = _start_of(scen, rm)
+        _assert_start(start, polish, scen)
         policy, report = iterate_offline(scen, rm)
         assert report.converged
-        assert report.start_steps == steps
+        assert (report.start_steps, report.polish_steps) == (steps, polish)
         if max_sweeps is not None:
             assert report.sweeps_used <= max_sweeps
         _assert_certified(policy, scen, rm)
@@ -383,8 +413,8 @@ class TestJointStart:
         rm = _rate_model_for(scen)
         assert rm.region is Region.ASYMMETRIC_AB_ABOVE_ONE
         assert rm.mirrored == mirrored
-        start, _ = _start_of(scen, rm)
-        _assert_strictly_feasible(start, scen)
+        start, _, polish = _start_of(scen, rm)
+        _assert_start(start, polish, scen)
         policy, report = iterate_offline(scen, rm)
         assert report.converged
         _assert_certified(policy, scen, rm)
@@ -398,14 +428,16 @@ class TestJointStart:
         scens = [gen_scenario(20, 1.0, 10.0, 5.0, s, 0.7, 5.0)
                  for s in range(16)]
         rm = _rate_model_for(scens[0])
-        starts, steps = joint_start(scens, rm)
+        starts, steps, polish = joint_start(scens, rm)
         for k in (0, 5):
-            sub, sub_steps = joint_start(scens[k:k + 5], rm)
+            sub, sub_steps, sub_polish = joint_start(scens[k:k + 5], rm)
             assert np.array_equal(sub, starts[k:k + 5])
             assert np.array_equal(sub_steps, steps[k:k + 5])
+            assert np.array_equal(sub_polish, polish[k:k + 5])
         for k, scen in enumerate(scens):
-            alone, count = _start_of(scen, rm)
+            alone, count, solves = _start_of(scen, rm)
             assert np.array_equal(alone, starts[k]) and count == steps[k]
+            assert solves == polish[k]
 
     def test_breakdown_stops_only_its_scenario(self):
         scens = [gen_scenario(20, 1.0, 10.0, 5.0, s, 0.7, 5.0)
@@ -425,17 +457,42 @@ class TestJointStart:
             return band_solve(band, rhs)
 
         with mock.patch.object(iterative, "band_solve", break_second):
-            starts, steps = joint_start(scens, rm)
+            starts, steps, polish = joint_start(scens, rm)
         for k in (0, 2):
-            alone, count = _start_of(scens[k], rm)
+            alone, count, solves = _start_of(scens[k], rm)
             assert np.array_equal(starts[k], alone) and steps[k] == count
-        # the second stops at its last strictly feasible iterate
+            assert polish[k] == solves
+        # the second stops at its last strictly feasible iterate, unpolished
         assert steps[1] == 1 and steps[1] < _start_of(scens[1], rm)[1]
+        assert polish[1] == 0
         _assert_strictly_feasible(starts[1], scens[1])
 
-    def test_fig8_batches_take_at_most_twelve_iterations(self):
-        # two band solves per iteration, at most 12 iterations per scenario
-        # (the barrier-Newton start took 32.75 solves per batch)
+    def test_refused_polish_runs_the_loop_to_its_tight_stop(self):
+        # a polish that fails its checks hands the scenario back: the loop
+        # goes on from the iterate it stopped at, to gap 1e-11
+        scens = [gen_scenario(20, 1.0, 10.0, 5.0, s, 0.7, 5.0)
+                 for s in range(3)]
+        rm = _rate_model_for(scens[0])
+        _, steps, polish = joint_start(scens, rm)
+
+        def refuse(cum, *args):
+            return cum, np.zeros(len(cum), dtype=int)
+
+        with mock.patch.object(iterative, "_polish", refuse):
+            starts, tight, none = joint_start(scens, rm)
+            _, report = iterate_offline(scens[0], rm)
+        assert np.all(polish > 0) and not none.any()
+        assert np.all(tight > steps)
+        for start, scen in zip(starts, scens):
+            _assert_strictly_feasible(start, scen)
+        assert (report.sweeps_used, report.polish_steps) == (1, 0)
+        assert report.start_steps == tight[0]
+
+    def test_fig8_batches_band_solve_budget(self):
+        # two band solves per interior-point iteration, then one per polish
+        # step, every seed polished: 234 solves over the 16 batches (the
+        # interior-point loop run to its tight stop took 324, the
+        # barrier-Newton start 524)
         scens = [gen_scenario(20, 1.0, 10.0, 5.0, s, 0.7, 5.0)
                  for s in range(80)]
         rm = _rate_model_for(scens[0])
@@ -445,21 +502,24 @@ class TestJointStart:
             calls.append(band.shape[1])
             return band_solve(band, rhs)
 
+        total = 0
         with mock.patch.object(iterative, "band_solve", counted):
             for k in range(0, 80, 5):
                 calls.clear()
-                _, steps = joint_start(scens[k:k + 5], rm)
-                assert steps.max() <= 12
-                assert len(calls) == 2 * steps.max()
+                _, steps, polish = joint_start(scens[k:k + 5], rm)
+                assert steps.max() <= 8 and polish.min() >= 1
+                assert len(calls) == 2 * steps.max() + polish.max() <= 20
+                total += len(calls)
+        assert total <= 240
 
     def test_powers_in_the_thousands(self):
         scen = gen_scenario(20, 1.0, 1000.0, 0.5, 2, 0.3, 20.0)
         rm = _rate_model_for(scen)
         assert rm.region is Region.ASYMMETRIC_AB_ABOVE_ONE
-        start, steps = _start_of(scen, rm)
+        start, steps, polish = _start_of(scen, rm)
         assert start.max() > 500.0
         assert steps < iterative._MAX_STEPS
-        _assert_strictly_feasible(start, scen)
+        _assert_start(start, polish, scen)
         policy, report = iterate_offline(scen, rm)
         assert report.converged
         _assert_certified(policy, scen, rm)
@@ -479,9 +539,9 @@ class TestJointStart:
                                 int(rng.integers(10**6)), *gains)
             rm = _rate_model_for(scen)
             assert rm.region is Region.ASYMMETRIC_AB_ABOVE_ONE
-            start, steps = _start_of(scen, rm)
+            start, steps, polish = _start_of(scen, rm)
             assert steps < iterative._MAX_STEPS
-            _assert_strictly_feasible(start, scen)
+            _assert_start(start, polish, scen)
             policy, report = iterate_offline(scen, rm)
             assert report.converged
             _assert_certified(policy, scen, rm)
@@ -505,6 +565,7 @@ class TestJointStart:
             assert np.array_equal(policy, p_one)
             assert report.objective_trace == r_one.objective_trace
             assert report.start_steps == r_one.start_steps
+            assert report.polish_steps == r_one.polish_steps
 
 
 class TestCertifiedStarts:
@@ -522,18 +583,25 @@ class TestCertifiedStarts:
         assert both == 80
 
     def test_fig7(self):
-        # the optimum leaves user 1's slots 1, 2, 9 and 10 idle; the joint
-        # start gives them less than the power that the certificate counts
-        # as transmitting, so both blocks return their start
+        # the optimum leaves user 1's slots 1, 2, 9 and 10 idle; the
+        # polished joint start gives them exactly 0, so both blocks return
+        # their start
         scen = fig7_scenario()
         rm = _rate_model_for(scen)
-        start, _ = _start_of(scen, rm)
-        harvest = scen.users[0].harvest
-        positive = 1e-11 * max(1.0, harvest.capacity / scen.grid.tau)
+        start, _, polish = _start_of(scen, rm)
+        assert polish > 0
         idle = [0, 1, 8, 9]
-        assert np.all(start[0, idle] < positive)
+        assert np.all(start[0, idle] == 0.0)
         assert np.all(np.delete(start[0], idle) > 1.0)
         _, report = iterate_offline(scen, rm)
+        assert (report.sweeps_used, report.certified_starts) == (1, 2)
+
+    def test_n2000_certifies_at_the_joint_start(self):
+        # the interior-point loop alone stops where its active slacks reach
+        # the resolution of S, and the alternation took 3 sweeps from there
+        scen = gen_scenario(2000, 1.0, 10.0, 5.0, 11, 0.7, 5.0)
+        _, report = iterate_offline(scen, _rate_model_for(scen))
+        assert report.polish_steps > 0
         assert (report.sweeps_used, report.certified_starts) == (1, 2)
 
     def test_cold_alternation(self):

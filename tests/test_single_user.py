@@ -161,7 +161,7 @@ class TestCertificateReference:
         scens = [cli.gen_scenario(20, 1.0, 10.0, 5.0, s, 0.7, 5.0)
                  for s in range(20)]
         rms = [cli._rate_model_for(sc) for sc in scens]
-        starts, _ = joint_start(scens, rms[0])
+        starts = joint_start(scens, rms[0])[0]
         accepted = 0
         for scen, rm, start in zip(scens, rms, starts):
             rows = np.vstack([feasible_floor(start[j], scen.users[j].harvest,
