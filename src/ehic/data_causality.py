@@ -88,8 +88,8 @@ from scipy.optimize import minimize
 
 from .errors import ConvergenceError, InvalidInputError
 from .iterative import feasible_floor, iterate_offline, joint_objective
-from .model import (HarvestProfile, Scenario, User, validate_scenario,
-                    violation)
+from .model import (HarvestProfile, Scenario, User, departures,
+                    validate_scenario, violation)
 from .rates import RateModel
 
 
@@ -239,20 +239,12 @@ def _hinges(bits, cum_b, shift):
     return h
 
 
-def _departures(policy, scenario, rate_model):
-    """Nats each user sends in each slot, (2, N)."""
-    p = np.asarray(policy, dtype=float).reshape(2, scenario.grid.N)
-    r1, r2 = rate_model.user_rates(p[0], p[1])
-    tau = scenario.grid.tau
-    return np.vstack([np.atleast_1d(r1), np.atleast_1d(r2)]) * tau
-
-
 def _penalized_objective(policy, scenario, rate_model, eps, lam):
     """The sum rate minus eps * sum (h^2 - (lam / 2 eps)^2), with h the
     hinges shifted by lam / (2 eps); with lam = 0 the penalty is eps *
     sum C^2."""
     shift = lam / (2.0 * eps)
-    h = _hinges(_departures(policy, scenario, rate_model),
+    h = _hinges(departures(policy, scenario, rate_model),
                 _cumulative_data(scenario), shift)
     return (joint_objective(policy, scenario, rate_model)
             - eps * float(np.sum(h * h - shift * shift)))
@@ -282,8 +274,7 @@ def _joint_fun_and_grad(scenario, rate_model, eps, lam, free):
             return
         p = np.zeros((2, n))
         p[free] = np.maximum(x, 0.0)
-        h = _hinges([r * tau for r in rate_model.user_rates(p[0], p[1])],
-                    cum_b, shift)
+        h = _hinges(departures(p, scenario, rate_model), cum_b, shift)
         rate = rate_model.sum_rate(p[0], p[1])
         last.update(x=np.array(x, dtype=float), p=p, h=h,
                     value=tau * float(np.sum(rate))
@@ -446,7 +437,7 @@ def solve_with_data(scenario: Scenario, rate_model: RateModel,
         policy, res = _penalty_round(scen, rate_model, policy, eps, lam,
                                      corridor)
         # lam <- max(0, lam + 2 eps g), which is 2 eps times the hinges
-        lam = 2.0 * eps * _hinges(_departures(policy, scen, rate_model),
+        lam = 2.0 * eps * _hinges(departures(policy, scen, rate_model),
                                   cum_b, lam / (2.0 * eps))
         report.inner_failures += not res.success
         report.inner_steps += res.nit

@@ -12,7 +12,9 @@ smooth and jointly concave, and the alternation starts from ``joint_start``,
 a primal-dual interior-point method (Mehrotra's predictor-corrector) on
 both users at once, stopped at the loose gap ``_POLISH_GAP`` and finished
 by Newton steps on the active set its iterate identifies (``_polish``).
-Both solve bands of half-width 3 in O(N) by LAPACK's banded Cholesky.  It
+Both solve bands of half-width 3 in O(N) by LAPACK's banded Cholesky, and
+both read the sum rate's gradient and Hessian from ``rates``' jet, the
+formulas of ``RateModel.grad`` and ``RateModel.hessian``.  It
 runs on a batch of scenarios that share N, tau and channel, one LAPACK
 call per solve for all of them, and gives each scenario the start it would
 get alone; ``iterate_offline_many`` batches its scenarios so, and
@@ -59,7 +61,7 @@ from scipy.linalg.lapack import dpbsv as _dpbsv
 
 from .errors import InvalidInputError, ShapeError
 from .model import Scenario, validate_scenario
-from .rates import RateModel, Region
+from .rates import RateModel, Region, noise_treated_jet
 from .single_user import (InterferedUtilities, PiecewiseMinUtilities,
                           ScaledLogUtilities, SlotUtilities,
                           solve_single_user)
@@ -204,20 +206,14 @@ def _increments(cum, out=None):
 def _slot_derivatives(cum, tau, a):
     """Gradient (B, N, 2) and negated Hessian (B, N, 3), the entries 11, 12
     and 22, of the canonical sum rate in (p_1, p_2) at every slot of the
-    cumulative consumptions ``cum``."""
+    cumulative consumptions ``cum``: its jet in ``rates``."""
     p = _increments(cum) / tau
-    v = 1.0 + a * p[..., 1]
     g = np.empty(p.shape)
-    g1 = 0.5 / (v + p[..., 0])
-    av = 0.5 * a / v
-    hy = 0.5 / (1.0 + p[..., 1])
-    g[..., 0] = g1
-    g[..., 1] = a * g1 - av + hy
     k = np.empty(p.shape[:2] + (3,))
-    k[..., 0] = 2.0 * g1 * g1
-    k[..., 1] = a * k[..., 0]
-    k[..., 2] = a * k[..., 1] - 2.0 * av * av + 2.0 * hy * hy
-    return g, k
+    g[..., 0], g[..., 1] = noise_treated_jet(a, p[..., 0], p[..., 1], 1)[:2]
+    k[..., 0], k[..., 1], k[..., 2] = noise_treated_jet(a, p[..., 0],
+                                                       p[..., 1], 2)
+    return g, -k
 
 
 def _band_mask(fw):

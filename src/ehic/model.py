@@ -259,6 +259,13 @@ def _worst(violations: np.ndarray) -> WorstViolation:
     return WorstViolation(float(violations[user, slot]), int(user), int(slot))
 
 
+def departures(policy, scenario: Scenario,
+               rate_model: _rates.RateModel) -> np.ndarray:
+    """Nats each user sends in each slot, (2, N)."""
+    p = np.asarray(policy, dtype=float).reshape(2, scenario.grid.N)
+    return np.array(rate_model.user_rates(p[0], p[1])) * scenario.grid.tau
+
+
 def violation(policy, scenario: Scenario,
               rate_model: _rates.RateModel) -> np.ndarray:
     """Per-user, per-slot cumulative data-causality violation (2, N).
@@ -266,10 +273,7 @@ def violation(policy, scenario: Scenario,
     Zero exactly where the data constraint holds; infinite-backlog users get
     an all-zero row.
     """
-    p = np.asarray(policy, dtype=float).reshape(2, scenario.grid.N)
-    tau = scenario.grid.tau
-    r1, r2 = rate_model.user_rates(p[0], p[1])
-    bits = np.vstack([np.atleast_1d(r1), np.atleast_1d(r2)]) * tau
+    bits = departures(policy, scenario, rate_model)
     out = np.zeros((2, scenario.grid.N))
     for j, user in enumerate(scenario.users):
         if user.data.is_infinite:

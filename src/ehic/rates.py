@@ -16,6 +16,11 @@ capacity, each with its closed-form sum rate:
 
 Any other (a, b) has no known sum capacity and is rejected.
 
+Each region's rates and their derivatives are written once, in its jet
+(``noise_treated_jet``, ``min_form_jet`` with ``decode_jet``, ``strong_jet``).
+``RateModel``'s kernels, the slot utilities of ``single_user`` and the joint
+start of ``iterative`` all read them.
+
 When a >= 1 >= b the user indices are swapped internally (``mirrored``) so the
 canonical orientation a <= 1 <= b applies, and results are swapped back.
 """
@@ -23,7 +28,9 @@ canonical orientation a <= 1 <= b applies, and results are swapped back.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +54,6 @@ class Region(enum.Enum):
     ASYMMETRIC_AB_ABOVE_ONE = "asymmetric-ab>1"
     ASYMMETRIC_AB_AT_MOST_ONE = "asymmetric-ab<=1"
     VERY_STRONG = "very-strong"
-
-
-_ASYMMETRIC = (Region.ASYMMETRIC_AB_ABOVE_ONE,
-               Region.ASYMMETRIC_AB_AT_MOST_ONE)
 
 
 @dataclass(frozen=True)
@@ -84,17 +87,88 @@ def classify_region(a: float, b: float, p1_max: float, p2_max: float) -> RegionT
         "orientation) and the very strong region")
 
 
-def _asym_r1(p1, p2, a):
-    # rate of the canonical first user when its interference is treated as noise
-    return 0.5 * np.log1p(p1 / (1.0 + a * p2))
+# A region's jet ``jet(p1, p2, order)`` computes one order at canonical
+# powers, unchecked: the rates; the sum rate's partials g1, g2 and the
+# partials in p2 of each user's rate, d12, d22 (r2 never depends on p1); or
+# the sum rate's second partials, formed from reciprocals alone so that they
+# underflow to 0 at a power too large for its square.
+Rates = namedtuple("Rates", "r1 r2 total")
+Partials = namedtuple("Partials", "g1 g2 d12 d22")
+SecondPartials = namedtuple("SecondPartials", "h11 h12 h22")
+
+
+def noise_treated_jet(a, p1, p2, order):
+    """Jet of the a*b > 1 sum rate, which is also the min-form sum rate's
+    branch below p_c: user 1 treats the interference a*p2 as noise, user 2
+    decodes and removes user 1's signal, so
+    r1 = (1/2)ln(1 + p1/(1 + a p2)) and r2 = (1/2)ln(1 + p2).  h22 <= 0
+    because a <= 1; its term a^2/2 (1/base^2 - 1/s^2), s = base + p1, is
+    written without the cancellation, as (s - base)(s + base)/(base s)^2.
+    """
+    if order == 0:
+        r1, r2 = 0.5 * np.log1p(p1 / (1.0 + a * p2)), 0.5 * np.log1p(p2)
+        return Rates(r1, r2, r1 + r2)
+    base = 1.0 + a * p2
+    if order == 1:
+        d12 = -a * p1 / (2.0 * (1.0 + p1 + a * p2) * base)
+        d22 = 0.5 / (1.0 + p2)
+        return Partials(1.0 / (2.0 * (base + p1)), d12 + d22, d12, d22)
+    rs, rb, r2 = 1.0 / (base + p1), 1.0 / base, 1.0 / (1.0 + p2)
+    h11 = -0.5 * rs * rs
+    h22 = (0.5 * a * a * (p1 * rs) * ((2.0 * base + p1) * rs) * rb * rb
+           - 0.5 * r2 * r2)
+    return SecondPartials(h11, a * h11, h22)
+
+
+def decode_jet(b, p1, p2, order):
+    """Orders 1 and 2 of the min-form sum rate's branch at and above p_c,
+    receiver 2's decode-limited (1/2)ln(1 + b p1 + p2): user 1 gets
+    r1 = (1/2)ln(1 + b p1/(1 + p2)), user 2 r2 = (1/2)ln(1 + p2)."""
+    if order == 1:
+        den = 2.0 * (1.0 + b * p1 + p2)
+        g2, d22 = 1.0 / den, 0.5 / (1.0 + p2)
+        return Partials(b / den, g2, g2 - d22, d22)
+    rd = 1.0 / (1.0 + b * p1 + p2)
+    h22 = -0.5 * rd * rd
+    return SecondPartials(-0.5 * b * b * rd * rd, b * h22, h22)
+
+
+def min_form_jet(a, b, p_c, p1, p2, order):
+    """Jet of the a*b <= 1 sum rate, the least of the noise-treated and the
+    decode-limited branch.  The rates take the least by value, the
+    derivatives the decode-limited branch where p2 >= p_c (the slot
+    utilities' branch rule), so at p_c they are its right-hand values."""
+    tin = noise_treated_jet(a, p1, p2, order)
+    if order == 0:
+        bp1 = b * p1
+        return Rates(np.minimum(tin.r1, 0.5 * np.log1p(bp1 / (1.0 + p2))),
+                     tin.r2, np.minimum(tin.total, 0.5 * np.log1p(bp1 + p2)))
+    dec, on_b = decode_jet(b, p1, p2, order), p2 >= p_c
+    # the first three entries of either order; d22 is the same on both
+    pick = map(np.where, (on_b,) * 3, dec, tin)
+    return Partials(*pick, tin.d22) if order == 1 else SecondPartials(*pick)
+
+
+def strong_jet(p1, p2, order):
+    """Jet of the very strong sum rate: both receivers remove the
+    interference, so each rate is its own link's (1/2)ln(1 + p)."""
+    if order == 0:
+        r1, r2 = 0.5 * np.log1p(p1), 0.5 * np.log1p(p2)
+        return Rates(r1, r2, r1 + r2)
+    zero = np.zeros(np.broadcast(p1, p2).shape)
+    if order == 1:
+        d22 = 0.5 / (1.0 + p2)
+        return Partials(0.5 / (1.0 + p1), d22, zero, d22)
+    r1, r2 = 1.0 / (1.0 + p1), 1.0 / (1.0 + p2)
+    return SecondPartials(-0.5 * r1 * r1, zero, -0.5 * r2 * r2)
 
 
 class RateModel:
-    """Region-tagged sum-rate, per-user rate and gradient kernels.
+    """Region-tagged sum-rate, per-user rate and derivative kernels.
 
-    Every public kernel takes nonnegative powers in the caller's user order
-    and returns per-user results in it, as floats for scalar input; the
-    mirrored swap is internal.  Rates are nats per channel use.
+    Every public kernel takes nonnegative powers in the caller's user order,
+    selects its entries from the region's jet and returns them in that
+    order, as floats for scalar input.  Rates are nats per channel use.
     """
 
     def __init__(self, channel: ChannelParams, tag: RegionTag):
@@ -102,15 +176,18 @@ class RateModel:
         self.region = tag.region
         self.mirrored = tag.mirrored
         # canonical gains: a <= 1 <= b orientation for the asymmetric regions
-        if tag.mirrored:
-            self._a, self._b = channel.b, channel.a
-        else:
-            self._a, self._b = channel.a, channel.b
-        if self.region is Region.ASYMMETRIC_AB_AT_MOST_ONE:
+        self._a, self._b = ((channel.b, channel.a) if tag.mirrored
+                            else (channel.a, channel.b))
+        self.p_c = None
+        if self.region is Region.ASYMMETRIC_AB_ABOVE_ONE:
+            self._jet = functools.partial(noise_treated_jet, self._a)
+        elif self.region is Region.ASYMMETRIC_AB_AT_MOST_ONE:
             ab = self._a * self._b
             self.p_c = (self._b - 1.0) / (1.0 - ab) if ab < 1.0 else math.inf
+            self._jet = functools.partial(min_form_jet, self._a, self._b,
+                                          self.p_c)
         else:
-            self.p_c = None
+            self._jet = strong_jet
 
     @property
     def canonical_gains(self):
@@ -119,138 +196,57 @@ class RateModel:
 
     # -- kernels ---------------------------------------------------------------
 
-    def _canonical(self, p1, p2):
-        """Powers as float arrays, checked nonnegative, in canonical order."""
+    def _canonical_jet(self, p1, p2, order):
+        """The jet at powers checked nonnegative, in canonical order."""
         p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
         if (p1 < 0).any() or (p2 < 0).any():
             raise InvalidInputError("powers must be nonnegative")
-        return (p2, p1) if self.mirrored else (p1, p2)
+        return self._jet(*((p2, p1) if self.mirrored else (p1, p2)), order)
 
-    def _public_pair(self, x1, x2):
-        """A canonical per-user pair in the caller's order and one shape."""
+    def _public(self, *xs):
+        """Canonical per-user results in the caller's order and one shape:
+        swapping the users reverses (r1, r2), (d11, d12, d21, d22) and
+        (h11, h12, h22) alike."""
         if self.mirrored:
-            x1, x2 = x2, x1
-        if np.shape(x1) != np.shape(x2):
-            x1, x2 = np.broadcast_arrays(x1, x2)
-        if np.ndim(x1) == 0:
-            return float(x1), float(x2)
-        return x1, x2
+            xs = xs[::-1]
+        shape = xs[0].shape
+        if any(x.shape != shape for x in xs):
+            return tuple(np.broadcast_arrays(*xs))
+        if not shape:
+            return tuple(map(float, xs))
+        return xs
 
     def sum_rate(self, p1, p2):
-        out = self._sum_rate_canonical(*self._canonical(p1, p2))
+        out = self._canonical_jet(p1, p2, 0).total
         return out if out.ndim else float(out)
-
-    def _sum_rate_canonical(self, p1, p2):
-        a, b = self._a, self._b
-        if self.region is Region.ASYMMETRIC_AB_ABOVE_ONE:
-            return _asym_r1(p1, p2, a) + 0.5 * np.log1p(p2)
-        if self.region is Region.ASYMMETRIC_AB_AT_MOST_ONE:
-            e1 = _asym_r1(p1, p2, a) + 0.5 * np.log1p(p2)
-            e2 = 0.5 * np.log1p(b * p1 + p2)
-            return np.minimum(e1, e2)
-        return 0.5 * np.log1p(p1) + 0.5 * np.log1p(p2)
 
     def user_rates(self, p1, p2):
         """Per-user achievable rates (r1, r2); they sum to ``sum_rate``."""
-        return self._public_pair(
-            *self._user_rates_canonical(*self._canonical(p1, p2)))
-
-    def _user_rates_canonical(self, p1, p2):
-        a, b = self._a, self._b
-        if self.region is Region.ASYMMETRIC_AB_ABOVE_ONE:
-            return _asym_r1(p1, p2, a), 0.5 * np.log1p(p2)
-        if self.region is Region.ASYMMETRIC_AB_AT_MOST_ONE:
-            r1 = np.minimum(_asym_r1(p1, p2, a),
-                            0.5 * np.log1p(b * p1 / (1.0 + p2)))
-            return r1, 0.5 * np.log1p(p2)
-        return 0.5 * np.log1p(p1), 0.5 * np.log1p(p2)
+        return self._public(*self._canonical_jet(p1, p2, 0)[:2])
 
     def grad(self, p1, p2):
-        """Analytic partials (d sum_rate/d p1, d sum_rate/d p2).
-
-        On the kinked branch boundary of the min-form region the branch is
-        selected by the p2 threshold (>= p_c picks the decode-limited branch),
-        matching the branch rule used by the subproblem builders.
-        """
-        d1, d2 = self._grad_canonical(*self._canonical(p1, p2))
-        return self._public_pair(d1, d2)
-
-    def _tin_partials(self, p1, p2):
-        """(d11, d12) of the canonical user 1's noise-treated rate."""
-        a = self._a
-        base = 1.0 + a * p2
-        return (1.0 / (2.0 * (base + p1)),
-                -a * p1 / (2.0 * (1.0 + p1 + a * p2) * base))
-
-    def _grad_canonical(self, p1, p2):
-        if self.region in _ASYMMETRIC:
-            d1, d12 = self._tin_partials(p1, p2)
-            d2 = d12 + 1.0 / (2.0 * (1.0 + p2))
-            if self.region is Region.ASYMMETRIC_AB_AT_MOST_ONE:
-                den = 2.0 * (1.0 + self._b * p1 + p2)
-                on_b = p2 >= self.p_c
-                d1 = np.where(on_b, self._b / den, d1)
-                d2 = np.where(on_b, 1.0 / den, d2)
-            return d1, d2
-        return 0.5 / (1.0 + p1), 0.5 / (1.0 + p2)
-
-    def curvature(self, p1, p2):
-        """Analytic diagonal of the sum rate's Hessian (d²sum_rate/d p1²,
-        d²sum_rate/d p2²), with ``grad``'s branch rule on the min-form kink.
-
-        Both entries are <= 0 in exact arithmetic in every region: in p2,
-        the positive term from user 1's noise-treated rate is at most the
-        canonical user 2's own term because a <= 1.  Each entry is formed
-        from reciprocals, so a power too large for its square underflows to
-        0 instead of overflowing.
-        """
-        h1, h2 = self._curvature_canonical(*self._canonical(p1, p2))
-        return self._public_pair(h1, h2)
-
-    def _curvature_canonical(self, p1, p2):
-        r1, r2 = 1.0 / (1.0 + p1), 1.0 / (1.0 + p2)
-        if self.region not in _ASYMMETRIC:
-            return -0.5 * r1 * r1, -0.5 * r2 * r2
-        a = self._a
-        base = 1.0 + a * p2
-        rs, rb = 1.0 / (base + p1), 1.0 / base
-        h1 = -0.5 * rs * rs
-        # a^2/2 (1/base^2 - 1/s^2) with s = base + p1, written without the
-        # cancellation: (s - base)(s + base) / (base^2 s^2)
-        h2 = (0.5 * a * a * (p1 * rs) * ((2.0 * base + p1) * rs) * rb * rb
-              - 0.5 * r2 * r2)
-        if self.region is Region.ASYMMETRIC_AB_AT_MOST_ONE:
-            rd = 1.0 / (1.0 + self._b * p1 + p2)
-            on_b = p2 >= self.p_c
-            h1 = np.where(on_b, -0.5 * self._b * self._b * rd * rd, h1)
-            h2 = np.where(on_b, -0.5 * rd * rd, h2)
-        return h1, h2
+        """Analytic partials (d sum_rate/d p1, d sum_rate/d p2).  On the
+        min-form kink a canonical p2 >= p_c picks the decode-limited branch,
+        the branch rule of the slot utilities."""
+        return self._public(*self._canonical_jet(p1, p2, 1)[:2])
 
     def user_rate_partials(self, p1, p2):
-        """Jacobian of (r1, r2) in (p1, p2): (d11, d12, d21, d22).
+        """Jacobian of (r1, r2) in (p1, p2): (d11, d12, d21, d22), ``dij``
+        the partial of user i's rate in user j's power; a zero cross term
+        is a rate that does not depend on the other transmitter."""
+        jet = self._canonical_jet(p1, p2, 1)
+        return self._public(jet.g1, jet.d12, np.zeros(jet.g1.shape), jet.d22)
 
-        ``dij`` is the partial of user i's rate in user j's power.  Used by the
-        data-causality penalty gradients; zero cross terms encode per-user
-        rates that do not depend on the other transmitter.
-        """
-        c11, c12, c21, c22 = self._partials_canonical(*self._canonical(p1, p2))
-        # mirroring swaps the users, so d11 <-> d22 and d12 <-> d21
-        d11, d22 = self._public_pair(c11, c22)
-        d12, d21 = self._public_pair(c12, c21)
-        return d11, d12, d21, d22
+    def hessian(self, p1, p2):
+        """The sum rate's second partials (h11, h12, h22), with ``grad``'s
+        branch rule on the min-form kink.  The diagonal is <= 0 in exact
+        arithmetic in every region."""
+        return self._public(*self._canonical_jet(p1, p2, 2))
 
-    def _partials_canonical(self, p1, p2):
-        zero = np.zeros(np.broadcast(p1, p2).shape)
-        d22 = 0.5 / (1.0 + p2)
-        if self.region in _ASYMMETRIC:
-            d11, d12 = self._tin_partials(p1, p2)
-            if self.region is Region.ASYMMETRIC_AB_AT_MOST_ONE:
-                den = 2.0 * (1.0 + self._b * p1 + p2)
-                on_b = p2 >= self.p_c
-                d11 = np.where(on_b, self._b / den, d11)
-                d12 = np.where(on_b, 1.0 / den - d22, d12)
-            return d11, d12, zero, d22
-        return 0.5 / (1.0 + p1), zero, zero, d22
+    def curvature(self, p1, p2):
+        """The diagonal of ``hessian``, (h11, h22)."""
+        h11, _, h22 = self.hessian(p1, p2)
+        return h11, h22
 
 
 def build_rate_model(a: float, b: float, p1_max: float,

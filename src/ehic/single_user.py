@@ -40,7 +40,10 @@ The three closed-form families (``_CLOSED_FORM``), one per region with a
 known sum capacity, check in their constructors the parameters that make
 them concave.  ``solve_single_user`` accepts exactly these types and raises
 ``InvalidUtilityError`` for any other, subclasses included: a subclass could
-override the marginal unchecked.
+override the marginal unchecked.  The interfered and min-form marginals,
+their curvature and the min-form kink's one-sided values are read from the
+sum rate's jets in ``rates``, the same formulas as ``RateModel``'s kernels;
+what is written here is each family's derivative inverse.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ import numpy as np
 from .errors import (ConvergenceError, InfeasiblePolicyError,
                      InvalidUtilityError)
 from .model import HarvestProfile, TimeGrid
+from .rates import decode_jet, min_form_jet, noise_treated_jet
 
 _INF = math.inf
 
@@ -208,8 +212,9 @@ class InterferedUtilities(SlotUtilities):
     other transmitter's fixed power in slot i and ``a`` the cross gain into
     this user's receiver.  Concave in p for a <= 1, which the constructor
     requires, with P_i finite and nonnegative.  The derivative is the
-    generalized water level; its inverse is the root of a cubic, polished by
-    Newton steps with analytic curvature.
+    generalized water level, the canonical user 2's partial of the
+    noise-treated sum rate (``rates.noise_treated_jet``); its inverse is the
+    root of a cubic, polished by Newton steps with the jet's curvature.
     """
 
     def __init__(self, a, p_other):
@@ -223,20 +228,9 @@ class InterferedUtilities(SlotUtilities):
         if np.any(self.p_other < 0):
             raise InvalidUtilityError("other-user powers must be nonnegative")
 
-    def _deriv_curv(self, p, po):
-        """f'(p) and f''(p) for other-user powers ``po``.
-
-        Computed together because they share subexpressions; f' here equals
-        ``deriv_at`` bit for bit (the same operations, with the sum's terms
-        swapped).
-        """
-        a = self.a
-        a1 = 1.0 + po + a * p
-        a2 = 1.0 + a * p
-        a3 = 1.0 + p
-        return (1.0 / (2.0 * a3) - a * po / (2.0 * a1 * a2),
-                a * a / (2.0 * a2 * a2) - a * a / (2.0 * a1 * a1)
-                - 1.0 / (2.0 * a3 * a3))
+    def _curv(self, p, po):
+        """f''(p) at other-user powers ``po``."""
+        return noise_treated_jet(self.a, po, p, 2).h22
 
     def inv_deriv(self, level, idx=None):
         idx = self._all_idx(idx)
@@ -267,8 +261,8 @@ class InterferedUtilities(SlotUtilities):
                 found |= ok
         x = np.minimum(np.maximum(x, 0.0), hi)
         for _ in range(2):
-            d, curv = self._deriv_curv(x, po)
-            x = np.minimum(np.maximum(x - (d - level) / curv, 0.0), hi)
+            step = (self.deriv_at(idx, x) - level) / self._curv(x, po)
+            x = np.minimum(np.maximum(x - step, 0.0), hi)
         bad = np.abs(self.deriv_at(idx, x) - level) > 1e-9 * (1.0 + level)
         bad &= ~zero
         if bad.any():
@@ -294,11 +288,7 @@ class InterferedUtilities(SlotUtilities):
         return cached
 
     def deriv_at(self, idx, p):
-        po = self.p_other[idx]
-        a = self.a
-        base = 1.0 + a * p
-        return -a * po / (2.0 * (1.0 + po + a * p) * base) \
-            + 1.0 / (2.0 * (1.0 + p))
+        return noise_treated_jet(self.a, self.p_other[idx], p, 1).g2
 
     def inv_deriv_slope(self, level, idx, q):
         # d q / d level summed over slots with positive power
@@ -306,8 +296,7 @@ class InterferedUtilities(SlotUtilities):
         active = q > 0.0
         if not np.any(active):
             return 0.0
-        _, curv = self._deriv_curv(q[active], po[active])
-        return float(np.sum(1.0 / curv))
+        return float(np.sum(1.0 / self._curv(q[active], po[active])))
 
 
 class PiecewiseMinUtilities(SlotUtilities):
@@ -317,7 +306,8 @@ class PiecewiseMinUtilities(SlotUtilities):
     it the decode-limited branch (1/2)ln(1 + b P_i + p) takes over.  The
     utility is the pointwise min of two concave branches, hence concave with
     a downward derivative kink at p_c.  The constructor checks that kink:
-    at any other p_c the derivative could jump up there.
+    at any other p_c the derivative could jump up there.  The derivative is
+    ``rates.min_form_jet``'s partial in p2, with its branch rule.
     """
 
     def __init__(self, a, b, p_c, p_other):
@@ -340,9 +330,15 @@ class PiecewiseMinUtilities(SlotUtilities):
                     "utility derivative rises at the threshold power")
 
     def deriv_at(self, idx, p):
-        d1 = self._branch1.deriv_at(idx, p)
-        d2 = 1.0 / (2.0 * (1.0 + self.b * self.p_other[idx] + p))
-        return np.where(p >= self.p_c, d2, d1)
+        return min_form_jet(self.a, self.b, self.p_c, self.p_other[idx], p,
+                            1).g2
+
+    def _kink_values(self, idx):
+        """The one-sided marginals (right, left) at p_c on slots ``idx``:
+        the decode-limited branch's and the noise-treated branch's."""
+        po = self.p_other[idx]
+        return (decode_jet(self.b, po, self.p_c, 1).g2,
+                noise_treated_jet(self.a, po, self.p_c, 1).g2)
 
     def deriv_range(self, p):
         d = self.deriv(p)
@@ -351,10 +347,8 @@ class PiecewiseMinUtilities(SlotUtilities):
         at_kink = np.abs(p - self.p_c) <= 1e-9 * (1.0 + self.p_c)
         if not np.any(at_kink):
             return d, d
-        d1 = self._branch1.deriv(np.full_like(np.asarray(p, dtype=float),
-                                              self.p_c))
-        d2 = 1.0 / (2.0 * (1.0 + self.b * self.p_other + self.p_c))
-        return np.where(at_kink, d2, d), np.where(at_kink, d1, d)
+        right, left = self._kink_values(slice(None))
+        return np.where(at_kink, right, d), np.where(at_kink, left, d)
 
     def inv_deriv(self, level, idx=None):
         idx = self._all_idx(idx)
@@ -363,10 +357,8 @@ class PiecewiseMinUtilities(SlotUtilities):
             return self._branch1.inv_deriv(level, idx)
         if level <= 0.0:
             return np.full(idx.shape, _INF)
-        # one-sided derivatives at the kink
         pc = self.p_c
-        d_hi = self._branch1.deriv_at(idx, pc)
-        d_lo = 1.0 / (2.0 * (1.0 + self.b * po + pc))
+        d_lo, d_hi = self._kink_values(idx)
         q = np.empty(idx.shape)
         on1 = level > d_hi            # strictly inside branch 1, q < p_c
         on2 = level < d_lo            # strictly inside branch 2, q > p_c
@@ -391,7 +383,7 @@ class PiecewiseMinUtilities(SlotUtilities):
         b1 = q < self.p_c - tol
         b2 = q > self.p_c + tol
         if np.any(b1):
-            slope[b1] = 1.0 / self._branch1._deriv_curv(q[b1], po[b1])[1]
+            slope[b1] = 1.0 / self._branch1._curv(q[b1], po[b1])
         slope[b2] = -1.0 / (2.0 * level * level)
         return float(np.sum(slope))
 

@@ -18,7 +18,8 @@ from ehic.data_causality import (_corridor_constraint, _joint_fun_and_grad,
                                  solve_with_data, violation)
 from ehic.errors import ConvergenceError, InvalidInputError
 from ehic.iterative import feasible_floor, iterate_offline, joint_objective
-from ehic.model import DataProfile, HarvestProfile, User, feasibility_report
+from ehic.model import (DataProfile, HarvestProfile, User, departures,
+                        feasibility_report)
 from ehic.oracle import OracleOptions, brute_force
 from ehic.rates import build_rate_model
 
@@ -63,6 +64,19 @@ class TestViolation:
             rep = feasibility_report(policy, scen, rm)
             assert np.max(c) == pytest.approx(rep.data_causality.magnitude,
                                               abs=1e-12)
+
+    def test_is_the_cumulative_excess_of_the_departures(self):
+        rng = np.random.default_rng(15)
+        scen = two_user_scenario(rng.uniform(0, 1, 5), rng.uniform(0, 1, 5),
+                                 2.0, 0.5, 1.5, b1=rng.uniform(0, 0.5, 5))
+        rm = build_rate_model(0.5, 1.5, 2.0, 2.0)
+        policy = rng.uniform(0, 0.6, (2, 5))
+        sent = departures(policy, scen, rm)
+        r1, r2 = rm.user_rates(policy[0], policy[1])
+        assert np.array_equal(sent, scen.grid.tau * np.array([r1, r2]))
+        excess = np.cumsum(sent[0]) - np.cumsum(scen.users[0].data.arrivals)
+        assert np.array_equal(violation(policy, scen, rm),
+                              [np.maximum(0.0, excess), np.zeros(5)])
 
 
 class TestResolveContradictions:

@@ -339,6 +339,34 @@ def _assert_certified(policy, scen, rm, tol=1e-7):
         assert cert.complementarity_residual <= tol
 
 
+class TestSlotDerivatives:
+    """The joint start reads the sum rate's gradient and Hessian from the
+    same jet as ``RateModel``, bit for bit."""
+
+    @pytest.mark.parametrize("a, b", [(0.7, 5.0), (5.0, 0.7)])
+    def test_match_the_rate_model(self, a, b):
+        # fig8's channel and its mirror, at fig8's power scale and with
+        # idle slots
+        rm = build_rate_model(a, b, 10.0, 10.0)
+        rng = np.random.default_rng(21)
+        p = rng.uniform(0.0, 10.0, (4, 20, 2)) * (rng.random((4, 20, 2)) > 0.2)
+        tau = 0.5
+        cum = tau * np.cumsum(p, axis=1)
+        g, k = iterative._slot_derivatives(cum, tau, rm.canonical_gains[0])
+        # the powers the derivatives are taken at, in the callers' order
+        q = iterative._increments(cum) / tau
+        order = [1, 0] if rm.mirrored else [0, 1]
+        q1, q2 = q[..., order[0]], q[..., order[1]]
+        grad = rm.grad(q1, q2)
+        assert g[..., order[0]].tobytes() == grad[0].tobytes()
+        assert g[..., order[1]].tobytes() == grad[1].tobytes()
+        h11, h12, h22 = rm.hessian(q1, q2)
+        diag = (h11, h22) if not rm.mirrored else (h22, h11)
+        assert (-k[..., 0]).tobytes() == diag[0].tobytes()
+        assert (-k[..., 1]).tobytes() == h12.tobytes()
+        assert (-k[..., 2]).tobytes() == diag[1].tobytes()
+
+
 class TestJointStart:
     @pytest.mark.parametrize("name, scen, max_sweeps", _JOINT_CASES,
                              ids=[c[0] for c in _JOINT_CASES])

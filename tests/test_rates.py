@@ -219,11 +219,53 @@ class TestCurvature:
             assert np.all(np.isfinite(h1)) and np.all(np.isfinite(h2))
 
 
+class TestHessian:
+    """``hessian`` is the sum rate's full second derivative: its diagonal is
+    ``curvature``, and its cross entry the difference quotient of ``grad``
+    in the other power."""
+
+    def test_cross_partial_matches_differences_of_the_gradient(self):
+        rng = np.random.default_rng(8)
+        for model in _all_models() + _mirrored_models():
+            p1, p2 = rng.uniform(0.05, 10.0, (2, 500))
+            if model.p_c is not None:
+                # keep both differences off the min-form kink
+                kink = p1 if model.mirrored else p2
+                keep = np.abs(kink - model.p_c) > 1e-2
+                p1, p2 = p1[keep], p2[keep]
+            _, h12, _ = model.hessian(p1, p2)
+            for k in (0, 1):
+                # d/dp2 of grad's first entry, and d/dp1 of its second
+                h = 1e-5 * (1.0 + (p1, p2)[1 - k])
+                lo, hi = ([p1, p2], [p1, p2])
+                lo[1 - k] = lo[1 - k] - h
+                hi[1 - k] = hi[1 - k] + h
+                fd = (model.grad(*hi)[k] - model.grad(*lo)[k]) / (2 * h)
+                assert np.all(np.abs(h12 - fd) <= 1e-6 * np.abs(fd) + 1e-12), \
+                    (model.region, model.mirrored, k)
+
+    def test_diagonal_is_curvature(self):
+        rng = np.random.default_rng(9)
+        p1, p2 = rng.uniform(0.0, 10.0, (2, 500))
+        for model in _all_models() + _mirrored_models():
+            h11, _, h22 = model.hessian(p1, p2)
+            c1, c2 = model.curvature(p1, p2)
+            assert np.array_equal(h11, c1) and np.array_equal(h22, c2)
+
+    def test_negative_semidefinite(self):
+        # each region's sum rate is jointly concave on each side of its kink
+        rng = np.random.default_rng(10)
+        p1, p2 = rng.uniform(0.0, 50.0, (2, 2000))
+        for model in _all_models() + _mirrored_models():
+            h11, h12, h22 = model.hessian(p1, p2)
+            assert np.all(h11 * h22 - h12 * h12 >= -1e-13 * h11 * h22)
+
+
 class TestKernelPath:
     """The public kernels share one input and output path."""
 
     KERNELS = ("sum_rate", "user_rates", "grad", "user_rate_partials",
-               "curvature")
+               "curvature", "hessian")
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_negative_power_rejected(self, kernel):
@@ -239,8 +281,8 @@ class TestKernelPath:
         fwd = getattr(build_rate_model(0.9, 2.0, 10.0, 10.0), kernel)
         mir = getattr(build_rate_model(2.0, 0.9, 10.0, 10.0), kernel)
         p = np.array([0.5, 2.0])
-        # swapping the users reverses (r1, r2), (d1, d2) and
-        # (d11, d12, d21, d22) alike
+        # swapping the users reverses (r1, r2), (d1, d2),
+        # (d11, d12, d21, d22) and (h11, h12, h22) alike
         for got, fwd_out in ((mir(1.0, p), fwd(p, 1.0)),
                              (mir(p, 1.0), fwd(1.0, p))):
             assert all(np.shape(x) == (2,) for x in got)

@@ -11,6 +11,7 @@ from ehic import cli, single_user
 from ehic.errors import (ConvergenceError, InfeasiblePolicyError,
                          InvalidUtilityError)
 from ehic.model import HarvestProfile, TimeGrid
+from ehic.rates import build_rate_model, decode_jet, noise_treated_jet
 from ehic.single_user import (InterferedUtilities, PiecewiseMinUtilities,
                               ScaledLogUtilities, _equalize,
                               _real_cubic_roots, solve_single_user,
@@ -353,6 +354,37 @@ class TestUtilityFamilies:
         level = 0.5 * (lo[0] + hi[0])
         q = util.inv_deriv(float(level), np.array([0]))
         assert q[0] == pytest.approx(2.0)
+
+
+class TestOneFormula:
+    """The interfered and min-form marginals are the canonical user 2's
+    partial of the sum rate, read from the rate model's jet."""
+
+    @pytest.mark.parametrize("a, b", [(0.7, 5.0), (0.5, 1.5), (5.0, 0.7),
+                                      (1.5, 0.5)])
+    def test_deriv_is_the_rate_models_partial(self, a, b):
+        rm = build_rate_model(a, b, 10.0, 10.0)
+        ac, bc = rm.canonical_gains
+        rng = np.random.default_rng(31)
+        po, p = rng.uniform(0.0, 12.0, (2, 400))
+        if rm.p_c is None:
+            util = InterferedUtilities(ac, po)
+        else:
+            util = PiecewiseMinUtilities(ac, bc, rm.p_c, po)
+            p[:100] = rm.p_c      # on the kink: the decode-limited branch
+        # the canonical user 2's partial, in the callers' order
+        want = rm.grad(p, po)[0] if rm.mirrored else rm.grad(po, p)[1]
+        assert util.deriv(p).tobytes() == want.tobytes()
+
+    def test_deriv_range_at_the_kink_is_the_one_sided_jets(self):
+        po = np.array([0.0, 1.0, 4.0, 11.0])
+        util = PiecewiseMinUtilities(0.5, 1.5, 2.0, po)
+        right, left = util.deriv_range(np.full(4, 2.0))
+        assert right.tobytes() == decode_jet(1.5, po, 2.0, 1).g2.tobytes()
+        assert right.tobytes() == util.deriv(np.full(4, 2.0)).tobytes()
+        assert left.tobytes() == noise_treated_jet(0.5, po, 2.0, 1).g2.tobytes()
+        # the marginal drops across the kink unless the other user is idle
+        assert right[0] == left[0] and np.all(right[1:] < left[1:])
 
 
 class TestSingleGate:
