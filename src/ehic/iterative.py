@@ -7,17 +7,17 @@ that user's power, given by its marginal in that power; the sweeps compare
 the optimum; sweeps run user 1 then user 2 and stop when both the objective
 improvement and the policy displacement fall below tolerance.
 
-Where to start: in the a*b > 1 region (either orientation) the sum rate is
-smooth and jointly concave, and the alternation starts from ``joint_start``,
-a primal-dual interior-point method (Mehrotra's predictor-corrector) on
-both users at once, stopped at the loose gap ``_POLISH_GAP`` and finished
-by Newton steps on the active set its iterate identifies (``_polish``).
-Both solve bands of half-width 3 in O(N) by LAPACK's banded Cholesky, and
-both read the sum rate's gradient and Hessian from ``rates``' jet, the
-formulas of ``RateModel.grad`` and ``RateModel.hessian``.  It
-runs on a batch of scenarios that share N, tau and channel, one LAPACK
-call per solve for all of them, and gives each scenario the start it would
-get alone; ``iterate_offline_many`` batches its scenarios so, and
+Where to start: wherever the sum rate is smooth and jointly concave (a*b > 1
+in either orientation, and very strong), the alternation starts from
+``joint_start``, a primal-dual interior-point method (Mehrotra's
+predictor-corrector) on both users at once, stopped at the loose gap
+``_POLISH_GAP`` and finished by Newton steps on the active set its iterate
+identifies (``_polish``).  Both read the sum rate's gradient and Hessian
+from the rate model's own jet, and both solve their Newton systems, bands
+of half-width 3 from one assembly (``_newton_system``), in O(N) by LAPACK's
+banded Cholesky.  A batch of scenarios that share N, tau and channel makes
+one LAPACK call per solve, and each scenario gets the start it would get
+alone; ``iterate_offline_many`` batches its scenarios so, and
 ``iterate_offline`` is its batch of one.  The start decides nothing: the
 same alternation runs from it, every block solve is checked by
 ``verify_kkt``, and the same convergence tests end it.
@@ -27,19 +27,20 @@ returns it unsolved when its certificate already meets the tolerance
 (counted in ``SolveReport.certified_starts``).  Each user's constraints
 involve only that user, so where the sum rate is smooth and jointly concave
 a point at which both blocks certify is the joint optimum.  The polished
-start lies on its active set, idle powers exactly 0, and both of its
-blocks certify on fig7, on all 80 fig8 seeds and on the generated
-N = 2000 (seeds 0 and 11) and N = 8000 (seed 0) scenarios, so the
-certifying sweep costs two certificates (80 sweeps over fig8 seeds
-0-79, against 883 from zeros; fig7 1 against 38).  A polish that fails its
-checks hands its scenario back to the interior-point loop, which then runs
-to the tight stop ``_GAP_TOL``.
+start lies on its active set, idle powers exactly 0, and both of its blocks
+certify on fig7, on all 80 fig8 seeds, on the generated a*b > 1 N = 2000
+(seeds 0 and 11) and N = 8000 (seed 0) scenarios and on 29 of 30 very
+strong ones (a = 20, b = 30, N = 20, 200, 2000, seeds 0-9), so the
+certifying sweep costs two certificates (fig8 seeds 0-79: 80 sweeps,
+against 883 from zeros).  A polish that fails its checks hands its scenario
+back to the interior-point loop, which then runs to the tight stop
+``_GAP_TOL``.
 
-Elsewhere (the min-form a*b <= 1 region with its kink, very strong) the
-alternation starts from zeros, and a geometric extrapolation along the sweep
-direction shortens the cold alternation: without it, mean sweeps rise from
-11.0 to 19.3 over fig8 seeds 0-79 from zeros and from 11.6 to 16.7 at
-a=0.5, b=1.5, N=50 (seeds 0-19).
+Elsewhere, in the min-form a*b <= 1 region, whose sum rate has a kink at
+p_c, the alternation starts from zeros, and a geometric extrapolation along
+the sweep direction shortens it: without it, mean sweeps from zeros rise
+from 11.0 to 19.3 over fig8 seeds 0-79 and from 11.6 to 16.7 at a=0.5,
+b=1.5, N=50 (seeds 0-19).
 
 No proximal term is needed: in the regions with a known sum capacity the
 slot utilities are strictly concave, so each block optimum is unique.
@@ -61,7 +62,7 @@ from scipy.linalg.lapack import dpbsv as _dpbsv
 
 from .errors import InvalidInputError, ShapeError
 from .model import Scenario, validate_scenario
-from .rates import RateModel, Region, noise_treated_jet
+from .rates import RateModel, Region
 from .single_user import (InterferedUtilities, PiecewiseMinUtilities,
                           ScaledLogUtilities, SlotUtilities,
                           solve_single_user)
@@ -194,26 +195,35 @@ _PENALTY = 1e6        # weight of an idle increment that no pin holds,
                       # relative to its slot's curvature
 
 
-def _increments(cum, out=None):
+def _increments(cum):
     """``np.diff(cum, axis=1, prepend=0.0)``, without its concatenation."""
-    if out is None:
-        out = np.empty_like(cum)
+    out = np.empty_like(cum)
     out[:, 0] = cum[:, 0]
     np.subtract(cum[:, 1:], cum[:, :-1], out=out[:, 1:])
     return out
 
 
-def _slot_derivatives(cum, tau, a):
+def _slot_derivatives(cum, tau, jet):
     """Gradient (B, N, 2) and negated Hessian (B, N, 3), the entries 11, 12
     and 22, of the canonical sum rate in (p_1, p_2) at every slot of the
-    cumulative consumptions ``cum``: its jet in ``rates``."""
+    cumulative consumptions ``cum``, from the rate model's ``jet``."""
     p = _increments(cum) / tau
     g = np.empty(p.shape)
     k = np.empty(p.shape[:2] + (3,))
-    g[..., 0], g[..., 1] = noise_treated_jet(a, p[..., 0], p[..., 1], 1)[:2]
-    k[..., 0], k[..., 1], k[..., 2] = noise_treated_jet(a, p[..., 0],
-                                                       p[..., 1], 2)
+    g[..., 0], g[..., 1] = jet(p[..., 0], p[..., 1], 1)[:2]
+    k[..., 0], k[..., 1], k[..., 2] = jet(p[..., 0], p[..., 1], 2)
     return g, -k
+
+
+def _d_transpose(x, *terms, fw=1.0):
+    """``fw * (D^T x + sum(terms))`` in place of ``x``, D the increments of
+    S: the S-space form of slot-wise rows ``x`` (B, N, 2), row n of D^T x
+    being x_n - x_{n+1}, masked to the free entries ``fw``."""
+    x[:, :-1] -= x[:, 1:]      # numpy buffers the overlapping operands
+    for term in terms:
+        x += term
+    x *= fw
+    return x
 
 
 def _band_mask(fw):
@@ -230,46 +240,67 @@ def _band_mask(fw):
     return bmask
 
 
-def _fill_band(band, hp, diagonal, bmask):
-    """``band`` := D^T blockdiag(hp) D plus the terms ``diagonal`` in S,
-    pinned rows set to the identity.  ``hp`` (B, N + 1, 3) holds each
-    slot's 2x2 curvature in the increments, with a zero slot N + 1."""
+def _newton_system(k, tau, bmask, on_increments, *on_entries):
+    """The band D^T blockdiag(k / tau + on_increments) D plus the terms
+    ``on_entries`` on its diagonal, the rows that ``bmask`` pins set to the
+    identity; ``k`` (B, N, 3) holds each slot's negated 2x2 Hessian in the
+    powers.  Returns ``solve``: right-hand sides (B, N, 2) to
+    ``band_solve``'s ``(x, ok)``, in one call."""
+    size, n = k.shape[:2]
+    hp = np.zeros((size, n + 1, 3))     # a zero slot N + 1 closes the band
+    hp[:, :n] = k / tau
+    hp[:, :n, ::2] += on_increments
     hsum = hp[:, :-1] + hp[:, 1:]
     hnext = hp[:, 1:]
+    band = np.zeros((4, size, n, 2))
     band[0] = hsum[..., ::2]
-    for term in diagonal:
+    for term in on_entries:
         band[0] += term
     band[1, ..., 0] = hsum[..., 1]
     band[1, ..., 1] = -hnext[..., 1]
     band[2] = -hnext[..., ::2]
     band[3, ..., 0] = -hnext[..., 1]
-    band[3, ..., 1] = 0.0
     band *= bmask
     band[0] += 1.0 - bmask[0]
+    band = band.reshape(4, -1, 2 * n)
+
+    def solve(rhs):
+        x, ok = band_solve(band, rhs.reshape(-1, 2 * n, 1))
+        return x.reshape(rhs.shape), ok
+    return solve
 
 
 def _rows(x):
     return x.reshape(len(x), -1)
 
 
+def _slacks(cum, floor, upper, act):
+    """z of ``cum``: its increments tau*p, floor slacks and harvest slacks
+    stacked (B, 3, N, 2), and 1 where ``act`` holds no constraint."""
+    z = np.empty(act.shape)
+    z[:, 0], z[:, 1], z[:, 2] = _increments(cum), cum - floor, upper - cum
+    return np.where(act, z, 1.0)
+
+
 def joint_start(scenarios, rate_model: RateModel):
-    """Both users' joint optimum in the a*b > 1 region, by a primal-dual
-    interior-point method finished by a Newton polish on the active set it
-    identifies, for a batch of scenarios that share N, tau and channel.
+    """Both users' joint optimum where the sum rate is smooth and jointly
+    concave (a*b > 1 and very strong), by a primal-dual interior-point
+    method finished by a Newton polish on the active set it identifies,
+    for a batch of scenarios that share N, tau and channel.
 
     Maximizes tau * sum_n r(p_1n, p_2n) over the cumulative consumptions
-    S_jn = tau * sum_{i<=n} p_ji, where the sum rate is smooth and jointly
-    concave.  The constraints z >= 0 keep S above its floor (the battery
-    corridor's lower bound made monotone), below the cumulative harvest and
-    increasing in n, which is p > 0; constraints that another one implies
-    are masked out.  Entries whose corridor has zero width are pinned:
-    slots before a user's first arrival, slots followed by an arrival of a
-    full battery, and the last slot (the rate grows in each power, so all
-    energy is spent).  The users couple only within a slot, so with S
-    ordered (S_1n, S_2n) slot by slot each Newton system is a band of
-    half-width 3, positive definite with the pinned rows set to the
-    identity; ``band_solve`` solves the systems of every scenario still
-    iterating in one LAPACK call.
+    S_jn = tau * sum_{i<=n} p_ji, reading r's gradient and Hessian from
+    ``rate_model``'s own jet.  The constraints z >= 0 keep S above its
+    floor (the battery corridor's lower bound made monotone), below the
+    cumulative harvest and increasing in n, which is p > 0; constraints
+    that another one implies are masked out.  Entries whose corridor has
+    zero width are pinned: slots before a user's first arrival, slots
+    followed by an arrival of a full battery, and the last slot (the rate
+    grows in each power, so all energy is spent).  The users couple only
+    within a slot, so with S ordered (S_1n, S_2n) slot by slot each Newton
+    system is a band of half-width 3, positive definite with the pinned
+    rows set to the identity; ``band_solve`` solves the systems of every
+    scenario still iterating in one LAPACK call.
 
     Each constraint carries a multiplier lambda, and each iteration is
     Mehrotra's predictor-corrector (Mehrotra, SIAM J. Optim. 2 (1992);
@@ -307,16 +338,14 @@ def joint_start(scenarios, rate_model: RateModel):
     if any((s.grid.N, s.grid.tau) != (n, tau) for s in scenarios):
         raise InvalidInputError("a joint start batch must share N and tau")
     order = [1, 0] if rate_model.mirrored else [0, 1]
-    a = rate_model.canonical_gains[0]
+    jet = rate_model._jet
     size = len(scenarios)
     # state and masks are (scenario, slot, user), so that a scenario's S is
     # one contiguous run of its band system's unknowns
-    floor = np.empty((size, n, 2))
-    upper = np.empty((size, n, 2))
+    floor, upper = np.empty((2, size, n, 2))
     # the corridor rows that p >= 0 leaves open: harvests that grow in the
     # next slot and floors that rise
-    grows = np.empty((size, n, 2), dtype=bool)
-    rises = np.empty((size, n, 2), dtype=bool)
+    grows, rises = np.empty((2, size, n, 2), dtype=bool)
     for k, scen in enumerate(scenarios):
         for col, j in enumerate(order):
             c = scen.users[j].harvest.corridor
@@ -338,14 +367,11 @@ def joint_start(scenarios, rate_model: RateModel):
     # slacks, all computed from S; constraints act on z[act], and an entry
     # without one is held at 1 with lambda 0
     act = np.stack([mono, free & rises, free & grows], axis=1)
-    z = np.where(act, np.stack([_increments(cum), cum - floor, upper - cum],
-                               axis=1), 1.0)
+    z = _slacks(cum, floor, upper, act)
     m = _rows(act).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = _MU0 * act / z
-    taken = np.zeros(size, dtype=int)
-    polish_steps = np.zeros(size, dtype=int)
-    nd = 2 * n
+    taken, polish_steps = np.zeros((2, size), dtype=int)
 
     def boundary_step(v, dv, frac):
         """Largest step along dv, up to 1, that keeps 1 - frac of every v
@@ -366,44 +392,24 @@ def joint_start(scenarios, rate_model: RateModel):
         actf = act_w.astype(float)
         fw = free[live].astype(float)
         bmask = _band_mask(fw)
-        band = np.zeros((4, live.size, n, 2))
-        hp = np.zeros((live.size, n + 1, 3))
         broken = np.zeros(live.size, dtype=bool)
 
-        def slacks(c):
-            zz = np.empty(z_w.shape)
-            _increments(c, zz[:, 0])
-            np.subtract(c, fl, out=zz[:, 1])
-            np.subtract(up, c, out=zz[:, 2])
-            return np.where(act_w, zz, 1.0)
-
-        def newton(g, w, target):
+        def newton(solve, g, w, target):
             """The Newton step whose complementarity rows move z * lambda
             to ``target``: S from the band system, then z and lambda."""
             u = actf * target / z_w
-            rhs = g + u[:, 0]
-            rhs[:, :-1] -= rhs[:, 1:].copy()
-            rhs += u[:, 1]
-            rhs -= u[:, 2]
-            rhs *= fw
-            x, ok = band_solve(band.reshape(4, -1, nd),
-                               rhs.reshape(-1, nd, 1))
-            ds = x.reshape(-1, n, 2)
+            ds, ok = solve(_d_transpose(g + u[:, 0], u[:, 1], -u[:, 2],
+                                        fw=fw))
             dz = np.empty(z_w.shape)
-            _increments(ds, dz[:, 0])
-            dz[:, 1] = ds
-            np.negative(ds, out=dz[:, 2])
+            dz[:, 0], dz[:, 1], dz[:, 2] = _increments(ds), ds, -ds
             dz *= actf
             return ds, dz, u - lam_w - w * dz, ok
 
         while rows.size:
-            g, k = _slot_derivatives(cum_w, tau, a)
+            g, k = _slot_derivatives(cum_w, tau, jet)
             # the dual residual grad_S(-objective) - G^T lambda
-            rd = -g - lam_w[:, 0]
-            rd[:, :-1] -= rd[:, 1:].copy()
-            rd -= lam_w[:, 1]
-            rd += lam_w[:, 2]
-            rd *= fw
+            rd = _d_transpose(-g - lam_w[:, 0], -lam_w[:, 1], lam_w[:, 2],
+                              fw=fw)
             gap = _rows(z_w * lam_w).sum(axis=1)
             dual = _rows(np.abs(rd)).max(axis=1)
             done = (gap <= gap_tol) & (dual <= dual_tol) & ~broken
@@ -419,20 +425,18 @@ def joint_start(scenarios, rate_model: RateModel):
                 rows = rows[keep]
                 if not rows.size:
                     break
-                (cum_w, z_w, lam_w, act_w, actf, fw, fl, up, sc_m, hp, it,
+                (cum_w, z_w, lam_w, act_w, actf, fw, fl, up, sc_m, it,
                  broken, g, k, gap) = (
                     arr[keep] for arr in (cum_w, z_w, lam_w, act_w, actf, fw,
-                                          fl, up, sc_m, hp, it, broken, g,
-                                          k, gap))
-                bmask, band = bmask[:, keep], band[:, keep]
+                                          fl, up, sc_m, it, broken, g, k,
+                                          gap))
+                bmask = bmask[:, keep]
             # S-space system: D^T blockdiag(H / tau + lambda_0 / z_0) D plus
             # the slacks' lambda / z on the diagonal
             w = lam_w / z_w
-            hp[:, :n] = k / tau
-            hp[:, :n, ::2] += w[:, 0]
-            _fill_band(band, hp, (w[:, 1], w[:, 2]), bmask)
+            solve = _newton_system(k, tau, bmask, w[:, 0], w[:, 1], w[:, 2])
             # the affine predictor, then Mehrotra's corrector
-            _, dz, dl, ok = newton(g, w, 0.0)
+            _, dz, dl, ok = newton(solve, g, w, 0.0)
             alpha = np.minimum(boundary_step(z_w, dz, 1.0),
                                boundary_step(lam_w, dl, 1.0))
             mu = gap / sc_m
@@ -440,9 +444,9 @@ def joint_start(scenarios, rate_model: RateModel):
                 axis=1) / sc_m
             sigma = np.maximum((mu_aff / mu) ** 3, _SIGMA_MIN)
             ds, dz, dl, solved = newton(
-                g, w, (sigma * mu)[:, None, None, None] - dz * dl)
+                solve, g, w, (sigma * mu)[:, None, None, None] - dz * dl)
             c_cum = cum_w + boundary_step(z_w, dz, 0.99)[:, 0] * ds
-            cz = slacks(c_cum)
+            cz = _slacks(c_cum, fl, up, act_w)
             cl = lam_w + boundary_step(lam_w, dl, 0.99) * dl
             broken = ~(ok & solved & (_rows(cz).min(axis=1) > 0.0))
             if broken.any():
@@ -460,7 +464,7 @@ def joint_start(scenarios, rate_model: RateModel):
         if ready.size:
             s, solves = _polish(cum[ready], z[ready], lam[ready], act[ready],
                                 floor[ready], upper[ready], pinned[ready],
-                                tau, a)
+                                tau, jet)
             took = solves > 0
             cum[ready[took]] = s[took]
             polish_steps[ready] = solves
@@ -470,7 +474,7 @@ def joint_start(scenarios, rate_model: RateModel):
     return starts.transpose(0, 2, 1)[:, order], taken, polish_steps
 
 
-def _polish(cum, z, lam, act, floor, upper, pinned, tau, a):
+def _polish(cum, z, lam, act, floor, upper, pinned, tau, jet):
     """Newton steps on the active set of interior-point iterates: a
     crossover (Mehrotra & Ye, Math. Programming 62 (1993)).
 
@@ -482,11 +486,12 @@ def _polish(cum, z, lam, act, floor, upper, pinned, tau, a):
     weight ``_PENALTY`` times the slot's curvature on each increment and
     by the increment's multiplier, which each step updates (the method of
     multipliers), and after each solve its entries take the run's first
-    value, so idle powers are exactly 0.  The systems are the interior
-    point's bands with the sum rate's exact slot Hessians and no barrier
-    terms, one ``band_solve`` call per step for every scenario still
-    stepping.  After each step, an entry that crosses its floor or harvest
-    is pinned there, and an increment that turns negative is idled.
+    value, so idle powers are exactly 0.  The systems come from the
+    interior point's ``_newton_system``, with the sum rate's exact slot
+    Hessians and no barrier terms, one ``band_solve`` call per step for
+    every scenario still stepping.  After each step, an entry that crosses
+    its floor or harvest is pinned there, and an increment that turns
+    negative is idled.
 
     A scenario converges once a step changed no constraint and its
     residual, the gradient in S with the floating runs' multipliers, is at
@@ -501,9 +506,7 @@ def _polish(cum, z, lam, act, floor, upper, pinned, tau, a):
     """
     size, n, _ = cum.shape
     idx = np.arange(n)[None, :, None]
-    idle = act[:, 0] & (lam[:, 0] > z[:, 0])
-    low = act[:, 1] & (lam[:, 1] > z[:, 1])
-    high = act[:, 2] & (lam[:, 2] > z[:, 2])
+    idle, low, high = np.moveaxis(act & (lam > z), 1, 0)
     nu = np.where(idle, lam[:, 0], 0.0)
     s = cum
     solves = np.zeros(size, dtype=int)
@@ -534,11 +537,8 @@ def _polish(cum, z, lam, act, floor, upper, pinned, tau, a):
             first = np.maximum(lead, 0)
         # pinned entries at their bounds, a floating run at its first value
         s = np.where(held, value, np.take_along_axis(s, first, 1))
-        g, k = _slot_derivatives(s, tau, a)
-        x = g + nu * floating
-        res = x.copy()
-        res[:, :-1] -= x[:, 1:]
-        res *= fw
+        g, k = _slot_derivatives(s, tau, jet)
+        res = _d_transpose(g + nu * floating, fw=fw)
         worst = _rows(np.abs(res)).max(axis=1)
         stepping &= (moved | ~(worst <= _DUAL_TOL)) & solved
         stepping &= np.isfinite(worst)
@@ -549,14 +549,7 @@ def _polish(cum, z, lam, act, floor, upper, pinned, tau, a):
             live = slice(None)
         kl = k[live]
         pen = _PENALTY / tau * kl[..., ::2] * floating[live]
-        hp = np.zeros((len(kl), n + 1, 3))
-        hp[:, :n] = kl / tau
-        hp[:, :n, ::2] += pen
-        band = np.empty((4, len(kl), n, 2))
-        _fill_band(band, hp, (), bmask[:, live])
-        d, ok = band_solve(band.reshape(4, -1, 2 * n),
-                           res[live].reshape(-1, 2 * n, 1))
-        d = d.reshape(-1, n, 2)
+        d, ok = _newton_system(kl, tau, bmask[:, live], pen)(res[live])
         solved[live] = ok
         solves[live] += 1
         step = s[live] + d
@@ -573,10 +566,8 @@ def _polish(cum, z, lam, act, floor, upper, pinned, tau, a):
     # the active constraints' multipliers from the gradient: in a run, an
     # idle increment's multiplier is a partial sum of the rows from the
     # run's start, up to its first pin, or to its end, back to its last pin
-    t = g.copy()
-    t[:, :-1] -= g[:, 1:]
     csum = np.zeros((size, n + 1, 2))
-    np.cumsum(t, axis=1, out=csum[:, 1:])
+    np.cumsum(_d_transpose(g), axis=1, out=csum[:, 1:])
     head = np.take_along_axis(csum, first, 1)
     tail = np.take_along_axis(csum, after, 1)
     left = csum[:, 1:] - head          # of increment n + 1
@@ -657,20 +648,27 @@ def iterate_offline_many(scenarios, rate_models, max_sweeps: int = 200,
                          tol: float = 1e-7):
     """``iterate_offline`` for each scenario, with one joint start per batch.
 
-    The a*b > 1 scenarios that share N, tau and channel get their joint
-    starts from one ``joint_start`` call; a scenario's start, and so its
-    result, is the same in any batch.  The alternations then run one after
-    the other, in the given order.  Returns a list of ``(policy, report)``.
+    ``rate_models[k]`` is the rate model of ``scenarios[k]``; lists of
+    different lengths raise ``ShapeError``.  The scenarios whose sum rate is
+    smooth (every region but min-form) and that share N, tau and channel
+    get their joint starts from one ``joint_start`` call; a scenario's
+    start, and so its result, is the same in any batch.  The alternations
+    then run one after the other, in the given order.  Returns a list of
+    ``(policy, report)``.
     """
     if max_sweeps < 1:
         raise InvalidInputError("max_sweeps must be at least 1")
     if not (np.isfinite(tol) and tol > 0.0):
         raise InvalidInputError("tol must be positive and finite")
+    if len(scenarios) != len(rate_models):
+        raise ShapeError(f"{len(scenarios)} scenarios but {len(rate_models)} "
+                         "rate models")
     scens = [validate_scenario(s) for s in scenarios]
     starts = [(np.zeros((2, s.grid.N)), 0, 0) for s in scens]
     batches = {}
     for k, (scen, rm) in enumerate(zip(scens, rate_models)):
-        if rm.region is Region.ASYMMETRIC_AB_ABOVE_ONE:
+        # the sum rate is smooth everywhere but in the min-form region
+        if rm.region is not Region.ASYMMETRIC_AB_AT_MOST_ONE:
             key = (scen.grid.N, scen.grid.tau, rm.canonical_gains, rm.mirrored)
             batches.setdefault(key, []).append(k)
     for ks in batches.values():
@@ -686,11 +684,11 @@ def iterate_offline(scenario: Scenario, rate_model: RateModel,
                     max_sweeps: int = 200, tol: float = 1e-7):
     """Alternating single-user solves until the joint objective settles.
 
-    Starts from ``joint_start`` in the a*b > 1 region and from zeros
-    elsewhere, floored onto each user's energy corridor.  Every block solve
-    must reach KKT residuals of at most ``tol``.  Data-arrival constraints
-    are ignored here (infinite-backlog problem); the data-aware solver wraps
-    this routine.  Returns ``(policy, report)`` with a nondecreasing
+    Starts from ``joint_start`` where the sum rate is smooth (a*b > 1 and
+    very strong) and from zeros in the min-form region, floored onto each
+    user's energy corridor.  Every block solve must reach KKT residuals of
+    at most ``tol``.  Data-arrival constraints are ignored here
+    (infinite-backlog problem); the data-aware solver wraps this routine.  Returns ``(policy, report)`` with a nondecreasing
     half-sweep objective trace; ``report.converged`` is False when
     ``max_sweeps`` sweeps did not settle.
     """

@@ -1,7 +1,10 @@
 """Shared builders for test scenarios."""
 
+from unittest import mock
+
 import numpy as np
 
+from ehic import iterative
 from ehic.model import (DataProfile, HarvestProfile, Scenario, TimeGrid, User,
                         validate_scenario)
 from ehic.rates import ChannelParams
@@ -35,6 +38,18 @@ def lattice_arrivals(rng, n, emax, step=0.05):
     """Random arrival vector on the oracle lattice (keeps gaps quadratic)."""
     k = int(round(emax / step))
     return np.minimum(rng.integers(0, k + 1, n) * step, emax)
+
+
+def _zero_start(scens, rate_model):
+    """A stand-in for ``iterative.joint_start``: zeros, no steps."""
+    zeros = np.zeros(len(scens))
+    return np.zeros((len(scens), 2, scens[0].grid.N)), zeros, zeros
+
+
+def _iterate_from(start, scen, rm):
+    """``iterate_offline`` with ``start`` in place of the joint start."""
+    with mock.patch.object(iterative, "joint_start", start):
+        return iterative.iterate_offline(scen, rm)
 
 
 def loop_value_iteration(stats, rate_model, grid, tau):

@@ -14,16 +14,18 @@ import pytest
 from ehic.cli import (ExperimentConfig, _rate_model_for, fig7_scenario,
                       run_experiment)
 from ehic.data_causality import solve_with_data
-from ehic.iterative import iterate_offline, joint_objective
+from ehic.iterative import build_subproblem, iterate_offline, joint_objective
 from ehic.model import HarvestProfile, TimeGrid
 from ehic.online import ArrivalDistribution, StateGrid, rollout_table, \
     value_iteration
 from ehic.oracle import OracleOptions, brute_force
 from ehic.rates import Region, build_rate_model, normalize_channel
 from ehic.single_user import (InterferedUtilities, PiecewiseMinUtilities,
-                              ScaledLogUtilities, solve_single_user)
+                              ScaledLogUtilities, solve_single_user,
+                              verify_kkt)
 
-from helpers import lattice_arrivals, single_user_scenario, two_user_scenario
+from helpers import (_iterate_from, _zero_start, lattice_arrivals,
+                     single_user_scenario, two_user_scenario)
 
 
 def _ok(name, detail=""):
@@ -213,6 +215,9 @@ def test_c08_penalty_convergence_vs_oracle():
 
 
 def test_c09_very_strong_decoupling():
+    # the paper's claim on the cold alternation: from zeros, the second
+    # sweep moves nothing.  The default path starts from the joint start,
+    # which must already be each user's single-user solution
     rng = np.random.default_rng(404)
     worst = 0.0
     for _ in range(10):
@@ -223,9 +228,20 @@ def test_c09_very_strong_decoupling():
                                  50.0, 50.0)
         rm = build_rate_model(50.0, 50.0, emax, emax)
         assert rm.region is Region.VERY_STRONG
-        _, report = iterate_offline(scen, rm)
-        assert report.displacement_trace[1] <= 1e-9
-        worst = max(worst, report.displacement_trace[1])
+        _, cold = _iterate_from(_zero_start, scen, rm)
+        assert cold.displacement_trace[1] <= 1e-9
+        worst = max(worst, cold.displacement_trace[1])
+        policy, report = iterate_offline(scen, rm)
+        assert report.converged
+        for j in range(2):
+            harvest = scen.users[j].harvest
+            utils = build_subproblem(scen, rm, j, policy[1 - j])
+            cert = verify_kkt(policy[j], utils, harvest, scen.grid)
+            assert cert.stationarity_residual <= 1e-7
+            assert cert.complementarity_residual <= 1e-7
+            row, _ = solve_single_user(ScaledLogUtilities(np.ones(n)),
+                                       harvest, scen.grid)
+            assert np.max(np.abs(policy[j] - row)) <= 1e-7
     _ok("c09 very-strong second sweep inert (10 instances)",
         f"worst displacement {worst:.2e}")
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ehic import iterative
 from ehic.cli import _rate_model_for, fig7_scenario, gen_scenario
-from ehic.errors import InvalidInputError
+from ehic.errors import InvalidInputError, ShapeError
 from ehic.iterative import (band_solve, build_subproblem, feasible_floor,
                             iterate_offline, iterate_offline_many,
                             joint_objective, joint_start)
@@ -24,12 +24,8 @@ from ehic.online import naive_policy
 from ehic.rates import Region, build_rate_model
 from ehic.single_user import ScaledLogUtilities, solve_single_user, verify_kkt
 
-from helpers import lattice_arrivals, two_user_scenario
-
-
-def _zero_start(scens, rate_model):
-    zeros = np.zeros(len(scens))
-    return np.zeros((len(scens), 2, scens[0].grid.N)), zeros, zeros
+from helpers import (_iterate_from, _zero_start, lattice_arrivals,
+                     two_user_scenario)
 
 
 def _naive_start(scens, rate_model):
@@ -41,12 +37,6 @@ def _start_of(scen, rm):
     """``joint_start`` on a batch of one: (start, steps, polish_steps)."""
     starts, steps, polish = joint_start([scen], rm)
     return starts[0], int(steps[0]), int(polish[0])
-
-
-def _iterate_from(start, scen, rm):
-    """``iterate_offline`` with ``start`` in place of the joint start."""
-    with mock.patch.object(iterative, "joint_start", start):
-        return iterate_offline(scen, rm)
 
 
 def _assert_marginals_are_partials(a, b, p_max):
@@ -106,14 +96,16 @@ class TestIterateOffline:
         # the very strong region: each receiver removes the interference
         rm = build_rate_model(50.0, 50.0, 2.0, 2.0)
         scen = two_user_scenario([2.0, 0.0], [0.0, 2.0], 2.0, 50.0, 50.0)
+        # from zeros, nothing moves after the first sweep
+        _, cold = _iterate_from(_zero_start, scen, rm)
+        assert cold.displacement_trace[1] <= 1e-9
+        # the joint start is each user's independent single-user solution
         policy, report = iterate_offline(scen, rm)
-        # each user's block equals the independent single-user solution
         for j in range(2):
             row, _ = solve_single_user(ScaledLogUtilities(np.ones(2)),
                                        scen.users[j].harvest, scen.grid)
             assert np.allclose(policy[j], row, atol=1e-7)
-        # nothing moves after the first sweep
-        assert report.displacement_trace[1] <= 1e-9
+        assert (report.sweeps_used, report.certified_starts) == (1, 2)
         assert report.converged
 
     def test_very_strong_second_sweep_is_inert(self):
@@ -122,7 +114,7 @@ class TestIterateOffline:
         scen = two_user_scenario(lattice_arrivals(rng, 4, 2.0),
                                  lattice_arrivals(rng, 4, 2.0), 2.0,
                                  50.0, 50.0)
-        _, report = iterate_offline(scen, rm)
+        _, report = _iterate_from(_zero_start, scen, rm)
         assert report.displacement_trace[1] <= 1e-9
 
     def test_monotone_trace(self):
@@ -178,6 +170,15 @@ class TestIterateOffline:
                        {"tol": float("nan")}, {"tol": float("inf")}):
             with pytest.raises(InvalidInputError):
                 iterate_offline(scen, rm, **kwargs)
+
+    def test_mismatched_lists_rejected(self):
+        # zip would silently drop the scenarios past the shorter list
+        scens = [gen_scenario(20, 1.0, 10.0, 5.0, s, 0.7, 5.0)
+                 for s in range(3)]
+        rms = [_rate_model_for(s) for s in scens]
+        for models in (rms[:2], rms + rms[:1]):
+            with pytest.raises(ShapeError):
+                iterate_offline_many(scens, models)
 
     def test_fixed_point_feasibility(self):
         rng = np.random.default_rng(13)
@@ -257,7 +258,8 @@ class TestBlockTridiagSolve:
 
 
 def _joint_cases():
-    """(name, scenario, sweep bound or None), all in the a*b > 1 region."""
+    """(name, scenario, sweep bound or None), all in a region whose sum rate
+    is smooth: a*b > 1, and very strong last."""
     cases = [("fig7", fig7_scenario(), 2)]
     cases += [(f"fig8-{s}", gen_scenario(20, 1.0, 10.0, 5.0, s, 0.7, 5.0), 2)
               for s in range(80)]
@@ -276,6 +278,8 @@ def _joint_cases():
                   two_user_scenario([0.0, 0.0, 5.0, 5.0, 0.0, 2.0],
                                     [5.0, 5.0, 1.0, 0.0, 5.0, 0.0],
                                     5.0, 0.7, 5.0), None))
+    cases.append(("strong-n200",
+                  gen_scenario(200, 1.0, 10.0, 5.0, 0, 20.0, 30.0), 1))
     return cases
 
 
@@ -341,22 +345,29 @@ def _assert_certified(policy, scen, rm, tol=1e-7):
 
 class TestSlotDerivatives:
     """The joint start reads the sum rate's gradient and Hessian from the
-    same jet as ``RateModel``, bit for bit."""
+    rate model's own jet, bit for bit."""
 
-    @pytest.mark.parametrize("a, b", [(0.7, 5.0), (5.0, 0.7)])
+    @pytest.mark.parametrize("a, b", [(0.7, 5.0), (5.0, 0.7), (20.0, 30.0),
+                                      (0.5, 1.5)])
     def test_match_the_rate_model(self, a, b):
-        # fig8's channel and its mirror, at fig8's power scale and with
-        # idle slots
+        # fig8's channel and its mirror, very strong and min-form, at
+        # fig8's power scale and with idle slots.  Powers on a grid of
+        # 1/8 keep S and its increments exact, so the entries set to 2 lie
+        # on the min-form kink p_c = 2 exactly
         rm = build_rate_model(a, b, 10.0, 10.0)
         rng = np.random.default_rng(21)
-        p = rng.uniform(0.0, 10.0, (4, 20, 2)) * (rng.random((4, 20, 2)) > 0.2)
+        p = rng.integers(0, 81, (4, 20, 2)) / 8.0
+        p *= rng.random((4, 20, 2)) > 0.2
+        p[:, ::3] = 2.0
         tau = 0.5
         cum = tau * np.cumsum(p, axis=1)
-        g, k = iterative._slot_derivatives(cum, tau, rm.canonical_gains[0])
+        g, k = iterative._slot_derivatives(cum, tau, rm._jet)
         # the powers the derivatives are taken at, in the callers' order
         q = iterative._increments(cum) / tau
         order = [1, 0] if rm.mirrored else [0, 1]
         q1, q2 = q[..., order[0]], q[..., order[1]]
+        if rm.p_c is not None:
+            assert np.any(q2 == rm.p_c)
         grad = rm.grad(q1, q2)
         assert g[..., order[0]].tobytes() == grad[0].tobytes()
         assert g[..., order[1]].tobytes() == grad[1].tobytes()
@@ -373,7 +384,7 @@ class TestJointStart:
     def test_start_is_strictly_feasible_and_certifies(self, name, scen,
                                                       max_sweeps):
         rm = _rate_model_for(scen)
-        assert rm.region is Region.ASYMMETRIC_AB_ABOVE_ONE
+        assert rm.region is not Region.ASYMMETRIC_AB_AT_MOST_ONE
         start, steps, polish = _start_of(scen, rm)
         _assert_start(start, polish, scen)
         policy, report = iterate_offline(scen, rm)
@@ -384,6 +395,8 @@ class TestJointStart:
         _assert_certified(policy, scen, rm)
 
     def test_objective_matches_the_zero_start(self):
+        # fig7, fig8 seeds 0-11 and the last seven cases, very strong among
+        # them
         cases = [c for c in _JOINT_CASES if c[0] != "n400"]
         cases = cases[:13] + cases[-7:]
         assert len(cases) == 20
@@ -406,13 +419,14 @@ class TestJointStart:
         assert total <= 160
 
     def test_other_regions_start_from_zeros(self):
-        # a*b <= 1: no joint start, the alternation starts from zeros
+        # min-form: its sum rate has a kink, so no joint start, and the
+        # alternation starts from zeros
         scen = gen_scenario(20, 1.0, 10.0, 5.0, 4, 0.5, 1.5)
         rm = _rate_model_for(scen)
         assert rm.region is Region.ASYMMETRIC_AB_AT_MOST_ONE
 
         def refuse(scens, rate_model):
-            raise AssertionError("joint start outside the a*b > 1 region")
+            raise AssertionError("joint start in the min-form region")
 
         p_default, r_default = iterate_offline(scen, rm)
         p_zero, r_zero = _iterate_from(refuse, scen, rm)
@@ -585,8 +599,11 @@ class TestJointStart:
                  gen_scenario(20, 1.0, 10.0, 5.0, 4, 0.5, 1.5),
                  gen_scenario(30, 1.0, 10.0, 5.0, 1, 0.7, 5.0),
                  gen_scenario(20, 1.0, 10.0, 5.0, 1, 0.7, 5.0),
-                 gen_scenario(20, 1.0, 10.0, 5.0, 2, 5.0, 0.7)]
+                 gen_scenario(20, 1.0, 10.0, 5.0, 2, 5.0, 0.7),
+                 gen_scenario(20, 1.0, 10.0, 5.0, 3, 20.0, 30.0),
+                 gen_scenario(20, 1.0, 10.0, 5.0, 5, 20.0, 30.0)]
         rms = [_rate_model_for(s) for s in scens]
+        assert rms[-1].region is Region.VERY_STRONG
         for scen, rm, (policy, report) in zip(
                 scens, rms, iterate_offline_many(scens, rms)):
             p_one, r_one = iterate_offline(scen, rm)
