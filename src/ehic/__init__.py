@@ -6,14 +6,13 @@ profiles, channel) and a ``RateModel`` (the closed-form sum rate of the
 channel's region: a*b > 1, min-form a*b <= 1 or very strong, the regions
 with a known sum capacity; any other channel is rejected).
 ``iterate_offline`` computes the optimal offline schedule by alternating
-single-user directional water-filling, started wherever the sum rate is
-smooth (a*b > 1, very strong) from a joint primal-dual interior-point
-solution finished by Newton steps on its active set; ``solve_with_data``
-extends it to per-slot data arrivals by augmented-Lagrangian (method of
-multipliers) rounds.  The solvers take three settings in all:
-``max_sweeps``, the KKT tolerance ``tol`` and the data ``violation_tol``.
-``online`` hosts the DP, naive and distributed baselines and ``oracle`` a
-brute-force ground truth.
+single-user directional water-filling, started in every region from a joint
+primal-dual interior-point solution finished by Newton steps on its active set;
+``solve_with_data`` extends it to per-slot data arrivals by
+augmented-Lagrangian (method of multipliers) rounds.  The solvers take three
+settings in all: ``max_sweeps``, the KKT tolerance ``tol`` and the data
+``violation_tol``.  ``online`` hosts the DP, naive and distributed baselines
+and ``oracle`` a brute-force ground truth.
 """
 
 from .errors import (ConvergenceError, InfeasiblePolicyError,

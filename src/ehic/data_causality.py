@@ -396,18 +396,21 @@ def solve_with_data(scenario: Scenario, rate_model: RateModel,
                     violation_tol: float = 1e-4):
     """Best-effort schedule under energy AND data causality.
 
-    After ``resolve_contradictions``, an instance where some user's battery
-    forces it to send more than ``violation_tol`` nats beyond its arrived
-    data (``forced_departures``) has no policy that can pass: it raises
-    ``InvalidInputError`` naming the user, the slot, the forced and the
-    arrived nats, before round zero.  Otherwise outer rounds grow the
-    penalty coefficient (1, 4, 16, ...) and update the multipliers after
-    each round; each round is one SLSQP solve of the augmented-Lagrangian
-    objective over both users' powers, scaled by the sum rate's curvature
-    (``_round_scales``) and warm-started from the previous round (round
-    zero is ``iterate_offline`` with ``max_sweeps`` and ``tol``).
-    Terminates once the largest violation is at or below
-    ``violation_tol``; after ``_MAX_ROUNDS`` rounds it raises
+    With both users' backlogs infinite this is ``iterate_offline``'s
+    problem: its answer, or ``ConvergenceError`` with the last policy
+    attached when ``max_sweeps`` sweeps do not settle it.
+
+    With finite data, after ``resolve_contradictions``, an instance where some
+    user's battery forces it to send more than ``violation_tol`` nats beyond
+    its arrived data (``forced_departures``) has no policy that can pass: it
+    raises ``InvalidInputError`` naming the user, the slot, the forced and the
+    arrived nats, before round zero.  Otherwise outer rounds grow the penalty
+    coefficient (1, 4, 16, ...) and update the multipliers after each round;
+    each round is one SLSQP solve of the augmented-Lagrangian objective over
+    both users' powers, scaled by the sum rate's curvature (``_round_scales``)
+    and warm-started from the previous round (round zero is ``iterate_offline``
+    with ``max_sweeps`` and ``tol``).  Terminates once the largest violation is
+    at or below ``violation_tol``; after ``_MAX_ROUNDS`` rounds it raises
     ``ConvergenceError`` with the last policy attached, whose message counts
     the round solves that SLSQP reported as failed.
     """
@@ -416,6 +419,9 @@ def solve_with_data(scenario: Scenario, rate_model: RateModel,
     scen = validate_scenario(scenario)
     if all(u.data.is_infinite for u in scen.users):
         policy, report = iterate_offline(scen, rate_model, max_sweeps, tol)
+        if not report.converged:
+            raise ConvergenceError("iterative solve did not converge",
+                                   best_policy=policy)
         report.unusable_energy = np.zeros((2, scen.grid.N))
         return policy, report
 

@@ -7,20 +7,18 @@ that user's power, given by its marginal in that power; the sweeps compare
 the optimum; sweeps run user 1 then user 2 and stop when both the objective
 improvement and the policy displacement fall below tolerance.
 
-Where to start: wherever the sum rate is smooth and jointly concave (a*b > 1
-in either orientation, and very strong), the alternation starts from
-``joint_start``, a primal-dual interior-point method (Mehrotra's
-predictor-corrector) on both users at once, stopped at the loose gap
-``_POLISH_GAP`` and finished by Newton steps on the active set its iterate
-identifies (``_polish``).  Both read the sum rate's gradient and Hessian
-from the rate model's own jet, and both solve their Newton systems, bands
-of half-width 3 from one assembly (``_newton_system``), in O(N) by LAPACK's
-banded Cholesky.  A batch of scenarios that share N, tau and channel makes
-one LAPACK call per solve, and each scenario gets the start it would get
-alone; ``iterate_offline_many`` batches its scenarios so, and
-``iterate_offline`` is its batch of one.  The start decides nothing: the
-same alternation runs from it, every block solve is checked by
-``verify_kkt``, and the same convergence tests end it.
+Where to start: in every region, at ``joint_start``, a primal-dual
+interior-point method (Mehrotra's predictor-corrector) on both users at
+once, stopped at the loose gap ``_POLISH_GAP`` and finished by Newton
+steps on the active set its iterate identifies (``_polish``).  Both read
+the sum rate's gradient and Hessian from the rate model's own jet, and
+solve their Newton systems, bands of half-width 3 from one assembly
+(``_newton_system``), in O(N) by LAPACK's banded Cholesky, one call per
+solve for a batch of scenarios that share N, tau and channel; each
+scenario gets the start it would get alone.  ``iterate_offline_many``
+batches its scenarios so, and ``iterate_offline`` is its batch of one.
+The start decides nothing: the same alternation runs from it, every block
+solve is checked by ``verify_kkt``, and the same convergence tests end it.
 
 Each block solve is offered the block's current row as its start, and
 returns it unsolved when its certificate already meets the tolerance
@@ -28,19 +26,19 @@ returns it unsolved when its certificate already meets the tolerance
 involve only that user, so where the sum rate is smooth and jointly concave
 a point at which both blocks certify is the joint optimum.  The polished
 start lies on its active set, idle powers exactly 0, and both of its blocks
-certify on fig7, on all 80 fig8 seeds, on the generated a*b > 1 N = 2000
-(seeds 0 and 11) and N = 8000 (seed 0) scenarios and on 29 of 30 very
-strong ones (a = 20, b = 30, N = 20, 200, 2000, seeds 0-9), so the
-certifying sweep costs two certificates (fig8 seeds 0-79: 80 sweeps,
-against 883 from zeros).  A polish that fails its checks hands its scenario
-back to the interior-point loop, which then runs to the tight stop
-``_GAP_TOL``.
+certify on fig7 and on all 80 fig8 seeds, so the certifying sweep costs two
+certificates (fig8 seeds 0-79: 80 sweeps, against 883 from zeros).  A
+polish that fails its checks hands its scenario back to the interior-point
+loop, which then runs to the tight stop ``_GAP_TOL``.
 
-Elsewhere, in the min-form a*b <= 1 region, whose sum rate has a kink at
-p_c, the alternation starts from zeros, and a geometric extrapolation along
-the sweep direction shortens it: without it, mean sweeps from zeros rise
-from 11.0 to 19.3 over fig8 seeds 0-79 and from 11.6 to 16.7 at a=0.5,
-b=1.5, N=50 (seeds 0-19).
+The min-form sum rate (a*b <= 1) has a kink at p_2 = p_c, for which the
+polish has no pin.  Over 300 random min-form scenarios (both orientations,
+a = 0 and a*b = 1 among them, N = 5-40), 183 starts were polished and 48
+loops ran to their cap ``_MAX_STEPS``, yet mean sweeps fell from 6.3 from
+zeros to 1.4.  Where a start does not certify, a geometric extrapolation
+along the sweep direction shortens the alternation: without it, sweeps at
+a = 0.5, b = 1.5, N = 2000 (seeds 0-2) rise from 10, 13 and 16 to 14, 15
+and 27.
 
 No proximal term is needed: in the regions with a known sum capacity the
 slot utilities are strictly concave, so each block optimum is unique.
@@ -80,7 +78,7 @@ class SolveReport:
     displacement_trace: list = field(default_factory=list)
     sweeps_used: int = 0
     start_steps: int = 0     # interior-point iterations of the joint start
-                             # (0: not run)
+                             # (0: its loop did not run)
     polish_steps: int = 0    # Newton solves of the joint start's polish
                              # (0: not run, or not taken)
     certified_starts: int = 0   # block solves that returned their start
@@ -283,10 +281,9 @@ def _slacks(cum, floor, upper, act):
 
 
 def joint_start(scenarios, rate_model: RateModel):
-    """Both users' joint optimum where the sum rate is smooth and jointly
-    concave (a*b > 1 and very strong), by a primal-dual interior-point
-    method finished by a Newton polish on the active set it identifies,
-    for a batch of scenarios that share N, tau and channel.
+    """Both users' joint optimum, by a primal-dual interior-point method
+    finished by a Newton polish on the active set it identifies, for a
+    batch of scenarios that share N, tau and channel, in any region.
 
     Maximizes tau * sum_n r(p_1n, p_2n) over the cumulative consumptions
     S_jn = tau * sum_{i<=n} p_ji, reading r's gradient and Hessian from
@@ -331,8 +328,12 @@ def joint_start(scenarios, rate_model: RateModel):
     Never raises: at the iteration cap, or on a numerical breakdown (a
     system that is not positive definite, a non-finite residual, a step
     that leaves the interior), a scenario stops at its last strictly
-    feasible iterate, unpolished, and the others go on.  Nothing certifies
-    these starts; the alternation that follows does.
+    feasible iterate, unpolished, and the others go on.  At the min-form
+    kink p_2 = p_c the jet gives the decode-limited branch's right-hand
+    derivatives and no pin holds a slot there, so a start with slots at the
+    kink may be refused its polish and run the loop to its tight stop or
+    its cap.  Nothing certifies these starts; the alternation that follows
+    does.
     """
     n, tau = scenarios[0].grid.N, scenarios[0].grid.tau
     if any((s.grid.N, s.grid.tau) != (n, tau) for s in scenarios):
@@ -649,12 +650,11 @@ def iterate_offline_many(scenarios, rate_models, max_sweeps: int = 200,
     """``iterate_offline`` for each scenario, with one joint start per batch.
 
     ``rate_models[k]`` is the rate model of ``scenarios[k]``; lists of
-    different lengths raise ``ShapeError``.  The scenarios whose sum rate is
-    smooth (every region but min-form) and that share N, tau and channel
-    get their joint starts from one ``joint_start`` call; a scenario's
-    start, and so its result, is the same in any batch.  The alternations
-    then run one after the other, in the given order.  Returns a list of
-    ``(policy, report)``.
+    different lengths raise ``ShapeError``.  The scenarios that share N,
+    tau and channel get their joint starts from one ``joint_start`` call;
+    a scenario's start, and so its result, is the same in any batch.  The
+    alternations then run one after the other, in the given order.
+    Returns a list of ``(policy, report)``.
     """
     if max_sweeps < 1:
         raise InvalidInputError("max_sweeps must be at least 1")
@@ -664,13 +664,11 @@ def iterate_offline_many(scenarios, rate_models, max_sweeps: int = 200,
         raise ShapeError(f"{len(scenarios)} scenarios but {len(rate_models)} "
                          "rate models")
     scens = [validate_scenario(s) for s in scenarios]
-    starts = [(np.zeros((2, s.grid.N)), 0, 0) for s in scens]
+    starts = [None] * len(scens)
     batches = {}
     for k, (scen, rm) in enumerate(zip(scens, rate_models)):
-        # the sum rate is smooth everywhere but in the min-form region
-        if rm.region is not Region.ASYMMETRIC_AB_AT_MOST_ONE:
-            key = (scen.grid.N, scen.grid.tau, rm.canonical_gains, rm.mirrored)
-            batches.setdefault(key, []).append(k)
+        key = (scen.grid.N, scen.grid.tau, rm.canonical_gains, rm.mirrored)
+        batches.setdefault(key, []).append(k)
     for ks in batches.values():
         policies, steps, polish = joint_start([scens[k] for k in ks],
                                               rate_models[ks[0]])
@@ -684,12 +682,12 @@ def iterate_offline(scenario: Scenario, rate_model: RateModel,
                     max_sweeps: int = 200, tol: float = 1e-7):
     """Alternating single-user solves until the joint objective settles.
 
-    Starts from ``joint_start`` where the sum rate is smooth (a*b > 1 and
-    very strong) and from zeros in the min-form region, floored onto each
-    user's energy corridor.  Every block solve must reach KKT residuals of
-    at most ``tol``.  Data-arrival constraints are ignored here
-    (infinite-backlog problem); the data-aware solver wraps this routine.  Returns ``(policy, report)`` with a nondecreasing
-    half-sweep objective trace; ``report.converged`` is False when
-    ``max_sweeps`` sweeps did not settle.
+    Starts from ``joint_start``, in every region, floored onto each user's
+    energy corridor.  Every block solve must reach KKT residuals of at most
+    ``tol``.  Data-arrival constraints are ignored here (infinite-backlog
+    problem); the data-aware solver wraps this routine.  Returns
+    ``(policy, report)`` with a nondecreasing half-sweep objective trace;
+    ``report.converged`` is False when ``max_sweeps`` sweeps did not
+    settle.
     """
     return iterate_offline_many([scenario], [rate_model], max_sweeps, tol)[0]

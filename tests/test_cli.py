@@ -14,6 +14,8 @@ from ehic.errors import ConvergenceError
 from ehic.model import feasibility_report, scenario_from_dict, scenario_to_dict
 from ehic.rates import build_rate_model
 
+from helpers import _zero_start
+
 
 def _write_scenario(tmp_path, doc, name="scen.json"):
     path = tmp_path / name
@@ -372,11 +374,7 @@ class TestFig8Pool:
         # seed in seed order is reported and nothing is written, as
         # solve-offline does for one scenario; the default sweep budget
         # settles the same seeds from zeros
-        def zero_start(scenarios, rate_model):
-            n, zeros = scenarios[0].grid.N, np.zeros(len(scenarios))
-            return np.zeros((len(scenarios), 2, n)), zeros, zeros
-
-        monkeypatch.setattr(iterative, "joint_start", zero_start)
+        monkeypatch.setattr(iterative, "joint_start", _zero_start)
         assert main(["preset", "fig8", "--seed", "4", "--count", "3",
                      "--max-sweeps", "1", "--out", str(tmp_path / "x")]) == 3
         doc = json.loads(capsys.readouterr().err)
@@ -609,6 +607,27 @@ class TestMainExitCodes:
         assert err["error"] == "InvalidInputError"
         assert "no known sum capacity" in err["message"]
         assert not (tmp_path / "x").exists()
+
+    def test_unconverged_infinite_backlog_is_3(self, tmp_path, capsys,
+                                               monkeypatch):
+        # with both backlogs infinite, solve-data is solve-offline's
+        # problem: from zeros one sweep does not settle this scenario, and
+        # both exit 3 and write nothing; the default sweep budget settles it
+        scen_path = str(tmp_path / "scen.json")
+        assert main(["gen-scenario", "--n", "20", "--seed", "4", "--a",
+                     "0.5", "--b", "1.5", "--out", scen_path]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(iterative, "joint_start", _zero_start)
+        for command in ("solve-offline", "solve-data"):
+            out = tmp_path / command
+            assert main([command, "--scenario", scen_path, "--max-sweeps",
+                         "1", "--out", str(out)]) == 3
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "ConvergenceError"
+            assert err["message"] == "iterative solve did not converge"
+            assert not out.exists()
+            assert main([command, "--scenario", scen_path,
+                         "--out", str(out)]) == 0
 
     def test_missing_file_is_2(self, tmp_path):
         assert main(["solve-offline", "--scenario",

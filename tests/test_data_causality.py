@@ -573,15 +573,28 @@ class TestFreePowers:
     """SLSQP sees only the powers after each user's first harvest; the
     rounds over all 2N powers are the reference."""
 
-    def _both(self, monkeypatch, scen, rm):
+    def _rounds_agree(self, monkeypatch, scen, rm):
+        """``solve_with_data``'s objective; in every round, the reference
+        is given the round's own (policy, eps, lam), and the penalized
+        objectives of the two results agree within 1e-12 relative."""
+        real = data_causality._penalty_round
+        gaps = []
+
+        def both(scenario, rate_model, policy, eps, lam, corridor):
+            out = real(scenario, rate_model, policy, eps, lam, corridor)
+            ref, _ = full_coordinate_round(scenario, rate_model, policy, eps,
+                                           lam, corridor)
+            got, want = (_penalized_objective(p, scenario, rate_model, eps,
+                                              lam) for p in (out[0], ref))
+            gaps.append(abs(got - want) / abs(want))
+            return out
+
+        monkeypatch.setattr(data_causality, "_penalty_round", both)
         policy, report = solve_with_data(scen, rm)
-        monkeypatch.setattr(data_causality, "_penalty_round",
-                            full_coordinate_round)
-        ref_policy, ref_report = solve_with_data(scen, rm)
-        monkeypatch.undo()
-        assert report.rounds_used >= 1 and ref_report.rounds_used >= 1
-        return (joint_objective(policy, scen, rm),
-                joint_objective(ref_policy, scen, rm))
+        assert report.rounds_used >= 1
+        assert len(gaps) == report.rounds_used
+        assert max(gaps) <= 1e-12
+        return joint_objective(policy, scen, rm)
 
     @pytest.mark.parametrize("a, b", [(0.7, 5.0), (0.5, 1.5)])
     @pytest.mark.parametrize("seed, zero", [
@@ -590,14 +603,14 @@ class TestFreePowers:
     ])
     def test_matches_the_full_coordinate_rounds(self, monkeypatch, a, b,
                                                 seed, zero):
-        # the reference alone moves by up to 6e-9 relative between one and
-        # two BLAS threads on these instances (the penalized problem is not
-        # concave, and SLSQP's steps round differently), so the bound sits
-        # above that spread; a power lost or a row misplaced moves the
-        # objective by far more
-        obj, ref = self._both(monkeypatch,
-                              *_zero_prefix_scenario(a, b, seed, zero))
-        assert abs(obj - ref) <= 1e-7 * abs(ref)
+        # round by round: the penalized problem is not concave, so a run of
+        # either from round zero on can end on another local optimum.  The
+        # rounds agree at one BLAS thread, which the root conftest pins (at
+        # two, the reference's first round at a=0.7, seed 2 lands 1.2e-3
+        # away); a power lost or a row misplaced moves a round's objective
+        # by far more than 1e-12
+        self._rounds_agree(monkeypatch,
+                           *_zero_prefix_scenario(a, b, seed, zero))
 
     def test_the_ci_instance(self, monkeypatch):
         # both users start without harvest; every arrival is 0.2 nats after
@@ -606,9 +619,7 @@ class TestFreePowers:
                                  5.0, b1=[0.1, 0.1, 0.2, 0.2, 0.2],
                                  b2=[0.2] * 5)
         rm = build_rate_model(0.7, 5.0, *scen.peak_powers)
-        obj, ref = self._both(monkeypatch, scen, rm)
-        assert abs(obj - ref) <= 1e-7 * abs(ref)
-        assert abs(obj - 1.8) <= 1e-6
+        assert abs(self._rounds_agree(monkeypatch, scen, rm) - 1.8) <= 1e-6
 
     def test_evaluator_reads_the_free_powers(self):
         scen, rm = _zero_prefix_scenario(0.7, 5.0, 2, (2, 3))

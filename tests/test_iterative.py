@@ -418,24 +418,64 @@ class TestJointStart:
             total += report.sweeps_used
         assert total <= 160
 
-    def test_other_regions_start_from_zeros(self):
-        # min-form: its sum rate has a kink, so no joint start, and the
-        # alternation starts from zeros
+    def test_min_form_takes_the_joint_start(self):
+        # min-form: its sum rate has a kink at p_c, where the start reads
+        # the decode-limited branch; the alternation certifies its answer
         scen = gen_scenario(20, 1.0, 10.0, 5.0, 4, 0.5, 1.5)
         rm = _rate_model_for(scen)
         assert rm.region is Region.ASYMMETRIC_AB_AT_MOST_ONE
+        policy, report = iterate_offline(scen, rm)
+        assert report.start_steps > 0 and report.converged
+        _assert_certified(policy, scen, rm)
+        p_zero, r_zero = _iterate_from(_zero_start, scen, rm)
+        assert r_zero.start_steps == 0 and r_zero.converged
+        o_zero = joint_objective(p_zero, scen, rm)
+        assert (joint_objective(policy, scen, rm)
+                >= o_zero - 1e-9 * max(1.0, abs(o_zero)))
 
-        def refuse(scens, rate_model):
-            raise AssertionError("joint start in the min-form region")
+    def test_near_a_equal_one_certifies_at_the_start(self):
+        # a = 0.99, a*b just below 1: from zeros the alternation crawled,
+        # and stopped unconverged after 200 sweeps
+        scen = gen_scenario(20, 1.0, 10.0, 2.0, 14, 0.99, 1.0101)
+        rm = _rate_model_for(scen)
+        assert rm.region is Region.ASYMMETRIC_AB_AT_MOST_ONE
+        policy, report = iterate_offline(scen, rm)
+        assert report.converged
+        assert (report.sweeps_used, report.certified_starts) == (1, 2)
+        _assert_certified(policy, scen, rm)
 
-        p_default, r_default = iterate_offline(scen, rm)
-        p_zero, r_zero = _iterate_from(refuse, scen, rm)
-        assert r_default.start_steps == 0
-        assert np.array_equal(p_default, p_zero)
-        assert r_default.objective_trace == r_zero.objective_trace
-        floored = np.vstack([feasible_floor(np.zeros(20), u.harvest, 1.0)
-                             for u in scen.users])
-        assert r_zero.objective_trace[0] == joint_objective(floored, scen, rm)
+    def test_random_min_form_scenarios_keep_the_zero_start_objective(self):
+        # both orientations, a = 0 (p_c = b - 1), a*b = 1 (p_c infinite)
+        # and 0 < a*b < 1; E_max 0.01 to 1000 (log-uniform).  No objective
+        # falls below the alternation's from zeros by more than 1e-9
+        rng = np.random.default_rng(40)
+        for k in range(30):
+            n = int(rng.integers(5, 31))
+            tau = float(rng.choice([0.5, 1.0, 2.0]))
+            emax = float(np.exp(rng.uniform(np.log(0.01), np.log(1000.0))))
+            if k % 3 == 0:
+                a = float(rng.uniform(0.05, 0.99))
+                b = float(rng.uniform(1.0, 1.0 / a))
+            elif k % 3 == 1:
+                a, b = 0.0, float(rng.uniform(1.0, 5.0))
+            else:
+                a = float(rng.choice([0.5, 0.25, 0.125]))
+                b = 1.0 / a
+            gains = (b, a) if (k // 3) % 2 else (a, b)
+            scen = gen_scenario(n, tau, emax, rng.uniform(0.5, 5.0) * tau,
+                                int(rng.integers(10**6)), *gains)
+            rm = _rate_model_for(scen)
+            assert rm.region is Region.ASYMMETRIC_AB_AT_MOST_ONE
+            assert rm.mirrored == bool((k // 3) % 2)
+            assert (rm.p_c == np.inf) == (k % 3 == 2)
+            policy, report = iterate_offline(scen, rm)
+            assert report.converged
+            _assert_certified(policy, scen, rm)
+            p_zero, r_zero = _iterate_from(_zero_start, scen, rm)
+            assert r_zero.converged
+            o_zero = joint_objective(p_zero, scen, rm)
+            assert (joint_objective(policy, scen, rm)
+                    >= o_zero - 1e-9 * max(1.0, abs(o_zero)))
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(n=st.integers(1, 8), tau=st.sampled_from([0.5, 1.0, 2.0]),
@@ -650,8 +690,8 @@ class TestCertifiedStarts:
         assert (report.sweeps_used, report.certified_starts) == (1, 2)
 
     def test_cold_alternation(self):
-        # a*b <= 1 starts from zeros: the early sweeps move both blocks
+        # from zeros, the early sweeps move both blocks
         scen = gen_scenario(20, 1.0, 10.0, 5.0, 4, 0.5, 1.5)
-        _, report = iterate_offline(scen, _rate_model_for(scen))
+        _, report = _iterate_from(_zero_start, scen, _rate_model_for(scen))
         assert report.sweeps_used > 1
         assert 0 < report.certified_starts < 2 * report.sweeps_used
