@@ -96,9 +96,11 @@ def build_subproblem(scenario: Scenario, rate_model: RateModel, user: int,
                      other_policy) -> SlotUtilities:
     """Slot utilities p -> r(p, other_i) for one user, other user fixed.
 
-    The interference term enters as a per-slot fading floor where the region
-    admits it.  The utilities' marginal in the user's power equals the joint
-    rate's partial in it, which is all the single-user solver reads.
+    The utilities' marginal in the user's power equals the joint rate's
+    partial in it, which is all the single-user solver reads.  In every
+    region the canonical user 1's sum rate is (1/2)ln(1 + h_i p) plus a
+    term free of p, so its gains h_i are twice the rate model's jet partial
+    at p = 0: the interference enters as a per-slot fading floor.
     """
     if user not in (0, 1):
         raise ShapeError("user index must be 0 or 1")
@@ -106,21 +108,14 @@ def build_subproblem(scenario: Scenario, rate_model: RateModel, user: int,
     n = scenario.grid.N
     if other.shape != (n,):
         raise ShapeError(f"other policy must have shape ({n},)")
-    region = rate_model.region
-    cu = (1 - user) if rate_model.mirrored else user
+    if user == (1 if rate_model.mirrored else 0):    # canonical user 1
+        return ScaledLogUtilities(
+            2.0 * rate_model._jet(np.zeros(n), other, 1).g1)
     a, b = rate_model.canonical_gains
-    if region is Region.VERY_STRONG:
+    if rate_model.region is Region.VERY_STRONG:
         return ScaledLogUtilities(np.ones(n))
-    if region is Region.ASYMMETRIC_AB_ABOVE_ONE:
-        if cu == 0:
-            return ScaledLogUtilities(1.0 / (1.0 + a * other))
+    if rate_model.region is Region.ASYMMETRIC_AB_ABOVE_ONE:
         return InterferedUtilities(a, other)
-    # min-form region: the active branch per slot depends only on the fixed
-    # user's power through p_c
-    if cu == 0:
-        h = np.where(other < rate_model.p_c,
-                     1.0 / (1.0 + a * other), b / (1.0 + other))
-        return ScaledLogUtilities(h)
     return PiecewiseMinUtilities(a, b, rate_model.p_c, other)
 
 

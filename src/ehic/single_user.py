@@ -13,20 +13,20 @@ KKT conditions of the concave program, so the construction is certified by
 reconstructing multipliers from the active-constraint structure
 (``verify_kkt``) and reporting stationarity/complementarity residuals.
 
-A window's common level is found by one bracketed root search on its total
-demand, from the even split.  Where every slot's marginal is the same there
+A window's common level is found by one root search on its total demand,
+from the even split, in a bracket that is closed from the start: every
+family's demand is infinite at level 0 and zero at the window's largest
+f_i'(0).  Where every slot's marginal is the same there
 (every window of a utility that is the same in every slot, every one-slot
 window), the even split meets the window's KKT condition: the families
 whose derivative inverse is a root solve (interfered, min-form) return it
 without a probe, and ``verify_kkt`` gates the row as any other.  Otherwise the first probe is
 the mean marginal at the even split, exact when the marginals are
-identical.  After each probe the step is, in order: Newton in
-1/level (every family's demand is close to alpha + beta/level) from the
-analytic demand slope; bisection once both ends exist; and while the
-bracket has no low end, a descent that halves the level, down to level 0,
-where every family's demand is infinite.  A fast step outside the bracket
-is not taken, and while fast steps do not cut the error 4x per probe they
-take every other turn only.  Per-slot powers at a given level come from
+identical.  After each probe the step is Newton in 1/level (every
+family's demand is close to alpha + beta/level) from the analytic demand
+slope, or else bisection.  A fast step outside the bracket is not taken,
+and while fast steps do not cut the error 4x per probe they take every
+other turn only.  Per-slot powers at a given level come from
 inverting f_i', analytically where possible and by safeguarded Newton or
 bisection otherwise.
 
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,10 +74,12 @@ class SlotUtilities:
     positive, strictly decreasing marginal, so ``inv_deriv(level, idx)``
     returns the one per-slot power at which f_i' equals ``level``: 0 where
     f_i'(0) is at most the level, inf at levels at or below 0.  It is
-    nonincreasing in the level, which is what the bracketed level search
-    relies on.  ``inv_deriv_slope(level, idx, q)`` is d(total demand)/
-    d(level) at the demand ``q``, or None where it is not available; it
-    speeds up the level search, and correctness never depends on it.
+    nonincreasing in the level, so a window's total demand is infinite at
+    level 0 and zero at its largest f_i'(0): the level search brackets
+    every target between the two from its first probe.
+    ``inv_deriv_slope(level, idx, q)`` is d(total demand)/d(level) at the
+    demand ``q`` and a level above 0; it speeds up the level search, and
+    correctness never depends on it.
     """
 
     n = 0
@@ -93,21 +96,16 @@ class SlotUtilities:
         d = self.deriv(p)
         return d, d
 
+    @cached_property
     def deriv_at_zero(self):
-        cached = getattr(self, "_d0_cache", None)
-        if cached is None:
-            cached = self.deriv(np.zeros(self.n))
-            self._d0_cache = cached
-        return cached
+        """f_i'(0) per slot, built on first use."""
+        return self.deriv(np.zeros(self.n))
 
+    @cached_property
     def demand_at_zero(self):
-        """Per-slot power at level 0, cached like ``deriv_at_zero``: inf in
-        every family, whose marginal never reaches 0."""
-        cached = getattr(self, "_q0_cache", None)
-        if cached is None:
-            cached = self.inv_deriv(0.0)
-            self._q0_cache = cached
-        return cached
+        """Per-slot power at level 0, built on first use: inf in every
+        family, whose marginal never reaches 0."""
+        return self.inv_deriv(0.0)
 
     def _all_idx(self, idx):
         return np.arange(self.n) if idx is None else np.asarray(idx)
@@ -161,23 +159,18 @@ def _finite(values, name):
     return arr
 
 
-def _bisect_inv(deriv_fn, level, n, hi_start=1.0):
-    """Monotone inverse of a vectorized nonincreasing derivative, by bisection."""
+def _bisect_inv(deriv_fn, level, n, hi):
+    """Inverse of a vectorized decreasing derivative on n slots, by
+    bisection of [0, hi]: the derivative is above ``level`` at 0 and at
+    most it at ``hi``."""
     lo = np.zeros(n)
-    d0 = deriv_fn(lo)
-    done_zero = d0 <= level
-    hi = np.full(n, hi_start)
-    for _ in range(80):
-        need = deriv_fn(hi) > level
-        if not np.any(need & ~done_zero):
-            break
-        hi = np.where(need, hi * 2.0, hi)
+    hi = np.full(n, hi)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         above = deriv_fn(mid) > level
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
-    return np.where(done_zero, 0.0, 0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
 
 
 class ScaledLogUtilities(SlotUtilities):
@@ -200,8 +193,6 @@ class ScaledLogUtilities(SlotUtilities):
         return np.maximum(0.0, 1.0 / (2.0 * level) - 1.0 / self.h[idx])
 
     def inv_deriv_slope(self, level, idx, q):
-        if level <= 0.0:
-            return None
         return -float(np.count_nonzero(q > 0.0)) / (2.0 * level * level)
 
 
@@ -238,13 +229,13 @@ class InterferedUtilities(SlotUtilities):
         a = self.a
         if level <= 0.0:
             return np.full(idx.shape, _INF)
-        zero = self.deriv_at_zero()[idx] <= level
+        zero = self.deriv_at_zero[idx] <= level
         hi = max(0.0, 1.0 / (2.0 * level) - 1.0)   # f' <= 1/(2(1+p))
         if a == 0.0 or hi == 0.0:
             return np.where(zero, 0.0, hi)
         # clearing denominators turns f'(x) = level into a cubic in x with a
         # single root on [0, hi]; two Newton polish steps absorb roundoff
-        k2, k1, k0, m0 = self._cubic_terms()
+        k2, k1, k0, m0 = self._cubic_terms
         d2 = 2.0 * level
         c2 = d2 * k2[idx] - a * a
         c1 = d2 * k1[idx] - 2.0 * a
@@ -266,37 +257,33 @@ class InterferedUtilities(SlotUtilities):
         bad = np.abs(self.deriv_at(idx, x) - level) > 1e-9 * (1.0 + level)
         bad &= ~zero
         if bad.any():
+            # f'(0) > level on these slots, and f' <= 1/(2(1+p)) <= level
+            # from p = hi on
             sub = idx[bad]
-            x[bad] = _bisect_inv(
-                lambda pp: self.deriv_at(sub, pp), level, sub.shape[0],
-                hi_start=max(hi, 1.0))
+            x[bad] = _bisect_inv(lambda pp: self.deriv_at(sub, pp), level,
+                                 sub.shape[0], max(hi, 1.0))
         return np.where(zero, 0.0, x)
 
+    @cached_property
     def _cubic_terms(self):
         """The parts of the cubic's coefficients that depend on p_other only.
 
-        Cached per instance, as ``deriv_at_zero`` is: every level probe
+        Built on first use, as ``deriv_at_zero`` is: every level probe
         needs them.  ``inv_deriv`` only combines them with the level
         elementwise.
         """
-        cached = getattr(self, "_cubic_cache", None)
-        if cached is None:
-            a, po = self.a, self.p_other
-            cached = (a * a + a * (2.0 + po), a * (2.0 + po) + 1.0 + po,
-                      1.0 + po, po * (1.0 - a))
-            self._cubic_cache = cached
-        return cached
+        a, po = self.a, self.p_other
+        return (a * a + a * (2.0 + po), a * (2.0 + po) + 1.0 + po, 1.0 + po,
+                po * (1.0 - a))
 
     def deriv_at(self, idx, p):
         return noise_treated_jet(self.a, self.p_other[idx], p, 1).g2
 
     def inv_deriv_slope(self, level, idx, q):
         # d q / d level summed over slots with positive power
-        po = self.p_other[idx]
         active = q > 0.0
-        if not np.any(active):
-            return 0.0
-        return float(np.sum(1.0 / self._curv(q[active], po[active])))
+        return float(np.sum(1.0 / self._curv(q[active],
+                                             self.p_other[idx][active])))
 
 
 class PiecewiseMinUtilities(SlotUtilities):
@@ -371,11 +358,9 @@ class PiecewiseMinUtilities(SlotUtilities):
         return q
 
     def inv_deriv_slope(self, level, idx, q):
-        if level <= 0.0 or not math.isfinite(self.p_c):
+        if not math.isfinite(self.p_c):
             return self._branch1.inv_deriv_slope(level, idx, q)
         active = q > 0.0
-        if not np.any(active):
-            return 0.0
         q = q[active]
         po = self.p_other[idx][active]
         tol = 1e-9 * (1.0 + self.p_c)
@@ -409,8 +394,9 @@ def _equalize(utilities, idx, target):
     if target <= 1e-15 * (1.0 + abs(target)):
         return np.zeros(m)
     # the bracket: total demand is above the target at lo and at most the
-    # target at hi.  lo stays open until a probe's demand exceeds the target
-    lo, hi = -_INF, float(np.max(utilities.deriv_at_zero()[idx]))
+    # target at hi, closed from the start, since every family's demand is
+    # infinite at level 0 and zero at the window's largest f'(0)
+    lo, hi = 0.0, float(np.max(utilities.deriv_at_zero[idx]))
     at_lo = at_hi = None     # demand probed at lo and hi
     exit_tol = 1e-12 * (1.0 + target)
     # root search on the monotone total-demand curve.  The first probe is
@@ -419,9 +405,7 @@ def _equalize(utilities, idx, target):
     # (exact for ScaledLog on a fixed active set), so the fast step is Newton
     # in 1/level on the analytic slope.  Without a fast step, and on the
     # turn after any probe that did not cut the error 4x, bisection takes
-    # over, so a closed bracket provably halves every other probe; while lo
-    # is open the level halves instead, down to 0, where every family's
-    # demand is infinite
+    # over, so the bracket provably halves every other probe
     even = np.full(m, target / m)
     marg = utilities.deriv_at(idx, even)
     if type(utilities) in _ROOT_SOLVED_INVERSE and np.all(marg == marg[0]):
@@ -453,31 +437,24 @@ def _equalize(utilities, idx, target):
             hi, at_hi = mid, q
             if err <= exit_tol:
                 break
-        if at_lo is not None and \
-                hi - lo <= 1e-15 * max(abs(hi), abs(lo), 1e-12):
+        if at_lo is not None and hi - lo <= 1e-15 * max(hi, 1e-12):
             break
         step = None
         if fast_turn:
             slope = utilities.inv_deriv_slope(mid, idx, q)
-            if slope is not None and np.isfinite(slope) and slope < 0.0:
-                # fit total = alpha + beta/mid with this slope
+            if slope < 0.0:
+                # fit total = alpha + beta/mid with this slope; an infinite
+                # slope makes the step NaN, which the bracket test refuses
                 beta = -slope * mid * mid
                 alpha = total + slope * mid
-                if mid > 0.0 and target > alpha:
+                if target > alpha:
                     step = beta / (target - alpha)
         if step is not None and lo < step < hi:
             mid = step
-        elif at_lo is not None:
-            mid = 0.5 * (lo + hi)
         else:
-            mid = 0.0 if mid < 1e-280 else 0.5 * mid
-    else:
-        if at_lo is None:
-            raise ConvergenceError(
-                "level search did not bracket the window's total in 200 "
-                "probes")
-    if at_hi is None:   # hi is still max f'(0), never probed
-        at_hi = utilities.inv_deriv(hi, idx)
+            mid = 0.5 * (lo + hi)
+    if at_hi is None:   # hi is still max f'(0), where no slot has demand
+        at_hi = np.zeros(m)
     return _distribute_late(at_hi, at_lo, target)
 
 
@@ -744,7 +721,7 @@ def solve_single_user(utilities: SlotUtilities, harvest: HarvestProfile,
             f"({', '.join(cls.__name__ for cls in _CLOSED_FORM)})")
     tau = grid.tau
     corridor = harvest.corridor
-    z_total = _total_at_level_zero(utilities.demand_at_zero(), tau, corridor)
+    z_total = _total_at_level_zero(utilities.demand_at_zero, tau, corridor)
     if start is not None and _as_tight_as_solved(start, tau, corridor,
                                                  z_total):
         try:

@@ -170,7 +170,7 @@ def bisect_equalize(utilities, idx, target):
     m = idx.shape[0]
     if target <= 1e-15 * (1.0 + abs(target)):
         return np.zeros(m)
-    hi = float(np.max(utilities.deriv_at_zero()[idx]))
+    hi = float(np.max(utilities.deriv_at_zero[idx]))
     # find lo with total demand at least target: descend from hi through 0
     # and into negative levels if the utilities ever slope down
     lo = None
@@ -222,8 +222,7 @@ def bisect_equalize(utilities, idx, target):
         # with bisection so the bracket provably halves every other step
         fast_turn = (err <= 0.25 * last_err) or not fast_turn
         last_err = err
-        slope = utilities.inv_deriv_slope(mid, idx, qmin)
-        newton_from = None if slope is None else (mid, tmin, slope)
+        newton_from = (mid, tmin, utilities.inv_deriv_slope(mid, idx, qmin))
         if tmin > target:
             lo, t_lo = mid, tmin
             if err <= exit_tol:

@@ -20,7 +20,7 @@ from ehic.iterative import (band_solve, build_subproblem, feasible_floor,
                             iterate_offline, iterate_offline_many,
                             joint_objective, joint_start)
 from ehic.model import HarvestProfile, TimeGrid
-from ehic.online import naive_policy
+from ehic.online import distributed_policy, naive_policy
 from ehic.rates import Region, build_rate_model
 from ehic.single_user import ScaledLogUtilities, solve_single_user, verify_kkt
 
@@ -90,6 +90,33 @@ class TestBuildSubproblem:
             rm = _assert_marginals_are_partials(a, b, 10.0)
             assert rm.region is region and rm.mirrored
 
+    # a*b > 1, min-form with p_c = 2, min-form at a*b = 1 (p_c = inf), each
+    # in both orientations, and very strong
+    @pytest.mark.parametrize("a, b", [(0.7, 5.0), (5.0, 0.7), (0.5, 1.5),
+                                      (1.5, 0.5), (0.5, 2.0), (2.0, 0.5),
+                                      (20.0, 30.0)])
+    def test_user1_gains_are_the_closed_forms(self, a, b):
+        # the canonical user 1's gains, read from the jet, are bit for bit
+        # 1/(1 + a P) below p_c, b/(1 + P) at and above it, and 1 where the
+        # interference is removed
+        rm = build_rate_model(a, b, 10.0, 10.0)
+        ac, bc = rm.canonical_gains
+        n = 300
+        other = np.random.default_rng(5).uniform(0.0, 12.0, n)
+        other[:3] = [0.0, 2.0, 12.0]   # idle, and p_c where it is 2 (the
+                                       # two branches agree there)
+        if rm.region is Region.VERY_STRONG:
+            want = np.ones(n)
+        elif rm.region is Region.ASYMMETRIC_AB_ABOVE_ONE:
+            want = 1.0 / (1.0 + ac * other)
+        else:
+            want = np.where(other < rm.p_c, 1.0 / (1.0 + ac * other),
+                            bc / (1.0 + other))
+        scen = two_user_scenario(np.ones(n), np.ones(n), 10.0, a, b)
+        utils = build_subproblem(scen, rm, 1 if rm.mirrored else 0, other)
+        assert type(utils) is ScaledLogUtilities
+        assert utils.h.tobytes() == want.tobytes()
+
 
 class TestIterateOffline:
     def test_decoupled_kernel_converges_in_one_sweep(self):
@@ -107,6 +134,26 @@ class TestIterateOffline:
             assert np.allclose(policy[j], row, atol=1e-7)
         assert (report.sweeps_used, report.certified_starts) == (1, 2)
         assert report.converged
+
+    @pytest.mark.parametrize("n", [20, 200, 2000])
+    def test_very_strong_optimum_is_the_taut_strings(self, n):
+        # every very strong slot utility is (1/2)ln(1 + p), so each user's
+        # optimum is its taut string, an exact reference at any N
+        for seed in (0, 1):
+            scen = gen_scenario(n, 1.0, 10.0, 5.0, seed, 20.0, 30.0)
+            rm = _rate_model_for(scen)
+            assert rm.region is Region.VERY_STRONG
+            taut = np.vstack([distributed_policy(scen, u) for u in range(2)])
+            for u in range(2):
+                cert = verify_kkt(taut[u], ScaledLogUtilities(np.ones(n)),
+                                  scen.users[u].harvest, scen.grid)
+                assert cert.stationarity_residual <= 1e-9
+                assert cert.complementarity_residual <= 1e-9
+            policy, report = iterate_offline(scen, rm)
+            assert report.converged
+            want = joint_objective(taut, scen, rm)
+            got = joint_objective(policy, scen, rm)
+            assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_very_strong_second_sweep_is_inert(self):
         rm = build_rate_model(50.0, 50.0, 2.0, 2.0)

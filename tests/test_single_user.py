@@ -581,6 +581,43 @@ def _family(name, rng, n):
                                  rng.uniform(0, 3, n))
 
 
+def _families(rng):
+    """Instances of every closed-form family on 12 slots, with the edge
+    parameters: a = 0 and a = 1, p_c = 0 and p_c = inf."""
+    po = rng.uniform(0.0, 3.0, 12)
+    po[0] = 0.0
+    utils = [_family(name, rng, 12) for name in ("scaled_log", "interfered",
+                                                 "piecewise_min")]
+    return utils + [InterferedUtilities(0.0, po), InterferedUtilities(1.0, po),
+                    PiecewiseMinUtilities(0.5, 1.0, 0.0, po),
+                    PiecewiseMinUtilities(0.5, 2.0, math.inf, po)]
+
+
+class TestClosedFormGuarantees:
+    """What the level search and the interfered inverse rely on, per
+    family: demand infinite at level 0 and exactly zero at the largest
+    f'(0), and the interfered root inside [0, max(1, 1/(2 level) - 1)]."""
+
+    def test_demand_at_the_bracket_ends(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            for util in _families(rng):
+                assert np.all(util.inv_deriv(0.0) == np.inf)
+                top = float(np.max(util.deriv_at_zero))
+                assert util.inv_deriv(top).tobytes() == bytes(8 * util.n)
+
+    def test_interfered_root_inside_the_bisection_bracket(self):
+        rng = np.random.default_rng(19)
+        for a in (0.0, 1e-6, 0.3, 0.9, 1.0):
+            util = InterferedUtilities(a, rng.uniform(0.0, 1e3, 200))
+            for level in (0.6, 0.49, 0.2, 0.05, 1e-3, 1e-5):
+                hi = max(1.0, 1.0 / (2.0 * level) - 1.0)
+                q = util.inv_deriv(level)
+                assert np.all((q >= 0.0) & (q <= hi))
+                # the bracket of ``_bisect_inv``: f'(hi) <= level
+                assert np.all(util.deriv(np.full(200, hi)) <= level)
+
+
 class TestLevelSearch:
     """``_equalize`` against the bisection-first search it replaced.
 
@@ -627,7 +664,7 @@ class TestLevelSearch:
         util = _family(family, np.random.default_rng(3), 5)
         assert np.array_equal(_equalize(util, np.arange(5), 0.0), np.zeros(5))
 
-    def test_target_met_at_first_descent_probe(self):
+    def test_target_met_at_first_probe(self):
         # the first probe, the mean marginal at the even split, is level
         # f'(1) = 1/4, where each unit-gain slot demands exactly
         # 1/(2 * 1/4) - 1 = 1
@@ -637,10 +674,32 @@ class TestLevelSearch:
         # a target within the stopping tolerance below that total
         self.assert_matches_reference(util, 4.0 - 1e-13)
 
+    def test_unprobed_high_end_has_no_demand(self):
+        # gains near 1e-12: every probe's demand exceeds the target until
+        # the bracket is too narrow to split, so the high end, the largest
+        # f'(0), is never probed and its demand is taken as zero
+        util = log_utils(2, [1e-12, 10.0 ** -11.5])
+        inverse, totals = util.inv_deriv, []
+
+        def recording(level, idx=None):
+            q = inverse(level, idx)
+            totals.append(float(np.sum(q)))
+            return q
+
+        util.inv_deriv = recording
+        got = _equalize(util, np.arange(2), 1e-13)
+        # every probe overshoots the target by more than the exit tolerance
+        assert totals and min(totals) - 1e-13 > 1e-12 * (1.0 + 1e-13)
+        assert got.tolist() == [0.0, 1e-13]
+        util.inv_deriv = inverse
+        self.assert_matches_reference(util, 1e-13)
+
     def test_probe_budget_on_fig8(self, monkeypatch):
         # inv_deriv calls made by _equalize itself, per utility family, on
-        # the water-filling solves against each fig8 user's assumed
-        # interference (the other user's mean harvest rate), seeds 0-9; the
+        # single-user solves of fig8's scenarios, seeds 0-9, against a
+        # constant interference, the other user's mean harvest rate.  fig8
+        # itself no longer runs these solves: its distributed baseline is
+        # the taut string, and its joint starts certify.  The
         # bisection-first search made 14.8 (ScaledLog) and 16.4
         # (Interfered) per call
         from ehic.iterative import build_subproblem
